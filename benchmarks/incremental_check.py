@@ -17,7 +17,11 @@ reported speedup is conservative.  FAILS if any of:
 * the epoch-1 pass has **zero cache hits** (unchanged sites must merge
   from epoch-0 partials) or zero misses (churned sites must re-map);
 * the incremental-vs-monolithic **speedup** is below the floor (default
-  3.0x — at 5% churn, ~95% of per-site maps are skipped).
+  3.0x — at 5% churn, ~95% of per-site maps are skipped);
+* the epoch-1 Selenium inspection pass, run through the cache after an
+  epoch-0 pass warmed it, differs from an uncached pass over the same
+  corpus in any site, or re-inspects no site or every site.  The number
+  of re-inspected sites is printed.
 
 The section set covers everything a single-vantage porn + regular crawl
 feeds (Tables 2-6, Figures 3-4, the malware rollup); Tables 1/7/8 need
@@ -89,6 +93,35 @@ def _render_sections(store_path: str, *, incremental: bool) -> dict:
     return sections, stats
 
 
+def _check_inspections(store_dir: str):
+    """``(identical, reinspected, sites)`` for the epoch-1 inspection pass.
+
+    An epoch-0 study warms the cache with its full pass; the epoch-1
+    study then inspects through the cache, and its whole list is
+    compared with a fresh uncached :class:`SeleniumCrawler` pass.
+    """
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro import Study
+    from repro.crawler.selenium import SeleniumCrawler
+    from repro.datastore import CrawlStore
+    from repro.webgen.builder import build_universe
+
+    base_path = os.path.join(store_dir, "epoch0")
+    for path in (base_path, base_path + "-e1"):
+        config = CrawlStore(path).stored_config()
+        study = Study(build_universe(config, lazy=True), store=path,
+                      aggregate_cache=True)
+        domains = study.corpus_domains()  # sanitize's lookups go first
+        misses = study.aggregate_cache.stats.misses
+        cached = study.inspections()
+        reinspected = study.aggregate_cache.stats.misses - misses
+        study.close()
+    crawler = SeleniumCrawler(study.universe,
+                              study.vantage_points.point(study.home_country))
+    fresh = [crawler.inspect(domain) for domain in domains]
+    return cached == fresh, reinspected, len(domains)
+
+
 def main() -> int:
     scale = float(os.environ.get("REPRO_INCREMENTAL_CHECK_SCALE",
                                  str(DEFAULT_SCALE)))
@@ -149,6 +182,18 @@ def main() -> int:
                       "incremental and monolithic renders",
                       file=sys.stderr)
                 failed = True
+
+        identical, reinspected, sites = _check_inspections(store_dir)
+        print(f"  inspections: {reinspected} of {sites} sites "
+              "re-inspected, the rest served from the cache")
+        if not identical:
+            print("FAIL: the cached epoch-1 inspection pass differs from "
+                  "an uncached pass", file=sys.stderr)
+            failed = True
+        if not 0 < reinspected < sites:
+            print("FAIL: the epoch-1 inspection pass should re-inspect "
+                  "the churned sites and only those", file=sys.stderr)
+            failed = True
 
         if failed:
             return 1

@@ -92,6 +92,9 @@ ANALYSIS_VERSIONS: Dict[str, int] = {
     # §3 per-candidate sanitize verdicts (cached by
     # repro.datastore.incremental.cached_sanitize).
     "sanitize": 1,
+    # Per-site Selenium inspections (cached by
+    # repro.datastore.incremental.cached_inspections).
+    "inspect": 1,
 }
 
 

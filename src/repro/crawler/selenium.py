@@ -11,7 +11,7 @@ classification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..browser.browser import Browser
 from ..html.dom import Element
@@ -90,6 +90,46 @@ class SiteInspection:
     has_premium_cue: bool = False
     has_payment_cue: bool = False
     rta_labeled: bool = False
+
+    def to_row(self) -> Tuple:
+        """Nested tuple of primitives (marshal-encodable; see
+        :meth:`from_row`)."""
+        gate, policy = self.age_gate, self.policy
+        return (
+            self.domain, self.reachable,
+            (gate.detected, gate.button_text, gate.clicked, gate.bypassed,
+             gate.requires_login),
+            (policy.link_found, policy.url, policy.status, policy.text),
+            self.has_account_option, self.has_premium_cue,
+            self.has_payment_cue, self.rta_labeled,
+        )
+
+    @classmethod
+    def from_row(cls, row: Sequence) -> "SiteInspection":
+        """Inverse of :meth:`to_row`; raises on any malformed row."""
+        (domain, reachable, gate, policy, account, premium, payment,
+         rta) = row
+        detected, button_text, clicked, bypassed, requires_login = gate
+        link_found, url, status, text = policy
+        if not (isinstance(domain, str) and isinstance(button_text, str)
+                and isinstance(url, str) and isinstance(text, str)
+                and (status is None or type(status) is int)):
+            raise ValueError(f"malformed inspection row for {domain!r}")
+        return cls(
+            domain,
+            reachable=bool(reachable),
+            age_gate=AgeGateObservation(
+                detected=bool(detected), button_text=button_text,
+                clicked=bool(clicked), bypassed=bool(bypassed),
+                requires_login=bool(requires_login),
+            ),
+            policy=PolicyObservation(link_found=bool(link_found), url=url,
+                                     status=status, text=text),
+            has_account_option=bool(account),
+            has_premium_cue=bool(premium),
+            has_payment_cue=bool(payment),
+            rta_labeled=bool(rta),
+        )
 
 
 def _ancestor_context(element: Element) -> str:

@@ -9,7 +9,11 @@ the reproduction the same shape.  :class:`CrawlStore` is the store,
 
 from .aggregates import AggregateCacheStats, AggregateStore, aggregates_path
 from .delta import DeltaSource, SiteSlice, delta_crawl
-from .incremental import IncrementalRunAnalyzer, cached_sanitize
+from .incremental import (
+    IncrementalRunAnalyzer,
+    cached_inspections,
+    cached_sanitize,
+)
 from .schema import SCHEMA_VERSION, SchemaError
 from .serialize import config_from_json, config_to_json, domains_hash, run_key
 from .shards import reshard_store
@@ -34,6 +38,7 @@ __all__ = [
     "aggregates_path",
     "CrawlStore",
     "IncrementalRunAnalyzer",
+    "cached_inspections",
     "cached_sanitize",
     "DeltaSource",
     "MissingRunError",

@@ -37,13 +37,12 @@ from __future__ import annotations
 import gc
 import marshal
 import os
-import pickle
 import re
 import sqlite3
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 __all__ = ["AggregateStore", "AggregateCacheStats", "aggregates_path"]
 
@@ -74,28 +73,25 @@ CREATE TABLE IF NOT EXISTS aggregate_meta (
 
 
 def _encode(value: object) -> bytes:
-    """Serialize one partial, marshal-first.
+    """Serialize one partial with marshal, behind a one-byte ``M`` tag.
 
     Partials are plain tuples/dicts of primitives by the map/merge
     contract, and ``marshal`` decodes those several times faster than
     pickle — a warm study decodes every partial of the corpus, so the
-    codec is on the hot path.  Anything marshal cannot take (no partial
-    today) falls back to pickle; a one-byte tag keeps the formats
-    self-describing.
+    codec is on the hot path.  Marshal also cannot run code on load,
+    which pickle can: the cache file is as exposed as the store it sits
+    in.  A value marshal cannot take raises ``ValueError``.
     """
-    try:
-        return b"M" + marshal.dumps(value, 4)
-    except (ValueError, TypeError):
-        return b"P" + pickle.dumps(value, protocol=4)
+    return b"M" + marshal.dumps(value, 4)
 
 
 def _decode(payload: bytes) -> object:
-    """Inverse of :func:`_encode`; raises on any malformed payload."""
+    """Inverse of :func:`_encode`; raises on any malformed payload —
+    including the ``P`` (pickle) tag older caches wrote, which is never
+    loaded."""
     tag, body = payload[:1], payload[1:]
     if tag == b"M":
         return marshal.loads(body)
-    if tag == b"P":
-        return pickle.loads(body)
     raise ValueError(f"unknown aggregate payload tag {tag!r}")
 
 
@@ -198,7 +194,9 @@ class AggregateStore:
         return value
 
     def get_many(self, analysis_key: str, analysis_version: int,
-                 wanted: Dict[str, str]) -> Dict[str, object]:
+                 wanted: Dict[str, str], *,
+                 convert: Optional[Callable[[object], object]] = None,
+                 ) -> Dict[str, object]:
         """Batch lookup: ``{site_domain: partial}`` for every hit.
 
         ``wanted`` maps each site to the content hash it must match.
@@ -207,6 +205,9 @@ class AggregateStore:
         and the per-call round-trips dominate a fully warm pass.  Hit,
         miss, and corrupt accounting matches :meth:`get` row for row;
         like there, the newest row wins when several match.
+        ``convert`` turns each decoded row into the caller's value; a
+        row it rejects (raises on) counts as corrupt, like a payload
+        that fails to decode.
         """
         if not wanted:
             return {}
@@ -235,7 +236,9 @@ class AggregateStore:
         try:
             for domain, payload in matched.items():
                 try:
-                    results[domain] = _decode(payload)
+                    value = _decode(payload)
+                    results[domain] = value if convert is None \
+                        else convert(value)
                     self.stats.hits += 1
                 except Exception:
                     self.stats.misses += 1

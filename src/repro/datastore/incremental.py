@@ -60,7 +60,7 @@ from .serialize import (
 from .store import CrawlStore, MissingRunError
 
 __all__ = ["IncrementalRunAnalyzer", "PORN_ANALYSES", "REGULAR_ANALYSES",
-           "cached_sanitize"]
+           "cached_inspections", "cached_sanitize"]
 
 #: Which per-site analyses each run kind can feed.  The order matters
 #: operationally (labels are mapped first so the HTTPS mapper can consume
@@ -69,6 +69,14 @@ __all__ = ["IncrementalRunAnalyzer", "PORN_ANALYSES", "REGULAR_ANALYSES",
 PORN_ANALYSES: Tuple[str, ...] = ("labels", "ats", "cookies", "https",
                                   "banners", "sync", "jsapi", "visits")
 REGULAR_ANALYSES: Tuple[str, ...] = ("labels", "ats")
+
+
+def _vantage_digest(vantage) -> str:
+    """Short digest of a vantage point for cache keys: content hashes
+    are vantage-independent, what a site shows a vantage is not."""
+    return hashlib.sha256(
+        vantage_to_json(vantage).encode("utf-8")
+    ).hexdigest()[:16]
 
 
 class IncrementalRunAnalyzer:
@@ -121,10 +129,8 @@ class IncrementalRunAnalyzer:
         self._slices: Dict[str, SiteSlice] = _slice_index(store, self.run)
         self.client_ip = store._run_header(self.run)[1]
 
-        vantage_digest = hashlib.sha256(
-            vantage_to_json(vantage).encode("utf-8")
-        ).hexdigest()[:16]
-        self._key_suffix = f"{kind}:{vantage_digest}:{int(keep_html)}"
+        self._key_suffix = \
+            f"{kind}:{_vantage_digest(vantage)}:{int(keep_html)}"
         self.run_ref = (
             run_key(universe.config, vantage, kind, keep_html=keep_html)
             + ":" + domains_hash(domains)
@@ -292,10 +298,7 @@ def cached_sanitize(universe, candidates: Sequence[str], vantage,
     from ..core.corpus import SanitizedCorpus, classify_adult_content
     from ..crawler.vpn import client_for
 
-    digest = hashlib.sha256(
-        vantage_to_json(vantage).encode("utf-8")
-    ).hexdigest()[:16]
-    key = f"sanitize:{digest}"
+    key = f"sanitize:{_vantage_digest(vantage)}"
     version = ANALYSIS_VERSIONS["sanitize"]
     hashes = analysis_hash_index(universe)
     run_ref = "sanitize:" + domains_hash(candidates)
@@ -326,3 +329,66 @@ def cached_sanitize(universe, candidates: Sequence[str], vantage,
     return SanitizedCorpus(corpus=buckets["corpus"],
                            unresponsive=buckets["unresponsive"],
                            non_adult=buckets["non_adult"])
+
+
+# --------------------------------------------------------------------------
+# The Selenium inspection pass through the same cache.
+# --------------------------------------------------------------------------
+
+def _inspection_hash(universe, hashes, domain: str) -> str:
+    """A site's analysis hash folded with its policy plan's digest.
+
+    The interaction crawler also reads the site's policy page, whose
+    text lives outside the spec row the analysis hash covers; the
+    packed plan pins it without rendering it (see
+    :meth:`~repro.webgen.universe.Universe.policy_source`).
+    """
+    source = universe.policy_source(domain)
+    digest = hashlib.sha256((hashes.hash_of(domain) or "absent").encode())
+    digest.update(b"\x1fpolicy\x1f")
+    if source is not None:
+        digest.update(hashlib.sha256(source).digest())
+    return digest.hexdigest()
+
+
+def cached_inspections(universe, domains: Sequence[str], vantage,
+                       cache: Optional[AggregateStore]):
+    """The Selenium inspection pass, one cached result per site.
+
+    Each :class:`~repro.crawler.selenium.SiteInspection` is a pure
+    function of one site's served pages (landing page, age-gate
+    click-through, policy page) and the vantage, so it caches under the
+    sanitize keying plus the site's policy plan (:func:`_inspection_hash`).
+    Only sites that miss — churned, new, or corrupt rows — are
+    inspected; results come back in ``domains`` order either way, so
+    the list equals a fresh :class:`~repro.crawler.selenium.
+    SeleniumCrawler` pass.  With no ``cache`` every site is inspected.
+    """
+    from ..crawler.selenium import SeleniumCrawler, SiteInspection
+
+    found: Dict[str, object] = {}
+    if cache is not None:
+        key = f"inspect:{_vantage_digest(vantage)}"
+        version = ANALYSIS_VERSIONS["inspect"]
+        run_ref = "inspect:" + domains_hash(domains)
+        hashes = analysis_hash_index(universe)
+        site_hashes = {domain: _inspection_hash(universe, hashes, domain)
+                       for domain in domains}
+        found = cache.get_many(key, version, site_hashes,
+                               convert=SiteInspection.from_row)
+    results = []
+    to_put: List[Tuple[str, int, str, str, str, object]] = []
+    crawler = None
+    for domain in domains:
+        inspection = found.get(domain)
+        if inspection is None:
+            if crawler is None:
+                crawler = SeleniumCrawler(universe, vantage)
+            inspection = crawler.inspect(domain)
+            if cache is not None:
+                to_put.append((key, version, domain, site_hashes[domain],
+                               run_ref, inspection.to_row()))
+        results.append(inspection)
+    if to_put:
+        cache.put_many(to_put)
+    return results

@@ -126,7 +126,7 @@ CREATE TABLE IF NOT EXISTS js_calls (
     PRIMARY KEY (run_id, position)
 );
 
--- Opaque auxiliary payloads (e.g. the pickled Selenium inspection pass)
+-- Auxiliary payloads (e.g. the marshal-encoded Selenium inspection pass)
 -- keyed like runs, for crawl products that are not CrawlLog-shaped.
 CREATE TABLE IF NOT EXISTS artifacts (
     artifact_key TEXT PRIMARY KEY,

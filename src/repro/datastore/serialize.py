@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import marshal
 import sys
 from dataclasses import asdict, fields, is_dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..browser.events import CookieRecord, CrawlLog, PageVisit, RequestRecord
 from ..js.api import JSCall
@@ -42,6 +43,8 @@ __all__ = [
     "cookie_from_row",
     "cookie_to_row",
     "domains_hash",
+    "inspections_from_payload",
+    "inspections_to_payload",
     "jscall_from_row",
     "jscall_to_row",
     "request_from_row",
@@ -141,6 +144,40 @@ def domains_hash(domains: Sequence[str]) -> str:
     """Content hash of an ordered site list (order matters for resume)."""
     joined = "\n".join(domains)
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+
+
+# ----------------------------------------------------------------------
+# The inspection-pass artifact
+# ----------------------------------------------------------------------
+
+#: Leading byte of an inspection-pass artifact: a marshal-encoded list
+#: of :meth:`~repro.crawler.selenium.SiteInspection.to_row` rows.
+INSPECTIONS_TAG = b"I"
+
+
+def inspections_to_payload(inspections: Sequence) -> bytes:
+    """The ``selenium:inspections`` artifact for one inspection pass."""
+    return INSPECTIONS_TAG + marshal.dumps(
+        [inspection.to_row() for inspection in inspections], 4)
+
+
+def inspections_from_payload(payload: Optional[bytes]) -> Optional[List]:
+    """Inverse of :func:`inspections_to_payload`.
+
+    Anything else — no artifact, another format (older stores pickled
+    the pass), a torn or tampered payload — reads as absent, so the
+    caller re-inspects (or reports the pass missing) rather than trust
+    it.  Nothing here can run code.
+    """
+    from ..crawler.selenium import SiteInspection
+
+    if not payload or payload[:1] != INSPECTIONS_TAG:
+        return None
+    try:
+        return [SiteInspection.from_row(row)
+                for row in marshal.loads(payload[1:])]
+    except Exception:
+        return None
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ serializes cross-connection writes.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import queue
@@ -127,6 +128,12 @@ class JobSpec:
         if self.delta and self.epoch < 1:
             raise ValueError("delta requires epoch >= 1 (there is no "
                              "prior epoch to splice from)")
+        # 1.0 is the paper's full corpus; a service job never builds more.
+        # Written as range checks so NaN (which compares false) fails too.
+        if not 0.0 < self.scale <= 1.0:
+            raise ValueError(f"scale must be in (0, 1], got {self.scale}")
+        if not 0.0 <= self.churn <= 1.0:
+            raise ValueError(f"churn must be in [0, 1], got {self.churn}")
 
     def to_json(self) -> str:
         return json.dumps({
@@ -305,17 +312,21 @@ def execute_job(job: Job, store_path: str, *,
                   store_shards=store_shards, parallelism=1,
                   baseline_store=baseline, aggregate_cache=True,
                   progress=progress)
-    tasks = study._analysis_tasks(geo=spec.geo,
-                                  countries=spec.countries or None)
-    if spec.analyses:
-        wanted = set(spec.analyses)
-        tasks = [(name, thunk) for name, thunk in tasks if name in wanted]
-    for name, thunk in tasks:
-        if job.cancel_requested.is_set():
-            raise JobCancelled(job.id)
-        publish("analysis_started", {"name": name})
-        thunk()
-        publish("analysis_finished", {"name": name})
+    try:
+        tasks = study._analysis_tasks(geo=spec.geo,
+                                      countries=spec.countries or None)
+        if spec.analyses:
+            wanted = set(spec.analyses)
+            tasks = [(name, thunk) for name, thunk in tasks
+                     if name in wanted]
+        for name, thunk in tasks:
+            if job.cancel_requested.is_set():
+                raise JobCancelled(job.id)
+            publish("analysis_started", {"name": name})
+            thunk()
+            publish("analysis_finished", {"name": name})
+    finally:
+        study.close()
 
 
 class JobManager:
@@ -455,3 +466,8 @@ class JobManager:
                 # A cancel flag that landed after the last checkpoint is
                 # moot: the work completed and is durable, so "done" wins.
                 self._finish(job, JobState.DONE)
+            # A finished job's study, universe and logs sit in reference
+            # cycles; collect them now — after the terminal event, off
+            # the client's path — so the next job never runs beside
+            # them.
+            gc.collect()

@@ -24,7 +24,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
-from .api import ServiceAPI
+from .api import ApiError, ServiceAPI
 from .jobs import JobManager
 from .sse import HEARTBEAT_FRAME, format_event
 
@@ -32,6 +32,9 @@ __all__ = ["ReproServer"]
 
 #: Seconds of stream silence before a keep-alive comment frame.
 DEFAULT_HEARTBEAT = 15.0
+
+#: Largest request body accepted (a job spec is a few hundred bytes).
+MAX_BODY_BYTES = 1 << 20
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -54,7 +57,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The request body, or :class:`ApiError` without reading it
+        when ``Content-Length`` is missing, malformed or over
+        :data:`MAX_BODY_BYTES`."""
+        text = (self.headers.get("Content-Length") or "").strip()
+        if not (text.isascii() and text.isdigit()):
+            raise ApiError(400, "Content-Length must be a non-negative "
+                                "integer")
+        length = int(text)
+        if length > MAX_BODY_BYTES:
+            raise ApiError(413, f"request body over {MAX_BODY_BYTES} bytes")
         return self.rfile.read(length) if length else b""
 
     # -- verbs ----------------------------------------------------------
@@ -67,8 +79,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._write(*self.server.api.handle("GET", url.path))
 
     def do_POST(self) -> None:  # noqa: N802
+        try:
+            body = self._body()
+        except ApiError as exc:
+            # The unread body would be parsed as the next request.
+            self.close_connection = True
+            self._write(exc.status, "application/json",
+                        (json.dumps({"error": exc.message}) + "\n").encode())
+            return
         self._write(*self.server.api.handle(
-            "POST", urlsplit(self.path).path, self._body()))
+            "POST", urlsplit(self.path).path, body))
 
     def do_DELETE(self) -> None:  # noqa: N802
         self._write(*self.server.api.handle(

@@ -74,7 +74,7 @@ from .crawler.executor import (
     default_parallelism,
 )
 from .crawler.openwpm import OpenWPMCrawler
-from .crawler.selenium import SeleniumCrawler, SiteInspection
+from .crawler.selenium import SiteInspection
 from .crawler.vpn import VantagePointManager
 from .net.url import registrable_domain
 from .webgen.builder import build_universe
@@ -148,30 +148,39 @@ class Study:
         :mod:`repro.datastore.incremental`).  Requires a complete stored
         run; without a ``store`` the flag is rejected.
         """
+        if store_only and store is None:
+            raise ValueError("store_only=True requires a store")
+        if aggregate_cache is True and store is None:
+            raise ValueError(
+                "aggregate_cache=True requires a store to sit next to"
+            )
         self.universe = universe
         self.vantage_points = vantage_points or VantagePointManager()
         self.home_country = home_country
         self.parallelism = max(1, int(parallelism or default_parallelism()))
+        #: Handles this study opened from paths; :meth:`close` closes
+        #: them (handles passed in belong to the caller).
+        self._opened: List[object] = []
         if isinstance(store, (str, Path)):
             from .datastore import CrawlStore
             store = CrawlStore(str(store), shards=store_shards)
+            self._opened.append(store)
         self.store = store
         self.store_only = store_only
         if isinstance(baseline_store, (str, Path)):
             from .datastore import CrawlStore
             baseline_store = CrawlStore(str(baseline_store))
+            self._opened.append(baseline_store)
         self.baseline_store = baseline_store
         if aggregate_cache:
             from .datastore import AggregateStore, aggregates_path
             if aggregate_cache is True:
-                if self.store is None:
-                    raise ValueError(
-                        "aggregate_cache=True requires a store to sit next to"
-                    )
                 aggregate_cache = AggregateStore(
                     aggregates_path(self.store.path))
+                self._opened.append(aggregate_cache)
             elif isinstance(aggregate_cache, (str, Path)):
                 aggregate_cache = AggregateStore(str(aggregate_cache))
+                self._opened.append(aggregate_cache)
         self.aggregate_cache = aggregate_cache or None
         #: Real per-analysis wall time, recorded by :meth:`run_all` /
         #: :meth:`prefetch_analyses` around each task thunk (the memoized
@@ -179,11 +188,19 @@ class Study:
         #: the work happens in the pool and later reads are cache hits).
         self.analysis_timings: Dict[str, float] = {}
         self.progress = progress
-        if store_only and store is None:
-            raise ValueError("store_only=True requires a store")
         self._cache: Dict[str, object] = {}
         self._cache_lock = threading.Lock()
         self._key_locks: Dict[str, threading.Lock] = {}
+
+    def close(self) -> None:
+        """Close the stores and the aggregate cache this study opened.
+
+        A long-lived process (``repro serve``) runs one study per job;
+        without this their connections stay open until the study's
+        reference cycles are collected.
+        """
+        while self._opened:
+            self._opened.pop().close()
 
     @classmethod
     def build(
@@ -613,41 +630,42 @@ class Study:
     def inspections(self) -> List[SiteInspection]:
         """Interaction-crawler pass over the whole corpus (home country).
 
-        With a store attached the pass is persisted as a pickled
-        artifact keyed like a run (config + vantage + crawler kind), so
-        ``repro report`` can render the policy/business tables without
-        re-running the interaction crawler.
+        Sites are inspected through the aggregate cache when one is
+        configured, so an evolved epoch re-inspects only churned sites
+        (see :func:`~repro.datastore.cached_inspections`).  With a store
+        attached the pass is also persisted as an artifact keyed like a
+        run (config + vantage + crawler kind), so ``repro report`` can
+        render the policy/business tables without re-running the
+        interaction crawler.
         """
 
         def inspect() -> List[SiteInspection]:
+            from .datastore import MissingRunError, cached_inspections, run_key
+            from .datastore.serialize import (
+                inspections_from_payload,
+                inspections_to_payload,
+            )
+
+            vantage = self.vantage_points.point(self.home_country)
             artifact_key = None
             if self.store is not None:
-                import pickle
-
-                from .datastore import MissingRunError, run_key
-
-                artifact_key = run_key(
-                    self.universe.config,
-                    self.vantage_points.point(self.home_country),
-                    "selenium:inspections",
-                )
-                payload = self.store.get_artifact(artifact_key)
-                if payload is not None:
-                    return pickle.loads(payload)
+                artifact_key = run_key(self.universe.config, vantage,
+                                       "selenium:inspections")
+                stored = inspections_from_payload(
+                    self.store.get_artifact(artifact_key))
+                if stored is not None:
+                    return stored
                 if self.store_only:
                     raise MissingRunError(
                         f"store {self.store.path} holds no inspection pass; "
                         "re-run `repro study --store` to record it"
                     )
-            crawler = SeleniumCrawler(
-                self.universe, self.vantage_points.point(self.home_country)
-            )
-            results = [crawler.inspect(domain)
-                       for domain in self.corpus_domains()]
+            results = cached_inspections(self.universe,
+                                         self.corpus_domains(), vantage,
+                                         self.aggregate_cache)
             if artifact_key is not None:
-                import pickle
                 self.store.put_artifact(artifact_key,
-                                        pickle.dumps(results, protocol=4))
+                                        inspections_to_payload(results))
             return results
 
         return self._memo("inspections", inspect)

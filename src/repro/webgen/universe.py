@@ -315,6 +315,16 @@ class Universe:
     def policy_text(self, site_domain: str) -> Optional[str]:
         return self._policy_texts.get(site_domain)
 
+    def policy_source(self, site_domain: str) -> Optional[bytes]:
+        """Bytes that determine the site's policy text, without rendering
+        it: the packed plan in a lazy universe, the text itself in an
+        eager one; ``None`` when the site publishes no policy."""
+        plan = getattr(self._policy_texts, "plan", None)
+        if plan is not None:
+            return plan(site_domain)
+        text = self._policy_texts.get(site_domain)
+        return None if text is None else text.encode("utf-8")
+
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------

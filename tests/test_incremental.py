@@ -20,7 +20,9 @@ Pins the contracts the aggregate cache rests on:
 """
 
 import dataclasses
+import marshal
 import os
+import pickle
 import sqlite3
 
 import pytest
@@ -28,11 +30,21 @@ import pytest
 from repro import Study, UniverseConfig
 from repro.__main__ import main
 from repro.core import mapmerge
+from repro.core.corpus import compile_candidates, sanitize_candidates
+from repro.crawler.selenium import SeleniumCrawler
+from repro.crawler.vpn import VantagePointManager
 from repro.datastore import (
     AggregateStore,
     CrawlStore,
     IncrementalRunAnalyzer,
     aggregates_path,
+    cached_inspections,
+    cached_sanitize,
+)
+from repro.datastore.incremental import _inspection_hash
+from repro.datastore.serialize import (
+    inspections_from_payload,
+    inspections_to_payload,
 )
 from repro.reporting.sections import render_section
 from repro.webgen.builder import build_universe
@@ -419,3 +431,214 @@ class TestSatellites:
         assert "aggregate cache:" in out
         assert "partials" in out
         assert "last study:" in out
+
+
+# -- the Selenium inspection pass and sanitize verdicts through the cache
+
+
+INSPECT_SCALE = 0.03
+INSPECT_CHURN = 0.05
+
+
+def _epoch_universe(epoch):
+    return build_universe(UniverseConfig(seed=20191021, scale=INSPECT_SCALE,
+                                         epoch=epoch, churn=INSPECT_CHURN),
+                          lazy=True)
+
+
+@pytest.fixture(scope="module")
+def inspect_epochs():
+    """Per epoch 0-2: (universe, corpus, fresh uncached inspection pass)."""
+    vantage = VantagePointManager().point("ES")
+    epochs = []
+    for epoch in (0, 1, 2):
+        universe = _epoch_universe(epoch)
+        domains = Study(universe).corpus_domains()
+        crawler = SeleniumCrawler(universe, vantage)
+        epochs.append((universe, domains,
+                       [crawler.inspect(domain) for domain in domains]))
+    return vantage, epochs
+
+
+def _recording_inspect(monkeypatch):
+    """Record which domains the Selenium crawler actually inspects."""
+    inspected = []
+    original = SeleniumCrawler.inspect
+
+    def inspect(self, domain):
+        inspected.append(domain)
+        return original(self, domain)
+
+    monkeypatch.setattr(SeleniumCrawler, "inspect", inspect)
+    return inspected
+
+
+def _warm_inspections(tmp_path, inspect_epochs):
+    vantage, epochs = inspect_epochs
+    cache = AggregateStore(str(tmp_path / "inspect.sqlite"))
+    _, domains, reference = epochs[0]
+    assert cached_inspections(_epoch_universe(0), domains, vantage,
+                              cache) == reference
+    return cache
+
+
+class TestCachedInspections:
+    def test_epochs_equal_fresh_pass_site_by_site(self, tmp_path,
+                                                  inspect_epochs,
+                                                  monkeypatch):
+        vantage, epochs = inspect_epochs
+        cache = _warm_inspections(tmp_path, inspect_epochs)
+        inspected = _recording_inspect(monkeypatch)
+        for epoch in (1, 2):
+            _, domains, reference = epochs[epoch]
+            got = cached_inspections(_epoch_universe(epoch), domains,
+                                     vantage, cache)
+            assert [i.domain for i in got] == domains
+            for cached, fresh in zip(got, reference):
+                assert cached == fresh
+                assert cached.policy.text == fresh.policy.text
+        assert any(i.policy.text for i in epochs[2][2])
+        assert 0 < len(inspected) < len(epochs[1][1])
+
+    def test_churned_sites_reinspected_unchanged_hit(self, tmp_path,
+                                                     inspect_epochs,
+                                                     monkeypatch):
+        vantage, epochs = inspect_epochs
+        cache = _warm_inspections(tmp_path, inspect_epochs)
+        before = _epoch_universe(0)
+        after = _epoch_universe(1)
+        _, domains, reference = epochs[1]
+        old, new = analysis_hash_index(before), analysis_hash_index(after)
+        churned = [d for d in domains
+                   if _inspection_hash(before, old, d)
+                   != _inspection_hash(after, new, d)]
+        assert churned, "an evolved epoch should churn some corpus sites"
+
+        inspected = _recording_inspect(monkeypatch)
+        hits = cache.stats.hits
+        assert cached_inspections(after, domains, vantage, cache) == \
+            reference
+        assert inspected == churned
+        assert cache.stats.hits - hits == len(domains) - len(churned)
+
+    def test_changed_policy_plan_invalidates_entry(self, tmp_path,
+                                                   inspect_epochs,
+                                                   monkeypatch):
+        vantage, epochs = inspect_epochs
+        cache = _warm_inspections(tmp_path, inspect_epochs)
+        _, domains, reference = epochs[0]
+        target = next(i for i in reference if i.policy.fetched_ok)
+
+        universe = _epoch_universe(0)
+        plans = universe._policy_texts._plans
+        policy_row, company, third_parties = marshal.loads(
+            plans[target.domain])
+        plans[target.domain] = marshal.dumps(
+            (policy_row, company + " Renamed Holdings", third_parties))
+
+        inspected = _recording_inspect(monkeypatch)
+        got = cached_inspections(universe, domains, vantage, cache)
+        assert inspected == [target.domain]
+        changed = got[domains.index(target.domain)]
+        assert changed.policy.text != target.policy.text
+        assert changed == SeleniumCrawler(universe, vantage).inspect(
+            target.domain)
+
+    def test_corrupt_rows_reinspect_never_wrong(self, tmp_path,
+                                                inspect_epochs, monkeypatch):
+        vantage, epochs = inspect_epochs
+        cache = _warm_inspections(tmp_path, inspect_epochs)
+        _, domains, reference = epochs[0]
+        torn, pickled, misshapen = domains[:3]
+        payloads = {
+            torn: b"\x00DEAD",
+            # An older cache's pickle payload: never loaded.
+            pickled: b"P" + pickle.dumps(reference[1].to_row()),
+            # Decodes, but is not an inspection row.
+            misshapen: b"M" + marshal.dumps((1, 2, 3)),
+        }
+        with sqlite3.connect(cache.path) as conn:
+            for domain, payload in payloads.items():
+                updated = conn.execute(
+                    "UPDATE analysis_aggregates SET payload=? WHERE"
+                    " analysis_key LIKE 'inspect:%' AND site_domain=?",
+                    (payload, domain)).rowcount
+                assert updated == 1
+
+        inspected = _recording_inspect(monkeypatch)
+        fresh = AggregateStore(cache.path)
+        assert cached_inspections(_epoch_universe(0), domains, vantage,
+                                  fresh) == reference
+        assert inspected == [torn, pickled, misshapen]
+        assert fresh.stats.corrupt == 3
+
+    def test_no_cache_inspects_every_site(self, inspect_epochs,
+                                          monkeypatch):
+        vantage, epochs = inspect_epochs
+        _, domains, reference = epochs[0]
+        inspected = _recording_inspect(monkeypatch)
+        assert cached_inspections(_epoch_universe(0), domains, vantage,
+                                  None) == reference
+        assert inspected == domains
+
+    def test_cached_sanitize_matches_uncached(self, tmp_path,
+                                              monkeypatch):
+        from repro.browser.browser import Browser
+
+        vantage = VantagePointManager().point("ES")
+        cache = AggregateStore(str(tmp_path / "sanitize.sqlite"))
+        for epoch in (0, 1):
+            universe = _epoch_universe(epoch)
+            candidates = compile_candidates(universe).domains
+            expected = sanitize_candidates(universe, candidates, vantage)
+            assert cached_sanitize(universe, candidates, vantage,
+                                   cache) == expected
+        # Fully warm: every verdict is served, no candidate is visited.
+        visits = []
+        original = Browser.visit
+        monkeypatch.setattr(Browser, "visit", lambda self, *a, **k: (
+            visits.append(a), original(self, *a, **k))[1])
+        misses = cache.stats.misses
+        assert cached_sanitize(universe, candidates, vantage,
+                               cache) == expected
+        assert visits == []
+        assert cache.stats.misses == misses
+
+
+class TestInspectionArtifact:
+    def test_payload_round_trips(self, inspect_epochs):
+        _, epochs = inspect_epochs
+        reference = epochs[0][2]
+        payload = inspections_to_payload(reference)
+        assert payload[:1] == b"I"
+        assert inspections_from_payload(payload) == reference
+
+    def test_foreign_payloads_read_as_absent(self, inspect_epochs):
+        _, epochs = inspect_epochs
+        reference = epochs[0][2]
+        for payload in (None, b"", pickle.dumps(reference, protocol=4),
+                        b"I" + marshal.dumps([(1, 2)]), b"I\x00garbage"):
+            assert inspections_from_payload(payload) is None
+
+    def test_pickled_artifact_is_recomputed_or_missing(self, tmp_path,
+                                                       inspect_epochs):
+        from repro.datastore import MissingRunError, run_key
+
+        _, epochs = inspect_epochs
+        universe, _, reference = epochs[0]
+        path = str(tmp_path / "store")
+        study = Study(_epoch_universe(0), store=path)
+        key = run_key(universe.config,
+                      study.vantage_points.point(study.home_country),
+                      "selenium:inspections")
+        study.store.put_artifact(key, pickle.dumps(reference, protocol=4))
+
+        reader = Study(_epoch_universe(0), store=path, store_only=True)
+        with pytest.raises(MissingRunError):
+            reader.inspections()
+        reader.close()
+
+        assert study.inspections() == reference
+        assert inspections_from_payload(study.store.get_artifact(key)) == \
+            reference
+        study.close()

@@ -129,6 +129,19 @@ class TestJobSpec:
         with pytest.raises(ValueError, match="unknown analyses"):
             JobSpec(analyses=("table9",))
 
+    @pytest.mark.parametrize("field, value", [
+        ("scale", float("nan")), ("scale", float("inf")), ("scale", 0.0),
+        ("scale", -0.1), ("scale", 1.5), ("scale", 1e6),
+        ("churn", float("nan")), ("churn", -0.1), ("churn", 1.01),
+    ])
+    def test_rejects_out_of_range_numbers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            JobSpec(**{field: value})
+
+    def test_accepts_range_bounds(self):
+        JobSpec(scale=1.0, churn=0.0)
+        JobSpec(scale=1e-3, churn=1.0)
+
     def test_analysis_names_match_study(self):
         """ANALYSIS_NAMES mirrors Study._analysis_tasks exactly."""
         from repro import Study, UniverseConfig
@@ -189,6 +202,21 @@ class TestJobManager:
                          "analysis_finished", "job_done"]
         assert job.state == JobState.DONE
         assert manager.get(job.id) is job
+
+    def test_collects_garbage_after_terminal_event(self, tmp_path,
+                                                   monkeypatch):
+        import repro.service.jobs as jobs
+
+        ran, seen = [], []
+        monkeypatch.setattr(jobs.gc, "collect", lambda: seen.append(
+            [event.kind for event in ran[-1].events.snapshot()]))
+        manager = self._manager(tmp_path, ran.append)
+        manager.start()
+        try:
+            _drain(manager.submit(JobSpec(seed=1, scale=0.02)))
+        finally:
+            manager.stop()
+        assert seen == [["job_submitted", "job_started", "job_done"]]
 
     def test_failure_records_error(self, tmp_path):
         def boom(job):
@@ -321,6 +349,45 @@ class TestCancellationResumesFromCheckpoints:
         assert not set(finished_sites) & set(restarted)
 
 
+class TestJobRelease:
+    def test_finished_job_closes_its_connections(self, tmp_path,
+                                                 monkeypatch):
+        import sqlite3
+
+        from repro.study import Study
+
+        studies = []
+        close = Study.close
+
+        def recording_close(self):
+            studies.append(self)
+            close(self)
+
+        monkeypatch.setattr(Study, "close", recording_close)
+        spec = JobSpec(seed=SEED, scale=SCALE, analyses=("popularity",))
+        execute_job(Job(id="1", spec=spec), str(tmp_path / "store"),
+                    store_shards=2)
+        (study,) = studies
+        assert study.store._connections == [None, None]
+        with pytest.raises(sqlite3.ProgrammingError):
+            study.aggregate_cache.row_count()
+
+    def test_failed_job_still_closes(self, tmp_path, monkeypatch):
+        from repro.study import Study
+
+        studies = []
+        close = Study.close
+        monkeypatch.setattr(Study, "close",
+                            lambda self: (studies.append(self), close(self)))
+        monkeypatch.setattr(Study, "popularity", lambda self: 1 / 0)
+        spec = JobSpec(seed=SEED, scale=SCALE, analyses=("popularity",))
+        with pytest.raises(ZeroDivisionError):
+            execute_job(Job(id="1", spec=spec), str(tmp_path / "store"),
+                        store_shards=2)
+        assert len(studies) == 1
+        assert studies[0].store._connections == [None, None]
+
+
 # -- the HTTP server end-to-end -----------------------------------------
 
 
@@ -449,6 +516,39 @@ class TestServerEndToEnd:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post_json(server.url + "/jobs", {"sites": 5})
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("field, value", [
+        ("scale", float("nan")), ("scale", 2.0), ("scale", -1.0),
+        ("churn", float("inf")), ("churn", 1.5),
+    ])
+    def test_submit_out_of_range_number_is_400(self, server, field, value):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post_json(server.url + "/jobs",
+                       {"seed": SEED, "scale": SCALE, field: value})
+        assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("length, status", [
+        (None, 400), ("-1", 400), ("12abc", 400), ("1.5", 400),
+        (str((1 << 20) + 1), 413),
+    ])
+    def test_submit_bad_content_length(self, server, length, status):
+        import http.client
+
+        jobs = json.loads(_get(server.url + "/jobs"))["jobs"]
+        connection = http.client.HTTPConnection("127.0.0.1", server.port,
+                                                timeout=30)
+        try:
+            connection.putrequest("POST", "/jobs")
+            if length is not None:
+                connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == status
+            assert "error" in json.loads(response.read())
+        finally:
+            connection.close()
+        # Nothing was submitted.
+        assert json.loads(_get(server.url + "/jobs"))["jobs"] == jobs
 
     def test_unknown_table_is_404(self, server, done_job):
         job, _ = done_job
