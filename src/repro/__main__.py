@@ -77,12 +77,16 @@ def _add_store(parser: argparse.ArgumentParser) -> None:
                              "byte-identical to a full recompute")
 
 
+def _config(args: argparse.Namespace) -> UniverseConfig:
+    return UniverseConfig(seed=args.seed, scale=args.scale,
+                          epoch=getattr(args, "epoch", 0),
+                          churn=getattr(args, "churn", 0.1))
+
+
 def _build_study(args: argparse.Namespace) -> Study:
     from .webgen.builder import build_universe
 
-    config = UniverseConfig(seed=args.seed, scale=args.scale,
-                            epoch=getattr(args, "epoch", 0),
-                            churn=getattr(args, "churn", 0.1))
+    config = _config(args)
     incremental = bool(getattr(args, "incremental", False))
     if incremental and getattr(args, "store", None) is None:
         raise SystemExit("error: --incremental requires --store "
@@ -283,7 +287,7 @@ def cmd_trend(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.stats:
-        # Each epoch store is opened once and scanned per *analysis*
+        # Each epoch store is opened once and read per *analysis*
         # (never per rendered section); the counters prove it.
         print()
         for path, epoch, store in sorted(stores, key=lambda item: item[1]):
@@ -543,7 +547,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "scale"):
+        try:
+            _config(args)
+        except ValueError as exc:
+            parser.error(str(exc))  # usage error: exit status 2
     try:
         return args.func(args)
     except KeyboardInterrupt:

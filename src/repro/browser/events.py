@@ -8,7 +8,7 @@ paper's pipeline consumes OpenWPM's SQLite logs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..js.api import JSCall
 
@@ -85,6 +85,19 @@ class CrawlLog:
     cookies: List[CookieRecord] = field(default_factory=list)
     js_calls: List[JSCall] = field(default_factory=list)
     _seq: int = 0
+    #: Where each visited site's events begin, in visit order:
+    #: ``(domain, visits, requests, cookies, js_calls)`` list offsets.
+    #: A site's rows run to the next site's marks (or the list end), so
+    #: analyses can slice the log into per-site row groups.
+    site_marks: List[Tuple[str, int, int, int, int]] = field(
+        default_factory=list, compare=False, repr=False)
+
+    def mark_site(self, domain: str) -> Tuple[int, int, int, int]:
+        """Record that ``domain``'s events start here; return the offsets."""
+        marks = (len(self.visits), len(self.requests), len(self.cookies),
+                 len(self.js_calls))
+        self.site_marks.append((domain,) + marks)
+        return marks
 
     def next_seq(self) -> int:
         """Allocate the next global event sequence number."""
@@ -103,6 +116,7 @@ class CrawlLog:
         del self.requests[:]
         del self.cookies[:]
         del self.js_calls[:]
+        del self.site_marks[:]
 
     def successful_visits(self) -> List[PageVisit]:
         return [visit for visit in self.visits if visit.success]

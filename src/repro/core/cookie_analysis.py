@@ -141,10 +141,10 @@ def analyze_cookies(
 ) -> CookieStats:
     """Run the full §5.1.1 pipeline over one crawl log.
 
-    ``log`` may be a hydrated :class:`CrawlLog` or any object exposing
-    re-iterable ``cookies``/``successful_visits()`` plus ``client_ip``
-    (e.g. :class:`~repro.datastore.StoredLogView`): every event is
-    consumed in one streaming pass.
+    The per-site form the study runs is
+    :func:`~repro.core.mapmerge.map_cookies` /
+    :func:`~repro.core.mapmerge.merge_cookies`; this whole-log form is
+    their reference.
     """
     stats = CookieStats()
     visited = {visit.site_domain for visit in log.successful_visits()}

@@ -26,6 +26,7 @@ __all__ = [
     "compile_candidates",
     "classify_adult_content",
     "sanitize_candidates",
+    "sanitize_verdict",
     "build_corpus",
 ]
 
@@ -111,6 +112,18 @@ def classify_adult_content(html: str) -> bool:
     return len(tokens & _ADULT_TOKENS) >= _MIN_ADULT_TOKENS
 
 
+def sanitize_verdict(universe: Universe, client: ClientContext,
+                     domain: str) -> str:
+    """One candidate's §3 verdict: ``unresponsive``, ``corpus`` (adult
+    content on the landing page) or ``non_adult``."""
+    visit = Browser(universe, client).visit(domain)
+    if not visit.success:
+        return "unresponsive"
+    if classify_adult_content(visit.html):
+        return "corpus"
+    return "non_adult"
+
+
 def sanitize_candidates(
     universe: Universe,
     candidates: Iterable[str],
@@ -118,20 +131,12 @@ def sanitize_candidates(
 ) -> SanitizedCorpus:
     """Crawl every candidate once and drop the false positives."""
     client = client_for(vantage, epoch="sanitization")
-    corpus: List[str] = []
-    unresponsive: List[str] = []
-    non_adult: List[str] = []
+    buckets: Dict[str, List[str]] = {
+        "corpus": [], "unresponsive": [], "non_adult": [],
+    }
     for domain in candidates:
-        browser = Browser(universe, client)
-        visit = browser.visit(domain)
-        if not visit.success:
-            unresponsive.append(domain)
-        elif classify_adult_content(visit.html):
-            corpus.append(domain)
-        else:
-            non_adult.append(domain)
-    return SanitizedCorpus(corpus=corpus, unresponsive=unresponsive,
-                           non_adult=non_adult)
+        buckets[sanitize_verdict(universe, client, domain)].append(domain)
+    return SanitizedCorpus(**buckets)
 
 
 def build_corpus(

@@ -7,9 +7,11 @@ reference (``label_parties``, ``ATSClassifier.classify_log``,
 ``analyze_malware``) scans one
 whole crawl log, and the pair in this module splits the same computation
 into ``map(one site's rows) -> partial`` plus ``merge(partials in log
-site order) -> result``.  The monolithic forms stay the source of truth;
-``tests/test_incremental.py`` asserts ``merge(map(...))`` equal to them
-object-for-object and byte-for-byte through the rendered report.
+site order) -> result``.  The study runs only the pairs (through
+:class:`~repro.datastore.incremental.IncrementalRunAnalyzer`); the
+monolithic forms stay as the oracles ``tests/test_incremental.py``
+checks ``merge(map(...))`` against, object-for-object and byte-for-byte
+through the rendered report.
 
 Byte-identity is stronger than value-equality: several consumers break
 ranking ties by *insertion order* (``build_figure3`` via the order
@@ -53,7 +55,7 @@ from .cookie_sync import (
 )
 from .fingerprinting import FingerprintingReport, analyze_fingerprinting
 from .https_analysis import HTTPSReport, HTTPSTierRow
-from .malware import DETECTION_THRESHOLD, MalwareReport, analyze_malware
+from .malware import DETECTION_THRESHOLD, MalwareReport, malware_report
 from .partylabel import PartyLabels, _is_direct, _is_first_party
 from .popularity import PopularityReport
 
@@ -675,11 +677,13 @@ def map_jsapi(js_calls) -> dict:
     script's row groups calls from *all* its sites, so the per-site
     partial cannot pre-judge — it carries the raw call facts and the
     merge rebuilds the global stream.  Calls are small (api name + a
-    scalar args dict); HTML and network rows never enter the partial.
+    scalar args dict, shared with the call record rather than copied:
+    partials are read-only); HTML and network rows never enter the
+    partial.
     """
     return {
         "calls": tuple(
-            (call.script_url, call.document_host, call.api, dict(call.args))
+            (call.script_url, call.document_host, call.api, call.args)
             for call in js_calls
         ),
     }
@@ -722,33 +726,14 @@ def map_visits(visits) -> dict:
     }
 
 
-class _ReplayVisit:
-    __slots__ = ("site_domain",)
-
-    def __init__(self, site_domain: str) -> None:
-        self.site_domain = site_domain
-
-
-class _ReplayLog:
-    """Just enough of a crawl log for :func:`analyze_malware`."""
-
-    def __init__(self, visited: List[str], js_calls: List[JSCall]) -> None:
-        self._visited = visited
-        self.js_calls = js_calls
-
-    def successful_visits(self):
-        return (_ReplayVisit(domain) for domain in self._visited)
-
-
 def merge_malware(visit_partials: Sequence[dict],
                   jsapi_partials: Sequence[dict], *,
                   labels: PartyLabels, scanner,
                   threshold: int = DETECTION_THRESHOLD) -> MalwareReport:
-    """Feed the replayed visit/call streams to the monolithic analyzer."""
-    visited = [
-        domain
-        for partial in visit_partials
-        for domain in partial["visited"]
-    ]
-    log = _ReplayLog(visited, _replay_calls(jsapi_partials))
-    return analyze_malware(log, labels, scanner, threshold=threshold)
+    """The §5.3 analysis straight over the visit and call partials."""
+    return malware_report(
+        (domain for partial in visit_partials
+         for domain in partial["visited"]),
+        (call for partial in jsapi_partials for call in partial["calls"]),
+        labels, scanner, threshold=threshold,
+    )

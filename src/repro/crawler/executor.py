@@ -45,34 +45,17 @@ from typing import (
 )
 
 from ..browser.events import CrawlLog
-from ..core.ats import ATSClassifier, ATSResult
-from ..core.malware import MalwareReport, analyze_malware
-from ..core.partylabel import PartyLabels, label_parties
 from ..webgen.universe import Universe
 from .openwpm import OpenWPMCrawler
 from .vpn import VantagePointManager
 
 __all__ = [
-    "ANALYSIS_ATS",
-    "ANALYSIS_LABELS",
-    "ANALYSIS_MALWARE",
     "CrawlExecutionError",
     "CrawlExecutor",
     "CrawlOutcome",
     "CrawlSpec",
     "default_parallelism",
 ]
-
-#: Per-crawl analyses a worker can run before shipping results back.
-#: Each is a pure function of (log, universe), so running it next to the
-#: crawl costs nothing in determinism and saves serializing + re-walking
-#: the log in the parent.
-ANALYSIS_LABELS = "labels"
-ANALYSIS_ATS = "ats"
-ANALYSIS_MALWARE = "malware"
-
-_KNOWN_ANALYSES = frozenset({ANALYSIS_LABELS, ANALYSIS_ATS, ANALYSIS_MALWARE})
-
 
 def default_parallelism() -> int:
     """The executor's default worker count (``os.cpu_count()``)."""
@@ -81,7 +64,7 @@ def default_parallelism() -> int:
 
 @dataclass(frozen=True)
 class CrawlSpec:
-    """One independent crawl: what to visit, from where, and what to derive.
+    """One independent crawl: what to visit and from where.
 
     ``key`` identifies the crawl in results and errors; result ordering
     follows the order specs were submitted in, regardless of which
@@ -93,16 +76,10 @@ class CrawlSpec:
     domains: Tuple[str, ...]
     keep_html: bool = True
     epoch: str = "crawl"
-    analyses: Tuple[str, ...] = ()
     #: Datastore run kind; defaults to ``openwpm:<key>`` when a store is
     #: attached.  Callers with their own naming (``Study``) set it so the
     #: sequential accessors land on the same manifest rows.
     store_kind: str = ""
-
-    def __post_init__(self) -> None:
-        unknown = set(self.analyses) - _KNOWN_ANALYSES
-        if unknown:
-            raise ValueError(f"unknown analyses: {sorted(unknown)}")
 
 
 @dataclass
@@ -112,9 +89,6 @@ class CrawlOutcome:
     key: str
     country: str
     log: CrawlLog
-    labels: Optional[PartyLabels] = None
-    ats: Optional[ATSResult] = None
-    malware: Optional[MalwareReport] = None
     #: Per-event tallies counted inside a forked worker (whose local
     #: progress events cannot reach the parent's callback); the parent
     #: replays them as ``progress(event, count=n, ...)`` after the pool
@@ -172,7 +146,6 @@ class _WorkerContext:
 
     universe: Universe
     vantage_points: VantagePointManager
-    classifier: Optional[ATSClassifier] = None
     store_path: Optional[str] = None
     baseline_path: Optional[str] = None
     progress: Optional[Callable[..., None]] = None
@@ -222,7 +195,7 @@ def _crawl_spec_log(context: _WorkerContext, spec: CrawlSpec,
 
 def _execute_spec(context: _WorkerContext,
                   spec: CrawlSpec) -> Union[CrawlOutcome, _WorkerFailure]:
-    """Run one crawl plus its requested analyses; never raises."""
+    """Run one crawl; never raises."""
     try:
         progress = context.progress
         counts: Optional[Counter] = None
@@ -233,28 +206,10 @@ def _execute_spec(context: _WorkerContext,
                 counts[event] += 1
 
         log = _crawl_spec_log(context, spec, progress)
-        outcome = CrawlOutcome(
+        return CrawlOutcome(
             key=spec.key, country=spec.country, log=log,
             event_counts=dict(counts) if counts is not None else None,
         )
-        wants = set(spec.analyses)
-        if wants & {ANALYSIS_LABELS, ANALYSIS_ATS, ANALYSIS_MALWARE}:
-            outcome.labels = label_parties(
-                log, cert_lookup=context.universe.certificate_for
-            )
-        if ANALYSIS_ATS in wants:
-            if context.classifier is None:
-                raise RuntimeError("ATS analysis requested without a classifier")
-            outcome.ats = context.classifier.classify_log(
-                log, third_party_fqdns=outcome.labels.all_third_party_fqdns
-            )
-        if ANALYSIS_MALWARE in wants:
-            outcome.malware = analyze_malware(
-                log,
-                outcome.labels,
-                lambda domain: context.universe.scanner_hits(domain, spec.country),
-            )
-        return outcome
     except Exception as exc:
         return _WorkerFailure(
             key=spec.key,
@@ -277,8 +232,8 @@ class CrawlExecutor:
     """Fans independent crawls out across a worker pool.
 
     Deterministic by construction: results come back in submission
-    order, each crawl is internally sequential, and every analysis a
-    worker runs is a pure function of its own crawl log.
+    order and each crawl is internally sequential.  Workers only crawl;
+    analysis happens in the caller over the returned logs.
     """
 
     def __init__(
@@ -288,7 +243,6 @@ class CrawlExecutor:
         *,
         parallelism: Optional[int] = None,
         backend: Optional[str] = None,
-        classifier: Optional[ATSClassifier] = None,
         store=None,
         baseline=None,
         progress: Optional[Callable[..., None]] = None,
@@ -312,7 +266,6 @@ class CrawlExecutor:
         self.vantage_points = vantage_points
         self.parallelism = max(1, int(parallelism or default_parallelism()))
         self.backend = backend
-        self._classifier = classifier
         self.store_path = getattr(store, "path", store)
         self.baseline_path = getattr(baseline, "path", baseline)
         self.progress = progress
@@ -330,18 +283,8 @@ class CrawlExecutor:
         # would dwarf the crawl itself, so degrade to threads.
         return "thread" if self.backend is None else "thread"
 
-    def _context_for(self, specs: Sequence[CrawlSpec]) -> _WorkerContext:
-        classifier = self._classifier
-        if classifier is None and any(
-            ANALYSIS_ATS in spec.analyses for spec in specs
-        ):
-            # Built once in the parent, pre-fork, so every worker shares
-            # the compiled filter lists by copy-on-write.
-            classifier = ATSClassifier.from_texts(
-                self.universe.easylist_text, self.universe.easyprivacy_text
-            )
-            self._classifier = classifier
-        return _WorkerContext(self.universe, self.vantage_points, classifier,
+    def _context(self) -> _WorkerContext:
+        return _WorkerContext(self.universe, self.vantage_points,
                               store_path=self.store_path,
                               baseline_path=self.baseline_path,
                               progress=self.progress)
@@ -363,7 +306,7 @@ class CrawlExecutor:
             return []
 
         backend = self._resolve_backend(len(spec_list))
-        context = self._context_for(spec_list)
+        context = self._context()
         workers = min(self.parallelism, len(spec_list))
 
         if backend == "serial":

@@ -47,8 +47,7 @@ class OpenWPMCrawler:
                    ]] = None) -> None:
         """One landing-page visit plus its checkpoint/trim handling."""
         log = browser.log
-        marks = (len(log.visits), len(log.requests),
-                 len(log.cookies), len(log.js_calls))
+        marks = log.mark_site(domain)
         browser.visit(domain)
         if checkpoint is not None and checkpoint(domain, log, marks):
             log.clear_events()

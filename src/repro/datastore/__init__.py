@@ -11,6 +11,8 @@ from .aggregates import AggregateCacheStats, AggregateStore, aggregates_path
 from .delta import DeltaSource, SiteSlice, delta_crawl
 from .incremental import (
     IncrementalRunAnalyzer,
+    LogRows,
+    StoredRows,
     cached_inspections,
     cached_sanitize,
 )
@@ -25,7 +27,6 @@ from .store import (
     RunState,
     RunWriter,
     ShardInfo,
-    StoredLogView,
     shard_of_domain,
     stored_crawl,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "aggregates_path",
     "CrawlStore",
     "IncrementalRunAnalyzer",
+    "LogRows",
     "cached_inspections",
     "cached_sanitize",
     "DeltaSource",
@@ -48,7 +50,7 @@ __all__ = [
     "RunWriter",
     "ShardInfo",
     "SiteSlice",
-    "StoredLogView",
+    "StoredRows",
     "delta_crawl",
     "config_from_json",
     "config_to_json",

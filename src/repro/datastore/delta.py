@@ -341,6 +341,7 @@ def delta_crawl(
         rows = _rebase_seq(rows, log._seq - slice_.seq_start)
         seq_end = log._seq + slice_.seq_span
         if hydrate:
+            log.mark_site(slice_.domain)
             log.visits.extend(visit_from_row(r) for r in rows["visits"])
             log.requests.extend(
                 request_from_row(r) for r in rows["requests"])

@@ -108,7 +108,6 @@ __all__ = [
     "RunState",
     "RunWriter",
     "ShardInfo",
-    "StoredLogView",
     "shard_of_domain",
     "stored_crawl",
 ]
@@ -225,11 +224,16 @@ class CrawlStore:
         self._lock = threading.RLock()
         #: Lifetime I/O counters for this handle: ``opens`` counts SQLite
         #: connections established (shared facade + per-cursor read
-        #: connections), ``scans`` counts event-cursor range scans.  The
-        #: trend CLI prints these per epoch under ``--stats`` to prove
-        #: each store is opened once and scanned per analysis, not per
-        #: rendered section.
+        #: connections), ``scans`` counts event range scans (one per
+        #: cursor, one per :meth:`site_event_rows` call).  The trend CLI
+        #: prints these per epoch under ``--stats`` to prove each store
+        #: is opened once and read per analysis, not per rendered
+        #: section.
         self.io_stats: Dict[str, int] = {"opens": 0, "scans": 0}
+        #: :meth:`_resolve` results for runs present in every shard.
+        #: Runs are never deleted and a run row, once inserted, keeps its
+        #: id, so a complete resolution cannot go stale.
+        self._resolved: Dict[RunRef, List[Tuple[int, int]]] = {}
         creating = False
 
         if os.path.isdir(self.path):
@@ -400,6 +404,9 @@ class CrawlStore:
             return [(0, run)]
         found: List[Tuple[int, int]] = []
         with self._lock:
+            cached = self._resolved.get(run)
+            if cached is not None:
+                return cached
             for index in range(self.shard_count):
                 row = self._conn(index).execute(
                     "SELECT id FROM runs WHERE run_key=? AND domains_hash=?",
@@ -407,6 +414,8 @@ class CrawlStore:
                 ).fetchone()
                 if row is not None:
                     found.append((index, row[0]))
+            if len(found) == self.shard_count:
+                self._resolved[run] = found
         if not found:
             raise MissingRunError(f"no run {run} in {self.path}")
         return found
@@ -575,6 +584,7 @@ class CrawlStore:
         if local_id is None:
             raise MissingRunError(f"no run {run} in shard {index}")
         with self._lock:
+            self.io_stats["scans"] += 1
             return self._conn(index).execute(
                 f"SELECT {', '.join(columns)} FROM {table}"
                 " WHERE run_id=? AND position>=? AND position<?"
@@ -663,17 +673,6 @@ class CrawlStore:
             raise ValueError(f"unknown event table {table!r}")
         return self._count_rows(self._resolve(run), table)
 
-    def count_successful_visits(self, run: RunId) -> int:
-        """How many stored visits succeeded (Table 2's denominators)."""
-        total = 0
-        with self._lock:
-            for index, local_id in self._resolve(run):
-                total += self._conn(index).execute(
-                    "SELECT COUNT(*) FROM visits"
-                    " WHERE run_id=? AND success=1", (local_id,),
-                ).fetchone()[0]
-        return total
-
     def _iter_rows(self, run: RunId, table: str,
                    columns: Sequence[str], batch: int) -> Iterator[tuple]:
         """Rows of one event table in global position order.
@@ -732,16 +731,14 @@ class CrawlStore:
         for row in self._iter_rows(run, "js_calls", JSCALL_COLUMNS, batch):
             yield jscall_from_row(row)
 
-    def log_view(self, run: RunId, *, batch: int = 1024) -> "StoredLogView":
-        """A re-iterable, cursor-backed stand-in for a hydrated log."""
-        return StoredLogView(self, run, batch=batch)
-
     def load_log(self, run: RunId) -> CrawlLog:
         """Reconstruct the (possibly partial) crawl log of a run.
 
         Rows stream through the batched cursors — nothing is ever
-        ``fetchall``-ed — but the returned log is fully hydrated; use
-        :meth:`log_view` for bounded-memory consumption.
+        ``fetchall``-ed — but the returned log is fully hydrated; its
+        ``site_marks`` are the run's per-site slice starts.  Analyses
+        that must stay bounded read the run one site at a time instead
+        (:class:`~repro.datastore.incremental.StoredRows`).
         """
         country, client_ip, seq = self._run_header(run)
         log = CrawlLog(country_code=country, client_ip=client_ip)
@@ -750,6 +747,12 @@ class CrawlStore:
         log.cookies = list(self.iter_cookies(run))
         log.js_calls = list(self.iter_js_calls(run))
         log._seq = seq
+        from .delta import _slice_index
+        log.site_marks = [
+            (s.domain, s.visits_start, s.requests_start, s.cookies_start,
+             s.js_calls_start)
+            for s in _slice_index(self, run).values()
+        ]
         return log
 
     def run_manifests(self) -> List[RunManifest]:
@@ -1067,48 +1070,6 @@ class RunWriter:
                 "UPDATE runs SET seq=?, elapsed=elapsed+? WHERE id=?",
                 (items[-1][2], batch_elapsed, local_id),
             )
-
-
-class StoredLogView:
-    """A read-only, re-iterable view of one stored run.
-
-    Quacks like :class:`~repro.browser.events.CrawlLog` for analyses
-    that only *iterate* — each attribute access returns a fresh
-    bounded-memory cursor, so ``for r in view.requests`` twice scans the
-    store twice instead of holding rows.  Analyses that need random
-    access still hydrate via :meth:`CrawlStore.load_log`.
-    """
-
-    def __init__(self, store: CrawlStore, run: RunId, *,
-                 batch: int = 1024) -> None:
-        self._store = store
-        self._run = run
-        self._batch = batch
-        country, client_ip, _ = store._run_header(run)
-        self.country_code = country
-        self.client_ip = client_ip
-
-    @property
-    def visits(self):
-        return self._store.iter_visits(self._run, batch=self._batch)
-
-    @property
-    def requests(self):
-        return self._store.iter_requests(self._run, batch=self._batch)
-
-    @property
-    def cookies(self):
-        return self._store.iter_cookies(self._run, batch=self._batch)
-
-    @property
-    def js_calls(self):
-        return self._store.iter_js_calls(self._run, batch=self._batch)
-
-    def successful_visits(self):
-        return (v for v in self.visits if v.success)
-
-    def successful_visit_count(self) -> int:
-        return self._store.count_successful_visits(self._run)
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ def _ordered(studies: Sequence[Tuple[int, object]]):
 
 
 def _visited(study) -> int:
-    return type(study)._successful_visit_count(study.porn_source())
+    return len(study.visited_sites())
 
 
 def tracker_trend_section(studies: Sequence[Tuple[int, object]]) -> str:

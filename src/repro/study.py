@@ -15,11 +15,12 @@ Typical use::
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .browser.events import CrawlLog
 from .core.ats import ATSClassifier, ATSResult
@@ -29,16 +30,16 @@ from .core.compliance.age_verification import (
     AgeVerificationReport,
     study_age_verification,
 )
-from .core.compliance.banners import BannerReport, analyze_banners
+from .core.compliance.banners import BannerReport
 from .core.compliance.policies import (
     CollectedPolicy,
     PolicyReport,
     analyze_policies,
     collect_policies,
 )
-from .core.cookie_analysis import CookieStats, analyze_cookies
-from .core.cookie_sync import SyncReport, detect_cookie_sync
-from .core.corpus import CandidateSet, SanitizedCorpus, build_corpus
+from .core.cookie_analysis import CookieStats
+from .core.cookie_sync import SyncReport
+from .core.corpus import CandidateSet, SanitizedCorpus, compile_candidates
 from .core.ecosystem import (
     OrganizationPrevalence,
     Table2,
@@ -47,10 +48,10 @@ from .core.ecosystem import (
     build_table2,
     build_table3,
 )
-from .core.fingerprinting import FingerprintingReport, analyze_fingerprinting
+from .core.fingerprinting import FingerprintingReport
 from .core.geodiff import CountryObservation, GeoReport, analyze_geography
-from .core.https_analysis import HTTPSReport, analyze_https
-from .core.malware import MalwareReport, analyze_malware
+from .core.https_analysis import HTTPSReport
+from .core.malware import MalwareReport
 from .core.mapmerge import (
     merge_ats,
     merge_banners,
@@ -62,12 +63,9 @@ from .core.mapmerge import (
     merge_sync,
 )
 from .core.owners import OwnerReport, discover_owners
-from .core.partylabel import PartyLabels, label_parties
+from .core.partylabel import PartyLabels
 from .core.popularity import PopularityReport, analyze_popularity
 from .crawler.executor import (
-    ANALYSIS_ATS,
-    ANALYSIS_LABELS,
-    ANALYSIS_MALWARE,
     CrawlExecutor,
     CrawlOutcome,
     CrawlSpec,
@@ -112,9 +110,9 @@ class Study:
         interrupted study resumable at per-site granularity.
         ``store_shards`` (with a path) creates/opens an N-shard store.
         ``store_only=True`` is the ``repro report`` contract: analyses
-        read exclusively from stored logs — streaming through datastore
-        cursors where the analysis supports it (labels, ATS, cookies,
-        HTTPS; see :meth:`porn_source`) — and a missing crawl raises
+        read exclusively from stored runs — one site's rows at a time
+        unless the study already holds the hydrated log (see
+        :meth:`_run_rows`) — and a missing crawl raises
         :class:`~repro.datastore.MissingRunError` instead of touching a
         browser.
 
@@ -145,15 +143,13 @@ class Study:
         from the cache when the site's analysis content hash is
         unchanged and recomputed from the stored rows when it churned,
         producing byte-identical tables either way (see
-        :mod:`repro.datastore.incremental`).  Requires a complete stored
-        run; without a ``store`` the flag is rejected.
+        :mod:`repro.datastore.incremental`).  Without a ``store`` it is
+        rejected.
         """
         if store_only and store is None:
             raise ValueError("store_only=True requires a store")
-        if aggregate_cache is True and store is None:
-            raise ValueError(
-                "aggregate_cache=True requires a store to sit next to"
-            )
+        if aggregate_cache and store is None:
+            raise ValueError("aggregate_cache requires a store")
         self.universe = universe
         self.vantage_points = vantage_points or VantagePointManager()
         self.home_country = home_country
@@ -250,21 +246,18 @@ class Study:
 
     def corpus(self) -> Tuple[CandidateSet, SanitizedCorpus]:
         def build() -> Tuple[CandidateSet, SanitizedCorpus]:
-            vantage = self.vantage_points.point(self.home_country)
-            if self.aggregate_cache is not None:
-                # Sanitize verdicts are per-candidate pure functions of
-                # served content: serve them from the aggregate cache
-                # and only re-visit candidates whose hash churned.
-                from .core.corpus import compile_candidates
-                from .datastore import cached_sanitize
+            # Sanitize verdicts are per-candidate pure functions of
+            # served content: with an aggregate cache only candidates
+            # whose hash churned are re-visited.
+            from .datastore import cached_sanitize
 
-                candidates = compile_candidates(self.universe)
-                sanitized = cached_sanitize(
-                    self.universe, candidates.domains, vantage,
-                    self.aggregate_cache,
-                )
-                return candidates, sanitized
-            return build_corpus(self.universe, vantage)
+            candidates = compile_candidates(self.universe)
+            sanitized = cached_sanitize(
+                self.universe, candidates.domains,
+                self.vantage_points.point(self.home_country),
+                self.aggregate_cache,
+            )
+            return candidates, sanitized
 
         return self._memo("corpus", build)
 
@@ -340,73 +333,6 @@ class Study:
 
         return self._memo("regular_log", crawl)
 
-    # -- streaming log sources ------------------------------------------
-
-    def _stored_view(self, country: str, kind: str,
-                     domains: Sequence[str], *, keep_html: bool):
-        from .datastore import MissingRunError
-
-        state = self.store.find_run(
-            self.universe.config, self.vantage_points.point(country), kind,
-            domains, keep_html=keep_html,
-        )
-        if state is None or not state.complete:
-            held = len(state.completed) if state is not None else 0
-            raise MissingRunError(
-                f"store {self.store.path} holds {held}/{len(domains)} sites "
-                f"for {kind} from {country}; re-run with --store to "
-                "complete it"
-            )
-        return self.store.log_view(state.run_id)
-
-    def porn_source(self, country: Optional[str] = None):
-        """The porn crawl for analyses that only *iterate* events.
-
-        In store-only mode this is a
-        :class:`~repro.datastore.StoredLogView` — every attribute access
-        is a fresh bounded-memory datastore cursor, so the labeling/ATS/
-        cookie/HTTPS pipelines never hydrate the run (at most one
-        ``fetchmany`` batch per shard is resident).  Otherwise it is the
-        memoized :meth:`porn_log`, making both paths byte-identical by
-        construction: the cursors yield the same records in the same
-        order the hydrated log holds them.
-        """
-        country = country or self.home_country
-        if not self.store_only:
-            return self.porn_log(country)
-        with self._cache_lock:
-            hydrated = self._cache.get(f"porn_log:{country}")
-        if hydrated is not None:
-            # Another analysis already paid for full hydration — reuse it
-            # rather than re-scanning the store.
-            return hydrated
-        return self._memo(
-            f"porn_view:{country}",
-            lambda: self._stored_view(country, self._PORN_KIND,
-                                      self.corpus_domains(), keep_html=True),
-        )
-
-    def regular_source(self):
-        """Streaming counterpart of :meth:`regular_log` (see
-        :meth:`porn_source`)."""
-        if not self.store_only:
-            return self.regular_log()
-        return self._memo(
-            "regular_view",
-            lambda: self._stored_view(
-                self.home_country, self._REGULAR_KIND,
-                self.universe.reference_regular_corpus(), keep_html=False,
-            ),
-        )
-
-    @staticmethod
-    def _successful_visit_count(source) -> int:
-        """Successful-visit count without forcing a hydrated visit list."""
-        counter = getattr(source, "successful_visit_count", None)
-        if counter is not None:
-            return counter()
-        return len(source.successful_visits())
-
     # -- parallel crawl fan-out -----------------------------------------
 
     _REGULAR_KEY = "regular"
@@ -416,58 +342,41 @@ class Study:
             self.universe,
             self.vantage_points,
             parallelism=self.parallelism,
-            classifier=self._cache.get("ats_classifier"),
             store=self.store,
             baseline=self.baseline_store,
             progress=self.progress,
         )
 
-    def _porn_spec(self, country: str,
-                   analyses: Sequence[str] = ()) -> CrawlSpec:
+    def _porn_spec(self, country: str) -> CrawlSpec:
         return CrawlSpec(
             key=f"porn:{country}",
             country=country,
             domains=tuple(self.corpus_domains()),
             keep_html=True,
-            analyses=tuple(analyses),
             store_kind=self._PORN_KIND,
         )
 
-    def _regular_spec(self, analyses: Sequence[str] = ()) -> CrawlSpec:
+    def _regular_spec(self) -> CrawlSpec:
         return CrawlSpec(
             key=self._REGULAR_KEY,
             country=self.home_country,
             domains=tuple(self.universe.reference_regular_corpus()),
             keep_html=False,
-            analyses=tuple(analyses),
             store_kind=self._REGULAR_KIND,
         )
 
     def _seed_outcome(self, outcome: CrawlOutcome) -> None:
-        """Adopt a worker's results into the memo (first write wins)."""
+        """Adopt a worker's crawl log into the memo (first write wins)."""
         if outcome.key == self._REGULAR_KEY:
             self._memo_seed("regular_log", outcome.log)
-            if outcome.labels is not None:
-                self._memo_seed("regular_labels", outcome.labels)
-            if outcome.ats is not None:
-                self._memo_seed("regular_ats", outcome.ats)
-            return
-        country = outcome.country
-        self._memo_seed(f"porn_log:{country}", outcome.log)
-        if outcome.labels is not None:
-            self._memo_seed(f"porn_labels:{country}", outcome.labels)
-        if outcome.ats is not None:
-            self._memo_seed(f"porn_ats:{country}", outcome.ats)
-        if outcome.malware is not None:
-            self._memo_seed(f"malware:{country}", outcome.malware)
+        else:
+            self._memo_seed(f"porn_log:{outcome.country}", outcome.log)
 
     def prefetch_crawls(
         self,
         countries: Optional[Sequence[str]] = None,
         *,
         include_regular: bool = True,
-        analyses: Sequence[str] = (ANALYSIS_LABELS, ANALYSIS_ATS,
-                                   ANALYSIS_MALWARE),
     ) -> None:
         """Run every not-yet-cached crawl ``parallelism``-wide.
 
@@ -487,16 +396,11 @@ class Study:
         specs: List[CrawlSpec] = []
         for country in countries or self.vantage_points.country_codes:
             if not self._memoized(f"porn_log:{country}"):
-                specs.append(self._porn_spec(country, analyses))
+                specs.append(self._porn_spec(country))
         if include_regular and not self._memoized("regular_log"):
-            regular_analyses = tuple(
-                a for a in analyses if a in (ANALYSIS_LABELS, ANALYSIS_ATS)
-            )
-            specs.append(self._regular_spec(regular_analyses))
+            specs.append(self._regular_spec())
         if len(specs) < 2:
             return
-        if any(ANALYSIS_ATS in spec.analyses for spec in specs):
-            self.ats_classifier()  # build once, pre-fork, shared by workers
         for outcome in self._executor().run(specs):
             self._seed_outcome(outcome)
 
@@ -670,51 +574,97 @@ class Study:
 
         return self._memo("inspections", inspect)
 
-    # -- incremental map/merge analysis ---------------------------------
+    # -- per-site analysis ------------------------------------------------
 
-    def _incremental_engine(self, country: str, kind: str):
-        """The per-run map/merge engine (memoized per run)."""
+    def _engine(self, country: str, kind: str):
+        """The run's map/merge engine (memoized per run)."""
         from .datastore import IncrementalRunAnalyzer
 
         def build():
-            if kind == self._PORN_KIND:
-                domains: Sequence[str] = self.corpus_domains()
-                keep_html = True
-            else:
-                domains = self.universe.reference_regular_corpus()
-                keep_html = False
             return IncrementalRunAnalyzer(
-                self.store, self.universe, self.aggregate_cache,
+                self.universe, self.aggregate_cache,
                 vantage=self.vantage_points.point(country),
-                kind=kind, domains=domains, keep_html=keep_html,
+                kind=kind, domains=self._run_domains(kind),
+                keep_html=kind == self._PORN_KIND,
                 classifier=self.ats_classifier(),
-                cert_lookup=self.universe.certificate_for,
+                cert_lookup=self._cert_lookup(),
             )
 
-        return self._memo(f"incremental:{kind}:{country}", build)
+        return self._memo(f"engine:{kind}:{country}", build)
 
-    def _incremental_partials(self, country: str, kind: str,
-                              names: Sequence[str]):
-        """Per-site partials for ``names``, or ``None`` to fall back.
+    def _cert_lookup(self):
+        """``universe.certificate_for`` behind one memo for the whole
+        study: every run labels the same pages and third parties, and a
+        lazy universe derives a certificate anew on each call."""
+        return self._memo(
+            "cert_lookup",
+            lambda: functools.lru_cache(maxsize=1 << 16)(
+                self.universe.certificate_for),
+        )
 
-        ``None`` means incremental analysis is not configured (no
-        aggregate cache / no store) and the caller should run the
-        monolithic reference.  With a cache configured, the stored run
-        is completed first when crawling is allowed; in ``store_only``
-        mode a missing run raises :class:`~repro.datastore.
-        MissingRunError` exactly like the monolithic stored path.
+    def _run_domains(self, kind: str) -> Sequence[str]:
+        if kind == self._PORN_KIND:
+            return self.corpus_domains()
+        return self.universe.reference_regular_corpus()
+
+    def _run_rows(self, country: str, kind: str):
+        """The run as per-site row groups.
+
+        Outside ``store_only`` this is the crawl memo's log (crawled, or
+        loaded and completed through the store, on first use).  In
+        ``store_only`` mode a log some other analysis already hydrated
+        is sliced; otherwise sites are read back from the store one at a
+        time, so a run nothing hydrates (the regular-web control of
+        ``repro report``) never sits in memory whole.
         """
-        if self.aggregate_cache is None or self.store is None:
-            return None
+        from .datastore import LogRows
+
+        porn = kind == self._PORN_KIND
         if not self.store_only:
-            # Route through the crawl memos so an absent run is crawled
-            # (and persisted) before the engine binds to it.
-            if kind == self._PORN_KIND:
-                self.porn_log(country)
-            else:
-                self.regular_log()
-        engine = self._incremental_engine(country, kind)
-        return engine.partials(names)
+            return LogRows(self.porn_log(country) if porn
+                           else self.regular_log())
+        with self._cache_lock:
+            held = self._cache.get(f"porn_log:{country}" if porn
+                                   else "regular_log")
+        if held is not None:
+            return LogRows(held)
+        return self._memo(f"stored_rows:{kind}:{country}",
+                          lambda: self._stored_rows(country, kind))
+
+    def _stored_rows(self, country: str, kind: str):
+        from .datastore import MissingRunError, StoredRows
+
+        domains = self._run_domains(kind)
+        state = self.store.find_run(
+            self.universe.config, self.vantage_points.point(country), kind,
+            domains, keep_html=kind == self._PORN_KIND,
+        )
+        if state is None or not state.complete:
+            held = len(state.completed) if state is not None else 0
+            raise MissingRunError(
+                f"store {self.store.path} holds {held}/{len(domains)} sites "
+                f"for {kind} from {country}; re-run with --store to "
+                "complete it"
+            )
+        return StoredRows(self.store, state.run_id)
+
+    def _partials(self, country: str, kind: str,
+                  names: Sequence[str]) -> Dict[str, List[object]]:
+        """Per-site partials of one run, in run position order."""
+        rows = self._run_rows(country, kind)
+        return self._engine(country, kind).partials(names, rows)
+
+    def visited_sites(self, country: Optional[str] = None) -> List[str]:
+        """Successfully visited sites of a porn crawl, in visit order."""
+        return self._visited(country or self.home_country, self._PORN_KIND)
+
+    def _visited(self, country: str, kind: str) -> List[str]:
+        def build() -> List[str]:
+            partials = self._partials(country, kind, ("visits",))["visits"]
+            return [domain for partial in partials
+                    for domain in partial["visited"]]
+
+        return self._memo(f"visited:{kind}:{country}", build)
 
     # ------------------------------------------------------------------
     # Section 4.2: labeling, classification, attribution
@@ -722,27 +672,18 @@ class Study:
 
     def porn_labels(self, country: Optional[str] = None) -> PartyLabels:
         country = country or self.home_country
-
-        def build() -> PartyLabels:
-            partials = self._incremental_partials(
-                country, self._PORN_KIND, ("labels",))
-            if partials is not None:
-                return merge_labels(partials["labels"])
-            return label_parties(self.porn_source(country),
-                                 cert_lookup=self.universe.certificate_for)
-
-        return self._memo(f"porn_labels:{country}", build)
+        return self._memo(
+            f"porn_labels:{country}",
+            lambda: merge_labels(self._partials(
+                country, self._PORN_KIND, ("labels",))["labels"]),
+        )
 
     def regular_labels(self) -> PartyLabels:
-        def build() -> PartyLabels:
-            partials = self._incremental_partials(
-                self.home_country, self._REGULAR_KIND, ("labels",))
-            if partials is not None:
-                return merge_labels(partials["labels"])
-            return label_parties(self.regular_source(),
-                                 cert_lookup=self.universe.certificate_for)
-
-        return self._memo("regular_labels", build)
+        return self._memo(
+            "regular_labels",
+            lambda: merge_labels(self._partials(
+                self.home_country, self._REGULAR_KIND, ("labels",))["labels"]),
+        )
 
     def ats_classifier(self) -> ATSClassifier:
         return self._memo(
@@ -755,25 +696,21 @@ class Study:
         country = country or self.home_country
 
         def build() -> ATSResult:
-            partials = self._incremental_partials(
-                country, self._PORN_KIND, ("ats",))
-            fqdns = self.porn_labels(country).all_third_party_fqdns
-            if partials is not None:
-                return merge_ats(partials["ats"], third_party_fqdns=fqdns)
-            return self.ats_classifier().classify_log(
-                self.porn_source(country), third_party_fqdns=fqdns)
+            partials = self._partials(country, self._PORN_KIND, ("ats",))
+            return merge_ats(
+                partials["ats"],
+                third_party_fqdns=self.porn_labels(country)
+                .all_third_party_fqdns)
 
         return self._memo(f"porn_ats:{country}", build)
 
     def regular_ats(self) -> ATSResult:
         def build() -> ATSResult:
-            partials = self._incremental_partials(
-                self.home_country, self._REGULAR_KIND, ("ats",))
-            fqdns = self.regular_labels().all_third_party_fqdns
-            if partials is not None:
-                return merge_ats(partials["ats"], third_party_fqdns=fqdns)
-            return self.ats_classifier().classify_log(
-                self.regular_source(), third_party_fqdns=fqdns)
+            partials = self._partials(self.home_country, self._REGULAR_KIND,
+                                      ("ats",))
+            return merge_ats(
+                partials["ats"],
+                third_party_fqdns=self.regular_labels().all_third_party_fqdns)
 
         return self._memo("regular_ats", build)
 
@@ -783,7 +720,7 @@ class Study:
             lambda: attribute_organizations(
                 self.porn_labels().all_third_party_fqdns,
                 disconnect=self.universe.disconnect,
-                cert_lookup=self.universe.certificate_for,
+                cert_lookup=self._cert_lookup(),
                 whois_lookup=self.universe.whois_organization,
             ),
         )
@@ -794,7 +731,7 @@ class Study:
             lambda: attribute_organizations(
                 self.regular_labels().all_third_party_fqdns,
                 disconnect=self.universe.disconnect,
-                cert_lookup=self.universe.certificate_for,
+                cert_lookup=self._cert_lookup(),
                 whois_lookup=self.universe.whois_organization,
             ),
         )
@@ -804,8 +741,7 @@ class Study:
     # ------------------------------------------------------------------
 
     def table2(self) -> Table2:
-        self.prefetch_crawls(countries=[self.home_country],
-                             analyses=(ANALYSIS_LABELS, ANALYSIS_ATS))
+        self.prefetch_crawls(countries=[self.home_country])
         return self._memo(
             "table2",
             lambda: build_table2(
@@ -813,9 +749,9 @@ class Study:
                 regular_labels=self.regular_labels(),
                 porn_ats=self.porn_ats(),
                 regular_ats=self.regular_ats(),
-                porn_visited=self._successful_visit_count(self.porn_source()),
-                regular_visited=self._successful_visit_count(
-                    self.regular_source()),
+                porn_visited=len(self.visited_sites()),
+                regular_visited=len(self._visited(self.home_country,
+                                                  self._REGULAR_KIND)),
             ),
         )
 
@@ -828,8 +764,7 @@ class Study:
     def crawled_popularity(self) -> PopularityReport:
         """Popularity restricted to successfully crawled sites."""
         def build() -> PopularityReport:
-            crawled = {v.site_domain
-                       for v in self.porn_source().successful_visits()}
+            crawled = set(self.visited_sites())
             full = self.popularity()
             return PopularityReport(
                 [site for site in full.sites if site.domain in crawled]
@@ -845,9 +780,9 @@ class Study:
                 regular_labels=self.regular_labels(),
                 porn_attribution=self.porn_attribution(),
                 regular_attribution=self.regular_attribution(),
-                porn_visited=self._successful_visit_count(self.porn_source()),
-                regular_visited=self._successful_visit_count(
-                    self.regular_source()),
+                porn_visited=len(self.visited_sites()),
+                regular_visited=len(self._visited(self.home_country,
+                                                  self._REGULAR_KIND)),
                 top_n=top_n,
             ),
         )
@@ -865,57 +800,36 @@ class Study:
             ats_bases = {
                 registrable_domain(f) for f in self.porn_ats().ats_fqdns
             } | self.porn_ats().ats_domains_relaxed
-            partials = self._incremental_partials(
-                self.home_country, self._PORN_KIND, ("cookies",))
-            if partials is not None:
-                return merge_cookies(partials["cookies"],
-                                     ats_domains=ats_bases,
-                                     regular_web_domains=regular_bases)
-            return analyze_cookies(
-                self.porn_source(),
-                ats_domains=ats_bases,
-                regular_web_domains=regular_bases,
-            )
+            partials = self._partials(self.home_country, self._PORN_KIND,
+                                      ("cookies",))
+            return merge_cookies(partials["cookies"], ats_domains=ats_bases,
+                                 regular_web_domains=regular_bases)
 
         return self._memo("cookie_stats", build)
 
     def cookie_sync(self) -> SyncReport:
-        def build() -> SyncReport:
-            partials = self._incremental_partials(
-                self.home_country, self._PORN_KIND, ("sync",))
-            if partials is not None:
-                return merge_sync(partials["sync"])
-            # Iteration-only detector: the streaming view keeps a
-            # store-backed study from hydrating the whole log for it.
-            return detect_cookie_sync(self.porn_source())
-
-        return self._memo("cookie_sync", build)
+        return self._memo(
+            "cookie_sync",
+            lambda: merge_sync(self._partials(
+                self.home_country, self._PORN_KIND, ("sync",))["sync"]),
+        )
 
     def fingerprinting(self) -> FingerprintingReport:
         def build() -> FingerprintingReport:
-            classifier = self.ats_classifier()
-            blocklisted = classifier.matches_url
-            partials = self._incremental_partials(
-                self.home_country, self._PORN_KIND, ("jsapi",))
-            if partials is not None:
-                return merge_fingerprinting(partials["jsapi"],
-                                            url_blocklisted=blocklisted)
-            return analyze_fingerprinting(
-                self.porn_source().js_calls,
-                url_blocklisted=blocklisted,
-            )
+            partials = self._partials(self.home_country, self._PORN_KIND,
+                                      ("jsapi",))
+            return merge_fingerprinting(
+                partials["jsapi"],
+                url_blocklisted=self.ats_classifier().matches_url)
 
         return self._memo("fingerprinting", build)
 
     def https_report(self) -> HTTPSReport:
         def build() -> HTTPSReport:
-            partials = self._incremental_partials(
-                self.home_country, self._PORN_KIND, ("https",))
-            if partials is not None:
-                return merge_https(partials["https"],
-                                   popularity=self.crawled_popularity())
-            return analyze_https(self.porn_source(), self.porn_labels(),
-                                 self.crawled_popularity())
+            partials = self._partials(self.home_country, self._PORN_KIND,
+                                      ("https",))
+            return merge_https(partials["https"],
+                               popularity=self.crawled_popularity())
 
         return self._memo("https", build)
 
@@ -928,13 +842,10 @@ class Study:
             def scanner(domain: str) -> int:
                 return self.universe.scanner_hits(domain, country)
 
-            partials = self._incremental_partials(
-                country, self._PORN_KIND, ("visits", "jsapi"))
-            if partials is not None:
-                return merge_malware(partials["visits"], partials["jsapi"],
-                                     labels=labels, scanner=scanner)
-            return analyze_malware(self.porn_source(country), labels,
-                                   scanner)
+            partials = self._partials(country, self._PORN_KIND,
+                                      ("visits", "jsapi"))
+            return merge_malware(partials["visits"], partials["jsapi"],
+                                 labels=labels, scanner=scanner)
 
         return self._memo(f"malware:{country}", build)
 
@@ -974,16 +885,13 @@ class Study:
         country = country or self.home_country
 
         def build() -> BannerReport:
-            partials = self._incremental_partials(
-                country, self._PORN_KIND, ("banners",))
-            if partials is not None:
-                return merge_banners(partials["banners"],
-                                     corpus_size=len(self.corpus_domains()))
-            # Routed through the shared crawl memo: geography and banner
-            # analysis for the same country crawl exactly once (the
-            # per-country logs keep HTML for the banner detector).
-            log = self.porn_log(country)
-            return analyze_banners(log, corpus_size=len(self.corpus_domains()))
+            # Outside store_only the rows come from the shared crawl
+            # memo: geography and banner analysis for the same country
+            # crawl exactly once (the per-country logs keep HTML for the
+            # banner detector).
+            partials = self._partials(country, self._PORN_KIND, ("banners",))
+            return merge_banners(partials["banners"],
+                                 corpus_size=len(self.corpus_domains()))
 
         return self._memo(f"banners:{country}", build)
 
@@ -991,8 +899,7 @@ class Study:
         self, countries: Sequence[str]
     ) -> Dict[str, BannerReport]:
         """Banner reports for several countries, crawling N-wide."""
-        self.prefetch_crawls(countries, include_regular=False,
-                             analyses=())
+        self.prefetch_crawls(countries, include_regular=False)
         return {country: self.banners(country) for country in countries}
 
     def age_verification(
@@ -1050,7 +957,7 @@ class Study:
             return discover_owners(
                 policy_texts=policy_texts,
                 landing_html=landing_html,
-                cert_lookup=self.universe.certificate_for,
+                cert_lookup=self._cert_lookup(),
             )
 
         return self._memo("owners", build)

@@ -10,10 +10,12 @@ All fractions are of the sanitized porn corpus unless noted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-__all__ = ["CalibrationTargets", "UniverseConfig", "TIER_NAMES", "DEFAULT_TARGETS"]
+__all__ = ["CalibrationTargets", "UniverseConfig", "TIER_NAMES",
+           "DEFAULT_TARGETS", "MAX_SCALE"]
 
 #: Popularity tiers by best Alexa rank throughout 2018 (Table 3 / Table 6).
 TIER_NAMES: Tuple[str, ...] = ("0-1k", "1k-10k", "10k-100k", "100k+")
@@ -213,6 +215,11 @@ class CalibrationTargets:
     policy_discloses_practices_fraction: float = 0.72
 
 
+#: The largest corpus scale the repository documents (the memory
+#: flatness check's full-size step; see ``benchmarks/scale_check.py``).
+MAX_SCALE = 4.0
+
+
 @dataclass(frozen=True)
 class UniverseConfig:
     """Knobs controlling universe generation.
@@ -236,6 +243,17 @@ class UniverseConfig:
     epoch: int = 0
     #: Fraction of sites whose page content changes per evolution step.
     churn: float = 0.1
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.scale) and 0.0 < self.scale <= MAX_SCALE):
+            raise ValueError(
+                f"scale must be a finite number in (0, {MAX_SCALE:g}], "
+                f"got {self.scale!r}")
+        if not (math.isfinite(self.churn) and 0.0 <= self.churn <= 1.0):
+            raise ValueError(
+                f"churn must be a finite number in [0, 1], got {self.churn!r}")
+        if self.epoch < 0:
+            raise ValueError(f"epoch must be >= 0, got {self.epoch!r}")
 
     def scaled(self, count: int, *, minimum: int = 1) -> int:
         """Scale an absolute corpus count, keeping at least ``minimum``."""

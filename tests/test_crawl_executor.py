@@ -5,9 +5,6 @@ import pytest
 from repro import Study
 from repro.cache import BoundedCache, FetchCache, content_key
 from repro.crawler.executor import (
-    ANALYSIS_ATS,
-    ANALYSIS_LABELS,
-    ANALYSIS_MALWARE,
     CrawlExecutionError,
     CrawlExecutor,
     CrawlSpec,
@@ -102,10 +99,6 @@ class TestExecutorFailures:
         with pytest.raises(ValueError):
             executor.run([spec, spec])
 
-    def test_unknown_analysis_rejected(self):
-        with pytest.raises(ValueError):
-            CrawlSpec(key="x", country="ES", domains=(), analyses=("nope",))
-
 
 class TestForkProgressTallies:
     def test_fork_backend_replays_event_counts(self, universe,
@@ -167,8 +160,7 @@ class TestSerialFallback:
     def test_serial_run_matches_parallel_run(self, universe, vantage_points,
                                              crawlable_porn):
         domains = tuple(crawlable_porn[:8])
-        spec = [CrawlSpec(key="porn:UK", country="UK", domains=domains,
-                          analyses=(ANALYSIS_LABELS,))]
+        spec = [CrawlSpec(key="porn:UK", country="UK", domains=domains)]
         serial = CrawlExecutor(universe, vantage_points, parallelism=1)
         threaded = CrawlExecutor(universe, vantage_points, parallelism=2,
                                  backend="thread")
@@ -178,7 +170,7 @@ class TestSerialFallback:
             CrawlSpec(key="porn:IN", country="IN", domains=domains)
         ])[0]
         assert _log_fingerprint(one.log) == _log_fingerprint(two.log)
-        assert one.labels.third_party_direct == two.labels.third_party_direct
+        assert one.log.site_marks == two.log.site_marks
 
     def test_prefetch_noop_when_sequential(self, universe):
         study = Study(universe, parallelism=1)
@@ -189,25 +181,6 @@ class TestSerialFallback:
     def test_empty_run(self, universe, vantage_points):
         executor = CrawlExecutor(universe, vantage_points, parallelism=4)
         assert executor.run([]) == []
-
-
-class TestWorkerAnalyses:
-    def test_worker_bundle_matches_study_sequential(self, universe,
-                                                    vantage_points):
-        study = Study(universe, parallelism=1)
-        domains = tuple(study.corpus_domains())
-        executor = CrawlExecutor(universe, vantage_points, parallelism=2)
-        outcome = executor.run([
-            CrawlSpec(key="porn:SG", country="SG", domains=domains,
-                      analyses=(ANALYSIS_LABELS, ANALYSIS_ATS,
-                                ANALYSIS_MALWARE)),
-            CrawlSpec(key="porn:UK", country="UK", domains=domains),
-        ])[0]
-        assert outcome.labels.third_party_direct == \
-            study.porn_labels("SG").third_party_direct
-        assert outcome.ats.ats_fqdns == study.porn_ats("SG").ats_fqdns
-        assert outcome.malware.malicious_third_parties == \
-            study.malware("SG").malicious_third_parties
 
 
 class TestBannersShareCrawl:

@@ -33,10 +33,18 @@ from repro.core import mapmerge
 from repro.core.corpus import compile_candidates, sanitize_candidates
 from repro.crawler.selenium import SeleniumCrawler
 from repro.crawler.vpn import VantagePointManager
+from repro.core.compliance.banners import analyze_banners
+from repro.core.cookie_analysis import analyze_cookies
+from repro.core.cookie_sync import detect_cookie_sync
+from repro.core.fingerprinting import analyze_fingerprinting
+from repro.core.https_analysis import analyze_https
+from repro.core.malware import analyze_malware
+from repro.core.partylabel import label_parties
 from repro.datastore import (
     AggregateStore,
     CrawlStore,
     IncrementalRunAnalyzer,
+    LogRows,
     aggregates_path,
     cached_inspections,
     cached_sanitize,
@@ -108,7 +116,12 @@ def _render_all(study, scale):
 
 
 class TestMapMergeParity:
-    """merge(map(per-site rows)) == the monolithic references."""
+    """merge(map(per-site rows)) == the monolithic references.
+
+    The study itself only merges partials, so each test checks both the
+    hand-split merge and the study's own result against the whole-log
+    analyzer.
+    """
 
     @pytest.fixture(scope="class")
     def split(self, study):
@@ -128,61 +141,78 @@ class TestMapMergeParity:
             js[call.document_host].append(call)
         return domains, vis, req, coo, js
 
-    def test_labels(self, study, split):
+    @pytest.fixture(scope="class")
+    def ref_labels(self, study):
+        return label_parties(study.porn_log(),
+                             cert_lookup=study.universe.certificate_for)
+
+    @pytest.fixture(scope="class")
+    def ref_ats(self, study, ref_labels):
+        return study.ats_classifier().classify_log(
+            study.porn_log(),
+            third_party_fqdns=ref_labels.all_third_party_fqdns)
+
+    def test_labels(self, study, split, ref_labels):
         domains, _vis, req, _coo, _js = split
-        ref = study.porn_labels()
+        ref = ref_labels
         parts = [mapmerge.map_labels(
             req[d], cert_lookup=study.universe.certificate_for)
             for d in domains]
-        got = mapmerge.merge_labels(parts)
-        assert got == ref
-        # Iteration order too: figure3's tie-break leaks set order.
-        assert list(got.third_party_direct) == list(ref.third_party_direct)
-        for page in ref.third_party_direct:
-            assert list(got.third_party_direct[page]) == \
-                list(ref.third_party_direct[page])
-        for page in ref.third_party_dynamic:
-            assert list(got.third_party_dynamic[page]) == \
-                list(ref.third_party_dynamic[page])
+        for got in (mapmerge.merge_labels(parts), study.porn_labels()):
+            assert got == ref
+            # Iteration order too: figure3's tie-break leaks set order.
+            assert list(got.third_party_direct) == \
+                list(ref.third_party_direct)
+            for page in ref.third_party_direct:
+                assert list(got.third_party_direct[page]) == \
+                    list(ref.third_party_direct[page])
+            for page in ref.third_party_dynamic:
+                assert list(got.third_party_dynamic[page]) == \
+                    list(ref.third_party_dynamic[page])
 
-    def test_ats(self, study, split):
+    def test_ats(self, study, split, ref_labels, ref_ats):
         domains, _vis, req, _coo, _js = split
-        ref = study.porn_ats()
+        ref = ref_ats
         parts = [mapmerge.map_ats(req[d], study.ats_classifier())
                  for d in domains]
-        got = mapmerge.merge_ats(
-            parts,
-            third_party_fqdns=study.porn_labels().all_third_party_fqdns)
-        assert list(got.ats_fqdns) == list(ref.ats_fqdns)
-        assert list(got.ats_domains_relaxed) == \
-            list(ref.ats_domains_relaxed)
-        assert list(got.per_page) == list(ref.per_page)
-        for page in ref.per_page:
-            assert list(got.per_page[page]) == list(ref.per_page[page])
+        merged = mapmerge.merge_ats(
+            parts, third_party_fqdns=ref_labels.all_third_party_fqdns)
+        for got in (merged, study.porn_ats()):
+            assert list(got.ats_fqdns) == list(ref.ats_fqdns)
+            assert list(got.ats_domains_relaxed) == \
+                list(ref.ats_domains_relaxed)
+            assert list(got.per_page) == list(ref.per_page)
+            for page in ref.per_page:
+                assert list(got.per_page[page]) == list(ref.per_page[page])
 
-    def test_cookies(self, study, split):
+    def test_cookies(self, study, split, ref_ats):
         domains, vis, _req, coo, _js = split
-        ref = study.cookie_stats()
-        ats = study.porn_ats()
         from repro.net.url import registrable_domain
         ats_bases = {registrable_domain(f)
-                     for f in ats.ats_fqdns} | ats.ats_domains_relaxed
+                     for f in ref_ats.ats_fqdns} | ref_ats.ats_domains_relaxed
+        regular_labels = label_parties(
+            study.regular_log(), cert_lookup=study.universe.certificate_for)
         regular_bases = {
             registrable_domain(f)
-            for f in study.regular_labels().all_third_party_fqdns
+            for f in regular_labels.all_third_party_fqdns
         }
+        ref = analyze_cookies(study.porn_log(), ats_domains=ats_bases,
+                              regular_web_domains=regular_bases)
         parts = [mapmerge.map_cookies(vis[d], coo[d],
                                       client_ip=study.porn_log().client_ip)
                  for d in domains]
-        got = mapmerge.merge_cookies(parts, ats_domains=ats_bases,
-                                     regular_web_domains=regular_bases)
-        assert got == ref
-        assert list(got.popular_cookies) == list(ref.popular_cookies)
-        assert list(got.ip_cookie_domains) == list(ref.ip_cookie_domains)
+        merged = mapmerge.merge_cookies(parts, ats_domains=ats_bases,
+                                        regular_web_domains=regular_bases)
+        for got in (merged, study.cookie_stats()):
+            assert got == ref
+            assert list(got.popular_cookies) == list(ref.popular_cookies)
+            assert list(got.ip_cookie_domains) == \
+                list(ref.ip_cookie_domains)
 
-    def test_https(self, study, split):
+    def test_https(self, study, split, ref_labels):
         domains, vis, req, coo, _js = split
-        ref = study.https_report()
+        ref = analyze_https(study.porn_log(), ref_labels,
+                            study.crawled_popularity())
         labels_parts = [mapmerge.map_labels(
             req[d], cert_lookup=study.universe.certificate_for)
             for d in domains]
@@ -190,54 +220,65 @@ class TestMapMergeParity:
                                     client_ip=study.porn_log().client_ip,
                                     labels_partial=lp)
                  for d, lp in zip(domains, labels_parts)]
-        got = mapmerge.merge_https(parts,
-                                   popularity=study.crawled_popularity())
-        assert got == ref
-        assert list(got.not_fully_https_sites) == \
-            list(ref.not_fully_https_sites)
+        merged = mapmerge.merge_https(parts,
+                                      popularity=study.crawled_popularity())
+        for got in (merged, study.https_report()):
+            assert got == ref
+            assert list(got.not_fully_https_sites) == \
+                list(ref.not_fully_https_sites)
 
     def test_banners(self, study, split):
         domains, vis, _req, _coo, _js = split
-        ref = study.banners()
-        got = mapmerge.merge_banners(
+        ref = analyze_banners(study.porn_log(),
+                              corpus_size=len(study.corpus_domains()))
+        merged = mapmerge.merge_banners(
             [mapmerge.map_banners(vis[d]) for d in domains],
             corpus_size=len(study.corpus_domains()))
-        assert got.observations == ref.observations
-        assert got.sites_checked == ref.sites_checked
+        for got in (merged, study.banners()):
+            assert got.observations == ref.observations
+            assert got.sites_checked == ref.sites_checked
 
     def test_sync(self, study, split):
         domains, _vis, req, coo, _js = split
-        ref = study.cookie_sync()
-        got = mapmerge.merge_sync(
+        ref = detect_cookie_sync(study.porn_log())
+        merged = mapmerge.merge_sync(
             [mapmerge.map_sync(coo[d], req[d]) for d in domains])
-        assert got.events == ref.events
-        assert list(got.pair_counts) == list(ref.pair_counts)
-        assert got.pair_counts == ref.pair_counts
-        assert list(got.sites) == list(ref.sites)
+        for got in (merged, study.cookie_sync()):
+            assert got.events == ref.events
+            assert list(got.pair_counts) == list(ref.pair_counts)
+            assert got.pair_counts == ref.pair_counts
+            assert list(got.sites) == list(ref.sites)
 
     def test_fingerprinting(self, study, split):
         domains, _vis, _req, _coo, js = split
-        ref = study.fingerprinting()
-        got = mapmerge.merge_fingerprinting(
+        blocklisted = study.ats_classifier().matches_url
+        ref = analyze_fingerprinting(study.porn_log().js_calls,
+                                     url_blocklisted=blocklisted)
+        merged = mapmerge.merge_fingerprinting(
             [mapmerge.map_jsapi(js[d]) for d in domains],
-            url_blocklisted=study.ats_classifier().matches_url)
-        assert got == ref
-        assert [s.script_url for s in got.scripts] == \
-            [s.script_url for s in ref.scripts]
+            url_blocklisted=blocklisted)
+        for got in (merged, study.fingerprinting()):
+            assert got == ref
+            assert [s.script_url for s in got.scripts] == \
+                [s.script_url for s in ref.scripts]
 
-    def test_malware(self, study, split):
+    def test_malware(self, study, split, ref_labels):
         domains, vis, _req, _coo, js = split
-        ref = study.malware()
-        got = mapmerge.merge_malware(
+
+        def scanner(domain):
+            return study.universe.scanner_hits(domain, "ES")
+
+        ref = analyze_malware(study.porn_log(), ref_labels, scanner)
+        merged = mapmerge.merge_malware(
             [mapmerge.map_visits(vis[d]) for d in domains],
             [mapmerge.map_jsapi(js[d]) for d in domains],
-            labels=study.porn_labels(),
-            scanner=lambda domain: study.universe.scanner_hits(domain, "ES"),
+            labels=ref_labels, scanner=scanner,
         )
-        assert got == ref
-        assert list(got.sites_with_malicious_third_parties) == \
-            list(ref.sites_with_malicious_third_parties)
-        assert list(got.miner_services) == list(ref.miner_services)
+        for got in (merged, study.malware()):
+            assert got == ref
+            assert list(got.sites_with_malicious_third_parties) == \
+                list(ref.sites_with_malicious_third_parties)
+            assert list(got.miner_services) == list(ref.miner_services)
 
 
 class TestAggregateCache:
@@ -364,17 +405,19 @@ class TestAggregateCache:
         assert aggregates_path(str(shard_dir)) == \
             str(shard_dir / "aggregates.sqlite")
 
-    def test_engine_rejects_unknown_analysis(self, universe, epoch0_store,
-                                             vantage_points, study):
+    def test_engine_rejects_unknown_analysis(self, universe, vantage_points,
+                                             study):
         engine = IncrementalRunAnalyzer(
-            CrawlStore(epoch0_store), _rebuild(universe), None,
-            vantage=vantage_points.point("ES"), kind="openwpm:porn",
-            domains=study.corpus_domains(), keep_html=True,
+            _rebuild(universe), None,
+            vantage=vantage_points.point("ES"), kind="openwpm:regular",
+            domains=universe.reference_regular_corpus(), keep_html=False,
             classifier=study.ats_classifier(),
             cert_lookup=universe.certificate_for,
         )
         with pytest.raises(ValueError):
-            engine.partials(("nonsense",))
+            engine.partials(("nonsense",), LogRows(study.regular_log()))
+        with pytest.raises(ValueError):  # a porn-only analysis
+            engine.partials(("banners",), LogRows(study.regular_log()))
 
 
 class TestSatellites:

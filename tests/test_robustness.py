@@ -184,3 +184,61 @@ class TestCrossAnalysisConsistency:
         for row_set in table3._tier_sets:
             union |= row_set
         assert len(union) == table2.porn_third_party
+
+
+class TestHostileConfig:
+    """Out-of-range universe knobs fail fast with a clear error."""
+
+    @pytest.mark.parametrize("knobs", [
+        {"scale": float("nan")},
+        {"scale": float("inf")},
+        {"scale": 0.0},
+        {"scale": -0.5},
+        {"scale": 4.01},
+        {"scale": 1e6},
+        {"churn": float("nan")},
+        {"churn": -3.0},
+        {"churn": 1.5},
+        {"epoch": -1},
+    ])
+    def test_config_rejects(self, knobs):
+        from repro import UniverseConfig
+
+        with pytest.raises(ValueError):
+            UniverseConfig(**knobs)
+
+    def test_config_accepts_the_bounds(self):
+        from repro import UniverseConfig
+
+        UniverseConfig(scale=4.0, churn=0.0, epoch=0)
+        UniverseConfig(scale=1e-3, churn=1.0, epoch=3)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--scale", "nan"], "scale must be"),
+        (["--scale", "1e6"], "scale must be"),
+        (["--churn", "-3"], "churn must be"),
+        (["--epoch", "-1"], "epoch must be"),
+    ])
+    def test_cli_reports_a_usage_error(self, flags, message, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["corpus"] + flags)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_aggregate_cache_without_store_is_rejected(self, universe,
+                                                       tmp_path):
+        from repro import Study
+        from repro.datastore import AggregateStore
+
+        path = tmp_path / "cache.sqlite"
+        for cache in (True, str(path), path):
+            with pytest.raises(ValueError, match="requires a store"):
+                Study(universe, aggregate_cache=cache)
+        assert not path.exists()   # rejected before anything was opened
+        with AggregateStore(str(tmp_path / "open.sqlite")) as handle:
+            with pytest.raises(ValueError, match="requires a store"):
+                Study(universe, aggregate_cache=handle)

@@ -8,27 +8,32 @@ These tests pin the invariants the streaming pipeline depends on:
   position;
 * a crawl killed between checkpoints resumes on a sharded store exactly
   as on a v1 file, and the result is bit-identical to a clean crawl;
-* the bounded-memory cursors (``iter_*`` / ``log_view``) replay the
-  heap-merged shards in exact event order, so cursor-fed analyses match
-  hydrated ones byte for byte;
+* the bounded-memory cursors (``iter_*``) replay the heap-merged
+  shards in exact event order;
+* every producer of a crawl log (fresh crawl, resume, delta splice,
+  ``load_log``, the fork executor) marks each site's rows exactly where
+  the store's slice index puts them, and a ``store_only`` study renders
+  the per-site tables from the store without hydrating the runs;
 * ``repro store reshard`` migrates a v1 file losslessly;
 * ``repro store info --shards`` totals are correct for both layouts.
 """
 
 import pytest
 
+from repro import Study
 from repro.__main__ import main
-from repro.core.cookie_analysis import analyze_cookies
-from repro.core.https_analysis import analyze_https
-from repro.core.partylabel import label_parties
+from repro.crawler.executor import CrawlExecutor, CrawlSpec
 from repro.crawler.openwpm import OpenWPMCrawler
 from repro.datastore import (
     CrawlStore,
-    StoredLogView,
     reshard_store,
     shard_of_domain,
     stored_crawl,
 )
+from repro.datastore.delta import _slice_index
+from repro.reporting.sections import render_section
+from repro.webgen.builder import build_universe
+from repro.webgen.evolve import evolve_universe
 
 SHARDS = 3
 
@@ -155,28 +160,99 @@ class TestKilledAndResumed:
         # Tiny batches exercise the heap merge across fetchmany windows.
         assert list(store.iter_requests(run_id, batch=3)) == resumed.requests
 
-    def test_cursor_fed_analyses_match_hydrated(self, resumed_store,
-                                                universe, study):
-        """Satellite contract: analyses over a ``StoredLogView`` are
-        byte-identical to the same analyses over the hydrated log."""
-        store, run_id, _ = resumed_store
-        hydrated = store.load_log(run_id)
-        view = store.log_view(run_id)
-        assert isinstance(view, StoredLogView)
-        assert view.country_code == hydrated.country_code
-        assert view.successful_visit_count() == \
-            len(hydrated.successful_visits())
+    def test_resumed_log_marks_match_slice_index(self, resumed_store):
+        store, run_id, resumed = resumed_store
+        assert resumed.site_marks == _slice_marks(store, run_id)
+        assert store.load_log(run_id).site_marks == resumed.site_marks
 
-        cert_lookup = universe.certificate_for
-        view_labels = label_parties(view, cert_lookup=cert_lookup)
-        hydrated_labels = label_parties(hydrated, cert_lookup=cert_lookup)
-        assert view_labels == hydrated_labels
-        assert analyze_cookies(view) == analyze_cookies(hydrated)
-        popularity = study.popularity()
-        assert analyze_https(view, view_labels, popularity) == \
-            analyze_https(hydrated, hydrated_labels, popularity)
-        # The view is re-iterable: a second pass sees the same rows.
-        assert analyze_cookies(view) == analyze_cookies(hydrated)
+
+def _slice_marks(store, run_id):
+    """The store's per-site slice starts, in the ``site_marks`` shape."""
+    return [(s.domain, s.visits_start, s.requests_start, s.cookies_start,
+             s.js_calls_start)
+            for s in _slice_index(store, run_id).values()]
+
+
+class TestSiteMarks:
+    """Every producer's ``site_marks`` equal its stored run's slices."""
+
+    SITES = 24
+
+    def _run_id(self, store, universe, vantage, domains):
+        return store.find_run(universe.config, vantage, "openwpm:porn",
+                              domains).run_id
+
+    def test_fresh_crawl_and_load_log(self, sharded, universe,
+                                      vantage_points, crawlable_porn):
+        domains = crawlable_porn[:self.SITES]
+        vantage = vantage_points.point("ES")
+        fresh = stored_crawl(sharded, universe, vantage, "openwpm:porn",
+                             domains)
+        run_id = self._run_id(sharded, universe, vantage, domains)
+        marks = _slice_marks(sharded, run_id)
+        assert [mark[0] for mark in marks] == list(domains)
+        assert fresh.site_marks == marks
+        assert sharded.load_log(run_id).site_marks == marks
+        # A crawl without a store marks the same bounds.
+        plain = OpenWPMCrawler(universe, vantage).crawl(domains)
+        assert plain.site_marks == marks
+
+    def test_delta_splice(self, tmp_path, universe, vantage_points,
+                          crawlable_porn):
+        domains = crawlable_porn[:self.SITES]
+        vantage = vantage_points.point("ES")
+        evolved = evolve_universe(universe)
+        events = []
+        with CrawlStore(str(tmp_path / "e0"), shards=SHARDS) as base, \
+                CrawlStore(str(tmp_path / "e1"), shards=SHARDS) as store:
+            stored_crawl(base, universe, vantage, "openwpm:porn", domains)
+            log = stored_crawl(
+                store, evolved, vantage, "openwpm:porn", domains,
+                baseline=base,
+                progress=lambda event, **fields: events.append(event))
+            run_id = self._run_id(store, evolved, vantage, domains)
+            assert "site_spliced" in events
+            assert log.site_marks == _slice_marks(store, run_id)
+
+    def test_fork_executor(self, tmp_path, universe, vantage_points,
+                           crawlable_porn):
+        domains = tuple(crawlable_porn[:self.SITES])
+        path = str(tmp_path / "fork")
+        CrawlStore(path, shards=SHARDS).close()
+        executor = CrawlExecutor(universe, vantage_points, parallelism=2,
+                                 backend="process", store=path)
+        outcomes = executor.run([
+            CrawlSpec(key=f"porn:{country}", country=country,
+                      domains=domains, store_kind="openwpm:porn")
+            for country in ("ES", "US")
+        ])
+        with CrawlStore(path) as store:
+            for outcome in outcomes:
+                vantage = vantage_points.point(outcome.country)
+                run_id = self._run_id(store, universe, vantage, domains)
+                assert outcome.log.site_marks == _slice_marks(store, run_id)
+
+
+class TestStoreOnlyStudy:
+    def test_tables_match_in_memory_without_hydrating(self, tmp_path,
+                                                      universe, study):
+        """``repro report`` reads the per-site tables straight from the
+        store: Tables 2/4/6 equal the in-memory study's, and the
+        regular-web control run is never hydrated."""
+        path = str(tmp_path / "report")
+        writer = Study(universe, store=path, store_shards=SHARDS)
+        writer.porn_log()
+        writer.regular_log()
+        writer.close()
+        reader = Study(build_universe(universe.config), store=path,
+                       store_only=True)
+        scale = universe.config.scale
+        for name in ("table2", "table4", "table6"):
+            assert render_section(reader, scale, name) == \
+                render_section(study, scale, name), name
+        assert not reader._memoized("regular_log")
+        assert not reader._memoized("porn_log:ES")
+        reader.close()
 
 
 class TestCursorEdgeCases:
