@@ -1,20 +1,26 @@
-"""Regenerate the golden section digests in ``sections.json``.
+"""Regenerate the golden digests in ``sections.json`` and ``analyses.json``.
 
 Usage (from the repository root)::
 
     PYTHONPATH=src python tests/golden/regen.py
 
 Renders every section of ``full_report(..., geo=True)`` at seed
-20191021, scale 0.05 and writes the sha256 of each section's text:
+20191021, scale 0.05 and writes the sha256 of each section's text to
+``sections.json``:
 
 * ``epoch0`` — a serial in-memory study of the seed universe;
 * ``epoch1_delta`` — the evolved epoch-1 universe, delta-crawled
   against a 2-shard epoch-0 store with the aggregate cache shared by
   both stores.
 
+``analyses.json`` holds, for the serial in-memory epoch-0 study, the
+sha256 of each per-site analysis result (party labels, ATS, cookies,
+cookie sync, fingerprinting, HTTPS, malware, banners) in the
+:func:`canonical` form below.
+
 ``tests/test_golden.py`` asserts these digests on several routes and
-never writes the file; regenerate it only when a change is *meant* to
-alter the rendered report, and say so in the change description.
+never writes the files; regenerate them only when a change is *meant*
+to alter a result, and say so in the change description.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from typing import Dict
 SEED = 20191021
 SCALE = 0.05
 GOLDEN = Path(__file__).with_name("sections.json")
+ANALYSES = Path(__file__).with_name("analyses.json")
 
 
 def config(epoch: int = 0):
@@ -46,6 +53,51 @@ def digests(study) -> Dict[str, str]:
         name: hashlib.sha256(text.encode("utf-8")).hexdigest()
         for name, text in report_sections(study, study.universe.config.scale,
                                           geo=True)
+    }
+
+
+def canonical(value):
+    """A JSON-ready form of an analysis result that keeps its order.
+
+    A dataclass becomes its fields in declaration order, dicts (as
+    key/value pairs) and sequences keep their order, and sets are
+    sorted by ``repr`` — their iteration order depends on the hash seed.
+    """
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {field.name: canonical(getattr(value, field.name))
+                for field in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return [[canonical(key), canonical(item)]
+                for key, item in value.items()]
+    if isinstance(value, (set, frozenset)):
+        return [canonical(item) for item in sorted(value, key=repr)]
+    if isinstance(value, (list, tuple)):
+        return [canonical(item) for item in value]
+    return value
+
+
+def analysis_digests(results: Dict[str, object]) -> Dict[str, str]:
+    """sha256 of each result's :func:`canonical` JSON, keyed by name."""
+    return {
+        name: hashlib.sha256(
+            json.dumps(canonical(result)).encode("utf-8")).hexdigest()
+        for name, result in results.items()
+    }
+
+
+def study_analyses(study) -> Dict[str, object]:
+    """The per-site analysis results of a study, by golden name."""
+    return {
+        "porn_labels": study.porn_labels(),
+        "regular_labels": study.regular_labels(),
+        "porn_ats": study.porn_ats(),
+        "regular_ats": study.regular_ats(),
+        "cookie_stats": study.cookie_stats(),
+        "cookie_sync": study.cookie_sync(),
+        "fingerprinting": study.fingerprinting(),
+        "https_report": study.https_report(),
+        "malware": study.malware(),
+        "banners": study.banners(),
     }
 
 
@@ -73,6 +125,7 @@ def main() -> int:
     serial = Study(build_universe(config()), parallelism=1)
     serial.run_all(geo=True)
     epoch0 = digests(serial)
+    analyses = analysis_digests(study_analyses(serial))
     with tempfile.TemporaryDirectory() as tmp:
         e0 = str(Path(tmp) / "e0")
         e1 = str(Path(tmp) / "e1")
@@ -89,7 +142,10 @@ def main() -> int:
         "epoch1_delta": epoch1,
     }
     GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
-    print(f"wrote {GOLDEN} ({len(epoch0)} + {len(epoch1)} digests)")
+    ANALYSES.write_text(json.dumps(
+        {"seed": SEED, "scale": SCALE, "epoch0": analyses}, indent=2) + "\n")
+    print(f"wrote {GOLDEN} ({len(epoch0)} + {len(epoch1)} digests) and "
+          f"{ANALYSES} ({len(analyses)} digests)")
     return 0
 
 
