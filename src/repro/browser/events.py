@@ -8,11 +8,12 @@ paper's pipeline consumes OpenWPM's SQLite logs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..js.api import JSCall
 
-__all__ = ["RequestRecord", "CookieRecord", "PageVisit", "CrawlLog"]
+__all__ = ["RequestRecord", "CookieRecord", "PageVisit", "CrawlLog",
+           "SiteRows"]
 
 
 @dataclass(slots=True)
@@ -74,9 +75,31 @@ class PageVisit:
     https: bool = False
 
 
+class SiteRows(NamedTuple):
+    """One site's rows of a crawl log (see :meth:`CrawlLog.site_groups`)."""
+
+    domain: str
+    visits: List[PageVisit]
+    requests: List[RequestRecord]
+    cookies: List[CookieRecord]
+    js_calls: List[JSCall]
+
+
+#: The row lists of a log in mark order, with the field that names the
+#: site a row belongs to when the log carries no marks.
+_SITE_KEYS = (("visits", "site_domain"), ("requests", "page_domain"),
+              ("cookies", "page_domain"), ("js_calls", "document_host"))
+
+
 @dataclass
 class CrawlLog:
-    """Everything one crawl produced from one vantage point."""
+    """Everything one crawl produced from one vantage point.
+
+    A log is a sequence of per-site visits: each site's rows follow its
+    landing-page visit, before the next site's.  :meth:`site_groups`
+    cuts it into those per-site row groups, which is the only form the
+    analyses in :mod:`repro.core` read.
+    """
 
     country_code: str = "ES"
     client_ip: str = ""
@@ -118,6 +141,37 @@ class CrawlLog:
         del self.js_calls[:]
         del self.site_marks[:]
 
+    def site_groups(self) -> List[SiteRows]:
+        """The log's rows as per-site groups, in site order.
+
+        With :attr:`site_marks` (every crawl, stored run and merge sets
+        them) the log is cut at the marks.  Without them — a log built
+        by hand or read from a JSONL file that predates the marks — rows
+        are grouped by site in first-appearance order: visits by
+        ``site_domain``, requests and cookies by ``page_domain``, JS
+        calls by ``document_host``.  Both agree on any log that keeps
+        each site's rows together, which every crawl does; rows of a
+        site interleaved with another's are grouped, not kept in place.
+        """
+        tables = [getattr(self, table) for table, _key in _SITE_KEYS]
+        if self.site_marks:
+            ends = [marks[1:] for marks in self.site_marks[1:]]
+            ends.append(tuple(len(rows) for rows in tables))
+            return [
+                SiteRows(domain, *(rows[lo:hi] for rows, lo, hi
+                                   in zip(tables, starts, end)))
+                for (domain, *starts), end in zip(self.site_marks, ends)
+            ]
+        groups: Dict[str, SiteRows] = {}
+        for slot, (rows, (_table, key)) in enumerate(zip(tables, _SITE_KEYS),
+                                                     start=1):
+            for row in rows:
+                domain = getattr(row, key)
+                if domain not in groups:
+                    groups[domain] = SiteRows(domain, [], [], [], [])
+                groups[domain][slot].append(row)
+        return list(groups.values())
+
     def successful_visits(self) -> List[PageVisit]:
         return [visit for visit in self.visits if visit.success]
 
@@ -131,10 +185,21 @@ class CrawlLog:
         """Concatenate two logs (e.g. porn + regular corpus crawls).
 
         The second log's sequence numbers are shifted past the first's so
-        the merged event order stays consistent.
+        the merged event order stays consistent, and its site marks past
+        the first's rows.  If either log has rows but no marks, the
+        merged log has none either and :meth:`site_groups` groups it.
         """
         merged = CrawlLog(self.country_code, self.client_ip)
         offset = self._seq
+        shift = (len(self.visits), len(self.requests), len(self.cookies),
+                 len(self.js_calls))
+        if all(log.site_marks or not (log.visits or log.requests
+                                      or log.cookies or log.js_calls)
+               for log in (self, other)):
+            merged.site_marks = self.site_marks + [
+                (domain,) + tuple(mark + by for mark, by in zip(marks, shift))
+                for domain, *marks in other.site_marks
+            ]
         merged.visits = self.visits + other.visits
         merged.requests = list(self.requests)
         merged.cookies = list(self.cookies)

@@ -1,10 +1,11 @@
 """Crawl-log persistence (the stand-in for OpenWPM's SQLite store).
 
 A :class:`~repro.browser.events.CrawlLog` serializes to a JSON-Lines file:
-one header line, then one line per visit/request/cookie/JS-call record.
-Logs round-trip losslessly, so expensive crawls can be archived and the
-analyses re-run without the universe — which is how the original study's
-pipeline operated on stored OpenWPM databases.
+one header line (which carries the log's site marks), then one line per
+visit/request/cookie/JS-call record.  Logs round-trip losslessly, so
+expensive crawls can be archived and the analyses re-run without the
+universe — which is how the original study's pipeline operated on
+stored OpenWPM databases.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ def dump_lines(log: CrawlLog) -> Iterable[str]:
         "country_code": log.country_code,
         "client_ip": log.client_ip,
         "seq": log._seq,
+        "site_marks": log.site_marks,
     })
     for visit in log.visits:
         yield json.dumps({"kind": "visit", **_record_dict(visit)})
@@ -87,6 +89,9 @@ def parse_lines(lines: Iterable[str]) -> CrawlLog:
         else:
             raise ValueError(f"unknown record kind: {kind!r}")
     log._seq = header.get("seq", 0)
+    # Files written before the marks were kept load without them; the
+    # analyses then group the rows by site (CrawlLog.site_groups).
+    log.site_marks = [tuple(marks) for marks in header.get("site_marks", ())]
     return log
 
 

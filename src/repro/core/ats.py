@@ -9,11 +9,11 @@ to count ATS *organizations*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from ..blocklists.easylist import FilterList, MatchContext
 from ..browser.events import CrawlLog
-from ..net.url import URLError, parse_url, registrable_domain
+from ..net.url import URLError, parse_url
 
 __all__ = ["ATSClassifier", "ATSResult"]
 
@@ -85,24 +85,16 @@ class ATSClassifier:
 
         ``third_party_fqdns`` restricts classification to labeled third
         parties (pass :attr:`PartyLabels.all_third_party_fqdns`).
+
+        The merge of :func:`~repro.core.mapmerge.map_ats` over the log's
+        per-site row groups.  A log is a sequence of per-site visits
+        (:meth:`~repro.browser.events.CrawlLog.site_groups`): without
+        site marks each site's requests are grouped together, so a
+        hand-built log that interleaves two sites is classified as if
+        each site's requests were contiguous.
         """
-        result = ATSResult()
-        for record in log.requests:
-            if record.failed or record.resource_type == "document":
-                continue
-            if third_party_fqdns is not None and \
-                    record.fqdn not in third_party_fqdns:
-                continue
-            if record.fqdn in result.ats_fqdns:
-                result.per_page.setdefault(record.page_domain, set()).add(record.fqdn)
-                continue
-            if self.matches_url(record.url, first_party_host=record.page_domain,
-                                resource_type=record.resource_type):
-                result.ats_fqdns.add(record.fqdn)
-                result.per_page.setdefault(record.page_domain, set()).add(record.fqdn)
-            elif self.matches_domain(record.fqdn):
-                result.ats_domains_relaxed.add(registrable_domain(record.fqdn))
-        # Relaxed matches subsume strict ones at the domain level.
-        for fqdn in result.ats_fqdns:
-            result.ats_domains_relaxed.add(registrable_domain(fqdn))
-        return result
+        from .mapmerge import map_ats, merge_ats
+
+        return merge_ats([map_ats(site.requests, self)
+                          for site in log.site_groups()],
+                         third_party_fqdns=third_party_fqdns)

@@ -11,7 +11,7 @@ interacting with the controls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from ...browser.events import CrawlLog
 from ...cache import BoundedCache, content_key
@@ -190,15 +190,12 @@ def analyze_banners(log: CrawlLog, *, corpus_size: Optional[int] = None) -> Bann
 
     ``corpus_size`` normalizes the Table 8 fractions over the full
     sanitized corpus (the paper's denominator, N = 6,843) rather than only
-    the successfully crawled pages.
+    the successfully crawled pages.  The merge of
+    :func:`~repro.core.mapmerge.map_banners` over the log's per-site row
+    groups (:meth:`~repro.browser.events.CrawlLog.site_groups`).
     """
-    report = BannerReport()
-    visits = log.successful_visits()
-    report.sites_checked = corpus_size if corpus_size else len(visits)
-    for visit in visits:
-        if not visit.html:
-            continue
-        observation = detect_banner(visit.html, visit.site_domain)
-        if observation is not None:
-            report.observations.append(observation)
-    return report
+    from ..mapmerge import map_banners, merge_banners
+
+    return merge_banners([map_banners(site.visits)
+                          for site in log.site_groups()],
+                         corpus_size=corpus_size)

@@ -22,7 +22,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 from urllib.parse import unquote
 
 from ..browser.events import CookieRecord, CrawlLog
-from ..net.url import registrable_domain
 
 __all__ = [
     "CookieStats",
@@ -118,10 +117,9 @@ class CookieStats:
 def _dedupe(cookies: Iterable[CookieRecord]) -> Iterator[CookieRecord]:
     """Yield each (page, domain, name, value) cookie once, in order.
 
-    A generator rather than a list so the analysis streams: only the
-    dedup key set is retained, never the records themselves — which is
-    what lets :func:`analyze_cookies` run over a datastore cursor
-    without hydrating the log.
+    The key starts with the page domain, so deduplicating one site's
+    cookies at a time (:func:`~repro.core.mapmerge.map_cookies`) equals
+    deduplicating the whole log.
     """
     seen: Set[Tuple[str, str, str, str]] = set()
     for cookie in cookies:
@@ -141,83 +139,14 @@ def analyze_cookies(
 ) -> CookieStats:
     """Run the full §5.1.1 pipeline over one crawl log.
 
-    The per-site form the study runs is
-    :func:`~repro.core.mapmerge.map_cookies` /
-    :func:`~repro.core.mapmerge.merge_cookies`; this whole-log form is
-    their reference.
+    The merge of :func:`~repro.core.mapmerge.map_cookies` over the log's
+    per-site row groups (:meth:`~repro.browser.events.CrawlLog.site_groups`).
     """
-    stats = CookieStats()
-    visited = {visit.site_domain for visit in log.successful_visits()}
-    stats.sites_visited = len(visited)
+    from .mapmerge import map_cookies, merge_cookies
 
-    client_ip = log.client_ip
-    sites_with_cookies: Set[str] = set()
-    sites_with_tp: Set[str] = set()
-    per_domain_cookies: Dict[str, int] = {}
-    per_domain_sites: Dict[str, Set[str]] = {}
-    per_domain_ip: Dict[str, int] = {}
-    popular: Dict[Tuple[str, str], Set[str]] = {}
-
-    for cookie in _dedupe(log.cookies):
-        stats.total_cookies += 1
-        sites_with_cookies.add(cookie.page_domain)
-        if cookie.session or len(cookie.value) < MIN_ID_LENGTH:
-            continue
-        stats.id_cookies += 1
-        if len(cookie.value) > HUGE_LENGTH:
-            stats.huge_id_cookies += 1
-        base = registrable_domain(cookie.domain)
-        third_party = base != registrable_domain(cookie.page_domain)
-        if third_party:
-            stats.third_party_id_cookies += 1
-            stats.third_party_cookie_domains.add(base)
-            sites_with_tp.add(cookie.page_domain)
-            per_domain_cookies[base] = per_domain_cookies.get(base, 0) + 1
-            per_domain_sites.setdefault(base, set()).add(cookie.page_domain)
-        else:
-            stats.first_party_id_cookies += 1
-
-        popular.setdefault((cookie.name, cookie.value), set()).add(
-            cookie.page_domain
-        )
-
-        decodings = decode_cookie_value(cookie.value)
-        has_ip = client_ip and any(client_ip in text for text in decodings)
-        if has_ip:
-            stats.ip_cookies += 1
-            stats.ip_cookie_domains[base] = stats.ip_cookie_domains.get(base, 0) + 1
-            if third_party:
-                per_domain_ip[base] = per_domain_ip.get(base, 0) + 1
-        for text in decodings:
-            match = _GEO_RE.search(text)
-            if match:
-                stats.geo_cookies += 1
-                stats.geo_cookie_sites.add(cookie.page_domain)
-                if _ISP_RE.search(text):
-                    stats.geo_cookies_with_isp += 1
-                break
-
-    stats.sites_with_cookies = len(sites_with_cookies)
-    stats.sites_with_third_party_cookies = len(sites_with_tp)
-    stats.popular_cookies = {
-        key: len(sites) for key, sites in popular.items()
-    }
-
-    ranked = sorted(per_domain_sites.items(), key=lambda item: -len(item[1]))
-    for domain, sites in ranked[:top_n]:
-        count = per_domain_cookies.get(domain, 0)
-        stats.top_domains.append(
-            TopCookieDomain(
-                domain=domain,
-                site_fraction=len(sites) / stats.sites_visited
-                if stats.sites_visited else 0.0,
-                site_count=len(sites),
-                cookie_count=count,
-                is_ats=bool(ats_domains) and domain in ats_domains,
-                in_regular_web=bool(regular_web_domains)
-                and domain in regular_web_domains,
-                ip_cookie_fraction=per_domain_ip.get(domain, 0) / count
-                if count else 0.0,
-            )
-        )
-    return stats
+    return merge_cookies(
+        [map_cookies(site.visits, site.cookies, client_ip=log.client_ip)
+         for site in log.site_groups()],
+        ats_domains=ats_domains, regular_web_domains=regular_web_domains,
+        top_n=top_n,
+    )

@@ -12,10 +12,10 @@ the scan linear in the number of requests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from ..browser.events import CrawlLog
-from ..net.url import URLError, parse_url, registrable_domain
+from ..net.url import URLError, parse_url
 
 __all__ = ["SyncEvent", "SyncReport", "detect_cookie_sync", "MIN_VALUE_LENGTH"]
 
@@ -89,48 +89,14 @@ def _url_tokens(url: str) -> List[str]:
 
 
 def detect_cookie_sync(log: CrawlLog) -> SyncReport:
-    """Scan a crawl log for cookie values reappearing in request URLs."""
-    report = SyncReport()
-    # value -> (owning registrable domain, cookie name, seq first observed)
-    value_owner: Dict[str, Tuple[str, str, int]] = {}
+    """Scan a crawl log for cookie values reappearing in request URLs.
 
-    events = []
-    for cookie in log.cookies:
-        if len(cookie.value) < MIN_VALUE_LENGTH:
-            continue
-        events.append((cookie.seq, "cookie", cookie))
-    for record in log.requests:
-        events.append((record.seq, "request", record))
-    events.sort(key=lambda item: item[0])
+    The merge of :func:`~repro.core.mapmerge.map_sync` over the log's
+    per-site row groups (:meth:`~repro.browser.events.CrawlLog.site_groups`):
+    the merge replays every site's cookie and request events in global
+    ``seq`` order, so values travel across sites as in one scan.
+    """
+    from .mapmerge import map_sync, merge_sync
 
-    for _, kind, payload in events:
-        if kind == "cookie":
-            key = payload.value
-            if key not in value_owner:
-                value_owner[key] = (
-                    registrable_domain(payload.domain),
-                    payload.name,
-                    payload.seq,
-                )
-            continue
-
-        destination = registrable_domain(payload.fqdn)
-        for token in _url_tokens(payload.url):
-            owner = value_owner.get(token)
-            if owner is None:
-                continue
-            origin_domain, cookie_name, _ = owner
-            if origin_domain == destination:
-                continue  # not a cross-domain share
-            event = SyncEvent(
-                page_domain=payload.page_domain,
-                origin_domain=origin_domain,
-                destination=destination,
-                cookie_name=cookie_name,
-                value=token,
-            )
-            report.events.append(event)
-            pair = (origin_domain, destination)
-            report.pair_counts[pair] = report.pair_counts.get(pair, 0) + 1
-            report.sites.add(payload.page_domain)
-    return report
+    return merge_sync([map_sync(site.cookies, site.requests)
+                       for site in log.site_groups()])

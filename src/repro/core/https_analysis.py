@@ -10,12 +10,9 @@ additionally checks whether identifier cookies travel in the clear.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Set
 
 from ..browser.events import CrawlLog
-from ..net.url import registrable_domain
-from ..webgen.config import TIER_NAMES
-from .cookie_analysis import MIN_ID_LENGTH, decode_cookie_value
 from .partylabel import PartyLabels
 from .popularity import PopularityReport
 
@@ -59,80 +56,19 @@ def analyze_https(
     labels: PartyLabels,
     popularity: PopularityReport,
 ) -> HTTPSReport:
-    report = HTTPSReport()
-    tier_of_page: Dict[str, int] = {s.domain: s.tier for s in popularity.sites}
+    """Table 6 and the §5.2 cleartext-cookie check over one crawl log.
 
-    # Page-level scheme: from the visit record.
-    page_https: Dict[str, bool] = {}
-    for visit in log.visits:
-        if visit.success:
-            page_https[visit.site_domain] = visit.https
-    report.sites_visited = len(page_https)
+    The merge of :func:`~repro.core.mapmerge.map_https` over the log's
+    per-site row groups (:meth:`~repro.browser.events.CrawlLog.site_groups`);
+    only publisher-called third parties (``labels.third_party_direct``)
+    count as a page's services.
+    """
+    from .mapmerge import map_https, merge_https
 
-    # Service-level scheme, tracked per tier of the embedding page; only
-    # publisher-called third parties count (dynamic loads are pruned).
-    service_scheme: Dict[int, Dict[str, bool]] = {0: {}, 1: {}, 2: {}, 3: {}}
-    page_has_http_third_party: Dict[str, bool] = {}
-    for record in log.requests:
-        if record.failed or record.resource_type == "document":
-            continue
-        page = record.page_domain
-        tier = tier_of_page.get(page)
-        if record.fqdn not in labels.third_party_direct.get(page, ()):
-            continue
-        if tier is not None:
-            secure = record.scheme == "https"
-            previous = service_scheme[tier].get(record.fqdn)
-            service_scheme[tier][record.fqdn] = (previous or False) or secure
-        if record.scheme == "http":
-            page_has_http_third_party[page] = True
-
-    tier_sites: Dict[int, List[str]] = {0: [], 1: [], 2: [], 3: []}
-    for page, https in page_https.items():
-        tier = tier_of_page.get(page)
-        if tier is not None:
-            tier_sites[tier].append(page)
-
-    for tier in range(4):
-        sites = tier_sites[tier]
-        https_sites = sum(1 for page in sites if page_https[page])
-        services = service_scheme[tier]
-        https_services = sum(1 for secure in services.values() if secure)
-        report.rows.append(
-            HTTPSTierRow(
-                interval=TIER_NAMES[tier],
-                site_count=len(sites),
-                site_https_fraction=https_sites / len(sites) if sites else 0.0,
-                service_count=len(services),
-                service_https_fraction=https_services / len(services)
-                if services else 0.0,
-            )
-        )
-
-    for page, https in page_https.items():
-        if not https or page_has_http_third_party.get(page):
-            report.not_fully_https_sites.add(page)
-
-    # Sensitive cookies uploaded in the clear (§5.1.1's IP/geo payloads):
-    # a cookie whose decoded value carries the client address or location,
-    # scoped to a domain the page contacted over plain HTTP.
-    http_domains_per_page: Dict[str, Set[str]] = {}
-    for record in log.requests:
-        if record.scheme == "http" and not record.failed:
-            http_domains_per_page.setdefault(record.page_domain, set()).add(
-                registrable_domain(record.fqdn)
-            )
-    client_ip = log.client_ip
-    for cookie in log.cookies:
-        if cookie.session or len(cookie.value) < MIN_ID_LENGTH:
-            continue
-        cleartext = http_domains_per_page.get(cookie.page_domain)
-        if not cleartext or registrable_domain(cookie.domain) not in cleartext:
-            continue
-        decodings = decode_cookie_value(cookie.value)
-        sensitive = (client_ip and any(client_ip in text for text in decodings)) \
-            or any("lat%3d" in text.lower() or "lat=" in text.lower()
-                   for text in decodings)
-        if sensitive:
-            report.cleartext_cookie_sites.add(cookie.page_domain)
-    return report
+    return merge_https(
+        [map_https(site.visits, site.requests, site.cookies,
+                   client_ip=log.client_ip,
+                   third_party_direct=labels.third_party_direct)
+         for site in log.site_groups()],
+        popularity=popularity,
+    )

@@ -1,29 +1,27 @@
-"""Map/merge decomposition of the per-site analyses.
+"""The per-site analyses as map/merge pairs — their one implementation.
 
-Every analysis here exists twice in the codebase: the monolithic
-reference (``label_parties``, ``ATSClassifier.classify_log``,
-``analyze_cookies``, ``analyze_https``, ``analyze_banners``,
-``detect_cookie_sync``, ``analyze_fingerprinting``,
-``analyze_malware``) scans one
-whole crawl log, and the pair in this module splits the same computation
-into ``map(one site's rows) -> partial`` plus ``merge(partials in log
-site order) -> result``.  The study runs only the pairs (through
-:class:`~repro.datastore.incremental.IncrementalRunAnalyzer`); the
-monolithic forms stay as the oracles ``tests/test_incremental.py``
-checks ``merge(map(...))`` against, object-for-object and byte-for-byte
-through the rendered report.
+Each analysis of a crawl run is ``merge(map(one site's rows) for each
+site, in run order)``.  The study feeds the pairs through
+:class:`~repro.datastore.incremental.IncrementalRunAnalyzer` (rows from
+a hydrated log or the store, partials optionally from the aggregate
+cache); the whole-log entry points (``label_parties``,
+``ATSClassifier.classify_log``, ``analyze_cookies``, ``analyze_https``,
+``analyze_banners``, ``detect_cookie_sync``) are the same merges over
+:meth:`~repro.browser.events.CrawlLog.site_groups`.  Fingerprinting and
+malware merge into their shared whole-log analyzers
+(``analyze_fingerprinting``, ``malware_report``) instead.
+``tests/golden/analyses.json`` pins every result.
 
-Byte-identity is stronger than value-equality: several consumers break
-ranking ties by *insertion order* (``build_figure3`` via the order
+The rendered report depends on more than values: several consumers
+break ranking ties by *insertion order* (``build_figure3`` via the order
 organizations first appear while walking ``third_party_direct``,
 Table 4 via ``per_domain_sites`` first-touch order), and CPython
 set/dict iteration order depends on insertion history.  So partials do
-not store bare sets — they store the **operation sequence** the
-monolithic code would have executed for that site (first-touch ordered
-tuples, record ordinals for interleavings), and every merge replays
-those operations in log order.  The merged containers then have the
-same insertion history as the monolithic ones, hence the same iteration
-order, hence identical rendered bytes.
+not store bare sets — they store the **operation sequence** one scan of
+the site's records performs (first-touch ordered tuples, record
+ordinals for interleavings), and every merge replays those operations
+in run order, which gives the merged containers the insertion history
+of one scan over the whole run.
 
 Partials are plain tuples/dicts of primitives: picklable, versioned via
 :data:`ANALYSIS_VERSIONS` (bump a version whenever a map function's
@@ -33,7 +31,7 @@ output or semantics change — the aggregate cache keys on it), and small
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..js.api import JSCall
 from ..net.url import registrable_domain
@@ -42,6 +40,8 @@ from .compliance.banners import BannerObservation, BannerReport, detect_banner
 from .cookie_analysis import (
     HUGE_LENGTH,
     MIN_ID_LENGTH,
+    _GEO_RE,
+    _ISP_RE,
     CookieStats,
     TopCookieDomain,
     _dedupe,
@@ -101,7 +101,7 @@ ANALYSIS_VERSIONS: Dict[str, int] = {
 
 
 # ----------------------------------------------------------------------
-# Party labeling (reference: partylabel.label_parties)
+# Party labeling (whole log: partylabel.label_parties)
 # ----------------------------------------------------------------------
 
 def map_labels(requests, *, cert_lookup=None,
@@ -110,8 +110,7 @@ def map_labels(requests, *, cert_lookup=None,
 
     Labeling is fully per-(page, fqdn): the ``decided`` memo never
     crosses sites, so the partial is simply the ordered sequence of
-    first set-insertions the monolithic loop would perform for this
-    site's records — ``(record ordinal, target set, page, fqdn)``.
+    first set-insertions a scan of this site's records performs — ``(record ordinal, target set, page, fqdn)``.
     """
     decided: Dict[Tuple[str, str], bool] = {}
     events: List[Tuple[int, str, str, str]] = []
@@ -155,8 +154,8 @@ def merge_labels(partials: Sequence[dict]) -> PartyLabels:
     for partial in partials:
         for _idx, kind, page, fqdn in partial["events"]:
             target[kind].setdefault(page, set()).add(fqdn)
-    # Same post-pass as the monolithic labeler; identical insertion
-    # histories make the set difference land identically too.
+    # A domain seen only dynamically on a page where it was also direct
+    # stays direct; drop dynamic entries that duplicate direct ones.
     for page, direct in labels.third_party_direct.items():
         dynamic = labels.third_party_dynamic.get(page)
         if dynamic:
@@ -165,16 +164,16 @@ def merge_labels(partials: Sequence[dict]) -> PartyLabels:
 
 
 # ----------------------------------------------------------------------
-# ATS classification (reference: ATSClassifier.classify_log)
+# ATS classification (whole log: ATSClassifier.classify_log)
 # ----------------------------------------------------------------------
 
 def map_ats(requests, classifier: ATSClassifier) -> dict:
     """Per-site half of :meth:`~repro.core.ats.ATSClassifier.classify_log`.
 
-    The monolithic loop carries one piece of cross-site state: once an
-    FQDN has a strict (full-URL) match anywhere, every later record of
-    it — on any site — short-circuits into ``per_page`` without rule
-    evaluation.  Everything else is per-record and pure, so the partial
+    Classification is one scan over the run's records with one piece of
+    cross-site state: once an FQDN has a strict (full-URL) match
+    anywhere, every later record of it — on any site — lands in
+    ``per_page`` without rule evaluation.  Everything else is per-record and pure, so the partial
     keeps, per FQDN in first-encounter order, exactly what the replay
     needs under *any* entry state: the first record ordinal, the first
     strict-match ordinal (rules evaluated per record, memoized in the
@@ -241,16 +240,14 @@ def merge_ats(partials: Sequence[dict], *,
                 if kind == "strict":
                     result.ats_fqdns.add(fqdn)
                 result.per_page.setdefault(page, set()).add(fqdn)
-    # Relaxed matches subsume strict ones at the domain level (identical
-    # trailing pass; ats_fqdns has the same insertion history, so the
-    # iteration — and the relaxed set's — match the reference).
+    # Relaxed matches subsume strict ones at the domain level.
     for fqdn in result.ats_fqdns:
         result.ats_domains_relaxed.add(registrable_domain(fqdn))
     return result
 
 
 # ----------------------------------------------------------------------
-# Cookie analysis (reference: cookie_analysis.analyze_cookies)
+# Cookie analysis (whole log: cookie_analysis.analyze_cookies)
 # ----------------------------------------------------------------------
 
 def map_cookies(visits, cookies, *, client_ip: str) -> dict:
@@ -259,7 +256,7 @@ def map_cookies(visits, cookies, *, client_ip: str) -> dict:
     The dedupe key starts with the page domain, so global dedupe equals
     per-site dedupe.  Scalars sum; every ordered collection records the
     site-local first-touch order so the merge can rebuild the global
-    dicts/sets with the reference insertion history (Table 4 ranks by
+    dicts/sets with one scan's insertion history (Table 4 ranks by
     ``-len(sites)`` with ties falling back to first-touch order).
     """
     partial = {
@@ -327,12 +324,12 @@ def map_cookies(visits, cookies, *, client_ip: str) -> dict:
                 partial["per_domain_ip"][base] = \
                     partial["per_domain_ip"].get(base, 0) + 1
         for text in decodings:
-            if _geo_match(text):
+            if _GEO_RE.search(text):
                 partial["geo"] += 1
                 if cookie.page_domain not in geo_pages:
                     geo_pages.add(cookie.page_domain)
                     partial["geo_pages"].append(cookie.page_domain)
-                if _isp_match(text):
+                if _ISP_RE.search(text):
                     partial["geo_isp"] += 1
                 break
     del partial["popular_seen"]
@@ -342,16 +339,6 @@ def map_cookies(visits, cookies, *, client_ip: str) -> dict:
     partial["tp_bases"] = tuple(partial["tp_bases"])
     partial["popular"] = tuple(partial["popular"])
     return partial
-
-
-def _geo_match(text: str) -> bool:
-    from .cookie_analysis import _GEO_RE
-    return _GEO_RE.search(text) is not None
-
-
-def _isp_match(text: str) -> bool:
-    from .cookie_analysis import _ISP_RE
-    return _ISP_RE.search(text) is not None
 
 
 def merge_cookies(partials: Sequence[dict], *,
@@ -414,26 +401,21 @@ def merge_cookies(partials: Sequence[dict], *,
 
 
 # ----------------------------------------------------------------------
-# HTTPS adoption (reference: https_analysis.analyze_https)
+# HTTPS adoption (whole log: https_analysis.analyze_https)
 # ----------------------------------------------------------------------
 
 def map_https(visits, requests, cookies, *, client_ip: str,
-              labels_partial: dict) -> dict:
+              third_party_direct: Dict[str, Set[str]]) -> dict:
     """Per-site half of :func:`~repro.core.https_analysis.analyze_https`.
 
-    The reference consults the global labels only through
-    ``third_party_direct.get(page)`` — a per-page set, so the site's own
-    labels partial supplies it exactly.  Tier assignment needs the
-    crawled-popularity report of the *whole* run, so it stays in the
-    merge: the partial keeps per-page facts (page scheme, per-service
-    HTTPS OR in first-record order, the plain-HTTP flags, the cleartext
-    ID-cookie verdict).
+    Labels enter only as ``third_party_direct`` (page -> the FQDNs the
+    page itself called): a per-page set, so the site's own labels
+    supply it exactly.  Tier assignment needs the crawled-popularity
+    report of the *whole* run, so it stays in the merge: the partial
+    keeps per-page facts (page scheme, per-service HTTPS OR in
+    first-record order, the plain-HTTP flags, the cleartext ID-cookie
+    verdict).
     """
-    direct: Dict[str, Set[str]] = {}
-    for _idx, kind, page, fqdn in labels_partial["events"]:
-        if kind == "direct":
-            direct.setdefault(page, set()).add(fqdn)
-
     page_https: List[Tuple[str, bool]] = []
     for visit in visits:
         if visit.success:
@@ -446,7 +428,7 @@ def map_https(visits, requests, cookies, *, client_ip: str,
         if record.failed or record.resource_type == "document":
             continue
         page = record.page_domain
-        if record.fqdn not in direct.get(page, ()):
+        if record.fqdn not in third_party_direct.get(page, ()):
             continue
         secure = record.scheme == "https"
         page_services = services.setdefault(page, {})
@@ -456,6 +438,9 @@ def map_https(visits, requests, cookies, *, client_ip: str,
             http_tp_seen.add(page)
             http_tp.append(page)
 
+    # Sensitive cookies uploaded in the clear (§5.1.1's IP/geo payloads):
+    # a cookie whose decoded value carries the client address or location,
+    # scoped to a domain the page contacted over plain HTTP.
     http_domains_per_page: Dict[str, Set[str]] = {}
     for record in requests:
         if record.scheme == "http" and not record.failed:
@@ -548,7 +533,7 @@ def merge_https(partials: Sequence[dict], *,
 
 
 # ----------------------------------------------------------------------
-# Banner detection (reference: compliance.banners.analyze_banners)
+# Banner detection (whole log: compliance.banners.analyze_banners)
 # ----------------------------------------------------------------------
 
 def map_banners(visits) -> dict:
@@ -588,7 +573,7 @@ def merge_banners(partials: Sequence[dict], *,
 
 
 # ----------------------------------------------------------------------
-# Cookie synchronization (reference: cookie_sync.detect_cookie_sync)
+# Cookie synchronization (whole log: cookie_sync.detect_cookie_sync)
 # ----------------------------------------------------------------------
 
 def map_sync(cookies, requests) -> dict:
@@ -623,9 +608,9 @@ def merge_sync(partials: Sequence[dict]) -> SyncReport:
 
     Sequence numbers are unique across cookies and requests (each event
     draws one from the crawl-wide counter), so sorting the concatenated
-    per-site events by ``seq`` reconstructs exactly the event list the
-    monolithic detector builds — and the replayed scan then appends to
-    ``events`` / ``pair_counts`` / ``sites`` in the same order.
+    per-site events by ``seq`` reconstructs the crawl's event order: a
+    cookie value is owned by the first domain that set it, and a request
+    carrying it to another domain — on any later site — is a sync.
     """
     events: List[Tuple[int, int, tuple]] = []
     for partial in partials:
@@ -666,7 +651,7 @@ def merge_sync(partials: Sequence[dict]) -> SyncReport:
 
 
 # ----------------------------------------------------------------------
-# JS-call-driven analyses (references: analyze_fingerprinting,
+# JS-call-driven analyses (whole log: analyze_fingerprinting,
 # analyze_malware) — the partial is the site's instrumented call rows.
 # ----------------------------------------------------------------------
 
@@ -701,20 +686,20 @@ def _replay_calls(partials: Sequence[dict]) -> List[JSCall]:
 
 def merge_fingerprinting(partials: Sequence[dict], *,
                          url_blocklisted=None) -> FingerprintingReport:
-    """Rebuild the call stream and run the monolithic analyzer on it.
+    """Rebuild the call stream and run the whole-log analyzer on it.
 
-    The store interleaves nothing — a run's rows are per-site spans in
-    run position order — so concatenating the partials in that same
-    order *is* the monolithic input, and delegating to
-    :func:`~repro.core.fingerprinting.analyze_fingerprinting` makes
-    drift impossible.
+    A run's rows are per-site spans in run position order, so
+    concatenating the partials in that same order *is* the run's call
+    stream, and delegating to
+    :func:`~repro.core.fingerprinting.analyze_fingerprinting` keeps one
+    implementation.
     """
     return analyze_fingerprinting(_replay_calls(partials),
                                   url_blocklisted=url_blocklisted)
 
 
 # ----------------------------------------------------------------------
-# Malware (reference: malware.analyze_malware)
+# Malware (whole log: malware.analyze_malware)
 # ----------------------------------------------------------------------
 
 def map_visits(visits) -> dict:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set
 
 from ..browser.events import CrawlLog, RequestRecord
 from ..net.tls import Certificate, certificate_matches_host, share_organization
@@ -142,34 +142,15 @@ def label_parties(
     cert_lookup: Optional[CertLookup] = None,
     levenshtein_threshold: float = 0.7,
 ) -> PartyLabels:
-    """Label every contacted FQDN for every visited page."""
-    labels = PartyLabels()
-    decided: Dict[Tuple[str, str], bool] = {}
+    """Label every contacted FQDN for every visited page.
 
-    for record in log.requests:
-        if record.failed or record.resource_type == "document":
-            continue
-        page = record.page_domain
-        fqdn = record.fqdn
-        key = (page, fqdn)
-        first = decided.get(key)
-        if first is None:
-            first = _is_first_party(page, fqdn, cert_lookup,
-                                    levenshtein_threshold)
-            decided[key] = first
-        if first:
-            if registrable_domain(fqdn) != registrable_domain(page):
-                labels.first_party.setdefault(page, set()).add(fqdn)
-            continue
-        if _is_direct(record):
-            labels.third_party_direct.setdefault(page, set()).add(fqdn)
-        else:
-            labels.third_party_dynamic.setdefault(page, set()).add(fqdn)
+    The merge of :func:`~repro.core.mapmerge.map_labels` over the log's
+    per-site row groups (:meth:`~repro.browser.events.CrawlLog.site_groups`).
+    """
+    from .mapmerge import map_labels, merge_labels
 
-    # A domain seen only dynamically on a page where it was also direct
-    # stays direct; drop dynamic entries that duplicate direct ones.
-    for page, direct in labels.third_party_direct.items():
-        dynamic = labels.third_party_dynamic.get(page)
-        if dynamic:
-            dynamic -= direct
-    return labels
+    return merge_labels([
+        map_labels(site.requests, cert_lookup=cert_lookup,
+                   levenshtein_threshold=levenshtein_threshold)
+        for site in log.site_groups()
+    ])

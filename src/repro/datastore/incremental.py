@@ -3,8 +3,9 @@
 Every per-site analysis of a crawl run goes through here — it is the one
 path from crawl rows to labels, ATS, cookie, HTTPS, banner, sync,
 fingerprinting and malware results.  A run is an ordered list of
-per-site row groups (:class:`LogRows` slices a hydrated log at its site
-marks, :class:`StoredRows` reads a stored run back one site at a time);
+per-site row groups (:class:`LogRows` over a hydrated log's
+:meth:`~repro.browser.events.CrawlLog.site_groups`, :class:`StoredRows`
+reading a stored run back one site at a time);
 each site is mapped through the pairs of :mod:`repro.core.mapmerge`,
 and the merge replays the partials in run position order.
 
@@ -51,6 +52,7 @@ from ..core.mapmerge import (
     map_labels,
     map_sync,
     map_visits,
+    merge_labels,
 )
 from ..webgen.evolve import analysis_hash_index
 from .aggregates import AggregateStore
@@ -71,8 +73,8 @@ __all__ = ["IncrementalRunAnalyzer", "LogRows", "PORN_ANALYSES",
            "cached_sanitize"]
 
 #: Which per-site analyses each run kind can feed.  The order matters
-#: operationally (labels are mapped first so the HTTPS mapper can consume
-#: the site's label events) but not semantically — each map is a pure
+#: operationally (labels are mapped first so the HTTPS mapper can reuse
+#: the site's labels) but not semantically — each map is a pure
 #: function of the site's rows.
 PORN_ANALYSES: Tuple[str, ...] = ("labels", "ats", "cookies", "https",
                                   "banners", "sync", "jsapi", "visits")
@@ -111,31 +113,19 @@ def _vantage_digest(vantage) -> str:
 # --------------------------------------------------------------------------
 
 class LogRows:
-    """A hydrated crawl log cut into per-site row groups at its
-    :attr:`~repro.browser.events.CrawlLog.site_marks`."""
+    """A hydrated crawl log's per-site row groups
+    (:meth:`~repro.browser.events.CrawlLog.site_groups`), by domain."""
 
     def __init__(self, log: CrawlLog) -> None:
         self.client_ip = log.client_ip
-        self._log = log
-        ends = [marks[1:] for marks in log.site_marks[1:]]
-        ends.append((len(log.visits), len(log.requests), len(log.cookies),
-                     len(log.js_calls)))
-        self._bounds = {
-            domain: tuple(zip(starts, end))
-            for (domain, *starts), end in zip(log.site_marks, ends)
-        }
+        self._groups = {group.domain: group for group in log.site_groups()}
 
     def site_rows(self, domain: str,
                   tables: Sequence[str]) -> Dict[str, list]:
-        bounds = self._bounds.get(domain)
-        if bounds is None:
-            raise ValueError(f"crawl log has no site marks for {domain!r}")
-        rows: Dict[str, list] = {}
-        for table, (lo, hi) in zip(("visits", "requests", "cookies",
-                                    "js_calls"), bounds):
-            if table in tables:
-                rows[table] = getattr(self._log, table)[lo:hi]
-        return rows
+        group = self._groups.get(domain)
+        if group is None:
+            raise ValueError(f"crawl log has no rows for {domain!r}")
+        return {table: getattr(group, table) for table in tables}
 
 
 class StoredRows:
@@ -317,14 +307,13 @@ class IncrementalRunAnalyzer:
                 mapped[name] = map_cookies(visits, cookies,
                                            client_ip=client_ip)
             elif name == "https":
-                labels_partial = mapped.get("labels")
-                if labels_partial is None:
-                    labels_partial = map_labels(
-                        requests, cert_lookup=self._cert_lookup)
+                labels_partial = mapped.get("labels") or map_labels(
+                    requests, cert_lookup=self._cert_lookup)
                 mapped[name] = map_https(
                     visits, requests, cookies,
                     client_ip=client_ip,
-                    labels_partial=labels_partial,
+                    third_party_direct=merge_labels(
+                        [labels_partial]).third_party_direct,
                 )
             elif name == "banners":
                 mapped[name] = map_banners(visits)

@@ -130,6 +130,26 @@ class TestATS:
         assert not classifier.matches_url("https://xcvgdf.party/fp/fp-0.js")
         assert not classifier.matches_domain("xcvgdf.party")
 
+    def test_interleaved_sites_are_grouped_by_site(self):
+        """Without site marks a log's rows are grouped by site: a
+        hand-built log that interleaves two sites is classified as if
+        each site's requests were contiguous (every crawl keeps them so).
+        Read in place, p1's second request would follow p2's strict
+        match and land in ``per_page`` too."""
+        classifier = ATSClassifier.from_texts("||x.com/ad/\n", "")
+        log = CrawlLog()
+        log.requests.extend([
+            make_request("https://x.com/ok.js", "p1.com",
+                         referrer="https://p1.com/"),
+            make_request("https://x.com/ad/a.js", "p2.com",
+                         referrer="https://p2.com/"),
+            make_request("https://x.com/ok.js", "p1.com",
+                         referrer="https://p1.com/"),
+        ])
+        result = classifier.classify_log(log)
+        assert result.per_page == {"p2.com": {"x.com"}}
+        assert result.ats_fqdns == {"x.com"}
+
     def test_classify_log_counts(self, study):
         result = study.porn_ats()
         assert result.fqdn_count > 0

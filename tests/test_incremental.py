@@ -1,11 +1,10 @@
-"""Incremental map/merge analysis: parity, caching, and invalidation.
+"""Incremental map/merge analysis: caching and invalidation.
 
-Pins the contracts the aggregate cache rests on:
+Pins the contracts the aggregate cache rests on (the merged results
+themselves are pinned by ``tests/golden/analyses.json``, see
+``test_golden.py``):
 
-* every ``merge(map(site_rows))`` equals its monolithic reference —
-  object-equal *and* identical through the rendered report bytes (the
-  merges replay the reference insertion order, so even set/dict
-  iteration ties line up);
+* a cold cached study renders the same bytes as the uncached one;
 * a second study over the same store serves every partial from the
   cache (zero misses) and still renders identical bytes;
 * across an evolved epoch, exactly the sites whose analysis content
@@ -19,7 +18,6 @@ Pins the contracts the aggregate cache rests on:
   info -v`` surfaces.
 """
 
-import dataclasses
 import marshal
 import os
 import pickle
@@ -33,13 +31,6 @@ from repro.core import mapmerge
 from repro.core.corpus import compile_candidates, sanitize_candidates
 from repro.crawler.selenium import SeleniumCrawler
 from repro.crawler.vpn import VantagePointManager
-from repro.core.compliance.banners import analyze_banners
-from repro.core.cookie_analysis import analyze_cookies
-from repro.core.cookie_sync import detect_cookie_sync
-from repro.core.fingerprinting import analyze_fingerprinting
-from repro.core.https_analysis import analyze_https
-from repro.core.malware import analyze_malware
-from repro.core.partylabel import label_parties
 from repro.datastore import (
     AggregateStore,
     CrawlStore,
@@ -113,172 +104,6 @@ def _incremental_study(universe, store_path, cache=None):
 
 def _render_all(study, scale):
     return {name: render_section(study, scale, name) for name in SECTIONS}
-
-
-class TestMapMergeParity:
-    """merge(map(per-site rows)) == the monolithic references.
-
-    The study itself only merges partials, so each test checks both the
-    hand-split merge and the study's own result against the whole-log
-    analyzer.
-    """
-
-    @pytest.fixture(scope="class")
-    def split(self, study):
-        log = study.porn_log()
-        domains = study.corpus_domains()
-        vis = {d: [] for d in domains}
-        req = {d: [] for d in domains}
-        coo = {d: [] for d in domains}
-        js = {d: [] for d in domains}
-        for v in log.visits:
-            vis[v.site_domain].append(v)
-        for r in log.requests:
-            req[r.page_domain].append(r)
-        for c in log.cookies:
-            coo[c.page_domain].append(c)
-        for call in log.js_calls:
-            js[call.document_host].append(call)
-        return domains, vis, req, coo, js
-
-    @pytest.fixture(scope="class")
-    def ref_labels(self, study):
-        return label_parties(study.porn_log(),
-                             cert_lookup=study.universe.certificate_for)
-
-    @pytest.fixture(scope="class")
-    def ref_ats(self, study, ref_labels):
-        return study.ats_classifier().classify_log(
-            study.porn_log(),
-            third_party_fqdns=ref_labels.all_third_party_fqdns)
-
-    def test_labels(self, study, split, ref_labels):
-        domains, _vis, req, _coo, _js = split
-        ref = ref_labels
-        parts = [mapmerge.map_labels(
-            req[d], cert_lookup=study.universe.certificate_for)
-            for d in domains]
-        for got in (mapmerge.merge_labels(parts), study.porn_labels()):
-            assert got == ref
-            # Iteration order too: figure3's tie-break leaks set order.
-            assert list(got.third_party_direct) == \
-                list(ref.third_party_direct)
-            for page in ref.third_party_direct:
-                assert list(got.third_party_direct[page]) == \
-                    list(ref.third_party_direct[page])
-            for page in ref.third_party_dynamic:
-                assert list(got.third_party_dynamic[page]) == \
-                    list(ref.third_party_dynamic[page])
-
-    def test_ats(self, study, split, ref_labels, ref_ats):
-        domains, _vis, req, _coo, _js = split
-        ref = ref_ats
-        parts = [mapmerge.map_ats(req[d], study.ats_classifier())
-                 for d in domains]
-        merged = mapmerge.merge_ats(
-            parts, third_party_fqdns=ref_labels.all_third_party_fqdns)
-        for got in (merged, study.porn_ats()):
-            assert list(got.ats_fqdns) == list(ref.ats_fqdns)
-            assert list(got.ats_domains_relaxed) == \
-                list(ref.ats_domains_relaxed)
-            assert list(got.per_page) == list(ref.per_page)
-            for page in ref.per_page:
-                assert list(got.per_page[page]) == list(ref.per_page[page])
-
-    def test_cookies(self, study, split, ref_ats):
-        domains, vis, _req, coo, _js = split
-        from repro.net.url import registrable_domain
-        ats_bases = {registrable_domain(f)
-                     for f in ref_ats.ats_fqdns} | ref_ats.ats_domains_relaxed
-        regular_labels = label_parties(
-            study.regular_log(), cert_lookup=study.universe.certificate_for)
-        regular_bases = {
-            registrable_domain(f)
-            for f in regular_labels.all_third_party_fqdns
-        }
-        ref = analyze_cookies(study.porn_log(), ats_domains=ats_bases,
-                              regular_web_domains=regular_bases)
-        parts = [mapmerge.map_cookies(vis[d], coo[d],
-                                      client_ip=study.porn_log().client_ip)
-                 for d in domains]
-        merged = mapmerge.merge_cookies(parts, ats_domains=ats_bases,
-                                        regular_web_domains=regular_bases)
-        for got in (merged, study.cookie_stats()):
-            assert got == ref
-            assert list(got.popular_cookies) == list(ref.popular_cookies)
-            assert list(got.ip_cookie_domains) == \
-                list(ref.ip_cookie_domains)
-
-    def test_https(self, study, split, ref_labels):
-        domains, vis, req, coo, _js = split
-        ref = analyze_https(study.porn_log(), ref_labels,
-                            study.crawled_popularity())
-        labels_parts = [mapmerge.map_labels(
-            req[d], cert_lookup=study.universe.certificate_for)
-            for d in domains]
-        parts = [mapmerge.map_https(vis[d], req[d], coo[d],
-                                    client_ip=study.porn_log().client_ip,
-                                    labels_partial=lp)
-                 for d, lp in zip(domains, labels_parts)]
-        merged = mapmerge.merge_https(parts,
-                                      popularity=study.crawled_popularity())
-        for got in (merged, study.https_report()):
-            assert got == ref
-            assert list(got.not_fully_https_sites) == \
-                list(ref.not_fully_https_sites)
-
-    def test_banners(self, study, split):
-        domains, vis, _req, _coo, _js = split
-        ref = analyze_banners(study.porn_log(),
-                              corpus_size=len(study.corpus_domains()))
-        merged = mapmerge.merge_banners(
-            [mapmerge.map_banners(vis[d]) for d in domains],
-            corpus_size=len(study.corpus_domains()))
-        for got in (merged, study.banners()):
-            assert got.observations == ref.observations
-            assert got.sites_checked == ref.sites_checked
-
-    def test_sync(self, study, split):
-        domains, _vis, req, coo, _js = split
-        ref = detect_cookie_sync(study.porn_log())
-        merged = mapmerge.merge_sync(
-            [mapmerge.map_sync(coo[d], req[d]) for d in domains])
-        for got in (merged, study.cookie_sync()):
-            assert got.events == ref.events
-            assert list(got.pair_counts) == list(ref.pair_counts)
-            assert got.pair_counts == ref.pair_counts
-            assert list(got.sites) == list(ref.sites)
-
-    def test_fingerprinting(self, study, split):
-        domains, _vis, _req, _coo, js = split
-        blocklisted = study.ats_classifier().matches_url
-        ref = analyze_fingerprinting(study.porn_log().js_calls,
-                                     url_blocklisted=blocklisted)
-        merged = mapmerge.merge_fingerprinting(
-            [mapmerge.map_jsapi(js[d]) for d in domains],
-            url_blocklisted=blocklisted)
-        for got in (merged, study.fingerprinting()):
-            assert got == ref
-            assert [s.script_url for s in got.scripts] == \
-                [s.script_url for s in ref.scripts]
-
-    def test_malware(self, study, split, ref_labels):
-        domains, vis, _req, _coo, js = split
-
-        def scanner(domain):
-            return study.universe.scanner_hits(domain, "ES")
-
-        ref = analyze_malware(study.porn_log(), ref_labels, scanner)
-        merged = mapmerge.merge_malware(
-            [mapmerge.map_visits(vis[d]) for d in domains],
-            [mapmerge.map_jsapi(js[d]) for d in domains],
-            labels=ref_labels, scanner=scanner,
-        )
-        for got in (merged, study.malware()):
-            assert got == ref
-            assert list(got.sites_with_malicious_third_parties) == \
-                list(ref.sites_with_malicious_third_parties)
-            assert list(got.miner_services) == list(ref.miner_services)
 
 
 class TestAggregateCache:

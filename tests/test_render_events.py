@@ -183,6 +183,63 @@ class TestCrawlLogModel:
         # Second log's events come strictly after the first's.
         assert merged.requests[1].seq > merged.cookies[0].seq
 
+    def make_marked_log(self, *sites):
+        """A crawl-shaped log: each site's marks, then its rows."""
+        log = CrawlLog(client_ip="31.0.0.1")
+        for site in sites:
+            log.mark_site(site)
+            log.visits.append(PageVisit(site, f"https://{site}/", True, 200))
+            log.requests.append(RequestRecord(
+                url="https://t.com/x", fqdn="t.com", scheme="https",
+                page_domain=site, resource_type="script", initiator=None,
+                referrer=f"https://{site}/", seq=log.next_seq(), status=200,
+            ))
+        return log
+
+    def test_merge_carries_site_marks(self):
+        first = self.make_marked_log("a.com", "b.com")
+        second = self.make_marked_log("c.com")
+        merged = first.merge(second)
+        assert merged.site_marks == [
+            ("a.com", 0, 0, 0, 0), ("b.com", 1, 1, 0, 0),
+            ("c.com", 2, 2, 0, 0),
+        ]
+        assert [group.domain for group in merged.site_groups()] == \
+            ["a.com", "b.com", "c.com"]
+        assert merged.site_groups()[2].requests == [merged.requests[2]]
+
+    def test_merge_with_unmarked_log_drops_marks(self):
+        merged = self.make_marked_log("a.com").merge(self.make_log())
+        assert merged.site_marks == []
+        assert [group.domain for group in merged.site_groups()] == \
+            ["a.com", "b.com"]
+
+    def test_site_groups_cut_at_marks(self):
+        log = self.make_marked_log("a.com", "b.com")
+        groups = log.site_groups()
+        assert [group.domain for group in groups] == ["a.com", "b.com"]
+        assert groups[1].visits == [log.visits[1]]
+        assert groups[1].requests == [log.requests[1]]
+        assert groups[1].cookies == [] and groups[1].js_calls == []
+
+    def test_site_groups_without_marks_group_by_site(self):
+        log = self.make_log()
+        log.requests.append(RequestRecord(
+            url="https://t.com/y", fqdn="t.com", scheme="https",
+            page_domain="b.com", resource_type="script", initiator=None,
+            referrer="https://b.com/", seq=log.next_seq(), status=200,
+        ))
+        log.requests.append(RequestRecord(
+            url="https://t.com/z", fqdn="t.com", scheme="https",
+            page_domain="a.com", resource_type="script", initiator=None,
+            referrer="https://a.com/", seq=log.next_seq(), status=200,
+        ))
+        groups = log.site_groups()
+        assert [group.domain for group in groups] == ["a.com", "b.com"]
+        assert groups[0].requests == [log.requests[0], log.requests[2]]
+        assert groups[0].cookies == log.cookies
+        assert groups[1].requests == [log.requests[1]]
+
     def test_merge_does_not_mutate_inputs(self):
         first = self.make_log()
         second = self.make_log()

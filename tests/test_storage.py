@@ -37,6 +37,11 @@ class TestRoundTrip:
         assert [r.seq for r in loaded.requests] == \
             [r.seq for r in porn_log.requests]
 
+    def test_site_marks_round_trip(self, porn_log):
+        assert porn_log.site_marks
+        loaded = parse_lines(dump_lines(porn_log))
+        assert loaded.site_marks == porn_log.site_marks
+
     def test_analyses_agree_on_loaded_log(self, porn_log, universe, tmp_path):
         """The whole §4/§5 pipeline gives identical results on a reloaded
         log — crawls can be archived and re-analyzed without the universe."""
@@ -88,6 +93,9 @@ class TestFormatValidation:
         ]
         log = parse_lines(lines)
         assert log.country_code == "ES"
+        # A header without site marks (files written before they were
+        # kept) loads with none: analyses group the rows by site.
+        assert log.site_marks == []
 
     def test_dump_lines_are_single_line_json(self, porn_log):
         import json
