@@ -526,6 +526,15 @@ def _tables_digest(reader) -> str:
     return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
 
 
+def _record_corpus(store, universe) -> list:
+    """Sanitize the corpus into ``store``'s ``sanitize:verdicts``
+    artifact, as ``repro study --store`` does: store-only studies read
+    the verdicts from there.  Returns the corpus domains."""
+    from repro import Study
+
+    return Study(universe, parallelism=1, store=store).corpus_domains()
+
+
 def run_memory_probe(scale: float, *, shards: int = MEM_PROBE_SHARDS,
                      store_dir=None) -> dict:
     """The bounded-memory pipeline at one scale: lazy + sharded + cursors.
@@ -555,9 +564,9 @@ def run_memory_probe(scale: float, *, shards: int = MEM_PROBE_SHARDS,
 
     store_dir = store_dir or tempfile.mkdtemp(prefix="repro-mem-probe-")
     store = CrawlStore(os.path.join(store_dir, "probe-store"), shards=shards)
+    domains = _record_corpus(store, universe)
     reader = Study(universe, parallelism=1, store=store, store_only=True)
     vantage = reader.vantage_points.point(reader.home_country)
-    domains = reader.corpus_domains()
     stage_rss["corpus"] = _peak_rss_mb()
 
     start = clock()
@@ -685,6 +694,9 @@ def run_delta_probe(scale: float, *, churn: float = DELTA_PROBE_CHURN,
     start = clock()
     crawl_both(full_store, full_universe, domains, regular, vantage)
     full_seconds = clock() - start
+    # delta_check renders both epoch-1 stores store-only.
+    _record_corpus(delta_store, delta_universe)
+    _record_corpus(full_store, full_universe)
 
     spliced = crawled = 0
     runs = {}
@@ -774,6 +786,7 @@ def run_incremental_probe(scale: float, *, churn: float = DELTA_PROBE_CHURN,
     base_path = os.path.join(store_dir, "epoch0")
     base_store = CrawlStore(base_path)
     crawl_both(base_store, base_universe, domains, regular, vantage)
+    _record_corpus(base_store, base_universe)
 
     def settle_heap():
         # Each timed pass allocates against whatever standing heap the
@@ -801,8 +814,10 @@ def run_incremental_probe(scale: float, *, churn: float = DELTA_PROBE_CHURN,
     evolved_config = UniverseConfig(scale=scale, churn=churn, epoch=1)
     epoch_path = base_path + "-e1"
     epoch_store = CrawlStore(epoch_path)
-    crawl_both(epoch_store, build_universe(evolved_config, lazy=True),
-               domains, regular, vantage, baseline=base_store)
+    evolved_universe = build_universe(evolved_config, lazy=True)
+    crawl_both(epoch_store, evolved_universe, domains, regular, vantage,
+               baseline=base_store)
+    _record_corpus(epoch_store, evolved_universe)
     assert aggregates_path(epoch_path) == aggregates_path(base_path)
 
     # The epoch pass mutates the cache (it persists the churned sites'

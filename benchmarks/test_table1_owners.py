@@ -2,6 +2,7 @@
 
 from conftest import scaled
 
+from repro.core.mapmerge import map_owners
 from repro.core.owners import discover_owners, normalize_company
 from repro.reporting.tables import render_table1
 
@@ -13,15 +14,13 @@ def test_table1_owners(benchmark, study, paper, reporter):
         if inspection.reachable and inspection.policy.link_found
         and inspection.policy.fetched_ok
     }
-    landing_html = {
-        visit.site_domain: visit.html
-        for visit in study.porn_log().successful_visits()
-        if visit.html
-    }
+    # The <head> evidence is per visit, so one map over the whole log
+    # gives what the study merges from per-site partials.
+    head_organizations = dict(map_owners(study.porn_log().visits)["heads"])
     report = benchmark.pedantic(
         lambda: discover_owners(
             policy_texts=policy_texts,
-            landing_html=landing_html,
+            head_organizations=head_organizations,
             cert_lookup=study.universe.certificate_for,
         ),
         rounds=1, iterations=1,

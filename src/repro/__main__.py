@@ -353,8 +353,29 @@ def cmd_store_info(args: argparse.Namespace) -> int:
             if "resumed_from_site" in stats and stats["resumed_from_site"]:
                 print(f"    resumed from site {stats['resumed_from_site']}")
     if args.verbose:
+        if config is not None:
+            _print_artifact_info(store, config)
         _print_aggregate_info(store)
     return 0
+
+
+def _print_artifact_info(store, config) -> None:
+    """The home-vantage artifact block of ``repro store info -v``."""
+    from .crawler.vpn import VantagePointManager
+    from .datastore import run_key
+    from .datastore.serialize import INSPECTIONS_KIND, SANITIZE_KIND
+
+    home = VantagePointManager().home
+    print(f"\nartifacts (home vantage {home.country_code}):")
+    missing = False
+    for kind in (INSPECTIONS_KIND, SANITIZE_KIND):
+        payload = store.get_artifact(run_key(config, home, kind))
+        missing = missing or payload is None
+        print(f"    {kind}: " + ("missing" if payload is None
+                                   else f"{len(payload)} bytes"))
+    if missing:
+        print("    re-run `repro study --store` on this store to record "
+              "the missing artifacts; `repro report` needs both")
 
 
 def _print_aggregate_info(store) -> None:
@@ -513,7 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     info = store_sub.add_parser("info", help="print run manifests")
     info.add_argument("path", help="path to the datastore")
     info.add_argument("--verbose", "-v", action="store_true",
-                      help="include run keys and cache hit/miss counters")
+                      help="include run keys, cache hit/miss counters "
+                           "and the report's stored artifacts")
     info.add_argument("--shards", action="store_true",
                       help="list per-shard file sizes and row counts")
     info.set_defaults(func=cmd_store_info)

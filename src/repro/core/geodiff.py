@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..browser.events import CrawlLog
 from ..net.url import registrable_domain
 from .ats import ATSResult
 from .malware import MalwareReport
@@ -22,9 +21,13 @@ __all__ = ["CountryObservation", "CountryRow", "GeoReport", "analyze_geography"]
 
 @dataclass
 class CountryObservation:
-    """Inputs for one vantage point."""
+    """Inputs for one vantage point.
 
-    log: CrawlLog
+    ``blocked`` counts the crawl's blocked visits (the ``blocked`` field
+    of :func:`~repro.core.mapmerge.map_visits`, summed over the run).
+    """
+
+    blocked: int
     labels: PartyLabels
     ats: ATSResult
     malware: Optional[MalwareReport] = None
@@ -106,16 +109,6 @@ def analyze_geography(
         in_web = sum(
             1 for fqdn in fqdns if registrable_domain(fqdn) in regular_bases
         )
-        blocked = sum(
-            1 for visit in observation.log.visits
-            if not visit.success and visit.status == 451
-        )
-        # Country-level blocking can also surface as network failures.
-        blocked += sum(
-            1 for visit in observation.log.visits
-            if not visit.success and visit.status is None
-            and visit.failure_reason == "FetchError"
-        )
         report.rows.append(
             CountryRow(
                 country=country,
@@ -124,7 +117,7 @@ def analyze_geography(
                 unique_fqdns=len(fqdns - others),
                 ats_count=len(ats),
                 unique_ats=len(ats - other_ats),
-                blocked_sites=blocked,
+                blocked_sites=observation.blocked,
             )
         )
         if observation.malware is not None:

@@ -9,7 +9,10 @@ cache); the whole-log entry points (``label_parties``,
 ``analyze_banners``, ``detect_cookie_sync``) are the same merges over
 :meth:`~repro.browser.events.CrawlLog.site_groups`.  Fingerprinting and
 malware merge into their shared whole-log analyzers
-(``analyze_fingerprinting``, ``malware_report``) instead.
+(``analyze_fingerprinting``, ``malware_report``) instead, and the
+study folds two partials straight into their consumers: ``map_owners``
+feeds ``discover_owners`` (Table 1) and ``map_visits``'s ``blocked``
+count feeds ``CountryObservation`` (Table 7).
 ``tests/golden/analyses.json`` pins every result.
 
 The rendered report depends on more than values: several consumers
@@ -56,6 +59,7 @@ from .cookie_sync import (
 from .fingerprinting import FingerprintingReport, analyze_fingerprinting
 from .https_analysis import HTTPSReport, HTTPSTierRow
 from .malware import DETECTION_THRESHOLD, MalwareReport, malware_report
+from .owners import extract_head_organization
 from .partylabel import PartyLabels, _is_direct, _is_first_party
 from .popularity import PopularityReport
 
@@ -77,6 +81,7 @@ __all__ = [
     "merge_fingerprinting",
     "map_visits",
     "merge_malware",
+    "map_owners",
 ]
 
 #: Version of each map function's partial format *and* semantics.  Part
@@ -90,7 +95,8 @@ ANALYSIS_VERSIONS: Dict[str, int] = {
     "banners": 1,
     "sync": 1,
     "jsapi": 1,
-    "visits": 1,
+    "visits": 2,
+    "owners": 1,
     # §3 per-candidate sanitize verdicts (cached by
     # repro.datastore.incremental.cached_sanitize).
     "sanitize": 1,
@@ -699,14 +705,24 @@ def merge_fingerprinting(partials: Sequence[dict], *,
 
 
 # ----------------------------------------------------------------------
-# Malware (whole log: malware.analyze_malware)
+# Visits: malware (whole log: malware.analyze_malware) and Table 7's
+# blocked-site counts
 # ----------------------------------------------------------------------
 
 def map_visits(visits) -> dict:
-    """The site's successful-visit domains, in visit order."""
+    """The site's successful-visit domains, in visit order, and how many
+    of its visits were blocked (§6): a 451, or — country-level blocking
+    surfacing as a network failure — a ``FetchError`` with no status."""
     return {
         "visited": tuple(
             visit.site_domain for visit in visits if visit.success
+        ),
+        "blocked": sum(
+            1 for visit in visits
+            if not visit.success and (
+                visit.status == 451
+                or (visit.status is None
+                    and visit.failure_reason == "FetchError"))
         ),
     }
 
@@ -722,3 +738,21 @@ def merge_malware(visit_partials: Sequence[dict],
         (call for partial in jsapi_partials for call in partial["calls"]),
         labels, scanner, threshold=threshold,
     )
+
+
+# ----------------------------------------------------------------------
+# Owner evidence (Table 1's <head> stage of discover_owners)
+# ----------------------------------------------------------------------
+
+def map_owners(visits) -> dict:
+    """The site's ``<head>`` owner evidence, per successful visit with
+    markup: ``(site, organization or None)``.  Sites without evidence
+    stay in, because ``discover_owners`` still looks up their
+    certificates; the partial keeps the organization string, never the
+    HTML."""
+    return {
+        "heads": tuple(
+            (visit.site_domain, extract_head_organization(visit.html) or None)
+            for visit in visits if visit.success and visit.html
+        ),
+    }

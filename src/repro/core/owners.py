@@ -189,11 +189,17 @@ def _policy_similarity_pairs_dense(
 def discover_owners(
     *,
     policy_texts: Dict[str, str],
-    landing_html: Dict[str, str],
+    head_organizations: Dict[str, Optional[str]],
     cert_lookup: Optional[Callable[[str], Optional[Certificate]]] = None,
     policy_threshold: float = 0.9,
 ) -> OwnerReport:
-    """Run discovery + verification and return the owner clusters."""
+    """Run discovery + verification and return the owner clusters.
+
+    ``head_organizations`` maps every crawled site with landing markup,
+    in visit order, to its :func:`extract_head_organization` result
+    (``None`` without evidence); its sites are also the ones whose
+    certificates are looked up.
+    """
     report = OwnerReport()
 
     evidence_of: Dict[str, Tuple[str, str]] = {}  # site -> (company key, kind)
@@ -211,12 +217,11 @@ def discover_owners(
         company = extract_policy_company(text)
         if company:
             record_evidence(site, company, "policy")
-    for site, html in landing_html.items():
-        organization = extract_head_organization(html)
+    for site, organization in head_organizations.items():
         if organization:
             record_evidence(site, organization, "head")
     if cert_lookup is not None:
-        for site in landing_html:
+        for site in head_organizations:
             certificate = cert_lookup(site)
             if certificate is not None and certificate.has_organization:
                 record_evidence(site, certificate.subject_o, "certificate")

@@ -2,10 +2,10 @@
 
 Every per-site analysis of a crawl run goes through here — it is the one
 path from crawl rows to labels, ATS, cookie, HTTPS, banner, sync,
-fingerprinting and malware results.  A run is an ordered list of
-per-site row groups (:class:`LogRows` over a hydrated log's
-:meth:`~repro.browser.events.CrawlLog.site_groups`, :class:`StoredRows`
-reading a stored run back one site at a time);
+fingerprinting, malware, blocked-visit and owner-evidence results.  A
+run is an ordered list of per-site row groups (:class:`LogRows` over a
+hydrated log's :meth:`~repro.browser.events.CrawlLog.site_groups`,
+:class:`StoredRows` reading a stored run back one site at a time);
 each site is mapped through the pairs of :mod:`repro.core.mapmerge`,
 and the merge replays the partials in run position order.
 
@@ -50,6 +50,7 @@ from ..core.mapmerge import (
     map_https,
     map_jsapi,
     map_labels,
+    map_owners,
     map_sync,
     map_visits,
     merge_labels,
@@ -77,7 +78,8 @@ __all__ = ["IncrementalRunAnalyzer", "LogRows", "PORN_ANALYSES",
 #: the site's labels) but not semantically — each map is a pure
 #: function of the site's rows.
 PORN_ANALYSES: Tuple[str, ...] = ("labels", "ats", "cookies", "https",
-                                  "banners", "sync", "jsapi", "visits")
+                                  "banners", "sync", "jsapi", "visits",
+                                  "owners")
 REGULAR_ANALYSES: Tuple[str, ...] = ("labels", "ats", "visits")
 
 #: The event tables each analysis's map function reads.
@@ -90,6 +92,7 @@ _TABLES: Dict[str, Tuple[str, ...]] = {
     "sync": ("requests", "cookies"),
     "jsapi": ("js_calls",),
     "visits": ("visits",),
+    "owners": ("visits",),
 }
 
 _DECODE = {
@@ -323,6 +326,8 @@ class IncrementalRunAnalyzer:
                 mapped[name] = map_jsapi(rows["js_calls"])
             elif name == "visits":
                 mapped[name] = map_visits(visits)
+            elif name == "owners":
+                mapped[name] = map_owners(visits)
             else:  # pragma: no cover - guarded by partials()
                 raise ValueError(f"unknown analysis {name!r}")
         return mapped

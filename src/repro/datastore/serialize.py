@@ -45,11 +45,15 @@ __all__ = [
     "domains_hash",
     "inspections_from_payload",
     "inspections_to_payload",
+    "INSPECTIONS_KIND",
     "jscall_from_row",
     "jscall_to_row",
     "request_from_row",
     "request_to_row",
     "run_key",
+    "sanitize_from_payload",
+    "sanitize_to_payload",
+    "SANITIZE_KIND",
     "vantage_to_json",
     "visit_from_row",
     "visit_to_row",
@@ -147,8 +151,13 @@ def domains_hash(domains: Sequence[str]) -> str:
 
 
 # ----------------------------------------------------------------------
-# The inspection-pass artifact
+# Artifacts: the inspection pass and the sanitize verdicts
 # ----------------------------------------------------------------------
+
+#: Artifact kinds, keyed like runs (``run_key(config, home vantage,
+#: kind)``): the products ``repro report`` reads besides the crawl runs.
+INSPECTIONS_KIND = "selenium:inspections"
+SANITIZE_KIND = "sanitize:verdicts"
 
 #: Leading byte of an inspection-pass artifact: a marshal-encoded list
 #: of :meth:`~repro.crawler.selenium.SiteInspection.to_row` rows.
@@ -178,6 +187,49 @@ def inspections_from_payload(payload: Optional[bytes]) -> Optional[List]:
                 for row in marshal.loads(payload[1:])]
     except Exception:
         return None
+
+
+#: Leading byte of a sanitize-verdicts artifact: a marshal-encoded
+#: ``(domains_hash(candidates), {bucket: [domain, ...]})``.
+SANITIZE_TAG = b"S"
+_SANITIZE_BUCKETS = ("corpus", "unresponsive", "non_adult")
+
+
+def sanitize_to_payload(candidates: Sequence[str], sanitized) -> bytes:
+    """The ``sanitize:verdicts`` artifact: §3's partition of
+    ``candidates`` (a :class:`~repro.core.corpus.SanitizedCorpus`)."""
+    return SANITIZE_TAG + marshal.dumps(
+        (domains_hash(candidates),
+         {bucket: list(getattr(sanitized, bucket))
+          for bucket in _SANITIZE_BUCKETS}), 4)
+
+
+def sanitize_from_payload(payload: Optional[bytes],
+                          candidates: Sequence[str]):
+    """Inverse of :func:`sanitize_to_payload` for these ``candidates``.
+
+    Only a payload written for the same ordered candidate list, whose
+    buckets are lists of domains partitioning it, decodes; anything
+    else — no artifact, a torn or tampered payload, another corpus's
+    verdicts — reads as absent.  Nothing here can run code.
+    """
+    from ..core.corpus import SanitizedCorpus
+
+    if not payload or payload[:1] != SANITIZE_TAG:
+        return None
+    try:
+        digest, buckets = marshal.loads(payload[1:])
+        lists = {bucket: buckets[bucket] for bucket in _SANITIZE_BUCKETS}
+    except Exception:
+        return None
+    if digest != domains_hash(candidates) or len(buckets) != len(lists) \
+            or any(type(bucket) is not list for bucket in lists.values()):
+        return None
+    domains = [domain for bucket in lists.values() for domain in bucket]
+    if any(type(domain) is not str for domain in domains) \
+            or sorted(domains) != sorted(candidates):
+        return None
+    return SanitizedCorpus(**lists)
 
 
 # ----------------------------------------------------------------------

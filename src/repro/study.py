@@ -109,12 +109,14 @@ class Study:
         persists every crawl and hydrates already-stored ones, making an
         interrupted study resumable at per-site granularity.
         ``store_shards`` (with a path) creates/opens an N-shard store.
-        ``store_only=True`` is the ``repro report`` contract: analyses
-        read exclusively from stored runs — one site's rows at a time
-        unless the study already holds the hydrated log (see
-        :meth:`_run_rows`) — and a missing crawl raises
+        ``store_only=True`` is the ``repro report`` contract: every
+        table is a merge of stored partials and stored artifacts.  Runs
+        are read back one site's rows at a time (see :meth:`_run_rows`),
+        the §3 corpus and the inspection pass come from their store
+        artifacts, and a missing crawl or artifact raises
         :class:`~repro.datastore.MissingRunError` instead of touching a
-        browser.
+        browser; no log is hydrated unless a §10 extension asks for
+        :meth:`porn_log`.
 
         ``baseline_store`` (a :class:`~repro.datastore.CrawlStore` or a
         path) enables delta crawls against a prior epoch's store: sites
@@ -245,21 +247,67 @@ class Study:
     # ------------------------------------------------------------------
 
     def corpus(self) -> Tuple[CandidateSet, SanitizedCorpus]:
+        """The §3 candidates and their sanitized partition.
+
+        With a store the verdicts persist as the ``sanitize:verdicts``
+        artifact, accepted only for the same candidate list, so
+        ``repro report`` never re-browses the candidates.
+        """
+
         def build() -> Tuple[CandidateSet, SanitizedCorpus]:
             # Sanitize verdicts are per-candidate pure functions of
             # served content: with an aggregate cache only candidates
             # whose hash churned are re-visited.
             from .datastore import cached_sanitize
+            from .datastore.serialize import (
+                SANITIZE_KIND,
+                sanitize_from_payload,
+                sanitize_to_payload,
+            )
 
             candidates = compile_candidates(self.universe)
-            sanitized = cached_sanitize(
-                self.universe, candidates.domains,
-                self.vantage_points.point(self.home_country),
-                self.aggregate_cache,
+            domains = candidates.domains
+            sanitized = self._artifact(
+                SANITIZE_KIND, "sanitize verdicts",
+                decode=lambda payload: sanitize_from_payload(payload,
+                                                             domains),
+                encode=lambda value: sanitize_to_payload(domains, value),
+                compute=lambda: cached_sanitize(
+                    self.universe, domains,
+                    self.vantage_points.point(self.home_country),
+                    self.aggregate_cache,
+                ),
             )
             return candidates, sanitized
 
         return self._memo("corpus", build)
+
+    def _artifact(self, kind: str, what: str, *, decode, encode, compute):
+        """A crawl product stored as an artifact keyed like a run
+        (config + home vantage + ``kind``).
+
+        A payload ``decode`` accepts is the product.  Otherwise a
+        ``store_only`` study raises
+        :class:`~repro.datastore.MissingRunError`, and any other study
+        runs ``compute`` and, with a store, writes the result back.
+        """
+        from .datastore import MissingRunError, run_key
+
+        if self.store is None:
+            return compute()
+        key = run_key(self.universe.config,
+                      self.vantage_points.point(self.home_country), kind)
+        stored = decode(self.store.get_artifact(key))
+        if stored is not None:
+            return stored
+        if self.store_only:
+            raise MissingRunError(
+                f"store {self.store.path} holds no {what}; re-run "
+                "`repro study --store` to record them"
+            )
+        value = compute()
+        self.store.put_artifact(key, encode(value))
+        return value
 
     def corpus_domains(self) -> List[str]:
         return self.corpus()[1].corpus
@@ -544,33 +592,22 @@ class Study:
         """
 
         def inspect() -> List[SiteInspection]:
-            from .datastore import MissingRunError, cached_inspections, run_key
+            from .datastore import cached_inspections
             from .datastore.serialize import (
+                INSPECTIONS_KIND,
                 inspections_from_payload,
                 inspections_to_payload,
             )
 
-            vantage = self.vantage_points.point(self.home_country)
-            artifact_key = None
-            if self.store is not None:
-                artifact_key = run_key(self.universe.config, vantage,
-                                       "selenium:inspections")
-                stored = inspections_from_payload(
-                    self.store.get_artifact(artifact_key))
-                if stored is not None:
-                    return stored
-                if self.store_only:
-                    raise MissingRunError(
-                        f"store {self.store.path} holds no inspection pass; "
-                        "re-run `repro study --store` to record it"
-                    )
-            results = cached_inspections(self.universe,
-                                         self.corpus_domains(), vantage,
-                                         self.aggregate_cache)
-            if artifact_key is not None:
-                self.store.put_artifact(artifact_key,
-                                        inspections_to_payload(results))
-            return results
+            return self._artifact(
+                INSPECTIONS_KIND, "inspection results",
+                decode=inspections_from_payload,
+                encode=inspections_to_payload,
+                compute=lambda: cached_inspections(
+                    self.universe, self.corpus_domains(),
+                    self.vantage_points.point(self.home_country),
+                    self.aggregate_cache),
+            )
 
         return self._memo("inspections", inspect)
 
@@ -610,26 +647,19 @@ class Study:
     def _run_rows(self, country: str, kind: str):
         """The run as per-site row groups.
 
-        Outside ``store_only`` this is the crawl memo's log (crawled, or
-        loaded and completed through the store, on first use).  In
-        ``store_only`` mode a log some other analysis already hydrated
-        is sliced; otherwise sites are read back from the store one at a
-        time, so a run nothing hydrates (the regular-web control of
-        ``repro report``) never sits in memory whole.
+        In ``store_only`` mode the run is always read back from the
+        store one site at a time (:class:`~repro.datastore.StoredRows`),
+        so ``repro report`` holds no run in memory whole.  Otherwise it
+        is the crawl memo's log (crawled, or loaded and completed
+        through the store, on first use).
         """
         from .datastore import LogRows
 
-        porn = kind == self._PORN_KIND
-        if not self.store_only:
-            return LogRows(self.porn_log(country) if porn
-                           else self.regular_log())
-        with self._cache_lock:
-            held = self._cache.get(f"porn_log:{country}" if porn
-                                   else "regular_log")
-        if held is not None:
-            return LogRows(held)
-        return self._memo(f"stored_rows:{kind}:{country}",
-                          lambda: self._stored_rows(country, kind))
+        if self.store_only:
+            return self._memo(f"stored_rows:{kind}:{country}",
+                              lambda: self._stored_rows(country, kind))
+        return LogRows(self.porn_log(country) if kind == self._PORN_KIND
+                       else self.regular_log())
 
     def _stored_rows(self, country: str, kind: str):
         from .datastore import MissingRunError, StoredRows
@@ -864,8 +894,10 @@ class Study:
             self.prefetch_crawls(countries)
             observations = {}
             for country in countries:
+                visits = self._partials(country, self._PORN_KIND,
+                                        ("visits",))["visits"]
                 observations[country] = CountryObservation(
-                    log=self.porn_log(country),
+                    blocked=sum(partial["blocked"] for partial in visits),
                     labels=self.porn_labels(country),
                     ats=self.porn_ats(country),
                     malware=self.malware(country),
@@ -949,14 +981,15 @@ class Study:
                 for i in self.inspections()
                 if i.reachable and i.policy.link_found and i.policy.fetched_ok
             }
-            landing_html = {
-                v.site_domain: v.html
-                for v in self.porn_log().successful_visits()
-                if v.html
-            }
+            partials = self._partials(self.home_country, self._PORN_KIND,
+                                      ("owners",))
             return discover_owners(
                 policy_texts=policy_texts,
-                landing_html=landing_html,
+                head_organizations={
+                    site: organization
+                    for partial in partials["owners"]
+                    for site, organization in partial["heads"]
+                },
                 cert_lookup=self._cert_lookup(),
             )
 
@@ -967,7 +1000,12 @@ class Study:
     # ------------------------------------------------------------------
 
     def adblock_comparison(self):
-        """§10 extension: crawl with an EasyList blocker, compare tracking."""
+        """§10 extension: crawl with an EasyList blocker, compare tracking.
+
+        With :meth:`subscription_tracking` and :meth:`cross_border` one
+        of the only readers of the hydrated :meth:`porn_log`; no report
+        section renders them.
+        """
         from .core.extensions.adblock_sim import compare_protection
 
         def build():
@@ -982,7 +1020,11 @@ class Study:
         return self._memo("adblock", build)
 
     def subscription_tracking(self):
-        """§10 extension: tracking by monetization model."""
+        """§10 extension: tracking by monetization model.
+
+        Reads the hydrated :meth:`porn_log` (see
+        :meth:`adblock_comparison`).
+        """
         from .core.extensions.subscriptions import compare_tracking_by_model
 
         return self._memo(
@@ -993,7 +1035,11 @@ class Study:
         )
 
     def cross_border(self):
-        """§10 extension: identifier flows leaving the EU."""
+        """§10 extension: identifier flows leaving the EU.
+
+        Reads the hydrated :meth:`porn_log` (see
+        :meth:`adblock_comparison`).
+        """
         from .core.extensions.crossborder import analyze_cross_border
 
         return self._memo(

@@ -1,10 +1,16 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import re
+import sqlite3
 
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.crawler.openwpm import OpenWPMCrawler
+from repro.crawler.selenium import SeleniumCrawler
+from repro.crawler.vpn import VantagePointManager
+from repro.datastore import CrawlStore, run_key
+from repro.datastore.serialize import SANITIZE_KIND
 
 
 class TestParser:
@@ -84,6 +90,70 @@ class TestCommands:
         out = capsys.readouterr().out
         match = re.search(r"(\d+) spliced", out)
         assert match and int(match.group(1)) > 0
+
+
+class TestStoredArtifacts:
+    """``repro report`` reads the sanitize verdicts and the inspection
+    pass from the store; ``store info -v`` says whether they are there."""
+
+    STUDY = ["study", "--scale", "0.02", "--seed", "3", "--parallelism", "1"]
+
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        db = str(tmp_path_factory.mktemp("artifacts") / "store.db")
+        assert main(self.STUDY + ["--store", db]) == 0
+        return db
+
+    def test_store_info_reports_artifacts(self, stored, capsys):
+        capsys.readouterr()
+        assert main(["store", "info", stored, "-v"]) == 0
+        info = capsys.readouterr().out
+        assert "artifacts (home vantage ES):" in info
+        assert re.search(r"selenium:inspections: \d+ bytes", info)
+        assert re.search(r"sanitize:verdicts: \d+ bytes", info)
+        assert "missing" not in info
+
+    def test_report_without_verdicts_fails_until_study_reruns(
+            self, stored, capsys, monkeypatch):
+        """The upgrade path: a store written before the verdicts were
+        persisted (here, its artifact row deleted) fails ``repro report``
+        with a clear error; ``repro study --store`` re-sanitizes and
+        crawls nothing, and the report renders again."""
+        capsys.readouterr()
+        assert main(self.STUDY + ["--store", stored]) == 0
+        expected = capsys.readouterr().out
+        with CrawlStore(stored) as store:
+            config = store.stored_config()
+            runs = [(run.run_key, run.visits, run.requests)
+                    for run in store.run_manifests()]
+        key = run_key(config, VantagePointManager().home, SANITIZE_KIND)
+        with sqlite3.connect(stored) as conn:
+            conn.execute("DELETE FROM artifacts WHERE artifact_key=?", (key,))
+        conn.close()
+
+        assert main(["store", "info", stored, "-v"]) == 0
+        info = capsys.readouterr().out
+        assert "sanitize:verdicts: missing" in info
+        assert "re-run `repro study --store`" in info
+        assert main(["report", "--store", stored]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "holds no sanitize verdicts" in captured.err
+        assert "re-run `repro study --store`" in captured.err
+
+        def no_crawling(*args, **kwargs):
+            raise AssertionError("the re-run study must not crawl")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(OpenWPMCrawler, "crawl", no_crawling)
+            patch.setattr(SeleniumCrawler, "inspect", no_crawling)
+            assert main(self.STUDY + ["--store", stored]) == 0
+        assert capsys.readouterr().out == expected
+        with CrawlStore(stored) as store:
+            assert [(run.run_key, run.visits, run.requests)
+                    for run in store.run_manifests()] == runs
+        assert main(["report", "--store", stored]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestProcessConventions:

@@ -2,20 +2,16 @@
 
 import pytest
 
-from repro.browser.events import CrawlLog, PageVisit
+from repro.browser.events import PageVisit
 from repro.core.ats import ATSResult
 from repro.core.geodiff import CountryObservation, analyze_geography
 from repro.core.malware import MalwareReport
+from repro.core.mapmerge import map_visits
 from repro.core.partylabel import PartyLabels
 
 
 def observation(country, fqdns, ats=(), malicious_domains=(),
                 malicious_sites=(), blocked=0):
-    log = CrawlLog(country_code=country)
-    for index in range(blocked):
-        log.visits.append(
-            PageVisit(f"blocked-{index}.com", "https://x/", False, status=451)
-        )
     labels = PartyLabels()
     labels.third_party_direct["page.com"] = set(fqdns)
     ats_result = ATSResult(ats_fqdns=set(ats))
@@ -25,7 +21,7 @@ def observation(country, fqdns, ats=(), malicious_domains=(),
             site: set(malicious_domains) for site in malicious_sites
         },
     )
-    return CountryObservation(log=log, labels=labels, ats=ats_result,
+    return CountryObservation(blocked=blocked, labels=labels, ats=ats_result,
                               malware=malware)
 
 
@@ -64,7 +60,7 @@ class TestGeoUnit:
         assert rows["ES"].web_ecosystem_fraction == pytest.approx(1 / 3)
         assert rows["RU"].web_ecosystem_fraction == pytest.approx(1 / 2)
 
-    def test_blocked_counted(self):
+    def test_blocked_sites_reported(self):
         report = self.build()
         rows = {row.country: row for row in report.rows}
         assert rows["RU"].blocked_sites == 2
@@ -79,3 +75,27 @@ class TestGeoUnit:
         report = self.build()
         assert report.malicious_domains_everywhere == {"mal.com"}
         assert report.malicious_sites_everywhere == {"s1.com"}
+
+
+class TestMapVisits:
+    """Table 7's blocked count is part of the per-site ``visits`` partial."""
+
+    def test_blocked_counted(self):
+        visits = [
+            PageVisit("a.com", "https://a.com/", True, status=200),
+            PageVisit("a.com", "https://a.com/x", False, status=451),
+            PageVisit("a.com", "https://a.com/y", False,
+                      failure_reason="FetchError"),
+            # Other failures are not blocking: a server error, a TLS
+            # failure, and a FetchError that still carries a status.
+            PageVisit("a.com", "https://a.com/z", False, status=500),
+            PageVisit("a.com", "https://a.com/t", False,
+                      failure_reason="TLSError"),
+            PageVisit("a.com", "https://a.com/u", False, status=503,
+                      failure_reason="FetchError"),
+            # A page served despite its 451 status is a visit.
+            PageVisit("b.com", "https://b.com/", True, status=451),
+        ]
+        partial = map_visits(visits)
+        assert partial["blocked"] == 2
+        assert partial["visited"] == ("a.com", "b.com")

@@ -8,7 +8,10 @@ from repro.core.business import (
     MODEL_PAID,
     classify_business_models,
 )
+from repro.browser.events import PageVisit
+from repro.core.mapmerge import map_owners
 from repro.core.owners import (
+    discover_owners,
     extract_head_organization,
     extract_policy_company,
     normalize_company,
@@ -54,6 +57,43 @@ class TestCompanyExtraction:
             normalize_company("gamma entertainment")
         assert normalize_company("ExoClick S.L.") == "exoclick"
         assert normalize_company("MindGeek") == "mindgeek"
+
+
+class TestMapOwners:
+    def test_heads_keep_organization_not_markup(self):
+        visits = [
+            PageVisit("a.com", "https://a.com/", True, html=(
+                '<html><head><meta name="copyright" content="MindGeek">'
+                "</head><body>big body</body></html>")),
+            # No </head>: the full document is parsed.
+            PageVisit("b.com", "https://b.com/", True, html=(
+                '<html><head><meta name="generator" '
+                'content="Techpump Network CMS v2.1"><body></body></html>')),
+            # Markup without owner evidence stays, with no organization.
+            PageVisit("c.com", "https://c.com/", True,
+                      html="<html><head><title>c</title></head></html>"),
+            PageVisit("d.com", "https://d.com/", True, html=""),
+            PageVisit("e.com", "https://e.com/", False, status=451,
+                      html="<html><head></head></html>"),
+        ]
+        assert map_owners(visits) == {"heads": (
+            ("a.com", "MindGeek"), ("b.com", "Techpump"), ("c.com", None),
+        )}
+
+    def test_sites_without_evidence_still_get_certificates(self):
+        looked_up = []
+
+        def cert_lookup(site):
+            looked_up.append(site)
+
+        report = discover_owners(
+            policy_texts={},
+            head_organizations={"a.com": "MindGeek", "c.com": None},
+            cert_lookup=cert_lookup,
+        )
+        assert looked_up == ["a.com", "c.com"]
+        assert [(c.company, c.sites) for c in report.clusters] == \
+            [("MindGeek", ["a.com"])]
 
 
 class TestOwnerDiscovery:

@@ -8,6 +8,12 @@ study can take from a universe to the report must land on those bytes:
 * an in-memory study, serial and with crawls fanned out two-wide;
 * ``repro report``'s store-only study over a 2-shard store;
 * the same with the aggregate cache (``repro report --incremental``);
+  both store-only routes run with ``Browser.visit`` and
+  ``CrawlStore.load_log`` made to raise: a report reads stored partials
+  and artifacts and nothing else;
+* a store whose ``sanitize:verdicts`` artifact is damaged, which a
+  store-only study must refuse and a crawl-allowed one must recompute
+  and rewrite;
 * an epoch-1 delta study (``baseline_store`` + ``aggregate_cache``),
   pinned to its own digests.
 
@@ -21,6 +27,8 @@ over the same logs with their site marks dropped.
 import dataclasses
 import hashlib
 import json
+import marshal
+import shutil
 from pathlib import Path
 
 import pytest
@@ -34,8 +42,19 @@ from repro.core import (
     detect_cookie_sync,
     label_parties,
 )
+from repro.browser.browser import Browser
 from repro.core.compliance.banners import analyze_banners
-from repro.datastore import aggregates_path
+from repro.datastore import (
+    CrawlStore,
+    MissingRunError,
+    aggregates_path,
+    run_key,
+)
+from repro.datastore.serialize import (
+    SANITIZE_KIND,
+    SANITIZE_TAG,
+    sanitize_to_payload,
+)
 from repro.net.url import registrable_domain
 from repro.reporting.sections import report_sections
 from repro.webgen.builder import build_universe
@@ -167,16 +186,73 @@ def test_whole_log_analyses_without_site_marks(serial_study):
     _assert_analyses(_whole_log_analyses(serial_study, porn, regular))
 
 
-def test_store_only_report(golden_store):
+def _forbid_browsing_and_hydration(monkeypatch):
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"a store-only report called {name}")
+        return call
+
+    monkeypatch.setattr(Browser, "visit", forbidden("Browser.visit"))
+    monkeypatch.setattr(CrawlStore, "load_log",
+                        forbidden("CrawlStore.load_log"))
+
+
+def test_store_only_report(golden_store, monkeypatch):
+    _forbid_browsing_and_hydration(monkeypatch)
     study = Study(build_universe(_config(), lazy=True), store=golden_store,
                   store_only=True)
     _assert_golden(study, GOLDEN["epoch0"])
 
 
-def test_aggregate_cache_report(golden_store):
+def test_aggregate_cache_report(golden_store, monkeypatch):
+    _forbid_browsing_and_hydration(monkeypatch)
     study = Study(build_universe(_config(), lazy=True), store=golden_store,
                   store_only=True, aggregate_cache=True)
     _assert_golden(study, GOLDEN["epoch0"])
+
+
+def _verdicts_key(study):
+    return run_key(study.universe.config,
+                   study.vantage_points.point(study.home_country),
+                   SANITIZE_KIND)
+
+
+def _damaged_verdicts(fault, payload):
+    """The golden store's verdict artifact, broken as ``fault`` says."""
+    if fault == "truncated":
+        return payload[:len(payload) // 2]
+    if fault == "wrong_tag":
+        return b"I" + payload[1:]
+    if fault == "hash_mismatch":
+        _digest, buckets = marshal.loads(payload[1:])
+        return SANITIZE_TAG + marshal.dumps(("0" * 64, buckets), 4)
+    # The verdicts another universe config's study wrote.
+    other = Study(build_universe(UniverseConfig(seed=GOLDEN["seed"] + 1,
+                                                scale=0.02), lazy=True))
+    candidates, sanitized = other.corpus()
+    return sanitize_to_payload(candidates.domains, sanitized)
+
+
+@pytest.mark.parametrize("fault", ["truncated", "wrong_tag", "hash_mismatch",
+                                   "other_config"])
+def test_damaged_sanitize_verdicts(fault, golden_store, tmp_path):
+    """A bad verdict artifact is never used: a store-only study raises
+    with the re-run hint, and a crawl-allowed one re-sanitizes, rewrites
+    the artifact and lands on the golden digests."""
+    path = str(tmp_path / "store")
+    shutil.copytree(golden_store, path)
+    study = Study(build_universe(_config(), lazy=True), store=path)
+    key = _verdicts_key(study)
+    pristine = study.store.get_artifact(key)
+    study.store.put_artifact(key, _damaged_verdicts(fault, pristine))
+
+    reader = Study(study.universe, store=study.store, store_only=True)
+    with pytest.raises(MissingRunError, match="repro study --store"):
+        reader.corpus()
+
+    _assert_golden(study, GOLDEN["epoch0"])
+    with CrawlStore(path) as store:
+        assert store.get_artifact(key) == pristine
 
 
 def test_epoch1_delta_study(golden_store):
