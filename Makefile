@@ -72,21 +72,25 @@ parallel-check:
 		| grep "similarity engine:"
 
 ## Store replay check (used by CI): run a scale-0.02 study into a fresh
-## datastore, re-render everything from the store alone, and require the
-## two outputs to be byte-identical.
+## datastore (one shard, the default), re-render everything from the
+## store alone, and require the two outputs to be byte-identical; then
+## run the same study into a fresh 3-shard store and require its study
+## and report output to match too.  (Migrating a legacy single-file store
+## is covered by tests/test_sharded_store.py::TestLegacyUpgrade.)
 store-check:
-	rm -rf /tmp/repro-store-check.db /tmp/repro-store-check-sharded
+	rm -rf /tmp/repro-store-check /tmp/repro-store-check-sharded
 	$(PYTHON) -m repro study --scale 0.02 \
-		--store /tmp/repro-store-check.db > /tmp/repro-study.out
+		--store /tmp/repro-store-check > /tmp/repro-study.out
 	$(PYTHON) -m repro report \
-		--store /tmp/repro-store-check.db > /tmp/repro-report.out
+		--store /tmp/repro-store-check > /tmp/repro-report.out
 	diff /tmp/repro-study.out /tmp/repro-report.out
-	$(PYTHON) -m repro store reshard /tmp/repro-store-check.db \
-		/tmp/repro-store-check-sharded --shards 3
+	$(PYTHON) -m repro study --scale 0.02 --store-shards 3 \
+		--store /tmp/repro-store-check-sharded > /tmp/repro-study-sharded.out
+	diff /tmp/repro-study.out /tmp/repro-study-sharded.out
 	$(PYTHON) -m repro report \
 		--store /tmp/repro-store-check-sharded > /tmp/repro-sharded.out
 	diff /tmp/repro-study.out /tmp/repro-sharded.out
-	$(PYTHON) -m repro store info /tmp/repro-store-check.db --verbose
+	$(PYTHON) -m repro store info /tmp/repro-store-check --verbose
 	$(PYTHON) -m repro store info /tmp/repro-store-check-sharded --shards
 
 ## Measurement-service gate (used by CI): boot `repro serve` on an

@@ -76,7 +76,7 @@ def _render_sections(store_path: str) -> dict:
 
     store = CrawlStore(store_path)
     config = store.stored_config()
-    study = Study(build_universe(config, lazy=True), store=store,
+    study = Study(build_universe(config), store=store,
                   store_only=True)
     return {name: render_section(study, config.scale, name)
             for name in SECTIONS}

@@ -85,7 +85,7 @@ def _render_sections(store_path: str, *, incremental: bool) -> dict:
 
     store = CrawlStore(store_path)
     config = store.stored_config()
-    study = Study(build_universe(config, lazy=True), store=store,
+    study = Study(build_universe(config), store=store,
                   store_only=True, aggregate_cache=incremental or None)
     sections = {name: render_section(study, config.scale, name)
                 for name in SECTIONS}
@@ -109,7 +109,7 @@ def _check_inspections(store_dir: str):
     base_path = os.path.join(store_dir, "epoch0")
     for path in (base_path, base_path + "-e1"):
         config = CrawlStore(path).stored_config()
-        study = Study(build_universe(config, lazy=True), store=path,
+        study = Study(build_universe(config), store=path,
                       aggregate_cache=True)
         domains = study.corpus_domains()  # sanitize's lookups go first
         misses = study.aggregate_cache.stats.misses

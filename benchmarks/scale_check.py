@@ -1,14 +1,14 @@
 """``make scale-check``: memory flatness + parity gate for the streaming path.
 
-Runs the streaming memory probe (lazy universe, sharded store, trim-mode
-crawl, cursor-fed analyses — see ``test_perf_pipeline.run_memory_probe``)
+Runs the streaming memory probe (sharded store, trim-mode crawl,
+cursor-fed analyses — see ``test_perf_pipeline.run_memory_probe``)
 at two scales in fresh subprocesses and FAILS if either:
 
 * the **crawl-path peak RSS ratio** between the scales exceeds the
   threshold (default 1.3, i.e. doubling the corpus must not come close
   to doubling resident memory through the crawl datapath), or
 * the streaming run's Tables 2/4/6 at the smaller scale are not
-  byte-identical to an eager-universe, unsharded, in-memory reference.
+  byte-identical to an unsharded, in-memory reference.
 
 The enforced RSS sample is the ``ru_maxrss`` high-water taken right
 after the crawl stage: it covers the universe, the corpus build, and the

@@ -63,11 +63,11 @@ under ``analysis_timings``.
 Schema v4 adds the memory axis.  Every run carries ``stage_rss_mb`` —
 the process RSS high-water mark sampled after each pipeline stage, so a
 stage that balloons memory is attributable — and the document gains a
-``memory_scaling`` block: the *streaming* configuration (lazy universe,
-sharded store, trim-mode crawl, cursor-fed analyses) run at increasing
+``memory_scaling`` block: the *streaming* configuration (sharded store,
+trim-mode crawl, cursor-fed analyses) run at increasing
 scales in fresh subprocesses, recording peak RSS per scale and the
 RSS ratio across them.  The streaming run's Tables 2/4/6 are hashed and
-compared against an eager-universe, in-memory reference at the smallest
+compared against an in-memory, hydrated-log reference at the smallest
 scale, so the block also certifies that the bounded-memory path is
 byte-identical, not merely cheap.  Probe scales come from
 ``REPRO_PERF_MEM_SCALES`` (comma-separated, default ``0.05,0.1``).
@@ -537,14 +537,14 @@ def _record_corpus(store, universe) -> list:
 
 def run_memory_probe(scale: float, *, shards: int = MEM_PROBE_SHARDS,
                      store_dir=None) -> dict:
-    """The bounded-memory pipeline at one scale: lazy + sharded + cursors.
+    """The bounded-memory pipeline at one scale: sharded + cursors.
 
-    Universe specs are minted lazily from packed rows, the crawl runs in
+    Universe specs are minted from packed rows on access, the crawl runs in
     trim mode (each site's events dropped once checkpointed to its
     shard), and the Table 2/4/6 analyses consume datastore cursors in a
     store-only study — the configuration whose RSS must stay flat as
     scale grows.  Returns peak RSS, per-stage RSS, and the table digest
-    for parity checks against the eager in-memory reference.
+    for parity checks against the in-memory reference.
     """
     import tempfile
 
@@ -557,7 +557,7 @@ def run_memory_probe(scale: float, *, shards: int = MEM_PROBE_SHARDS,
     stage_rss: dict = {}
 
     start = clock()
-    universe = build_universe(UniverseConfig(scale=scale), lazy=True,
+    universe = build_universe(UniverseConfig(scale=scale),
                               fetch_cache_size=MEM_PROBE_FETCH_CACHE)
     stages["universe_build"] = clock() - start
     stage_rss["universe_build"] = _peak_rss_mb()
@@ -598,7 +598,7 @@ def run_memory_probe(scale: float, *, shards: int = MEM_PROBE_SHARDS,
 
 
 def run_reference_probe(scale: float) -> dict:
-    """The parity reference: eager universe, in-memory hydrated study."""
+    """The parity reference: an in-memory study over hydrated logs."""
     from repro import Study, UniverseConfig
     from repro.webgen.builder import build_universe
 
@@ -669,7 +669,7 @@ def run_delta_probe(scale: float, *, churn: float = DELTA_PROBE_CHURN,
                      keep_html=False, hydrate=False, baseline=baseline)
 
     base_config = UniverseConfig(scale=scale, churn=churn)
-    base_universe = build_universe(base_config, lazy=True)
+    base_universe = build_universe(base_config)
     base_study = Study(base_universe, parallelism=1)
     domains = base_study.corpus_domains()
     regular = base_universe.reference_regular_corpus()
@@ -682,14 +682,14 @@ def run_delta_probe(scale: float, *, churn: float = DELTA_PROBE_CHURN,
 
     evolved_config = UniverseConfig(scale=scale, churn=churn, epoch=1)
 
-    delta_universe = build_universe(evolved_config, lazy=True)
+    delta_universe = build_universe(evolved_config)
     delta_store = CrawlStore(os.path.join(store_dir, "epoch1-delta"))
     start = clock()
     crawl_both(delta_store, delta_universe, domains, regular, vantage,
                baseline=base_store)
     delta_seconds = clock() - start
 
-    full_universe = build_universe(evolved_config, lazy=True)
+    full_universe = build_universe(evolved_config)
     full_store = CrawlStore(os.path.join(store_dir, "epoch1-full"))
     start = clock()
     crawl_both(full_store, full_universe, domains, regular, vantage)
@@ -776,7 +776,7 @@ def run_incremental_probe(scale: float, *, churn: float = DELTA_PROBE_CHURN,
                 for name in INCREMENTAL_SECTIONS}
 
     base_config = UniverseConfig(scale=scale, churn=churn)
-    base_universe = build_universe(base_config, lazy=True)
+    base_universe = build_universe(base_config)
     base_study = Study(base_universe, parallelism=1)
     domains = base_study.corpus_domains()
     regular = base_universe.reference_regular_corpus()
@@ -800,7 +800,7 @@ def run_incremental_probe(scale: float, *, churn: float = DELTA_PROBE_CHURN,
         gc.collect()
         gc.freeze()
 
-    warm_study = Study(build_universe(base_config, lazy=True),
+    warm_study = Study(build_universe(base_config),
                       store=base_store, store_only=True,
                       aggregate_cache=True)
     settle_heap()
@@ -814,7 +814,7 @@ def run_incremental_probe(scale: float, *, churn: float = DELTA_PROBE_CHURN,
     evolved_config = UniverseConfig(scale=scale, churn=churn, epoch=1)
     epoch_path = base_path + "-e1"
     epoch_store = CrawlStore(epoch_path)
-    evolved_universe = build_universe(evolved_config, lazy=True)
+    evolved_universe = build_universe(evolved_config)
     crawl_both(epoch_store, evolved_universe, domains, regular, vantage,
                baseline=base_store)
     _record_corpus(epoch_store, evolved_universe)
@@ -845,7 +845,7 @@ def run_incremental_probe(scale: float, *, churn: float = DELTA_PROBE_CHURN,
             )
 
     high_water = _cache_high_water()
-    incremental_study = Study(build_universe(evolved_config, lazy=True),
+    incremental_study = Study(build_universe(evolved_config),
                               store=epoch_store, store_only=True,
                               aggregate_cache=True)
     settle_heap()
@@ -856,7 +856,7 @@ def run_incremental_probe(scale: float, *, churn: float = DELTA_PROBE_CHURN,
 
     incremental_study.aggregate_cache.close()
     _cache_rollback(high_water)
-    repeat_study = Study(build_universe(evolved_config, lazy=True),
+    repeat_study = Study(build_universe(evolved_config),
                          store=epoch_store, store_only=True,
                          aggregate_cache=True)
     settle_heap()
@@ -868,7 +868,7 @@ def run_incremental_probe(scale: float, *, churn: float = DELTA_PROBE_CHURN,
 
     full_seconds = None
     for _ in range(2):
-        full_study = Study(build_universe(evolved_config, lazy=True),
+        full_study = Study(build_universe(evolved_config),
                            store=epoch_store, store_only=True)
         settle_heap()
         start = clock()
@@ -1025,7 +1025,7 @@ def run_memory_scaling(scales=None) -> dict:
     largest and smallest scale (the flatness headline — the streaming
     path should grow far slower than the ~linear in-memory pipeline)
     and, at the smallest scale, whether the streaming tables are
-    byte-identical to the eager in-memory reference.
+    byte-identical to the in-memory reference.
     """
     scales = tuple(sorted(scales or _memory_scales()))
     probes = [
@@ -1229,10 +1229,10 @@ def main() -> None:
                         help="orchestrator mode: comma-separated settings")
     parser.add_argument("--memory-probe", action="store_true",
                         help="child mode: run the streaming memory probe "
-                             "(lazy universe, sharded store, cursor "
+                             "(sharded store, trim-mode crawl, cursor "
                              "analyses) at --scale")
     parser.add_argument("--reference-probe", action="store_true",
-                        help="child mode: eager in-memory reference for "
+                        help="child mode: in-memory reference for "
                              "table parity at --scale")
     parser.add_argument("--service-probe", action="store_true",
                         help="child mode: boot the measurement service, "

@@ -9,14 +9,16 @@ Commands
 ``trend``         — longitudinal report across per-epoch stores: tracker
                     prevalence, HTTPS adoption, and organization churn.
 ``store info``    — print a store's run manifests (timings, counts, caches).
-``store reshard`` — convert a single-file store into an N-shard directory.
+``store reshard`` — convert a legacy single-file store into a store
+                    directory (one-time migration).
 ``serve``         — run the measurement service: a job queue, SSE progress
                     streams, and result endpoints over one shared store.
 
 Every crawling command accepts ``--scale`` (corpus size as a fraction of
 the paper's 6,843 sites), ``--seed``, and ``--store PATH`` (persist
-crawls to a SQLite datastore; an interrupted run resumes at per-site
-granularity; add ``--store-shards N`` to create a sharded store).
+crawls to a datastore directory of SQLite shard files, created with one
+shard unless ``--store-shards N`` asks for more; an interrupted run
+resumes at per-site granularity).
 ``report`` and ``store info`` read scale and seed from the store itself.
 
 Longitudinal runs add ``--epoch N`` (evolve the universe N epochs past
@@ -26,10 +28,9 @@ crawl: splice event slices for provably-unchanged sites out of a prior
 epoch's store instead of re-rendering them — byte-identical to a full
 crawl by construction, and several times faster at low churn).
 
-The CLI builds its universes in *lazy* mode: site specs are minted on
-first fetch from compact packed rows (bit-identical to eager
-construction, which the test suite keeps as the parity reference), so
-memory stays proportional to the sites actually visited.
+Universes keep their site specs as compact packed rows minted on first
+fetch (``tests/golden/universe.json`` pins what they serve), so memory
+stays proportional to the sites actually visited.
 """
 
 from __future__ import annotations
@@ -59,11 +60,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_store(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--store", metavar="PATH", default=None,
-                        help="persist crawls to this SQLite datastore "
-                             "(resumable; re-runs skip stored sites)")
+                        help="persist crawls to this datastore directory "
+                             "(created if missing; resumable; re-runs "
+                             "skip stored sites)")
     parser.add_argument("--store-shards", metavar="N", type=int, default=None,
-                        help="create the store as N shard files keyed by "
-                             "site domain (checkpoints touch one shard)")
+                        help="create a new store with N shard files keyed "
+                             "by site domain (default 1; checkpoints touch "
+                             "one shard)")
     parser.add_argument("--since", metavar="PATH", default=None,
                         help="delta crawl against this prior-epoch store: "
                              "sites whose content is provably unchanged "
@@ -83,18 +86,31 @@ def _config(args: argparse.Namespace) -> UniverseConfig:
                           churn=getattr(args, "churn", 0.1))
 
 
+def _open_store(path: str, shards=None):
+    """Open (or create) a crawl store; a path that is not one — such as
+    a legacy single-file store — exits 1 with the reason."""
+    from .datastore import CrawlStore
+
+    try:
+        return CrawlStore(path, shards=shards)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
 def _build_study(args: argparse.Namespace) -> Study:
     from .webgen.builder import build_universe
 
     config = _config(args)
+    store = getattr(args, "store", None)
+    since = getattr(args, "since", None)
     incremental = bool(getattr(args, "incremental", False))
-    if incremental and getattr(args, "store", None) is None:
+    if incremental and store is None:
         raise SystemExit("error: --incremental requires --store "
                          "(the partial cache lives next to the store)")
-    return Study(build_universe(config, lazy=True),
-                 store=getattr(args, "store", None),
-                 store_shards=getattr(args, "store_shards", None),
-                 baseline_store=getattr(args, "since", None),
+    return Study(build_universe(config),
+                 store=store and _open_store(
+                     store, getattr(args, "store_shards", None)),
+                 baseline_store=since and _open_store(since),
                  aggregate_cache=incremental or None,
                  parallelism=getattr(args, "parallelism", None))
 
@@ -221,10 +237,10 @@ def cmd_study(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from .datastore import CrawlStore, MissingRunError
+    from .datastore import MissingRunError
     from .webgen.builder import build_universe
 
-    store = CrawlStore(args.store)
+    store = _open_store(args.store)
     config = store.stored_config()
     if config is None:
         print(f"error: {args.store} holds no runs; populate it with "
@@ -233,7 +249,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     # The synthetic universe is rebuilt (cheap, deterministic) for the
     # analyses' lookup tables; crawl data streams from the store and no
     # browser session is ever started.
-    study = Study(build_universe(config, lazy=True), store=store,
+    study = Study(build_universe(config), store=store,
                   store_only=True,
                   aggregate_cache=args.incremental or None)
     try:
@@ -245,12 +261,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
-    from .datastore import (
-        AggregateStore,
-        CrawlStore,
-        MissingRunError,
-        aggregates_path,
-    )
+    from .datastore import AggregateStore, MissingRunError, aggregates_path
     from .reporting import trend_report
     from .webgen.builder import build_universe
 
@@ -263,7 +274,7 @@ def cmd_trend(args: argparse.Namespace) -> int:
     studies = []
     stores = []
     for path in args.stores:
-        store = CrawlStore(path)
+        store = _open_store(path)
         config = store.stored_config()
         if config is None:
             print(f"error: {path} holds no runs; populate it with "
@@ -272,7 +283,7 @@ def cmd_trend(args: argparse.Namespace) -> int:
         stores.append((path, config.epoch, store))
         studies.append(
             (config.epoch,
-             Study(build_universe(config, lazy=True), store=store,
+             Study(build_universe(config), store=store,
                    store_only=True, aggregate_cache=cache))
         )
     epochs = [epoch for epoch, _ in studies]
@@ -309,13 +320,12 @@ def _format_timestamp(stamp) -> str:
 
 
 def cmd_store_info(args: argparse.Namespace) -> int:
-    from .datastore import CrawlStore
-
-    store = CrawlStore(args.path)
+    store = _open_store(args.path)
     config = store.stored_config()
     manifests = store.run_manifests()
-    layout = f"{store.shard_count} shards" if store.sharded else "single file"
-    print(f"store: {args.path} (schema v{store.schema_version()}, {layout})")
+    count = store.shard_count
+    print(f"store: {args.path} (schema v{store.schema_version()}, "
+          f"{count} shard{'s' if count != 1 else ''})")
     if config is not None:
         print(f"universe: seed={config.seed} scale={config.scale}")
     print(f"runs: {len(manifests)}")
@@ -327,9 +337,7 @@ def cmd_store_info(args: argparse.Namespace) -> int:
     for run in manifests:
         status = "complete" if run.complete else \
             f"partial {run.completed_sites}/{run.total_sites}"
-        label = run.run_id if isinstance(run.run_id, int) \
-            else run.run_key[:12]
-        print(f"\n[{label}] {run.kind} from {run.country_code} "
+        print(f"\n[{run.run_key[:12]}] {run.kind} from {run.country_code} "
               f"({run.client_ip}) — {status}")
         print(f"    sites: {run.completed_sites}/{run.total_sites}  "
               f"visits: {run.visits}  requests: {run.requests}  "
@@ -422,10 +430,14 @@ def cmd_store_reshard(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from .service import ReproServer
 
-    server = ReproServer(
-        args.store, port=args.port, host=args.host, workers=args.workers,
-        store_shards=args.store_shards, verbose=args.verbose,
-    )
+    try:
+        server = ReproServer(
+            args.store, port=args.port, host=args.host,
+            workers=args.workers, store_shards=args.store_shards,
+            verbose=args.verbose,
+        )
+    except ValueError as exc:  # not a store this version opens
+        raise SystemExit(f"error: {exc}")
     # Flushed before blocking so wrapper scripts can scrape the bound
     # port (--port 0 binds an ephemeral one).
     print(f"serving on {server.url} (store {args.store}, "
@@ -540,12 +552,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="list per-shard file sizes and row counts")
     info.set_defaults(func=cmd_store_info)
     reshard = store_sub.add_parser(
-        "reshard", help="convert a single-file store to an N-shard directory"
+        "reshard", help="convert a legacy single-file store into a store "
+                        "directory (one-time migration)"
     )
     reshard.add_argument("src", help="existing single-file (v1) store")
-    reshard.add_argument("dst", help="directory to create for the shards")
+    reshard.add_argument("dst", help="store directory to create")
     reshard.add_argument("--shards", type=int, required=True,
-                         help="number of shard files (>= 2)")
+                         help="number of shard files (>= 1)")
     reshard.set_defaults(func=cmd_store_reshard)
 
     serve = subparsers.add_parser(
@@ -561,7 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="measurement worker threads draining the "
                             "job queue")
     serve.add_argument("--store-shards", metavar="N", type=int, default=None,
-                       help="create the store as N shard files")
+                       help="create a new store with N shard files "
+                            "(default 1)")
     serve.add_argument("--verbose", "-v", action="store_true",
                        help="log every HTTP request to stderr")
     serve.set_defaults(func=cmd_serve)

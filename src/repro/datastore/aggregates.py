@@ -96,18 +96,14 @@ def _decode(payload: bytes) -> object:
 
 
 def aggregates_path(store_path: str) -> str:
-    """Where a store's aggregate cache lives.
-
-    Mirrors :func:`repro.service.jobs.journal_path`: a sharded (v2)
-    directory store keeps ``aggregates.sqlite`` inside the directory; a
-    v1 single-file store gets a ``<path>.aggregates`` sibling.  An
+    """Where a store's aggregate cache lives: ``aggregates.sqlite``
+    inside the store directory, beside the shard files (as
+    :func:`repro.service.jobs.journal_path` keeps the job journal).  An
     ``-eN`` epoch suffix is stripped first so every epoch sibling of a
     longitudinal series resolves to the *base* store's cache file.
     """
-    path = _EPOCH_SUFFIX.sub("", str(store_path))
-    if os.path.isdir(path):
-        return os.path.join(path, AGGREGATES_FILE)
-    return path + ".aggregates"
+    return os.path.join(_EPOCH_SUFFIX.sub("", str(store_path)),
+                        AGGREGATES_FILE)
 
 
 @dataclass

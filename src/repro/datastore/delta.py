@@ -54,7 +54,7 @@ from .serialize import (
     request_from_row,
     visit_from_row,
 )
-from .store import CrawlStore, RunId, RunState
+from .store import CrawlStore, RunRef, RunState
 
 __all__ = ["DeltaSource", "SiteSlice", "delta_crawl"]
 
@@ -89,7 +89,7 @@ class SiteSlice:
         return self.requests + self.cookies
 
 
-def _slice_index(store: CrawlStore, run: RunId) -> Dict[str, SiteSlice]:
+def _slice_index(store: CrawlStore, run: RunRef) -> Dict[str, SiteSlice]:
     """Prefix-sum the baseline run's per-site counts into slices.
 
     Completion is always a position prefix (crawls visit in order and
@@ -155,7 +155,7 @@ class DeltaSource:
                 from ..webgen.builder import build_universe
                 from ..webgen.evolve import ContentHashIndex
                 self._index = ContentHashIndex(
-                    build_universe(self.config, lazy=True)
+                    build_universe(self.config)
                 )
             return self._index
 
@@ -191,7 +191,7 @@ def _slice_bounds(slice_: SiteSlice) -> Dict[str, Tuple[int, int, int]]:
     }
 
 
-def _load_slice(baseline: CrawlStore, run: RunId, slice_: SiteSlice,
+def _load_slice(baseline: CrawlStore, run: RunRef, slice_: SiteSlice,
                 ) -> Optional[Dict[str, List[tuple]]]:
     """One site's raw rows from the baseline, or ``None`` on mismatch.
 
@@ -208,7 +208,7 @@ def _load_slice(baseline: CrawlStore, run: RunId, slice_: SiteSlice,
     return rows
 
 
-def _load_group(baseline: CrawlStore, run: RunId, group: List[SiteSlice],
+def _load_group(baseline: CrawlStore, run: RunRef, group: List[SiteSlice],
                 ) -> Optional[List[Dict[str, List[tuple]]]]:
     """Raw rows for a *contiguous* group of slices, one scan per table.
 

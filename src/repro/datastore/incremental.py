@@ -67,7 +67,7 @@ from .serialize import (
     vantage_to_json,
     visit_from_row,
 )
-from .store import CrawlStore, RunId
+from .store import CrawlStore, RunRef
 
 __all__ = ["IncrementalRunAnalyzer", "LogRows", "PORN_ANALYSES",
            "REGULAR_ANALYSES", "StoredRows", "cached_inspections",
@@ -136,7 +136,7 @@ class StoredRows:
     bounded by one site: :meth:`site_rows` is one range scan per table
     in the site's shard."""
 
-    def __init__(self, store: CrawlStore, run: RunId) -> None:
+    def __init__(self, store: CrawlStore, run: RunRef) -> None:
         self.client_ip = store._run_header(run)[1]
         self._store = store
         self._run = run

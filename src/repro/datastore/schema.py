@@ -156,11 +156,11 @@ def _verify_version(connection: sqlite3.Connection) -> None:
 
 
 def ensure_schema(connection: sqlite3.Connection) -> None:
-    """Create the schema on a fresh store, or verify a stored version.
+    """Create the schema on a fresh store file, or verify a stored version.
 
     Creation is one ``BEGIN IMMEDIATE`` transaction with a re-check
-    inside, because concurrent workers race to open a fresh store: a
-    second opener must never observe the tables without the version row
+    inside, so two connections to one fresh file cannot both create it
+    and neither observes the tables without the version row
     (``executescript`` would expose exactly that window).
     """
     row = connection.execute(
@@ -197,7 +197,7 @@ def ensure_schema(connection: sqlite3.Connection) -> None:
 
 
 def stamp_shard(connection: sqlite3.Connection, index: int, count: int) -> None:
-    """Mark a store file as shard ``index`` of a ``count``-way v2 store.
+    """Mark a store file as shard ``index`` of a ``count``-way store.
 
     Shard files are self-describing: each carries its position so a
     half-copied directory or a renamed file is detected at open time
@@ -211,7 +211,8 @@ def stamp_shard(connection: sqlite3.Connection, index: int, count: int) -> None:
 
 
 def shard_stamp(connection: sqlite3.Connection):
-    """The ``(index, count)`` stamp of a shard file, or ``None`` for v1."""
+    """The ``(index, count)`` stamp of a shard file, or ``None`` for an
+    unstamped (single-file, v1) store."""
     rows = dict(connection.execute(
         "SELECT key, value FROM meta"
         " WHERE key IN ('shard_index', 'shard_count')"

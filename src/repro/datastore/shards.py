@@ -1,11 +1,13 @@
-"""v1 → v2 store migration: ``repro store reshard``.
+"""Single-file store migration: ``repro store reshard``.
 
-:func:`reshard_store` converts a single-file (v1) crawl store into an
-N-shard directory (v2) that :class:`~repro.datastore.store.CrawlStore`
-opens transparently.  The conversion preserves every event row *and its
-global position*, so cursors over the resharded store yield the exact
-row sequence of the source — ``tests/test_sharded_store.py`` asserts
-byte-identical study tables across the migration.
+Older versions wrote a crawl store as one SQLite file (the v1 layout),
+which :class:`~repro.datastore.store.CrawlStore` no longer opens.
+:func:`reshard_store` converts such a file, once, into the N-shard
+directory every store now is (``N = 1`` keeps one shard).  The
+conversion preserves every event row *and its global position*, so
+cursors over the resharded store yield the exact row sequence of the
+source — ``tests/test_sharded_store.py`` asserts byte-identical reports
+across the migration.
 
 Routing matches the live write path (``sha256(site_domain) % N`` of the
 *visited* site):
@@ -51,13 +53,13 @@ def _batched(cursor) -> Iterator[tuple]:
 
 
 def reshard_store(src_path: str, dst_path: str, *, shards: int) -> List[str]:
-    """Convert the v1 store at ``src_path`` into a v2 directory.
+    """Convert the v1 store at ``src_path`` into an N-shard directory.
 
     Returns the created shard file paths.  The source is opened
     read-only and left untouched; the destination must not exist.
     """
-    if shards < 2:
-        raise ValueError("a v2 store needs at least 2 shards")
+    if shards < 1:
+        raise ValueError("a store needs at least 1 shard")
     if not os.path.isfile(src_path):
         raise ValueError(f"{src_path} is not a v1 single-file store")
     if os.path.exists(dst_path):

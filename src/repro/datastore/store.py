@@ -7,21 +7,28 @@ flips its completion flag in a single transaction.  A killed crawl
 therefore loses at most the site it was on, and :func:`stored_crawl`
 resumes it at per-site granularity.
 
-Store layouts
--------------
+Store layout
+------------
 
-*v1* is one SQLite file in WAL mode — the original layout, still the
-default.  *v2* is a directory of ``shard-NNNN.sqlite`` files, each with
-the identical v1 schema, where a site-visit's rows live in the shard
+A store is a directory of ``shard-NNNN.sqlite`` files (one by default,
+``shards=N`` at creation for more), each a SQLite database in WAL mode
+with the same schema, where a site-visit's rows live in the shard
 ``sha256(site_domain) % N`` of the *visited* site (all of a visit's
 requests/cookies/JS calls route with the visit, so one checkpoint is
 still one transaction in one file, and shard-local WAL writers never
-contend).  Every shard carries a copy of the run manifest row for each
-run (with ``run_sites`` restricted to its own domains, at their *global*
-positions); ``find_run``/``run_manifests`` fan results back in, and
-readers merge shards by global position, so both layouts present the
-same facade.  ``repro store reshard`` converts v1 files to v2
-directories (see :mod:`repro.datastore.shards`).
+contend).  Every shard file is stamped with its ``(index, count)`` and
+carries a copy of the run manifest row for each run (with ``run_sites``
+restricted to its own domains, at their *global* positions);
+``find_run``/``run_manifests`` fan results back in, and readers merge
+shards by global position.  Runs are addressed by :class:`RunRef`.
+
+A fresh store is built in a temporary sibling directory — every shard
+file already in WAL mode, schema'd and stamped — and renamed into place
+in one step, so concurrent openers of a fresh path never see a
+half-built store: the loser of the rename opens the winner's directory.
+The older single-file (v1) layout is refused at open;
+``repro store reshard OLD NEW --shards N`` converts it once (see
+:mod:`repro.datastore.shards`).
 
 Why resume is bit-identical
 ---------------------------
@@ -67,14 +74,14 @@ import hashlib
 import heapq
 import json
 import os
+import shutil
 import sqlite3
+import tempfile
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (
-    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
-)
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..browser.events import CrawlLog
 from ..net.geo import VantagePoint
@@ -137,23 +144,21 @@ class MissingRunError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunRef:
-    """Layout-independent run identity (v2 stores have no global rowid)."""
+    """Which run: its key and domain list hash, the same in every shard.
+
+    ``RunState.run_id`` and ``RunManifest.run_id`` are the value to pass
+    back into the read and write APIs.
+    """
 
     run_key: str
     domains_hash: str
-
-
-#: What the read/write APIs accept as "which run": the v1 integer rowid
-#: or a :class:`RunRef`.  ``RunState.run_id`` is always the right value
-#: to pass back in.
-RunId = Union[int, RunRef]
 
 
 @dataclass(frozen=True)
 class RunState:
     """Where one run stands: which sites are already on disk."""
 
-    run_id: RunId
+    run_id: RunRef
     domains: Tuple[str, ...]
     completed: Tuple[str, ...]
     seq: int
@@ -171,14 +176,12 @@ class RunState:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """One manifest row for ``repro store info``.
+    """One manifest row for ``repro store info``, fanned in across shards.
 
-    ``run_id`` is the layout-appropriate :data:`RunId` — the SQLite
-    rowid on a v1 file, a :class:`RunRef` on a shard directory — so a
-    manifest can always be passed back into ``load_log`` / ``iter_*``.
+    ``run_id`` can be passed back into ``load_log`` / ``iter_*``.
     """
 
-    run_id: "RunId"
+    run_id: RunRef
     run_key: str
     kind: str
     country_code: str
@@ -214,11 +217,51 @@ class ShardInfo:
     visits: int
 
 
+def _create_store(path: str, shards: int, timeout: float) -> None:
+    """Build a ``shards``-way store at the fresh ``path``, atomically.
+
+    The shard files are written, switched to WAL, schema'd and stamped
+    in a temporary sibling directory, which is then renamed onto
+    ``path``.  Losing that rename to a concurrent creator is not an
+    error: the caller opens the winner's store.
+    """
+    if shards < 1:
+        raise ValueError(f"a store needs at least 1 shard, not {shards}")
+    parent, name = os.path.split(os.path.abspath(path))
+    os.makedirs(parent, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=f".{name}.", suffix=".creating",
+                               dir=parent)
+    try:
+        for index in range(shards):
+            connection = sqlite3.connect(
+                os.path.join(staging, SHARD_FILE_FORMAT.format(index=index)),
+                timeout=timeout, isolation_level=None,
+            )
+            try:
+                connection.execute("PRAGMA journal_mode=WAL")
+                ensure_schema(connection)
+                stamp_shard(connection, index, shards)
+            finally:
+                connection.close()
+        try:
+            os.rename(staging, path)
+        except OSError:
+            if not os.path.exists(path):
+                raise
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 class CrawlStore:
-    """One crawl datastore: a v1 SQLite file or a v2 shard directory."""
+    """One crawl datastore: a directory of stamped SQLite shard files."""
 
     def __init__(self, path: str, *, timeout: float = 30.0,
                  shards: Optional[int] = None) -> None:
+        """Open the store at ``path``, creating it when absent.
+
+        ``shards`` is the shard count of a store created here (default
+        1); on an existing store it must match, or be ``None``.
+        """
         self.path = str(path)
         self._timeout = timeout
         self._lock = threading.RLock()
@@ -234,53 +277,34 @@ class CrawlStore:
         #: Runs are never deleted and a run row, once inserted, keeps its
         #: id, so a complete resolution cannot go stale.
         self._resolved: Dict[RunRef, List[Tuple[int, int]]] = {}
-        creating = False
 
-        if os.path.isdir(self.path):
-            existing = sorted(
-                name for name in os.listdir(self.path)
-                if name.startswith("shard-") and name.endswith(".sqlite")
+        if not os.path.exists(self.path):
+            _create_store(self.path, 1 if shards is None else shards,
+                          timeout)
+        if not os.path.isdir(self.path):
+            raise ValueError(
+                f"{self.path} is a file, not a store directory; a "
+                "single-file (v1) store is no longer read: convert it once "
+                f"with 'repro store reshard {self.path} NEW_DIR --shards 1'"
             )
-            if not existing:
-                raise ValueError(f"{self.path} is a directory with no shards")
-            count = len(existing)
-            if shards is not None and shards != count:
-                raise ValueError(
-                    f"store {self.path} has {count} shards, not {shards}"
-                )
-            self.shard_count = count
-            self._shard_paths = [os.path.join(self.path, n) for n in existing]
-        elif shards is not None and shards > 1 and not os.path.exists(self.path):
-            os.makedirs(self.path, exist_ok=True)
-            self.shard_count = shards
-            self._shard_paths = [
-                os.path.join(self.path, SHARD_FILE_FORMAT.format(index=i))
-                for i in range(shards)
-            ]
-            creating = True
-        else:
-            if shards is not None and shards > 1:
-                raise ValueError(
-                    f"{self.path} is a v1 single-file store; use"
-                    " 'repro store reshard' to convert it"
-                )
-            self.shard_count = 1
-            self._shard_paths = [self.path]
-
+        existing = sorted(
+            name for name in os.listdir(self.path)
+            if name.startswith("shard-") and name.endswith(".sqlite")
+        )
+        if not existing:
+            raise ValueError(f"{self.path} is a directory with no shards")
+        if shards is not None and shards != len(existing):
+            raise ValueError(
+                f"store {self.path} has {len(existing)} shards, not {shards}"
+            )
+        self.shard_count = len(existing)
+        self._shard_paths = [os.path.join(self.path, n) for n in existing]
         self._connections: List[Optional[sqlite3.Connection]] = (
             [None] * self.shard_count
         )
-        # Opening shard 0 eagerly validates the store (schema version,
-        # shard stamp); the remaining shards open on first touch — except
-        # at creation, where every shard file is written up front so the
-        # directory is self-describing (reopen detects the shard count by
-        # listing files) even before any row reaches the higher shards.
-        for index in range(self.shard_count if creating else 1):
-            self._conn(index)
-
-    @property
-    def sharded(self) -> bool:
-        return self.shard_count > 1
+        # Opening shard 0 validates the store (schema version, shard
+        # stamp); the remaining shards open on first touch.
+        self._conn(0)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -290,20 +314,18 @@ class CrawlStore:
             if connection is not None:
                 return connection
             connection = self._open(self._shard_paths[index])
-            fresh = not connection.execute(
-                "SELECT 1 FROM sqlite_master WHERE type='table' AND name='meta'"
-            ).fetchone()
-            ensure_schema(connection)
-            if self.sharded:
-                if fresh:
-                    stamp_shard(connection, index, self.shard_count)
-                else:
-                    stamp = shard_stamp(connection)
-                    if stamp != (index, self.shard_count):
-                        raise ValueError(
-                            f"{self._shard_paths[index]} is stamped "
-                            f"{stamp}, expected ({index}, {self.shard_count})"
-                        )
+            try:
+                ensure_schema(connection)
+                stamp = shard_stamp(connection)
+            except BaseException:
+                connection.close()
+                raise
+            if stamp != (index, self.shard_count):
+                connection.close()
+                raise ValueError(
+                    f"{self._shard_paths[index]} is stamped "
+                    f"{stamp}, expected ({index}, {self.shard_count})"
+                )
             self._connections[index] = connection
             return connection
 
@@ -313,7 +335,6 @@ class CrawlStore:
             path, timeout=self._timeout, check_same_thread=False,
             isolation_level=None,  # autocommit; transactions are explicit
         )
-        connection.execute("PRAGMA journal_mode=WAL")
         connection.execute("PRAGMA synchronous=NORMAL")
         connection.execute(f"PRAGMA busy_timeout={int(self._timeout * 1000)}")
         return connection
@@ -324,7 +345,7 @@ class CrawlStore:
         Cursors outlive any facade lock scope, so they never share the
         writer connection; WAL lets them read while checkpoints commit.
         """
-        self._conn(index)  # ensure the shard file exists with a schema
+        self._conn(index)  # validate the shard (schema, stamp) first
         self.io_stats["opens"] += 1
         connection = sqlite3.connect(
             self._shard_paths[index], timeout=self._timeout,
@@ -394,14 +415,8 @@ class CrawlStore:
 
     # -- run identity ---------------------------------------------------
 
-    def _resolve(self, run: RunId) -> List[Tuple[int, int]]:
+    def _resolve(self, run: RunRef) -> List[Tuple[int, int]]:
         """``(shard_index, local_run_id)`` for every shard holding the run."""
-        if isinstance(run, int):
-            if self.sharded:
-                raise ValueError(
-                    "sharded stores address runs by RunRef, not rowid"
-                )
-            return [(0, run)]
         found: List[Tuple[int, int]] = []
         with self._lock:
             cached = self._resolved.get(run)
@@ -420,7 +435,7 @@ class CrawlStore:
             raise MissingRunError(f"no run {run} in {self.path}")
         return found
 
-    def _local_id(self, run: RunId, index: int) -> Optional[int]:
+    def _local_id(self, run: RunRef, index: int) -> Optional[int]:
         for shard_index, local_id in self._resolve(run):
             if shard_index == index:
                 return local_id
@@ -440,9 +455,9 @@ class CrawlStore:
     ) -> RunState:
         """Find or create the manifest row(s) for one logical crawl.
 
-        In a sharded store every shard gets a manifest row (so fan-in
-        readers need no side channel), with ``run_sites`` restricted to
-        the shard's own domains at their global positions.
+        Every shard gets a manifest row (so fan-in readers need no side
+        channel), with ``run_sites`` restricted to the shard's own
+        domains at their global positions.
         """
         config_json = self._check_config(config)
         key = run_key(config, vantage, kind, epoch=epoch, keep_html=keep_html)
@@ -500,11 +515,8 @@ class CrawlStore:
                     " WHERE run_id=? AND completed=1", (local_id,),
                 ))
         completed_positions.sort()
-        run_id: RunId = ref
-        if not self.sharded:
-            run_id = self._resolve(ref)[0][1]
         return RunState(
-            run_id=run_id, domains=tuple(domains),
+            run_id=ref, domains=tuple(domains),
             completed=tuple(d for _, d in completed_positions),
             seq=seq, finished=finished,
         )
@@ -531,11 +543,11 @@ class CrawlStore:
             return None
         return self._run_state(key, dh, domains)
 
-    def run_writer(self, run: RunId, *, trim: bool = False) -> "RunWriter":
+    def run_writer(self, run: RunRef, *, trim: bool = False) -> "RunWriter":
         """The per-site writer for one run (checkpoints and splices)."""
         return RunWriter(self, run, trim=trim)
 
-    def checkpointer(self, run: RunId, *, trim: bool = False) -> Callable:
+    def checkpointer(self, run: RunRef, *, trim: bool = False) -> Callable:
         """A per-site checkpoint callback for ``OpenWPMCrawler.crawl``.
 
         Each invocation appends one visited site's event rows and marks
@@ -549,7 +561,7 @@ class CrawlStore:
         return self.run_writer(run, trim=trim).checkpoint
 
     def run_site_counts(
-        self, run: RunId
+        self, run: RunRef
     ) -> List[Tuple[int, str, int, int, int, int]]:
         """``(position, domain, completed, requests, cookies, js_calls)``
         for every site of a run, fanned in across shards and sorted by
@@ -567,7 +579,7 @@ class CrawlStore:
         rows.sort()
         return rows
 
-    def site_event_rows(self, run: RunId, domain: str, table: str,
+    def site_event_rows(self, run: RunRef, domain: str, table: str,
                         lo: int, hi: int) -> List[tuple]:
         """Raw serialized rows ``[lo, hi)`` of one event table.
 
@@ -592,7 +604,7 @@ class CrawlStore:
                 (local_id, lo, hi),
             ).fetchall()
 
-    def event_rows_in_range(self, run: RunId, table: str,
+    def event_rows_in_range(self, run: RunRef, table: str,
                             lo: int, hi: int) -> List[tuple]:
         """``(position, *columns)`` rows in ``[lo, hi)``, across shards.
 
@@ -614,7 +626,7 @@ class CrawlStore:
         rows.sort(key=lambda row: row[0])
         return rows
 
-    def finish_run(self, run: RunId,
+    def finish_run(self, run: RunRef,
                    stats: Optional[Dict] = None) -> None:
         """Stamp a run finished; refuses while sites are still pending."""
         handles = self._resolve(run)
@@ -641,7 +653,7 @@ class CrawlStore:
 
     # -- reading --------------------------------------------------------
 
-    def _run_header(self, run: RunId) -> Tuple[str, str, int]:
+    def _run_header(self, run: RunRef) -> Tuple[str, str, int]:
         """``(country_code, client_ip, seq)`` with seq fanned in as max."""
         handles = self._resolve(run)
         country = client_ip = ""
@@ -667,13 +679,13 @@ class CrawlStore:
                 ).fetchone()[0]
         return total
 
-    def count_events(self, run: RunId, table: str) -> int:
+    def count_events(self, run: RunRef, table: str) -> int:
         """Total stored rows of one event table for a run."""
         if table not in ("visits", "requests", "cookies", "js_calls"):
             raise ValueError(f"unknown event table {table!r}")
         return self._count_rows(self._resolve(run), table)
 
-    def _iter_rows(self, run: RunId, table: str,
+    def _iter_rows(self, run: RunRef, table: str,
                    columns: Sequence[str], batch: int) -> Iterator[tuple]:
         """Rows of one event table in global position order.
 
@@ -711,27 +723,27 @@ class CrawlStore:
                 row[1:] for row in heapq.merge(*streams, key=lambda r: r[0])
             )
 
-    def iter_visits(self, run: RunId, *, batch: int = 1024):
+    def iter_visits(self, run: RunRef, *, batch: int = 1024):
         """Stored :class:`PageVisit` records in visit order."""
         for row in self._iter_rows(run, "visits", VISIT_COLUMNS, batch):
             yield visit_from_row(row)
 
-    def iter_requests(self, run: RunId, *, batch: int = 1024):
+    def iter_requests(self, run: RunRef, *, batch: int = 1024):
         """Stored :class:`RequestRecord` records in observation order."""
         for row in self._iter_rows(run, "requests", REQUEST_COLUMNS, batch):
             yield request_from_row(row)
 
-    def iter_cookies(self, run: RunId, *, batch: int = 1024):
+    def iter_cookies(self, run: RunRef, *, batch: int = 1024):
         """Stored :class:`CookieRecord` records in observation order."""
         for row in self._iter_rows(run, "cookies", COOKIE_COLUMNS, batch):
             yield cookie_from_row(row)
 
-    def iter_js_calls(self, run: RunId, *, batch: int = 1024):
+    def iter_js_calls(self, run: RunRef, *, batch: int = 1024):
         """Stored :class:`JSCall` records in observation order."""
         for row in self._iter_rows(run, "js_calls", JSCALL_COLUMNS, batch):
             yield jscall_from_row(row)
 
-    def load_log(self, run: RunId) -> CrawlLog:
+    def load_log(self, run: RunRef) -> CrawlLog:
         """Reconstruct the (possibly partial) crawl log of a run.
 
         Rows stream through the batched cursors — nothing is ever
@@ -758,70 +770,57 @@ class CrawlStore:
     def run_manifests(self) -> List[RunManifest]:
         """Every run with completion, per-table counts, and timings.
 
-        Sharded stores fan per-shard manifest rows back into one row per
-        logical run (counts summed, ``finished`` only when every shard
-        is stamped).  Per-table tallies are ``COUNT(*)`` index-range
+        Per-shard manifest rows fan back into one row per logical run
+        (counts summed, ``finished`` only when every shard is stamped).  Per-table tallies are ``COUNT(*)`` index-range
         counts — never Python-side cursor iteration — so ``repro store
         info -v`` stays milliseconds on stores holding millions of
         event rows.
         """
         query = """
-            SELECT r.id, r.run_key, r.kind, r.country_code, r.client_ip,
-                   r.total_sites,
+            SELECT r.run_key, r.domains_hash, r.kind, r.country_code,
+                   r.client_ip, r.total_sites,
                    (SELECT COUNT(*) FROM run_sites s
                      WHERE s.run_id = r.id AND s.completed = 1),
                    (SELECT COUNT(*) FROM visits v WHERE v.run_id = r.id),
                    (SELECT COUNT(*) FROM requests q WHERE q.run_id = r.id),
                    (SELECT COUNT(*) FROM cookies c WHERE c.run_id = r.id),
                    (SELECT COUNT(*) FROM js_calls j WHERE j.run_id = r.id),
-                   r.elapsed, r.started_at, r.finished_at, r.stats_json,
-                   r.domains_hash
+                   r.elapsed, r.started_at, r.finished_at, r.stats_json
               FROM runs r ORDER BY r.id
         """
         merged: Dict[Tuple[str, str], List] = {}
-        order: List[Tuple[str, str]] = []
         with self._lock:
             for index in range(self.shard_count):
                 for row in self._conn(index).execute(query):
-                    group = (row[1], row[15])
-                    if group not in merged:
-                        merged[group] = [
-                            row[0], row[1], row[2], row[3], row[4],
-                            row[5], row[6], row[7], row[8], row[9],
-                            row[10], row[11], row[12], row[13],
-                            json.loads(row[14]) if row[14] else None,
-                        ]
-                        order.append(group)
+                    entry = merged.get(row[:2])
+                    if entry is None:
+                        merged[row[:2]] = list(row)
                         continue
-                    entry = merged[group]
-                    for slot, value in zip(range(5, 11), row[5:11]):
-                        entry[slot] += value
-                    entry[11] += row[11]
+                    for slot in range(5, 12):  # site/row counts, elapsed
+                        entry[slot] += row[slot]
                     entry[12] = min(entry[12], row[12])
                     entry[13] = (
                         None if entry[13] is None or row[13] is None
                         else max(entry[13], row[13])
                     )
-                    if entry[14] is None and row[14]:
-                        entry[14] = json.loads(row[14])
-        manifests: List[RunManifest] = []
-        for group in order:
-            entry = merged[group]
-            manifests.append(RunManifest(
-                run_id=(RunRef(group[0], group[1]) if self.sharded
-                        else entry[0]),
-                run_key=entry[1], kind=entry[2],
-                country_code=entry[3], client_ip=entry[4],
-                total_sites=entry[5], completed_sites=entry[6],
-                visits=entry[7], requests=entry[8], cookies=entry[9],
-                js_calls=entry[10], elapsed=entry[11],
-                started_at=entry[12], finished_at=entry[13],
-                stats=entry[14],
-            ))
-        return manifests
+                    entry[14] = entry[14] or row[14]
+        return [
+            RunManifest(
+                run_id=RunRef(key, dh), run_key=key, kind=kind,
+                country_code=country, client_ip=client_ip,
+                total_sites=total, completed_sites=completed,
+                visits=visits, requests=requests, cookies=cookies,
+                js_calls=js_calls, elapsed=elapsed, started_at=started,
+                finished_at=finished,
+                stats=json.loads(stats) if stats else None,
+            )
+            for (key, dh, kind, country, client_ip, total, completed, visits,
+                 requests, cookies, js_calls, elapsed, started, finished,
+                 stats) in merged.values()
+        ]
 
     def shard_infos(self) -> List[ShardInfo]:
-        """Per-shard file size and row counts (one entry for v1 files)."""
+        """Per-shard file size and row counts."""
         infos: List[ShardInfo] = []
         with self._lock:
             for index in range(self.shard_count):
@@ -869,7 +868,7 @@ class RunWriter:
     (:func:`repro.datastore.delta.delta_crawl`).
     """
 
-    def __init__(self, store: CrawlStore, run: RunId, *,
+    def __init__(self, store: CrawlStore, run: RunRef, *,
                  trim: bool = False) -> None:
         self._store = store
         self._trim = trim
@@ -1005,11 +1004,11 @@ class RunWriter:
                     ) -> None:
         """Splice a contiguous group of ``(domain, rows, seq_end)`` sites.
 
-        On a single-file store the whole group commits in one
-        transaction — per-site commit overhead is the dominant splice
-        cost, and coarsening crash granularity is safe because spliced
-        sites are nearly free to redo on resume.  On a sharded store
-        each site still commits alone: a site's rows and completion flag
+        On a one-shard store the whole group commits in one transaction
+        — per-site commit overhead is the dominant splice cost, and
+        coarsening crash granularity is safe because spliced sites are
+        nearly free to redo on resume.  With more shards each site
+        still commits alone: a site's rows and completion flag
         must land atomically in its own shard, and committing shards
         independently could tear the completed *prefix* that global row
         positions rely on.

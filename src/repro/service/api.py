@@ -203,7 +203,7 @@ class ServiceAPI:
             from ..webgen.builder import build_universe
 
             self._result_study = Study(
-                build_universe(config, lazy=True),
+                build_universe(config),
                 store=self.store, store_only=True,
             )
             return self._result_study

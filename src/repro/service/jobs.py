@@ -3,13 +3,12 @@
 A *job* is one study request: a universe configuration (seed + scale),
 the vantage points it needs, and which analyses to evaluate.  Jobs are
 journaled to a small SQLite table (``jobs.sqlite`` next to the shard
-files, or ``<store>.jobs`` next to a v1 file) the moment they are
-submitted, so a restarted server recovers queued — and *interrupted* —
-jobs: a job found ``running`` in the journal is re-queued as
-``submitted``, and because all crawl data lives in the shared
-:class:`~repro.datastore.CrawlStore` with per-site checkpoints, the
-re-run resumes where the previous process died instead of starting
-over.
+files) the moment they are submitted, so a restarted server recovers
+queued — and *interrupted* — jobs: a job found ``running`` in the
+journal is re-queued as ``submitted``, and because all crawl data lives
+in the shared :class:`~repro.datastore.CrawlStore` with per-site
+checkpoints, the re-run resumes where the previous process died instead
+of starting over.
 
 States move ``submitted → running → done|failed|cancelled``; terminal
 states never change.  Cancellation is cooperative: ``DELETE /jobs/<id>``
@@ -197,10 +196,9 @@ def epoch_store_path(store_path: str, epoch: int) -> str:
 
 
 def journal_path(store_path: str) -> str:
-    """Where the job journal lives: next to the shard files."""
-    if os.path.isdir(store_path):
-        return os.path.join(store_path, "jobs.sqlite")
-    return store_path + ".jobs"
+    """Where the job journal lives: inside the store, next to the shard
+    files."""
+    return os.path.join(store_path, "jobs.sqlite")
 
 
 _JOURNAL_DDL = """
@@ -308,7 +306,7 @@ def execute_job(job: Job, store_path: str, *,
     # jobs re-analyze only the churn.  Tables stay byte-identical
     # whichever partials are served from the cache, so the service's
     # served-vs-CLI identity checks keep holding.
-    study = Study(build_universe(config, lazy=True), store=target_path,
+    study = Study(build_universe(config), store=target_path,
                   store_shards=store_shards, parallelism=1,
                   baseline_store=baseline, aggregate_cache=True,
                   progress=progress)
@@ -341,11 +339,16 @@ class JobManager:
     def __init__(self, store_path: str, *, workers: int = 1,
                  store_shards: Optional[int] = None,
                  runner: Optional[Callable[[Job], None]] = None) -> None:
+        from ..datastore import CrawlStore
+
         self.store_path = str(store_path)
         self.store_shards = store_shards
         self.workers = max(1, int(workers))
         self._runner = runner or (lambda job: execute_job(
             job, self.store_path, store_shards=self.store_shards))
+        # The journal lives inside the store directory: create the store
+        # first when it is new.
+        CrawlStore(self.store_path, shards=store_shards).close()
         self.journal = JobJournal(journal_path(self.store_path))
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.Lock()

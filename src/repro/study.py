@@ -108,7 +108,8 @@ class Study:
         ``store`` (a :class:`~repro.datastore.CrawlStore` or a path)
         persists every crawl and hydrates already-stored ones, making an
         interrupted study resumable at per-site granularity.
-        ``store_shards`` (with a path) creates/opens an N-shard store.
+        ``store_shards`` (with a path) is the shard count of a store
+        created here (default 1); an existing store keeps its own.
         ``store_only=True`` is the ``repro report`` contract: every
         table is a merge of stored partials and stored artifacts.  Runs
         are read back one site's rows at a time (see :meth:`_run_rows`),
@@ -140,7 +141,7 @@ class Study:
 
         ``aggregate_cache`` (an
         :class:`~repro.datastore.AggregateStore`, a path, or ``True``
-        for the store's default ``aggregates.sqlite`` sibling) turns on
+        for ``aggregates.sqlite`` inside the store directory) turns on
         incremental map/merge analysis: per-site partials are served
         from the cache when the site's analysis content hash is
         unchanged and recomputed from the stored rows when it churned,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import marshal
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -105,7 +105,6 @@ class _Builder:
         self.site_cdns: Dict[str, str] = {}
         self.dynamic_cdn_sites: Set[str] = set()
         self.rtb_bidders: List[str] = []
-        self.policy_texts: Dict[str, str] = {}
         self.full_list_site: Optional[str] = None
         self.sites_by_tier: List[List[str]] = [[], [], [], []]
         self.crawlable_by_tier: List[List[str]] = [[], [], [], []]
@@ -1038,63 +1037,39 @@ class _Builder:
     # Finalization
     # ------------------------------------------------------------------
 
-    def finalize(self, *, lazy: bool = False,
-                 fetch_cache_size: Optional[int] = None) -> Universe:
+    def finalize(self, *, fetch_cache_size: Optional[int] = None) -> Universe:
         """Assemble the universe.
 
-        ``lazy=True`` stores specs as packed rows decoded on access
-        (see :mod:`repro.webgen.lazyspecs`); attribute sampling is
-        identical — the two modes differ only in what stays resident.
+        Specs are stored as packed rows decoded on access, certificates
+        are derived from the specs on lookup, and policy texts are
+        rendered on first read (see :mod:`repro.webgen.lazyspecs`), so
+        what stays resident is the routing tables plus small hot caches.
         """
         aggregators, category_sites = self._plan_discovery_sources()
 
-        if lazy:
-            porn_packed: Dict[str, bytes] = {}
-            for domain, attrs in self.porn_attrs.items():
-                attrs["embedded_services"] = tuple(
-                    dict.fromkeys(self.site_embeds.get(domain, ()))
-                )
-                porn_packed[domain] = pack_porn_spec(PornSiteSpec(**attrs))
-            regular_packed: Dict[str, bytes] = {}
-            for domain, attrs in self.regular_attrs.items():
-                embeds = attrs.pop("_embeds", [])
-                attrs["embedded_services"] = tuple(dict.fromkeys(embeds))
-                regular_packed[domain] = pack_regular_spec(
-                    RegularSiteSpec(**attrs)
-                )
-            porn_sites: Mapping = LazySpecMap(
-                porn_packed, porn_spec_from_packed
+        porn_packed: Dict[str, bytes] = {}
+        for domain, attrs in self.porn_attrs.items():
+            attrs["embedded_services"] = tuple(
+                dict.fromkeys(self.site_embeds.get(domain, ()))
             )
-            regular_sites: Mapping = LazySpecMap(
-                regular_packed, regular_spec_from_packed
-            )
-            certificates: Mapping = LazyCertificates(
-                self._build_service_certificates(),
-                porn_sites, regular_sites, self.site_cdns,
-            )
-            policy_texts: Mapping = self._plan_policy_texts()
-        else:
-            eager_porn: Dict[str, PornSiteSpec] = {}
-            for domain, attrs in self.porn_attrs.items():
-                attrs["embedded_services"] = tuple(
-                    dict.fromkeys(self.site_embeds.get(domain, ()))
-                )
-                eager_porn[domain] = PornSiteSpec(**attrs)
-            eager_regular: Dict[str, RegularSiteSpec] = {}
-            for domain, attrs in self.regular_attrs.items():
-                embeds = attrs.pop("_embeds", [])
-                attrs["embedded_services"] = tuple(dict.fromkeys(embeds))
-                eager_regular[domain] = RegularSiteSpec(**attrs)
-            porn_sites = eager_porn
-            regular_sites = eager_regular
-            certificates = self._build_certificates(eager_porn, eager_regular)
-            self._render_policies(eager_porn)
-            policy_texts = self.policy_texts
+            porn_packed[domain] = pack_porn_spec(PornSiteSpec(**attrs))
+        regular_packed: Dict[str, bytes] = {}
+        for domain, attrs in self.regular_attrs.items():
+            embeds = attrs.pop("_embeds", [])
+            attrs["embedded_services"] = tuple(dict.fromkeys(embeds))
+            regular_packed[domain] = pack_regular_spec(RegularSiteSpec(**attrs))
+        porn_sites = LazySpecMap(porn_packed, porn_spec_from_packed)
+        regular_sites = LazySpecMap(regular_packed, regular_spec_from_packed)
+        certificates = LazyCertificates(
+            self._build_service_certificates(),
+            porn_sites, regular_sites, self.site_cdns,
+        )
+        policy_texts = self._plan_policy_texts()
 
         easylist_text, easyprivacy_text = self._build_filter_lists()
         disconnect = self._build_disconnect()
         # The WHOIS pass draws from ``rng_sites`` once per operator-owned
-        # site, in porn-site insertion order — identical in both modes.
+        # site, in porn-site insertion order.
         whois = self._build_whois(
             (domain, attrs.get("owner"))
             for domain, attrs in self.porn_attrs.items()
@@ -1129,37 +1104,6 @@ class _Builder:
                 subject_cn=domain,
                 subject_o=service.cert_org,
                 san=frozenset({domain, f"*.{domain}"}),
-            )
-        return certificates
-
-    def _build_certificates(
-        self,
-        porn_sites: Dict[str, PornSiteSpec],
-        regular_sites: Dict[str, RegularSiteSpec],
-    ) -> Dict[str, Certificate]:
-        certificates = self._build_service_certificates()
-        for domain, site in porn_sites.items():
-            if site.https:
-                certificates[domain] = Certificate(
-                    subject_cn=domain,
-                    subject_o=site.cert_org,
-                    san=frozenset({domain, f"*.{domain}"}),
-                )
-        for domain, site in regular_sites.items():
-            if site.https:
-                certificates[domain] = Certificate(
-                    subject_cn=domain, subject_o=None,
-                    san=frozenset({domain, f"*.{domain}"}),
-                )
-        for cdn_domain, owner_domain in self.site_cdns.items():
-            site = porn_sites.get(owner_domain) or regular_sites.get(owner_domain)
-            if site is None or not site.https:
-                continue
-            # SAN bridging: the CDN certificate also covers the parent site.
-            certificates[cdn_domain] = Certificate(
-                subject_cn=cdn_domain,
-                subject_o=getattr(site, "cert_org", None),
-                san=frozenset({cdn_domain, f"*.{cdn_domain}", owner_domain}),
             )
         return certificates
 
@@ -1240,28 +1184,12 @@ class _Builder:
                 listings[(index + 1) % 3].append(domain)
         return tuple(tuple(listing) for listing in listings), category_sites
 
-    def _render_policies(self, porn_sites: Dict[str, PornSiteSpec]) -> None:
-        operators = {op.name: op for op in operators_from_targets(self.targets)}
-        for domain, site in porn_sites.items():
-            if site.policy is None or site.policy.link_broken:
-                continue
-            company = None
-            if site.owner is not None and site.owner in operators:
-                company = operators[site.owner].legal_name
-            third_parties: Sequence[str] = ()
-            if site.policy.full_third_party_list:
-                third_parties = site.embedded_services
-            self.policy_texts[domain] = self.policy_gen.render(
-                site.policy, site_domain=domain, company=company,
-                third_parties=third_parties,
-            )
-
     def _plan_policy_texts(self) -> LazyPolicyTexts:
-        """The lazy counterpart of :meth:`_render_policies`.
+        """One packed render plan per site with a reachable policy.
 
-        Same site selection and same render inputs, but the text (mean
-        ~17k chars, tail ~240k) is produced on first read.  Requires
-        ``porn_attrs[domain]["embedded_services"]`` to be final.
+        The text (mean ~17k chars, tail ~240k) is produced from the plan
+        on first read.  Requires ``porn_attrs[domain]["embedded_services"]``
+        to be final.
         """
         operators = {op.name: op for op in operators_from_targets(self.targets)}
         plans: Dict[str, bytes] = {}
@@ -1285,14 +1213,15 @@ class _Builder:
 def build_universe(
     config: Optional[UniverseConfig] = None,
     *,
-    lazy: bool = False,
     fetch_cache_size: Optional[int] = None,
 ) -> Universe:
     """Build the complete synthetic web from a configuration.
 
-    ``lazy=True`` keeps site specs as packed rows decoded on access —
-    bit-identical to the eager universe (asserted by the parity tests)
-    but O(routing tables + hot LRU) resident instead of O(corpus).
+    Site specs are kept as packed rows decoded on access, so the
+    universe holds O(routing tables + hot LRU) instead of O(corpus);
+    ``tests/golden/universe.json`` pins what it serves.
+    ``fetch_cache_size`` bounds the response cache
+    (:attr:`Universe.fetch_cache`).
 
     ``config.epoch > 0`` builds the epoch-0 universe first, then applies
     that many deterministic evolution steps
@@ -1310,7 +1239,7 @@ def build_universe(
     builder.build_porn_sites()
     builder.build_services()
     builder.build_regular_sites()
-    universe = builder.finalize(lazy=lazy, fetch_cache_size=fetch_cache_size)
+    universe = builder.finalize(fetch_cache_size=fetch_cache_size)
     for _ in range(epoch):
         universe = evolve_universe(universe, fetch_cache_size=fetch_cache_size)
     return universe

@@ -85,8 +85,8 @@ class _OverlayMap(Mapping):
 
     Iteration preserves base key order (evolution never adds or removes
     sites), so routing tables and RNG-free scans stay order-identical to
-    the base epoch.  Works over eager dicts and ``LazySpecMap`` alike —
-    consumers only use the ``Mapping`` interface.
+    the base epoch.  The base is a ``LazySpecMap`` (or an earlier
+    epoch's overlay); consumers only use the ``Mapping`` interface.
     """
 
     def __init__(self, base: Mapping, changed: Dict[str, object]) -> None:

@@ -1,20 +1,19 @@
 """Streaming site generation: packed spec rows decoded on demand.
 
-Eager universe construction materializes one :class:`PornSiteSpec` /
-:class:`RegularSiteSpec` dataclass per domain, which makes ``Universe``
-memory O(corpus) — at scale 10 that is ~170k spec objects plus their
-certificates and policy texts, most of which a crawl worker never looks
-at twice.  This module keeps the *builder* untouched (site attributes
-are sampled from globally coupled RNG streams, so per-domain derivation
-must happen once, in order) but stores the finished attributes as
-compact ``marshal``-packed rows instead of live dataclasses:
+Holding one :class:`PornSiteSpec` / :class:`RegularSiteSpec` dataclass
+per domain would make ``Universe`` memory O(corpus) — at scale 10 that
+is ~170k spec objects plus their certificates and policy texts, most of
+which a crawl worker never looks at twice.  The builder samples site
+attributes from globally coupled RNG streams (so per-domain derivation
+happens once, in order) and stores the finished attributes as compact
+``marshal``-packed rows instead of live dataclasses:
 
 ``porn_spec_to_row`` / ``porn_spec_from_row``
     Lossless codecs between a spec dataclass and a tuple of primitives.
     ``from_row(to_row(spec)) == spec`` exactly: every field is either
     carried verbatim or stored as a sorted tuple standing in for a
-    frozenset (set equality is order-blind).  Parity with the eager
-    path is therefore structural, not statistical.
+    frozenset (set equality is order-blind).  A decoded spec therefore
+    equals the one the builder packed, structurally.
 
 :class:`LazySpecMap`
     A read-only :class:`~collections.abc.Mapping` from domain to spec
@@ -29,7 +28,7 @@ compact ``marshal``-packed rows instead of live dataclasses:
 
 :class:`LazyCertificates`
     Site and CDN leaf certificates derived from the spec on access;
-    only the (small) third-party service certificates stay eager.
+    only the (small) third-party service certificates are built up front.
 """
 
 from __future__ import annotations
@@ -294,7 +293,8 @@ class LazyPolicyTexts(Mapping):
     Holds one packed ``(policy_row, company, third_parties)`` plan per
     site that publishes a reachable policy; the text itself (up to 240k
     characters per site) is produced on demand.  Rendering is pure, so
-    lazily produced text is byte-identical to the eager version.
+    the text depends on the plan alone (``tests/golden/universe.json``
+    pins it).
     """
 
     def __init__(
@@ -350,10 +350,9 @@ class LazyPolicyTexts(Mapping):
 class LazyCertificates(Mapping):
     """Host -> leaf certificate, deriving site/CDN certs from specs.
 
-    Mirrors ``_Builder._build_certificates`` exactly: third-party
-    service certificates are eager (``base``); porn/regular site and
-    own-CDN certificates are a pure function of the site spec and are
-    built on access.
+    Third-party service certificates are built up front (``base``);
+    porn/regular site and own-CDN certificates are a pure function of
+    the site spec and are built on access.
     """
 
     def __init__(

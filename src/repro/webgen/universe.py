@@ -34,6 +34,7 @@ from ..net.whois import WhoisRegistry
 from ..net.url import URL, parse_url, registrable_domain
 from ..util import rng_for, stable_hash, token_for
 from .config import CalibrationTargets, UniverseConfig
+from .lazyspecs import LazyPolicyTexts
 from .names import ADULT_KEYWORDS, NameFactory
 from .organizations import PornOperator, TailOrgAllocator, operators_from_targets
 from .policytext import (
@@ -163,7 +164,7 @@ class Universe:
         disconnect: DisconnectList,
         aggregator_listings: Tuple[Tuple[str, ...], ...],
         alexa_category_sites: Tuple[str, ...],
-        policy_texts: Mapping[str, str],
+        policy_texts: LazyPolicyTexts,
         full_list_site: Optional[str],
         whois: Optional[WhoisRegistry] = None,
         fetch_cache_size: Optional[int] = None,
@@ -317,13 +318,10 @@ class Universe:
 
     def policy_source(self, site_domain: str) -> Optional[bytes]:
         """Bytes that determine the site's policy text, without rendering
-        it: the packed plan in a lazy universe, the text itself in an
-        eager one; ``None`` when the site publishes no policy."""
-        plan = getattr(self._policy_texts, "plan", None)
-        if plan is not None:
-            return plan(site_domain)
-        text = self._policy_texts.get(site_domain)
-        return None if text is None else text.encode("utf-8")
+        it: the packed render plan (see
+        :meth:`~repro.webgen.lazyspecs.LazyPolicyTexts.plan`); ``None``
+        when the site publishes no policy."""
+        return self._policy_texts.plan(site_domain)
 
     # ------------------------------------------------------------------
     # Serving

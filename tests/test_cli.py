@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
 import re
 import sqlite3
 
@@ -127,7 +128,8 @@ class TestStoredArtifacts:
             runs = [(run.run_key, run.visits, run.requests)
                     for run in store.run_manifests()]
         key = run_key(config, VantagePointManager().home, SANITIZE_KIND)
-        with sqlite3.connect(stored) as conn:
+        with sqlite3.connect(os.path.join(stored, "shard-0000.sqlite")) \
+                as conn:  # artifacts live in shard 0
             conn.execute("DELETE FROM artifacts WHERE artifact_key=?", (key,))
         conn.close()
 

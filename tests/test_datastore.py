@@ -1,6 +1,10 @@
 """Tests for the persistent crawl datastore: roundtrip fidelity,
-checkpoint/resume bit-identity, store-backed execution, and the
-``repro report`` / ``repro store info`` CLI surface."""
+checkpoint/resume bit-identity, concurrent creation, store-backed
+execution, and the ``repro report`` / ``repro store info`` CLI surface."""
+
+import multiprocessing
+import os
+import threading
 
 import pytest
 
@@ -169,6 +173,56 @@ class TestResume:
             render_table4(study.cookie_stats())
         assert render_table6(restored.https_report()) == \
             render_table6(study.https_report())
+
+
+def _open_and_report(path, shards, barrier, results):
+    """One opener of a fresh store: wait for the others, open, report."""
+    barrier.wait()
+    try:
+        with CrawlStore(path, shards=shards) as opened:
+            results.put(opened.shard_count)
+    except Exception as exc:  # reported, not raised: children are forked
+        results.put(f"{type(exc).__name__}: {exc}")
+
+
+class TestConcurrentOpen:
+    """Openers racing on a fresh path all open the one store it becomes.
+
+    A crawl executor's workers, the service's job threads and a second
+    CLI process can all open a store path before it exists; the store is
+    built aside and renamed into place, so no opener sees it half-built.
+    """
+
+    THREADS, PROCESSES, ROUNDS = 4, 2, 50
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_threads_and_processes_open_one_fresh_store(self, tmp_path,
+                                                        shards):
+        context = multiprocessing.get_context("fork")
+        for round_ in range(self.ROUNDS):
+            path = str(tmp_path / f"store{round_}")
+            barrier = context.Barrier(self.THREADS + self.PROCESSES)
+            results = context.Queue()
+            # Processes first: nothing of this test is running yet when
+            # they fork.
+            openers = [
+                context.Process(target=_open_and_report,
+                                args=(path, shards, barrier, results))
+                for _ in range(self.PROCESSES)
+            ] + [
+                threading.Thread(target=_open_and_report,
+                                 args=(path, shards, barrier, results))
+                for _ in range(self.THREADS)
+            ]
+            for opener in openers:
+                opener.start()
+            seen = [results.get(timeout=60) for _ in openers]
+            for opener in openers:
+                opener.join(timeout=60)
+                assert not opener.is_alive()
+            assert seen == [shards or 1] * len(openers), (round_, seen)
+            assert sorted(os.listdir(tmp_path)) == sorted(
+                f"store{i}" for i in range(round_ + 1))
 
 
 class TestStoreBackedExecution:

@@ -85,7 +85,7 @@ class TestEvolution:
         import dataclasses
 
         built = build_universe(
-            dataclasses.replace(universe.config, epoch=1), lazy=True)
+            dataclasses.replace(universe.config, epoch=1))
         assert built.changed_domains_since(0) == \
             evolved.changed_domains_since(0)
         built_index = ContentHashIndex(built)

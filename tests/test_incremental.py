@@ -218,17 +218,17 @@ class TestAggregateCache:
         assert stats.misses >= stats.corrupt
 
     def test_aggregates_path_layouts(self, tmp_path):
-        # v1 single-file store: a sibling file.
-        assert aggregates_path(str(tmp_path / "s.db")) == \
-            str(tmp_path / "s.db.aggregates")
-        # epoch siblings share the base store's cache.
-        assert aggregates_path(str(tmp_path / "s.db-e3")) == \
-            str(tmp_path / "s.db.aggregates")
-        # sharded (directory) store: inside the directory.
-        shard_dir = tmp_path / "sharded"
-        shard_dir.mkdir()
-        assert aggregates_path(str(shard_dir)) == \
-            str(shard_dir / "aggregates.sqlite")
+        # Inside the store directory, beside the shard files — whether
+        # or not the store exists yet.
+        assert aggregates_path(str(tmp_path / "s")) == \
+            str(tmp_path / "s" / "aggregates.sqlite")
+        # Epoch siblings share the base store's cache.
+        assert aggregates_path(str(tmp_path / "s-e3")) == \
+            str(tmp_path / "s" / "aggregates.sqlite")
+        store = tmp_path / "sharded"
+        CrawlStore(str(store), shards=2).close()
+        assert aggregates_path(str(store)) == \
+            str(store / "aggregates.sqlite")
 
     def test_engine_rejects_unknown_analysis(self, universe, vantage_points,
                                              study):
@@ -310,8 +310,7 @@ INSPECT_CHURN = 0.05
 
 def _epoch_universe(epoch):
     return build_universe(UniverseConfig(seed=20191021, scale=INSPECT_SCALE,
-                                         epoch=epoch, churn=INSPECT_CHURN),
-                          lazy=True)
+                                         epoch=epoch, churn=INSPECT_CHURN))
 
 
 @pytest.fixture(scope="module")
@@ -388,6 +387,28 @@ class TestCachedInspections:
             reference
         assert inspected == churned
         assert cache.stats.hits - hits == len(domains) - len(churned)
+
+    def test_library_and_cli_universes_key_inspections_alike(self):
+        """``Study.build`` and the CLI build one universe, so an
+        inspection cache warmed through either serves the other."""
+        from repro.__main__ import _build_study, build_parser
+
+        config = UniverseConfig(seed=20191021, scale=0.02)
+        library = Study.build(config)
+        cli = _build_study(build_parser().parse_args(
+            ["study", "--seed", "20191021", "--scale", "0.02"])).universe
+        domains = library.corpus_domains()
+        library_hashes = analysis_hash_index(library.universe)
+        cli_hashes = analysis_hash_index(cli)
+        with_policy = 0
+        for domain in domains:
+            source = library.universe.policy_source(domain)
+            assert source == cli.policy_source(domain), domain
+            with_policy += source is not None
+            assert _inspection_hash(library.universe, library_hashes,
+                                    domain) == \
+                _inspection_hash(cli, cli_hashes, domain), domain
+        assert with_policy
 
     def test_changed_policy_plan_invalidates_entry(self, tmp_path,
                                                    inspect_epochs,

@@ -9,6 +9,7 @@ and the HTTP result endpoints' byte-identity with ``repro report``.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import urllib.error
 import urllib.request
@@ -147,16 +148,20 @@ class TestJobSpec:
         from repro import Study, UniverseConfig
         from repro.webgen import build_universe
 
-        study = Study(build_universe(UniverseConfig(seed=SEED, scale=SCALE),
-                                     lazy=True))
+        study = Study(build_universe(UniverseConfig(seed=SEED, scale=SCALE)))
         tasks = study._analysis_tasks(geo=True, countries=("ES",))
         assert tuple(name for name, _ in tasks) == ANALYSIS_NAMES
 
 
 class TestJournal:
     def test_journal_path_for_directory_store(self, tmp_path):
-        assert journal_path(str(tmp_path)).endswith("jobs.sqlite")
-        assert journal_path(str(tmp_path / "crawl.db")).endswith(".jobs")
+        assert journal_path(str(tmp_path)) == str(tmp_path / "jobs.sqlite")
+        store = str(tmp_path / "crawl")
+        manager = JobManager(store, workers=1, runner=lambda job: None)
+        manager.stop()
+        assert manager.journal.path == journal_path(store)
+        assert sorted(os.listdir(store)) == ["jobs.sqlite",
+                                             "shard-0000.sqlite"]
 
     def test_rows_survive_reopen(self, tmp_path):
         path = str(tmp_path / "jobs.sqlite")

@@ -1,22 +1,30 @@
-"""Sharded datastore (v2): routing, resume, cursors, reshard, CLI totals.
+"""Sharded datastore: routing, resume, cursors, reshard, CLI totals.
 
-The v2 layout splits one logical store into N SQLite shard files keyed
-``sha256(site_domain) % N`` behind the same ``CrawlStore`` facade.
-These tests pin the invariants the streaming pipeline depends on:
+A store is a directory of N SQLite shard files keyed
+``sha256(site_domain) % N`` behind one ``CrawlStore`` facade.  These
+tests pin the invariants the streaming pipeline depends on:
 
 * every event row of a site lands in that site's shard, at its *global*
   position;
-* a crawl killed between checkpoints resumes on a sharded store exactly
-  as on a v1 file, and the result is bit-identical to a clean crawl;
+* a crawl killed between checkpoints resumes on a sharded store, and the
+  result is bit-identical to a clean crawl;
 * the bounded-memory cursors (``iter_*``) replay the heap-merged
   shards in exact event order;
 * every producer of a crawl log (fresh crawl, resume, delta splice,
   ``load_log``, the fork executor) marks each site's rows exactly where
   the store's slice index puts them, and a ``store_only`` study renders
   the per-site tables from the store without hydrating the runs;
-* ``repro store reshard`` migrates a v1 file losslessly;
-* ``repro store info --shards`` totals are correct for both layouts.
+* a legacy single-file (v1) store is refused with the ``repro store
+  reshard`` hint by every command that opens a store, and resharding it
+  to 1 or 3 shards renders the report it rendered before;
+* ``repro store info --shards`` totals are correct.
 """
+
+import os
+import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +44,24 @@ from repro.webgen.builder import build_universe
 from repro.webgen.evolve import evolve_universe
 
 SHARDS = 3
+
+
+def _legacy_v1(store_dir, path):
+    """A single-file (v1) store holding a 1-shard store's rows: its shard
+    file, copied out, without the shard stamp."""
+    with CrawlStore(store_dir) as store:
+        assert store.shard_count == 1
+    source = sqlite3.connect(os.path.join(store_dir, "shard-0000.sqlite"))
+    target = sqlite3.connect(path)
+    try:
+        source.backup(target)
+        with target:
+            target.execute("DELETE FROM meta WHERE key IN"
+                           " ('shard_index', 'shard_count')")
+    finally:
+        source.close()
+        target.close()
+    return path
 
 
 @pytest.fixture()
@@ -70,7 +96,6 @@ class TestSharding:
         assert shard_of_domain("any.example", 1) == 0
 
     def test_layout_and_open_constraints(self, tmp_path, sharded):
-        assert sharded.sharded
         assert sharded.shard_count == SHARDS
         # Reopening the directory needs no shard count; a wrong explicit
         # count is rejected.
@@ -80,10 +105,10 @@ class TestSharding:
             CrawlStore(str(tmp_path / "shards"), shards=SHARDS + 1)
 
     def test_sharding_existing_v1_file_is_rejected(self, tmp_path):
-        path = str(tmp_path / "v1.db")
-        CrawlStore(path).close()
-        with pytest.raises(ValueError, match="reshard"):
-            CrawlStore(path, shards=4)
+        path = _legacy_v1(str(tmp_path / "store"), str(tmp_path / "v1.db"))
+        for shards in (None, 1, 4):
+            with pytest.raises(ValueError, match="repro store reshard"):
+                CrawlStore(path, shards=shards)
 
     def test_rows_land_in_their_site_shard(self, sharded, universe,
                                            vantage_points, crawlable_porn):
@@ -300,8 +325,7 @@ class TestCursorEdgeCases:
             CrawlStore(path)
 
     def test_reshard_empty_v1_store(self, tmp_path):
-        src = str(tmp_path / "empty.db")
-        CrawlStore(src).close()
+        src = _legacy_v1(str(tmp_path / "empty"), str(tmp_path / "empty.db"))
         dst = str(tmp_path / "empty-sharded")
         created = reshard_store(src, dst, shards=SHARDS)
         assert len(created) == SHARDS
@@ -313,25 +337,26 @@ class TestCursorEdgeCases:
 
 class TestReshard:
     def _seeded_v1(self, tmp_path, universe, vantage_points, crawlable_porn):
-        path = str(tmp_path / "flat.db")
-        with CrawlStore(path) as store:
+        """A v1 file of two crawls; returns it and the store it came from."""
+        origin = str(tmp_path / "origin")
+        with CrawlStore(origin) as store:
             vantage = vantage_points.point("ES")
             stored_crawl(store, universe, vantage, "openwpm:porn",
                          crawlable_porn)
             stored_crawl(store, universe, vantage, "openwpm:regular",
                          universe.reference_regular_corpus(),
                          keep_html=False)
-        return path
+        return _legacy_v1(origin, str(tmp_path / "flat.db")), origin
 
     def test_reshard_is_lossless(self, tmp_path, universe, vantage_points,
                                  crawlable_porn):
-        src = self._seeded_v1(tmp_path, universe, vantage_points,
-                              crawlable_porn)
+        src, origin = self._seeded_v1(tmp_path, universe, vantage_points,
+                                      crawlable_porn)
         dst = str(tmp_path / "resharded")
         created = reshard_store(src, dst, shards=4)
         assert len(created) == 4
 
-        with CrawlStore(src) as flat, CrawlStore(dst) as sharded:
+        with CrawlStore(origin) as flat, CrawlStore(dst) as sharded:
             assert sharded.shard_count == 4
             flat_manifests = flat.run_manifests()
             sharded_manifests = sharded.run_manifests()
@@ -349,10 +374,13 @@ class TestReshard:
 
     def test_reshard_refuses_bad_inputs(self, tmp_path, universe,
                                         vantage_points, crawlable_porn):
-        src = self._seeded_v1(tmp_path, universe, vantage_points,
-                              crawlable_porn)
+        src, origin = self._seeded_v1(tmp_path, universe, vantage_points,
+                                      crawlable_porn)
         with pytest.raises(ValueError):
-            reshard_store(src, str(tmp_path / "x"), shards=1)
+            reshard_store(src, str(tmp_path / "x"), shards=0)
+        assert not os.path.exists(tmp_path / "x")
+        with pytest.raises(ValueError):
+            reshard_store(origin, str(tmp_path / "z"), shards=2)  # a store
         dst = str(tmp_path / "taken")
         reshard_store(src, dst, shards=2)
         with pytest.raises(ValueError):
@@ -370,14 +398,23 @@ class TestCLITotals:
                      "--sites", "6", "--store", db, *extra]) == 0
 
     def test_store_info_shards_on_v1(self, tmp_path, capsys):
-        db = str(tmp_path / "flat.db")
-        self._crawl(db)
+        """A v1 file is refused until resharded; the default store is one
+        shard."""
+        store = str(tmp_path / "store")
+        self._crawl(store)
+        flat = _legacy_v1(store, str(tmp_path / "flat.db"))
         capsys.readouterr()
-        assert main(["store", "info", db, "--shards"]) == 0
-        out = capsys.readouterr().out
-        assert "single file" in out
-        assert "1 shard(s)" in out
-        assert "6" in out  # visit total
+        with pytest.raises(SystemExit, match="repro store reshard"):
+            main(["store", "info", flat, "--shards"])
+        migrated = str(tmp_path / "migrated")
+        assert main(["store", "reshard", flat, migrated, "--shards", "1"]) == 0
+        capsys.readouterr()
+        for path in (store, migrated):
+            assert main(["store", "info", path, "--shards"]) == 0
+            out = capsys.readouterr().out
+            assert "(schema v" in out and "1 shard)" in out
+            assert "1 shard(s)" in out
+            assert "6" in out  # visit total
 
     def test_store_info_shards_on_v2_totals(self, tmp_path, capsys):
         db = str(tmp_path / "sharded")
@@ -397,3 +434,50 @@ class TestCLITotals:
         assert all(info.runs == len(manifests) for info in infos)
         for info in infos:
             assert str(info.visits) in out
+
+
+class TestLegacyUpgrade:
+    """The one-time upgrade of a single-file (v1) store."""
+
+    SCALE, CLI_SEED = "0.02", "3"
+
+    @staticmethod
+    def _cli(*argv):
+        """``python -m repro`` in a fresh process: (status, stderr)."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-m", "repro", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        return done.returncode, done.stderr
+
+    def test_v1_is_refused_then_resharded_to_the_same_report(self, tmp_path,
+                                                              capsys):
+        store = str(tmp_path / "store")
+        assert main(["study", "--scale", self.SCALE, "--seed", self.CLI_SEED,
+                     "--store", store]) == 0
+        capsys.readouterr()
+        assert main(["report", "--store", store]) == 0
+        before = capsys.readouterr().out
+        old = _legacy_v1(store, str(tmp_path / "old.db"))
+
+        for argv in (["report", "--store", old],
+                     ["study", "--scale", self.SCALE, "--seed", self.CLI_SEED,
+                      "--store", old],
+                     ["serve", "--store", old, "--port", "0"],
+                     ["store", "info", old]):
+            status, err = self._cli(*argv)
+            assert status == 1, (argv, err)
+            assert "repro store reshard" in err, argv
+            assert "Traceback" not in err, argv
+
+        for shards in ("1", "3"):
+            new = str(tmp_path / f"new{shards}")
+            assert main(["store", "reshard", old, new,
+                         "--shards", shards]) == 0
+            capsys.readouterr()
+            assert main(["report", "--store", new]) == 0
+            assert capsys.readouterr().out == before, shards
+            with CrawlStore(new) as migrated:
+                assert migrated.shard_count == int(shards)
