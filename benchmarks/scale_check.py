@@ -1,14 +1,16 @@
 """``make scale-check``: memory flatness + parity gate for the streaming path.
 
 Runs the streaming memory probe (sharded store, trim-mode crawl,
-cursor-fed analyses — see ``test_perf_pipeline.run_memory_probe``)
-at two scales in fresh subprocesses and FAILS if either:
+cursor-fed analyses — see :func:`run_memory_probe`) at two scales, each
+in a fresh process so its ``ru_maxrss`` reflects only that scale, and
+FAILS if either:
 
-* the **crawl-path peak RSS ratio** between the scales exceeds the
-  threshold (default 1.3, i.e. doubling the corpus must not come close
-  to doubling resident memory through the crawl datapath), or
+* the **crawl-path peak RSS ratio** between the scales exceeds 1.3x
+  (doubling the corpus must not come close to doubling resident memory
+  through the crawl datapath), or
 * the streaming run's Tables 2/4/6 at the smaller scale are not
-  byte-identical to an unsharded, in-memory reference.
+  byte-identical to an unsharded, in-memory reference
+  (:func:`run_reference_probe`, also in its own process).
 
 The enforced RSS sample is the ``ru_maxrss`` high-water taken right
 after the crawl stage: it covers the universe, the corpus build, and the
@@ -18,14 +20,13 @@ carries the analyses' O(unique-domain) aggregates and the universe
 model, both functions of corpus *diversity* rather than page count) is
 printed for context but not gated.
 
-Configuration (environment):
+``REPRO_SCALE_CHECK_SCALES`` sets the comma-separated scale pair,
+default ``0.2,0.4`` ("scale-2 vs scale-4" smoke sizes; full scales 2/4
+take tens of minutes and belong in a nightly run, not ``make``).
 
-* ``REPRO_SCALE_CHECK_SCALES`` — comma-separated pair, default
-  ``0.2,0.4`` ("scale-2 vs scale-4" smoke sizes; full scales 2/4 take
-  tens of minutes and belong in a nightly run, not ``make``).
-* ``REPRO_SCALE_CHECK_RATIO`` — RSS ratio threshold, default ``1.3``.
-
-Exit status 0 on pass, 1 on any violation.
+The script re-invokes itself for each probe
+(``scale_check.py --probe memory|reference SCALE``), which prints the
+probe's result as JSON.  Exit status 0 on pass, 1 on any violation.
 """
 
 from __future__ import annotations
@@ -35,24 +36,129 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-PROBE_SCRIPT = pathlib.Path(__file__).resolve().parent / "test_perf_pipeline.py"
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
 DEFAULT_SCALES = (0.2, 0.4)
-DEFAULT_RATIO = 1.3
+RATIO_THRESHOLD = 1.3
+
+#: Fetch-cache entry cap for the memory probes.  The default cache
+#: (200k entries) is effectively unbounded at probe scales; pinning a
+#: uniform small cap across scales keeps resident response bytes a
+#: constant so the probe measures the pipeline, not the cache.
+MEM_PROBE_FETCH_CACHE = 5000
+
+#: Shard count for the memory probe's store.
+MEM_PROBE_SHARDS = 4
 
 
-def _run_probe(scale: float, mode: str) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep \
-        + env.get("PYTHONPATH", "")
-    command = [sys.executable, str(PROBE_SCRIPT), "--scale", str(scale),
-               f"--{mode}", "--json"]
-    result = subprocess.run(command, env=env, capture_output=True, text=True)
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process, in MiB."""
+    import resource
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is KiB on Linux, bytes on macOS.
+    divisor = 2 ** 20 if sys.platform == "darwin" else 2 ** 10
+    return round(peak / divisor, 1)
+
+
+def _tables_digest(reader) -> str:
+    """SHA-256 over the rendered Tables 2/4/6 of a study."""
+    import hashlib
+
+    from repro.reporting.tables import (
+        render_table2,
+        render_table4,
+        render_table6,
+    )
+
+    rendered = "\n".join((
+        render_table2(reader.table2()),
+        render_table4(reader.cookie_stats()),
+        render_table6(reader.https_report()),
+    ))
+    return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+
+
+def _record_corpus(store, universe) -> list:
+    """Sanitize the corpus into ``store``'s ``sanitize:verdicts``
+    artifact, as ``repro study --store`` does: store-only studies read
+    the verdicts from there.  Returns the corpus domains."""
+    from repro import Study
+
+    return Study(universe, parallelism=1, store=store).corpus_domains()
+
+
+def run_memory_probe(scale: float, store_dir: str) -> dict:
+    """The bounded-memory pipeline at one scale: sharded + cursors.
+
+    Universe specs are minted from packed rows on access, the crawl runs in
+    trim mode (each site's events dropped once checkpointed to its
+    shard), and the Table 2/4/6 analyses consume datastore cursors in a
+    store-only study — the configuration whose RSS must stay flat as
+    scale grows.  Returns the peak RSS after the crawl and after the
+    whole run, and the table digest for parity checks against the
+    in-memory reference.
+    """
+    from repro import Study, UniverseConfig
+    from repro.datastore import CrawlStore, stored_crawl
+    from repro.webgen.builder import build_universe
+
+    universe = build_universe(UniverseConfig(scale=scale),
+                              fetch_cache_size=MEM_PROBE_FETCH_CACHE)
+
+    store = CrawlStore(os.path.join(store_dir, "probe-store"),
+                       shards=MEM_PROBE_SHARDS)
+    domains = _record_corpus(store, universe)
+    reader = Study(universe, parallelism=1, store=store, store_only=True)
+    vantage = reader.vantage_points.point(reader.home_country)
+
+    stored_crawl(store, universe, vantage, Study._PORN_KIND, domains,
+                 hydrate=False)
+    stored_crawl(store, universe, vantage, Study._REGULAR_KIND,
+                 universe.reference_regular_corpus(), keep_html=False,
+                 hydrate=False)
+    # ru_maxrss is monotone: sampled here, it is the crawl path's peak.
+    crawl_rss = _peak_rss_mb()
+
+    digest = _tables_digest(reader)
+    return {
+        "pages": sum(manifest.visits for manifest in store.run_manifests()),
+        "crawl_rss_mb": crawl_rss,
+        "peak_rss_mb": _peak_rss_mb(),
+        "tables_sha256": digest,
+    }
+
+
+def run_reference_probe(scale: float) -> dict:
+    """The parity reference: an in-memory study over hydrated logs."""
+    from repro import Study, UniverseConfig
+    from repro.webgen.builder import build_universe
+
+    universe = build_universe(UniverseConfig(scale=scale))
+    study = Study(universe, parallelism=1)
+    return {"tables_sha256": _tables_digest(study)}
+
+
+def _probe_child(mode: str, scale: float) -> None:
+    """Run one probe in this (fresh) process; print its result as JSON."""
+    if mode == "memory":
+        with tempfile.TemporaryDirectory(prefix="repro-mem-probe-") as tmp:
+            result = run_memory_probe(scale, tmp)
+    else:
+        result = run_reference_probe(scale)
+    print(json.dumps(result))
+
+
+def _run_probe(mode: str, scale: float) -> dict:
+    command = [sys.executable, str(pathlib.Path(__file__).resolve()),
+               "--probe", mode, str(scale)]
+    result = subprocess.run(command, capture_output=True, text=True)
     if result.returncode != 0:
         raise RuntimeError(
-            f"{mode} child at scale {scale} failed:\n{result.stderr}"
+            f"{mode} probe at scale {scale} failed:\n{result.stderr}"
         )
     return json.loads(result.stdout)
 
@@ -65,18 +171,16 @@ def main() -> int:
         print(f"scale-check: need two increasing scales, got {scales}",
               file=sys.stderr)
         return 1
-    threshold = float(os.environ.get("REPRO_SCALE_CHECK_RATIO",
-                                     str(DEFAULT_RATIO)))
 
     small, large = scales
     print(f"scale-check: streaming probes at scales {small} and {large} "
-          f"(threshold {threshold}x)")
-    probe_small = _run_probe(small, "memory-probe")
-    probe_large = _run_probe(large, "memory-probe")
-    reference = _run_probe(small, "reference-probe")
+          f"(threshold {RATIO_THRESHOLD}x)")
+    probe_small = _run_probe("memory", small)
+    probe_large = _run_probe("memory", large)
+    reference = _run_probe("reference", small)
 
-    crawl_small = probe_small["stage_rss_mb"]["crawl:all"]
-    crawl_large = probe_large["stage_rss_mb"]["crawl:all"]
+    crawl_small = probe_small["crawl_rss_mb"]
+    crawl_large = probe_large["crawl_rss_mb"]
     crawl_ratio = crawl_large / crawl_small
     full_ratio = probe_large["peak_rss_mb"] / probe_small["peak_rss_mb"]
 
@@ -91,9 +195,9 @@ def main() -> int:
           f"{large / small:.1f}x scale")
 
     failed = False
-    if crawl_ratio > threshold:
+    if crawl_ratio > RATIO_THRESHOLD:
         print(f"FAIL: crawl-path RSS ratio {crawl_ratio:.3f}x exceeds "
-              f"{threshold}x", file=sys.stderr)
+              f"{RATIO_THRESHOLD}x", file=sys.stderr)
         failed = True
 
     if probe_small["tables_sha256"] == reference["tables_sha256"]:
@@ -112,4 +216,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--probe"]:
+        _probe_child(sys.argv[2], float(sys.argv[3]))
+        sys.exit(0)
     sys.exit(main())

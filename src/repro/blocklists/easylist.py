@@ -267,9 +267,7 @@ class FilterList:
 
     def __init__(self, rules: Iterable[FilterRule] = ()) -> None:
         self._block_by_domain: Dict[str, List[FilterRule]] = {}
-        self._block_generic: List[FilterRule] = []
         self._block_index = _TokenIndex()
-        self._exceptions: List[FilterRule] = []
         self._exc_by_domain: Dict[str, List[FilterRule]] = {}
         self._exc_index = _TokenIndex()
         self._size = 0
@@ -288,7 +286,6 @@ class FilterList:
     def add_rule(self, rule: FilterRule) -> None:
         self._size += 1
         if rule.is_exception:
-            self._exceptions.append(rule)
             if rule.anchor_domain is not None:
                 key = registrable_domain(rule.anchor_domain)
                 self._exc_by_domain.setdefault(key, []).append(rule)
@@ -299,15 +296,10 @@ class FilterList:
             key = registrable_domain(rule.anchor_domain)
             self._block_by_domain.setdefault(key, []).append(rule)
         else:
-            self._block_generic.append(rule)
             self._block_index.add(rule)
 
     def __len__(self) -> int:
         return self._size
-
-    def _candidate_rules(self, url: URL) -> Iterable[FilterRule]:
-        yield from self._block_by_domain.get(registrable_domain(url.host), ())
-        yield from self._block_generic
 
     def matches(self, url, context: Optional[MatchContext] = None) -> bool:
         """True if the request would be blocked (exceptions honored).
@@ -315,8 +307,7 @@ class FilterList:
         Candidate rules come from a token index (domain-anchored rules by
         the host's registrable domain, generic rules by URL substring
         tokens), so the scan touches a handful of rules per URL instead of
-        the whole list; :meth:`matches_linear` keeps the exhaustive scan
-        for parity testing.
+        the whole list.
         """
         if not isinstance(url, URL):
             url = parse_url(str(url))
@@ -340,16 +331,6 @@ class FilterList:
     def _indexed_exception_candidates(self, url: URL, url_text: str) -> Iterable[FilterRule]:
         yield from self._exc_by_domain.get(registrable_domain(url.host), ())
         yield from self._exc_index.candidates(url_text)
-
-    def matches_linear(self, url, context: Optional[MatchContext] = None) -> bool:
-        """The pre-index exhaustive scan; reference semantics for tests."""
-        if not isinstance(url, URL):
-            url = parse_url(str(url))
-        context = context or MatchContext()
-        blocked = any(rule.matches(url, context) for rule in self._candidate_rules(url))
-        if not blocked:
-            return False
-        return not any(rule.matches(url, context) for rule in self._exceptions)
 
     def matches_domain(self, host: str) -> bool:
         """Relaxed base-FQDN match used by the paper to count ATS *organizations*.

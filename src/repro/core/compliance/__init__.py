@@ -23,7 +23,6 @@ from .policies import (
     collect_policies,
     extract_disclosures,
     pairwise_similarity_fractions,
-    pairwise_similarity_fractions_dense,
 )
 
 __all__ = [
@@ -45,5 +44,4 @@ __all__ = [
     "collect_policies",
     "extract_disclosures",
     "pairwise_similarity_fractions",
-    "pairwise_similarity_fractions_dense",
 ]

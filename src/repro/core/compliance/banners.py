@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 from ...browser.events import CrawlLog
 from ...cache import BoundedCache, content_key
 from ...html.dom import Element
-from ...html.parser import parse_html, parse_html_cached
+from ...html.parser import parse_html_cached
 from ...html.query import find_all
 from ...text.langs import COOKIE_BANNER_KEYWORDS, all_keywords
 
@@ -28,7 +28,6 @@ __all__ = [
     "BannerObservation",
     "BannerReport",
     "detect_banner",
-    "detect_banner_unfiltered",
     "analyze_banners",
 ]
 
@@ -121,18 +120,6 @@ def _detect(html: str) -> Optional[tuple]:
     if observation is None:
         return None
     return (observation.banner_type, observation.text)
-
-
-def detect_banner_unfiltered(
-    html: str, site_domain: str = ""
-) -> Optional[BannerObservation]:
-    """Historical detector: fresh parse of every page, no prefilter.
-
-    Kept as the parity reference (``tests/test_analysis_scheduler.py``
-    asserts page-by-page agreement with :func:`detect_banner`) and as
-    the benchmark's before/after measure of the banner fast path.
-    """
-    return _walk_for_banner(parse_html(html), site_domain)
 
 
 def _walk_for_banner(document, site_domain: str) -> Optional[BannerObservation]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -181,11 +180,6 @@ class Study:
                 aggregate_cache = AggregateStore(str(aggregate_cache))
                 self._opened.append(aggregate_cache)
         self.aggregate_cache = aggregate_cache or None
-        #: Real per-analysis wall time, recorded by :meth:`run_all` /
-        #: :meth:`prefetch_analyses` around each task thunk (the memoized
-        #: accessors alone can't be timed from outside — under prefetch
-        #: the work happens in the pool and later reads are cache hits).
-        self.analysis_timings: Dict[str, float] = {}
         self.progress = progress
         self._cache: Dict[str, object] = {}
         self._cache_lock = threading.Lock()
@@ -534,8 +528,7 @@ class Study:
         self.prefetch_crawls(crawl_countries)
         tasks = self._analysis_tasks(geo=geo, countries=countries)
         with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-            futures = [pool.submit(self._timed_task(name, thunk))
-                       for name, thunk in tasks]
+            futures = [pool.submit(thunk) for _, thunk in tasks]
             for future in futures:
                 future.result()  # re-raise the first failure in task order
 
@@ -557,28 +550,8 @@ class Study:
         if self.parallelism > 1:
             self.prefetch_analyses(countries, geo=geo)
             return
-        for name, thunk in self._analysis_tasks(geo=geo, countries=countries):
-            self._timed_task(name, thunk)()
-
-    def _timed_task(self, name: str, thunk: Callable[[], object]):
-        """Wrap a task thunk to record its real wall time.
-
-        The timing happens where the work happens — inside the prefetch
-        pool worker or the serial loop — so benchmark ``analysis:*``
-        stages can report true per-analysis cost instead of the
-        near-zero memo-hit reads they used to see at ``parallelism>1``.
-        The recorded time includes waits on shared-intermediate memo
-        locks (that wait *is* part of the task's wall time).
-        """
-
-        def run():
-            start = time.perf_counter()
-            try:
-                return thunk()
-            finally:
-                self.analysis_timings[name] = time.perf_counter() - start
-
-        return run
+        for _, thunk in self._analysis_tasks(geo=geo, countries=countries):
+            thunk()
 
     def inspections(self) -> List[SiteInspection]:
         """Interaction-crawler pass over the whole corpus (home country).

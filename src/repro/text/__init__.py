@@ -18,7 +18,6 @@ from .tfidf import (
     TfIdfVectorizer,
     cosine_similarity,
     pairwise_similarities,
-    pairwise_similarities_linear,
 )
 from .tokenize import term_counts, tokenize
 
@@ -42,7 +41,6 @@ __all__ = [
     "TfIdfVectorizer",
     "cosine_similarity",
     "pairwise_similarities",
-    "pairwise_similarities_linear",
     "term_counts",
     "tokenize",
 ]

@@ -1,0 +1,136 @@
+"""Reference implementations the package's fast paths are tested against.
+
+Each one is the historical, unoptimized form of a shipped function:
+exhaustive where the shipped one indexes, dense where it streams,
+parse-every-page where it prefilters.  Parity tests assert that both
+give the same answer on the same input; nothing in ``repro`` calls
+these.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.blocklists.easylist import FilterList, FilterRule, MatchContext
+from repro.core.compliance.banners import BannerObservation, _walk_for_banner
+from repro.html.parser import parse_html
+from repro.net.url import URL, parse_url, registrable_domain
+from repro.text.tfidf import TfIdfVectorizer, cosine_similarity
+from repro.text.tokenize import term_counts
+
+
+def pairwise_similarities_linear(
+    documents: Sequence[str], *, vectorizer: Optional[TfIdfVectorizer] = None
+) -> Iterable[Tuple[int, int, float]]:
+    """The O(n²) dict-cosine pair stream behind
+    :func:`repro.text.tfidf.pairwise_similarities`."""
+    vectorizer = vectorizer or TfIdfVectorizer()
+    vectors = vectorizer.fit_transform(documents)
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            yield (i, j, cosine_similarity(vectors[i], vectors[j]))
+
+
+def pairwise_similarity_fractions_dense(
+    texts: Sequence[str], *, threshold: float = 0.5
+) -> Tuple[float, int]:
+    """Dense-matrix form of
+    :func:`repro.core.compliance.policies.pairwise_similarity_fractions`:
+    one full Gram product plus an ``np.triu_indices`` extraction."""
+    n = len(texts)
+    if n < 2:
+        return (0.0, 0)
+    counts = [term_counts(text) for text in texts]
+    vocabulary: Dict[str, int] = {}
+    document_frequency: Dict[str, int] = {}
+    for count in counts:
+        for term in count:
+            if term not in vocabulary:
+                vocabulary[term] = len(vocabulary)
+            document_frequency[term] = document_frequency.get(term, 0) + 1
+    idf = np.zeros(len(vocabulary))
+    for term, index in vocabulary.items():
+        idf[index] = np.log((1 + n) / (1 + document_frequency[term])) + 1.0
+    matrix = np.zeros((n, len(vocabulary)))
+    for row, count in enumerate(counts):
+        for term, frequency in count.items():
+            matrix[row, vocabulary[term]] = (1.0 + np.log(frequency)) * \
+                idf[vocabulary[term]]
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    matrix /= norms
+    gram = matrix @ matrix.T
+    upper = gram[np.triu_indices(n, k=1)]
+    total_pairs = upper.size
+    return (float((upper > threshold).sum()) / total_pairs, total_pairs)
+
+
+def _policy_similarity_pairs_dense(
+    sites: Sequence[str], texts: Sequence[str], *, threshold: float
+) -> List[Tuple[int, int]]:
+    """Dense-matrix form of the owner-discovery candidate pairs
+    (:func:`repro.core.owners._policy_similarity_pairs`)."""
+    n = len(texts)
+    if n < 2:
+        return []
+    counts = [term_counts(text) for text in texts]
+    vocabulary: Dict[str, int] = {}
+    for count in counts:
+        for term in count:
+            vocabulary.setdefault(term, len(vocabulary))
+    matrix = np.zeros((n, len(vocabulary)))
+    for row, count in enumerate(counts):
+        for term, frequency in count.items():
+            matrix[row, vocabulary[term]] = 1.0 + np.log(frequency)
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    matrix /= norms
+    gram = matrix @ matrix.T
+    pairs = np.argwhere(np.triu(gram > threshold, k=1))
+    return [(int(i), int(j)) for i, j in pairs]
+
+
+def detect_banner_unfiltered(
+    html: str, site_domain: str = ""
+) -> Optional[BannerObservation]:
+    """:func:`repro.core.compliance.banners.detect_banner` without the
+    keyword prefilter or the detection cache: a fresh parse of every
+    page, walked in full."""
+    return _walk_for_banner(parse_html(html), site_domain)
+
+
+class LinearFilterList(FilterList):
+    """A :class:`FilterList` that also keeps flat rule lists, so
+    :meth:`matches_linear` can check every rule against a URL where
+    :meth:`FilterList.matches` consults its token index."""
+
+    def __init__(self, rules: Iterable[FilterRule] = ()) -> None:
+        self._linear_by_domain: Dict[str, List[FilterRule]] = {}
+        self._linear_generic: List[FilterRule] = []
+        self._linear_exceptions: List[FilterRule] = []
+        super().__init__(rules)
+
+    def add_rule(self, rule: FilterRule) -> None:
+        super().add_rule(rule)
+        if rule.is_exception:
+            self._linear_exceptions.append(rule)
+        elif rule.anchor_domain is not None:
+            key = registrable_domain(rule.anchor_domain)
+            self._linear_by_domain.setdefault(key, []).append(rule)
+        else:
+            self._linear_generic.append(rule)
+
+    def matches_linear(self, url, context: Optional[MatchContext] = None) -> bool:
+        """The exhaustive scan: every generic rule, every rule anchored
+        at the host's registrable domain, then every exception."""
+        if not isinstance(url, URL):
+            url = parse_url(str(url))
+        context = context or MatchContext()
+        candidates = self._linear_by_domain.get(registrable_domain(url.host),
+                                                []) + self._linear_generic
+        if not any(rule.matches(url, context) for rule in candidates):
+            return False
+        return not any(rule.matches(url, context)
+                       for rule in self._linear_exceptions)

@@ -5,16 +5,15 @@ the unfiltered DOM walk on every crawled page."""
 from __future__ import annotations
 
 from repro import Study
-from repro.core.compliance.banners import (
-    detect_banner,
-    detect_banner_unfiltered,
-)
+from repro.core.compliance.banners import detect_banner
 from repro.reporting.tables import (
     render_table1,
     render_table2,
     render_table4,
     render_table8,
 )
+
+from .reference import detect_banner_unfiltered
 
 
 class TestSchedulerDeterminism:

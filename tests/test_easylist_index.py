@@ -5,8 +5,8 @@ change the verdict.  These tests drive it with (a) the universe's full
 synthetic EasyList/EasyPrivacy corpora against real crawl-shaped URLs,
 and (b) randomized rules — wildcards, anchors, ``^`` separators,
 exceptions, ``$domain=`` / type / party options — against randomized
-URLs, asserting agreement with :meth:`FilterList.matches_linear` on
-every single query.
+URLs, asserting agreement with the exhaustive scan of
+:class:`tests.reference.LinearFilterList` on every single query.
 """
 
 from __future__ import annotations
@@ -15,12 +15,9 @@ import random
 
 import pytest
 
-from repro.blocklists.easylist import (
-    FilterList,
-    MatchContext,
-    _safe_tokens,
-    parse_rule,
-)
+from repro.blocklists.easylist import MatchContext, _safe_tokens, parse_rule
+
+from .reference import LinearFilterList as FilterList
 
 SEED = 20191021
 

@@ -277,3 +277,42 @@ def test_epoch1_delta_study(golden_store):
                   aggregate_cache=aggregates_path(path))
     study.run_all(geo=True)
     _assert_golden(study, GOLDEN["epoch1_delta"])
+
+
+def test_aggregate_cache_from_another_universe(golden_store, tmp_path):
+    """A cache another universe's study warmed holds partials under the
+    same analysis keys and some of the same site names, but under other
+    content hashes.  A report through it must render the golden bytes
+    and count exactly what a report through an empty cache counts: a
+    miss for every site's first lookup, and hits only on partials this
+    report wrote itself."""
+    other_path = str(tmp_path / "other")
+    other = Study(build_universe(UniverseConfig(seed=GOLDEN["seed"] + 1,
+                                                scale=0.02)),
+                  store=other_path, aggregate_cache=True)
+    try:
+        other.run_all()
+        assert other.aggregate_cache.row_count() > 0
+    finally:
+        other.close()
+
+    def report_stats(name, cache_file):
+        # The golden store may hold its own cache (and its WAL) from an
+        # earlier test; leave all of it behind.
+        path = str(tmp_path / name)
+        shutil.copytree(golden_store, path,
+                        ignore=shutil.ignore_patterns("aggregates.sqlite*"))
+        if cache_file:
+            shutil.copyfile(cache_file, aggregates_path(path))
+        study = Study(build_universe(_config()), store=path,
+                      store_only=True, aggregate_cache=True)
+        stats = study.aggregate_cache.stats
+        sites = sum(manifest.total_sites
+                    for manifest in study.store.run_manifests())
+        _assert_golden(study, GOLDEN["epoch0"])
+        return stats.as_dict(), sites
+
+    planted, sites = report_stats("planted", aggregates_path(other_path))
+    empty, _ = report_stats("empty", None)
+    assert planted == empty
+    assert planted["misses"] >= sites

@@ -246,22 +246,6 @@ class TestAggregateCache:
 
 
 class TestSatellites:
-    def test_analysis_timings_under_prefetch(self, universe):
-        study = Study(_rebuild(universe), parallelism=2)
-        study.run_all()
-        assert "table2" in study.analysis_timings
-        assert "cookie_stats" in study.analysis_timings
-        # Real wall time, not a near-zero memo read: at least one
-        # analysis did measurable work inside the pool.
-        assert max(study.analysis_timings.values()) > 0.001
-
-    def test_analysis_timings_serial(self, universe):
-        study = Study(_rebuild(universe), parallelism=1)
-        study.table2()                 # outside run_all: not timed
-        study.run_all()
-        assert set(study.analysis_timings) >= {"table2", "https",
-                                               "cookie_stats"}
-
     def test_store_io_stats_counters(self, universe, epoch0_store):
         store = CrawlStore(epoch0_store)
         assert store.io_stats["scans"] == 0

@@ -238,3 +238,43 @@ class TestBandedLevenshteinProperties:
         from repro.text.levenshtein import domains_similar
 
         assert domains_similar("www." + host, host)
+
+
+def _spell(host, upper_mask, www):
+    """``host`` with the letters at ``upper_mask`` positions upper-cased
+    and an optional ``www.`` prefix (itself in mixed case)."""
+    spelled = "".join(ch.upper() if flip else ch
+                      for ch, flip in zip(host, upper_mask))
+    spelled += host[len(upper_mask):]
+    return (www + "." + spelled) if www else spelled
+
+
+@st.composite
+def domain_pairs(draw):
+    """Two spellings of hosts that are either unrelated or one edit apart,
+    so both verdicts of the similarity test are exercised."""
+    a = draw(hostname)
+    if draw(st.booleans()):
+        b = draw(hostname)
+    else:
+        index = draw(st.integers(min_value=0, max_value=len(a) - 1))
+        b = a[:index] + draw(st.sampled_from("abcxyz0")) + a[index + 1:]
+    spell = st.tuples(st.lists(st.booleans(), max_size=40),
+                      st.sampled_from(["", "www", "WWW", "Www"]))
+    return _spell(a, *draw(spell)), _spell(b, *draw(spell))
+
+
+class TestPartyLabelSimilarityMemo:
+    """Party labeling compares domains through a memoized, order-normalized
+    wrapper; it must give the per-call verdict for every spelling."""
+
+    @given(domain_pairs(), st.sampled_from([0.0, 0.5, 0.7, 0.9, 1.0]))
+    def test_memoized_equals_per_call(self, pair, threshold):
+        from repro.core.partylabel import _domains_similar
+        from repro.text.levenshtein import domains_similar
+
+        a, b = pair
+        expected = domains_similar(a, b, threshold=threshold)
+        assert _domains_similar(a, b, threshold) == expected
+        assert _domains_similar(b, a, threshold) == \
+            domains_similar(b, a, threshold=threshold) == expected

@@ -9,19 +9,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.compliance.policies import (
-    pairwise_similarity_fractions,
-    pairwise_similarity_fractions_dense,
-)
-from repro.core.owners import (
-    _policy_similarity_pairs,
-    _policy_similarity_pairs_dense,
-)
+from repro.core.compliance.policies import pairwise_similarity_fractions
+from repro.core.owners import _policy_similarity_pairs
 from repro.text.sparse import CsrMatrix, SimilarityEngine, engine_stats
-from repro.text.tfidf import (
-    TfIdfVectorizer,
-    pairwise_similarities,
+from repro.text.tfidf import TfIdfVectorizer, pairwise_similarities
+
+from .reference import (
+    _policy_similarity_pairs_dense,
     pairwise_similarities_linear,
+    pairwise_similarity_fractions_dense,
 )
 
 
