@@ -8,7 +8,7 @@ itself; the completion logic lives in :mod:`repro.core.attribution`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..net.url import registrable_domain

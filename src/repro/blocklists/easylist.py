@@ -20,8 +20,8 @@ lists actually rely on:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..net.url import URL, is_subdomain_of, parse_url, registrable_domain
 

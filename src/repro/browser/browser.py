@@ -20,7 +20,7 @@ from ..html.parser import parse_html_cached
 from ..js.runtime import execute_script
 from ..net.cookies import CookieJar
 from ..net.http import Headers, Request, Response
-from ..net.url import URL, URLError, parse_url, registrable_domain
+from ..net.url import URL, URLError, parse_url
 from ..util import token_for
 from ..webgen.universe import ClientContext, FetchError, Universe
 from .events import CookieRecord, CrawlLog, PageVisit, RequestRecord

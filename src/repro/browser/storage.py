@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
-from typing import IO, Dict, Iterable, Union
+from typing import Dict, Iterable, Union
 
 from ..js.api import JSCall
 from .events import CookieRecord, CrawlLog, PageVisit, RequestRecord

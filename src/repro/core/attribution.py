@@ -9,11 +9,10 @@ repeats the domain name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, Optional, Set
 
 from ..blocklists.disconnect import DisconnectList
 from ..net.tls import Certificate
-from ..net.url import registrable_domain
 
 __all__ = ["AttributionResult", "attribute_organizations"]
 

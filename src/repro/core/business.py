@@ -9,7 +9,7 @@ markers) — the semi-automatic pass the paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List
 
 from ..crawler.selenium import SiteInspection
 

@@ -10,7 +10,7 @@ passes, a child could too).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from ...crawler.selenium import SeleniumCrawler, SiteInspection
 from ...crawler.vpn import VantagePointManager

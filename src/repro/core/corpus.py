@@ -9,7 +9,7 @@ non-pornographic keyword matches are removed as false positives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from ..browser.browser import Browser
 from ..crawler.vpn import client_for

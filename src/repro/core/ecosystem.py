@@ -9,7 +9,7 @@ prevalence in each ecosystem).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 from ..net.url import registrable_domain
 from ..webgen.config import TIER_NAMES

@@ -11,7 +11,7 @@ against the unprotected crawl.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Sequence, Set
 
 from ...browser.browser import Browser
 from ...browser.events import CrawlLog

@@ -9,7 +9,7 @@ tracking measurements, per monetization model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional
 
 from ...browser.events import CrawlLog
 from ...net.url import registrable_domain

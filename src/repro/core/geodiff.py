@@ -9,7 +9,7 @@ per-country malware presence and site blocking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..net.url import registrable_domain
 from .ats import ATSResult

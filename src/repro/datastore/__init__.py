@@ -8,7 +8,7 @@ the reproduction the same shape.  :class:`CrawlStore` is the store,
 """
 
 from .aggregates import AggregateCacheStats, AggregateStore, aggregates_path
-from .delta import DeltaSource, SiteSlice, delta_crawl
+from .delta import DeltaSource, delta_crawl
 from .incremental import (
     IncrementalRunAnalyzer,
     LogRows,
@@ -27,6 +27,7 @@ from .store import (
     RunState,
     RunWriter,
     ShardInfo,
+    SiteSlice,
     shard_of_domain,
     stored_crawl,
 )

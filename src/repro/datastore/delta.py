@@ -10,113 +10,77 @@ cookies and every identifier derives from (seed, host, client) alone
 (the same purity contract that makes resume bit-identical — see the
 :mod:`repro.datastore.store` module docstring).
 
-A delta crawl therefore keys each site by its **content hash**
-(:class:`repro.webgen.evolve.ContentHashIndex` digests the canonical
-site spec plus the fingerprints of every third-party service its visit
-can transitively touch).  For each site of the new run:
+A delta crawl therefore sorts each remaining site of the new run:
 
-* hash unchanged → **splice**: the previous epoch's stored rows are
-  copied verbatim into the new run, with only the global ``seq`` values
-  rebased to the new run's counter and row positions assigned from the
-  shared :class:`~repro.datastore.store.RunWriter` counters;
-* hash changed (or missing from the baseline) → **real visit** through
-  the normal browser path.
+* unchanged and completed in the baseline run → **splice**: the
+  previous epoch's stored rows are copied into the new run;
+* changed (or missing from the baseline) → **real visit** through the
+  normal browser path.
+
+"Unchanged" comes from the evolution lineage
+(:meth:`Universe.changed_domains_since`), or, for a baseline from
+another chain, from comparing :class:`~repro.webgen.evolve.ContentHashIndex`
+digests of the canonical site spec plus every third-party service its
+visit can transitively touch.
+
+The copy never leaves SQLite.  The baseline's shard files are attached
+read-only to the target shards' connections (:meth:`RunWriter.attach`;
+a read-only attachment takes only a read transaction under ``BEGIN
+IMMEDIATE``, so the baseline is never write-locked), and each site is
+one ``INSERT INTO main.<table> SELECT ... FROM <baseline>.<table>`` per
+event table, with ``run_id`` replaced, ``position`` shifted onto the
+shared :class:`~repro.datastore.store.RunWriter` counters and the
+request/cookie ``seq`` values shifted onto the new log's counter.
+Every copy's row count is checked against the baseline's prefix-summed
+slice index: a site whose rows disagree is rolled back and visited for
+real.  Before anything is attached, the index is checked against the
+baseline's row layout (each event table's highest position must close
+the prefix sums), because a wrong per-site count shifts every later
+slice by the same amount and a shifted slice would still count right;
+such a baseline is not spliced from at all.  Transactions: one per
+contiguous group of spliced sites on a one-shard store, one per site on
+more shards (:meth:`RunWriter.splice_many`).  The baseline is detached
+in a ``finally``, since a cancelled service job raises out of the
+``progress`` hook.
+
+No spliced row passes through Python, so the crawl always runs in trim
+mode; :func:`~repro.datastore.stored_crawl` loads the finished run back
+for callers that asked for a hydrated log.
 
 Because serving is jar-oblivious, the cookie-relevant projection of the
 jar state at every visit start is the empty digest, and the splice key
-collapses to (content hash, vantage).  A universe subclass that *does*
+collapses to (content, vantage).  A universe subclass that *does*
 serve from jar state can set ``jar_sensitive = True``: splicing then
 stops at the first divergence point (the first really-visited site may
 have mutated the jar, so later stored slices are no longer provably
 equal) and the crawl degrades gracefully to real visits — correctness
-never depends on the hash being right, only speed does.  The result is
-byte-identical to a full crawl *by construction*, which
-``make delta-check`` re-proves on every CI run by diffing every
-rendered report table.
+never depends on the hash being right, only speed does.  The
+result is byte-identical to a full crawl *by construction*, which
+``make delta-check`` re-proves by digesting both stores' event rows and
+diffing every rendered report table.
 """
 
 from __future__ import annotations
 
 import os
+import sqlite3
 import threading
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..browser.events import CrawlLog
 from ..net.geo import VantagePoint
 from ..webgen.config import UniverseConfig
-from .serialize import (
-    COOKIE_COLUMNS,
-    REQUEST_COLUMNS,
-    config_to_json,
-    cookie_from_row,
-    jscall_from_row,
-    request_from_row,
-    visit_from_row,
+from .serialize import config_to_json
+from .store import (
+    MAX_ATTACHED,
+    CrawlStore,
+    RunRef,
+    RunState,
+    SiteSlice,
+    _slice_index,
 )
-from .store import CrawlStore, RunRef, RunState
 
 __all__ = ["DeltaSource", "SiteSlice", "delta_crawl"]
-
-_REQ_SEQ = REQUEST_COLUMNS.index("seq")
-_COO_SEQ = COOKIE_COLUMNS.index("seq")
-
-
-@dataclass(frozen=True)
-class SiteSlice:
-    """Where one completed site's rows live inside its baseline run.
-
-    All starts are *global* row positions (the store's fan-in order),
-    computed by prefix-summing the per-site counts of the run manifest;
-    ``seq_start`` is the value of the log's sequence counter when the
-    site's visit began (every request and cookie of a visit draws
-    exactly one ``seq``, so the spans telescope).
-    """
-
-    domain: str
-    position: int
-    visits_start: int
-    requests_start: int
-    requests: int
-    cookies_start: int
-    cookies: int
-    js_calls_start: int
-    js_calls: int
-    seq_start: int
-
-    @property
-    def seq_span(self) -> int:
-        return self.requests + self.cookies
-
-
-def _slice_index(store: CrawlStore, run: RunRef) -> Dict[str, SiteSlice]:
-    """Prefix-sum the baseline run's per-site counts into slices.
-
-    Completion is always a position prefix (crawls visit in order and
-    resume from where they stopped), so the walk stops at the first
-    uncompleted site — a partial baseline simply offers fewer splice
-    candidates.
-    """
-    slices: Dict[str, SiteSlice] = {}
-    visits = requests = cookies = js_calls = seq = 0
-    for (position, domain, completed, n_requests, n_cookies,
-         n_js_calls) in store.run_site_counts(run):
-        if not completed:
-            break
-        slices[domain] = SiteSlice(
-            domain=domain, position=position,
-            visits_start=visits,
-            requests_start=requests, requests=n_requests,
-            cookies_start=cookies, cookies=n_cookies,
-            js_calls_start=js_calls, js_calls=n_js_calls,
-            seq_start=seq,
-        )
-        visits += 1
-        requests += n_requests
-        cookies += n_cookies
-        js_calls += n_js_calls
-        seq += n_requests + n_cookies
-    return slices
 
 
 class DeltaSource:
@@ -175,83 +139,20 @@ def _target_hashes(universe):
     return index
 
 
-def _slice_bounds(slice_: SiteSlice) -> Dict[str, Tuple[int, int, int]]:
-    """Table -> (lo, hi, expected row count) for one site's slice."""
-    return {
-        "visits": (slice_.visits_start, slice_.visits_start + 1, 1),
-        "requests": (slice_.requests_start,
-                     slice_.requests_start + slice_.requests,
-                     slice_.requests),
-        "cookies": (slice_.cookies_start,
-                    slice_.cookies_start + slice_.cookies,
-                    slice_.cookies),
-        "js_calls": (slice_.js_calls_start,
-                     slice_.js_calls_start + slice_.js_calls,
-                     slice_.js_calls),
-    }
+def _layout_matches(baseline: CrawlStore, run: RunRef,
+                    slices: Dict[str, SiteSlice]) -> bool:
+    """Whether each event table of the baseline run ends where the slice
+    index's prefix sums say it does.
 
-
-def _load_slice(baseline: CrawlStore, run: RunRef, slice_: SiteSlice,
-                ) -> Optional[Dict[str, List[tuple]]]:
-    """One site's raw rows from the baseline, or ``None`` on mismatch.
-
-    A count mismatch means the baseline store disagrees with its own
-    manifest (torn file, concurrent writer); the caller falls back to a
-    real visit rather than trusting the rows.
+    Row positions are dense from 0 and only completed sites have rows,
+    so a wrong per-site count breaks this for its table; a missing row
+    (other than a table's last) does not, and fails only its own site's
+    count check.
     """
-    rows: Dict[str, List[tuple]] = {}
-    for table, (lo, hi, expected) in _slice_bounds(slice_).items():
-        got = baseline.site_event_rows(run, slice_.domain, table, lo, hi)
-        if len(got) != expected:
-            return None
-        rows[table] = got
-    return rows
-
-
-def _load_group(baseline: CrawlStore, run: RunRef, group: List[SiteSlice],
-                ) -> Optional[List[Dict[str, List[tuple]]]]:
-    """Raw rows for a *contiguous* group of slices, one scan per table.
-
-    Consecutive corpus sites occupy consecutive position ranges in every
-    event table (the prefix sums telescope), so the whole group is one
-    ``[first.start, last.end)`` range read, partitioned back to sites by
-    the per-site counts.  ``None`` on any count/position mismatch — the
-    caller then degrades to the per-site path.
-    """
-    first_bounds = _slice_bounds(group[0])
-    last_bounds = _slice_bounds(group[-1])
-    per_site: List[Dict[str, List[tuple]]] = [{} for _ in group]
-    for table in ("visits", "requests", "cookies", "js_calls"):
-        lo = first_bounds[table][0]
-        hi = last_bounds[table][1]
-        rows = baseline.event_rows_in_range(run, table, lo, hi)
-        if len(rows) != hi - lo or (
-                rows and (rows[0][0] != lo or rows[-1][0] != hi - 1)):
-            return None
-        cursor = 0
-        for index, slice_ in enumerate(group):
-            _, _, expected = _slice_bounds(slice_)[table]
-            per_site[index][table] = [
-                row[1:] for row in rows[cursor:cursor + expected]
-            ]
-            cursor += expected
-    return per_site
-
-
-def _rebase_seq(rows: Dict[str, List[tuple]],
-                seq_delta: int) -> Dict[str, List[tuple]]:
-    """Rows with request/cookie ``seq`` columns shifted by ``seq_delta``."""
-    if seq_delta == 0:
-        return rows
-    rows["requests"] = [
-        row[:_REQ_SEQ] + (row[_REQ_SEQ] + seq_delta,) + row[_REQ_SEQ + 1:]
-        for row in rows["requests"]
-    ]
-    rows["cookies"] = [
-        row[:_COO_SEQ] + (row[_COO_SEQ] + seq_delta,) + row[_COO_SEQ + 1:]
-        for row in rows["cookies"]
-    ]
-    return rows
+    last = next(reversed(slices.values()))
+    ends = baseline.position_ends(run)
+    return all(ends[table] == hi
+               for table, (_lo, hi, _count) in last.bounds().items())
 
 
 def delta_crawl(
@@ -262,35 +163,30 @@ def delta_crawl(
     domains: Sequence[str],
     state: RunState,
     baseline: CrawlStore,
-    partial: CrawlLog,
     *,
     epoch: str = "crawl",
     keep_html: bool = True,
-    hydrate: bool = True,
     progress=None,
-) -> Optional[Tuple[Optional[CrawlLog], Dict]]:
+) -> Optional[Tuple[None, Dict]]:
     """Run the remaining sites of ``state`` as a delta against a baseline.
 
-    Returns ``(log, stats)`` — ``log`` is ``None`` in streaming mode —
-    or ``None`` when the delta preconditions fail (no stored baseline
-    config, same universe as the target, no matching baseline run, or
-    an empty completed prefix), in which case the caller runs a normal
-    crawl.  The bail-out happens before anything is written, so falling
-    back is always safe.
+    Returns ``(None, stats)`` — the rows are all in the store, so the
+    first member is always ``None`` — or ``None`` when the delta
+    preconditions fail (no stored baseline config, same universe as the
+    target, no matching baseline run, an empty completed prefix, a
+    slice index that disagrees with the baseline's rows, or more
+    baseline shards than SQLite can attach), in which case the caller
+    runs a normal crawl.  The bail-out happens before anything is
+    written, so falling back is always safe.
 
     ``stats`` reports ``spliced``/``crawled`` site counts and
     ``divergence_index`` — the remaining-list index of the first site
     that needed a real visit (``None`` when everything spliced), which
     is also where a ``jar_sensitive`` universe stops splicing.
 
-    Unchanged-site detection prefers the evolution lineage
-    (:meth:`Universe.changed_domains_since` — exact, free) and falls
-    back to content-hash comparison when the target universe was not
-    derived from the baseline's epoch in this process (which costs one
-    lazy rebuild of the baseline universe, memoized per store+config).
-    Contiguous spliceable sites are read with one ranged scan per event
-    table and committed in one transaction per group, so splice cost is
-    dominated by bulk row I/O rather than per-site round trips.
+    Progress events for spliced sites (``site_started``,
+    ``site_spliced``, ``site_finished``) fire after the transaction that
+    holds them has committed.
     """
     from ..crawler.openwpm import OpenWPMCrawler
 
@@ -299,12 +195,15 @@ def delta_crawl(
         return None
     if config_to_json(base_config) == config_to_json(universe.config):
         return None
+    if baseline.shard_count > MAX_ATTACHED:
+        return None
     base_state = baseline.find_run(base_config, vantage, kind, domains,
                                    epoch=epoch, keep_html=keep_html)
     if base_state is None:
         return None
     slices = _slice_index(baseline, base_state.run_id)
-    if not slices:
+    if not slices or not _layout_matches(baseline, base_state.run_id,
+                                         slices):
         return None
 
     changed = universe.changed_domains_since(base_config.epoch)
@@ -327,109 +226,65 @@ def delta_crawl(
 
     crawler = OpenWPMCrawler(universe, vantage, epoch=epoch,
                              keep_html=keep_html)
-    browser = crawler.browser_for(partial)
-    log = browser.log
-    writer = store.run_writer(state.run_id, trim=not hydrate)
+    log = CrawlLog(country_code=vantage.country_code,
+                   client_ip=vantage.client_ip)
+    log._seq = state.seq
+    browser = crawler.browser_for(log)
+    writer = store.run_writer(state.run_id, trim=True)
     remaining = state.remaining
-    country = vantage.country_code
     total = len(remaining)
     spliced = crawled = 0
     divergence_index: Optional[int] = None
 
-    def splice_one(slice_: SiteSlice, rows: Dict[str, List[tuple]],
-                   ) -> Tuple[str, Dict[str, List[tuple]], int]:
-        rows = _rebase_seq(rows, log._seq - slice_.seq_start)
-        seq_end = log._seq + slice_.seq_span
-        if hydrate:
-            log.mark_site(slice_.domain)
-            log.visits.extend(visit_from_row(r) for r in rows["visits"])
-            log.requests.extend(
-                request_from_row(r) for r in rows["requests"])
-            log.cookies.extend(cookie_from_row(r) for r in rows["cookies"])
-            log.js_calls.extend(
-                jscall_from_row(r) for r in rows["js_calls"])
-        log._seq = seq_end
-        return (slice_.domain, rows, seq_end)
+    def report(event: str, index: int) -> None:
+        if progress is not None:
+            progress(event, country=vantage.country_code,
+                     domain=remaining[index], index=index, total=total)
 
-    index = 0
-    while index < len(remaining):
-        domain = remaining[index]
-        slice_ = None
-        if divergence_index is None or not universe.jar_sensitive:
-            slice_ = spliceable(domain)
-        if slice_ is None:
-            if progress is not None:
-                progress("site_started", country=country, domain=domain,
-                         index=index, total=total)
+    try:
+        writer.attach(baseline, base_state.run_id)
+    except sqlite3.OperationalError:
+        return None
+    try:
+        index = 0
+        while index < total:
+            # Maximal run of consecutive spliceable sites -> one call.
+            group = []
+            if divergence_index is None or not universe.jar_sensitive:
+                while index + len(group) < total:
+                    slice_ = spliceable(remaining[index + len(group)])
+                    if slice_ is None:
+                        break
+                    group.append(slice_)
+            if group:
+                items = []
+                seq = log._seq
+                for slice_ in group:
+                    items.append((slice_, seq - slice_.seq_start))
+                    seq += slice_.seq_span
+                done = writer.splice_many(items)
+                log._seq += sum(slice_.seq_span for slice_ in group[:done])
+                spliced += done
+                for _ in range(done):
+                    for event in ("site_started", "site_spliced",
+                                  "site_finished"):
+                        report(event, index)
+                    index += 1
+                if done == len(group):
+                    continue
+            # Changed, absent from the baseline, or its rows disagree
+            # with the baseline's slice index: a real visit.
+            report("site_started", index)
             if divergence_index is None:
                 divergence_index = index
-            crawler.visit_site(browser, domain, writer.checkpoint)
+            crawler.visit_site(browser, remaining[index], writer.checkpoint)
             crawled += 1
-            if progress is not None:
-                progress("site_finished", country=country, domain=domain,
-                         index=index, total=total)
+            report("site_finished", index)
             index += 1
-            continue
-        # Maximal run of consecutive spliceable sites -> one batch.
-        group = [slice_]
-        end = index + 1
-        while end < len(remaining):
-            next_slice = spliceable(remaining[end])
-            if next_slice is None:
-                break
-            group.append(next_slice)
-            end += 1
-        if progress is not None:
-            for offset, member in enumerate(group):
-                progress("site_started", country=country,
-                         domain=member.domain, index=index + offset,
-                         total=total)
-        loaded = _load_group(baseline, base_state.run_id, group)
-        if loaded is None:
-            # The baseline disagrees with its own manifest somewhere in
-            # this range; retry site-by-site and really visit the ones
-            # that stay unreadable.
-            for offset, member in enumerate(group):
-                rows = _load_slice(baseline, base_state.run_id, member)
-                if rows is not None and universe.jar_sensitive \
-                        and divergence_index is not None:
-                    rows = None
-                if rows is None:
-                    if divergence_index is None:
-                        divergence_index = index + offset
-                    crawler.visit_site(browser, member.domain,
-                                       writer.checkpoint)
-                    crawled += 1
-                else:
-                    item_domain, item_rows, seq_end = splice_one(
-                        member, rows)
-                    writer.splice(item_domain, item_rows, seq_end=seq_end)
-                    spliced += 1
-                    if progress is not None:
-                        progress("site_spliced", country=country,
-                                 domain=member.domain,
-                                 index=index + offset, total=total)
-                if progress is not None:
-                    progress("site_finished", country=country,
-                             domain=member.domain, index=index + offset,
-                             total=total)
-        else:
-            items = [splice_one(member, rows)
-                     for member, rows in zip(group, loaded)]
-            writer.splice_many(items)
-            spliced += len(group)
-            if progress is not None:
-                for offset, member in enumerate(group):
-                    progress("site_spliced", country=country,
-                             domain=member.domain, index=index + offset,
-                             total=total)
-                    progress("site_finished", country=country,
-                             domain=member.domain, index=index + offset,
-                             total=total)
-        index = end
-    stats = {
+    finally:
+        writer.detach()
+    return None, {
         "spliced": spliced,
         "crawled": crawled,
         "divergence_index": divergence_index,
     }
-    return (log if hydrate else None), stats

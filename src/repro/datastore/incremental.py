@@ -57,7 +57,6 @@ from ..core.mapmerge import (
 )
 from ..webgen.evolve import analysis_hash_index
 from .aggregates import AggregateStore
-from .delta import SiteSlice, _slice_bounds, _slice_index
 from .serialize import (
     cookie_from_row,
     domains_hash,
@@ -67,7 +66,7 @@ from .serialize import (
     vantage_to_json,
     visit_from_row,
 )
-from .store import CrawlStore, RunRef
+from .store import CrawlStore, RunRef, SiteSlice, _slice_index
 
 __all__ = ["IncrementalRunAnalyzer", "LogRows", "PORN_ANALYSES",
            "REGULAR_ANALYSES", "StoredRows", "cached_inspections",
@@ -146,7 +145,7 @@ class StoredRows:
                   tables: Sequence[str]) -> Dict[str, list]:
         slice_ = self._slices[domain]
         rows: Dict[str, list] = {}
-        for table, (lo, hi, _count) in _slice_bounds(slice_).items():
+        for table, (lo, hi, _count) in slice_.bounds().items():
             if table in tables:
                 decode = _DECODE[table]
                 rows[table] = [decode(row) for row in

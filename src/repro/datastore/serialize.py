@@ -25,10 +25,10 @@ import hashlib
 import json
 import marshal
 import sys
-from dataclasses import asdict, fields, is_dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict
+from typing import Any, List, Optional, Sequence, Tuple
 
-from ..browser.events import CookieRecord, CrawlLog, PageVisit, RequestRecord
+from ..browser.events import CookieRecord, PageVisit, RequestRecord
 from ..js.api import JSCall
 from ..net.geo import VantagePoint
 from ..webgen.config import CalibrationTargets, UniverseConfig

@@ -54,9 +54,13 @@ It is also the purity contract behind **delta crawls**
 (:mod:`repro.datastore.delta`): since a site's event slice is a pure
 function of (universe content, client context), a slice stored for a
 *previous epoch* can be spliced verbatim into a new run whenever the
-site's content hash is unchanged — only the global ``seq`` values and
-row positions are rewritten to the new run's counters.  The splice path
-(:meth:`RunWriter.splice`) shares its position counters and timer with
+site is unchanged — only ``run_id``, the row positions and the global
+``seq`` values are rewritten to the new run's counters.  The copy never
+leaves SQLite: :meth:`RunWriter.attach` attaches the baseline's shard
+files read-only to this store's shard connections, and
+:meth:`RunWriter.splice_many` runs one ``INSERT ... SELECT`` per event
+table and site, checking each row count against the baseline's slice
+index.  The splice path shares its position counters and timer with
 the live-checkpoint path, so a run that mixes spliced and freshly
 crawled sites lays out rows exactly as an uninterrupted full crawl
 would.
@@ -72,6 +76,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import json
 import os
 import shutil
@@ -79,6 +84,7 @@ import sqlite3
 import tempfile
 import threading
 import time
+import urllib.parse
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -115,6 +121,7 @@ __all__ = [
     "RunState",
     "RunWriter",
     "ShardInfo",
+    "SiteSlice",
     "shard_of_domain",
     "stored_crawl",
 ]
@@ -128,6 +135,15 @@ _EVENT_COLUMNS = {
     "cookies": COOKIE_COLUMNS,
     "js_calls": JSCALL_COLUMNS,
 }
+
+
+#: SQLite attaches at most this many databases to one connection (its
+#: default ``SQLITE_MAX_ATTACHED``); a delta crawl against a baseline
+#: with more shards than this runs as a normal crawl.
+MAX_ATTACHED = 10
+
+#: Distinct ``ATTACH`` aliases for writers sharing one connection.
+_ATTACH_SERIAL = itertools.count()
 
 
 def shard_of_domain(domain: str, shard_count: int) -> int:
@@ -215,6 +231,74 @@ class ShardInfo:
     size_bytes: int
     runs: int
     visits: int
+
+
+@dataclass(frozen=True)
+class SiteSlice:
+    """Where one completed site's rows live inside its run.
+
+    All starts are *global* row positions (the store's fan-in order),
+    computed by prefix-summing the per-site counts of the run manifest;
+    ``seq_start`` is the value of the log's sequence counter when the
+    site's visit began (every request and cookie of a visit draws
+    exactly one ``seq``, so the spans telescope).
+    """
+
+    domain: str
+    position: int
+    visits_start: int
+    requests_start: int
+    requests: int
+    cookies_start: int
+    cookies: int
+    js_calls_start: int
+    js_calls: int
+    seq_start: int
+
+    @property
+    def seq_span(self) -> int:
+        return self.requests + self.cookies
+
+    def bounds(self) -> Dict[str, Tuple[int, int, int]]:
+        """Event table -> ``(lo, hi, row count)`` of this site's rows."""
+        return {
+            "visits": (self.visits_start, self.visits_start + 1, 1),
+            "requests": (self.requests_start,
+                         self.requests_start + self.requests, self.requests),
+            "cookies": (self.cookies_start,
+                        self.cookies_start + self.cookies, self.cookies),
+            "js_calls": (self.js_calls_start,
+                         self.js_calls_start + self.js_calls, self.js_calls),
+        }
+
+
+def _slice_index(store: "CrawlStore", run: RunRef) -> Dict[str, SiteSlice]:
+    """Prefix-sum a run's per-site counts into slices.
+
+    Completion is always a position prefix (crawls visit in order and
+    resume from where they stopped), so the walk stops at the first
+    uncompleted site.
+    """
+    slices: Dict[str, SiteSlice] = {}
+    visits = requests = cookies = js_calls = seq = 0
+    for (position, domain, completed, n_requests, n_cookies,
+         n_js_calls) in store.run_site_counts(run):
+        if not completed:
+            break
+        slices[domain] = SiteSlice(
+            domain=domain, position=position,
+            visits_start=visits,
+            requests_start=requests, requests=n_requests,
+            cookies_start=cookies, cookies=n_cookies,
+            js_calls_start=js_calls, js_calls=n_js_calls,
+            seq_start=seq,
+        )
+        visits += 1
+        requests += n_requests
+        cookies += n_cookies
+        js_calls += n_js_calls
+        seq += n_requests + n_cookies
+    return slices
 
 
 def _create_store(path: str, shards: int, timeout: float) -> None:
@@ -331,8 +415,11 @@ class CrawlStore:
 
     def _open(self, path: str) -> sqlite3.Connection:
         self.io_stats["opens"] += 1
+        # An absolute path is never read as a URI; ``uri=True`` is for
+        # the read-only baseline URIs RunWriter.attach hands to ATTACH.
         connection = sqlite3.connect(
-            path, timeout=self._timeout, check_same_thread=False,
+            os.path.abspath(path), timeout=self._timeout,
+            check_same_thread=False, uri=True,
             isolation_level=None,  # autocommit; transactions are explicit
         )
         connection.execute("PRAGMA synchronous=NORMAL")
@@ -583,10 +670,10 @@ class CrawlStore:
                         lo: int, hi: int) -> List[tuple]:
         """Raw serialized rows ``[lo, hi)`` of one event table.
 
-        Rows come back exactly as stored (without the run_id/position
-        prefix) so a splice can re-insert them into another run verbatim
-        — decoding and re-encoding would only risk drift.  All of a
-        site's rows live in its own shard, so this is one range scan.
+        Rows come back as stored, without the run_id/position prefix,
+        for :class:`~repro.datastore.StoredRows` to decode one site at a
+        time.  All of a site's rows live in its own shard, so this is
+        one range scan.
         """
         columns = _EVENT_COLUMNS.get(table)
         if columns is None:
@@ -606,12 +693,9 @@ class CrawlStore:
 
     def event_rows_in_range(self, run: RunRef, table: str,
                             lo: int, hi: int) -> List[tuple]:
-        """``(position, *columns)`` rows in ``[lo, hi)``, across shards.
-
-        The delta layer reads a contiguous splice group in one ranged
-        scan per table instead of four queries per site; the leading
-        position lets the caller partition rows back to their sites.
-        """
+        """``(position, *columns)`` rows in ``[lo, hi)``, across shards,
+        in position order (``make delta-check`` digests whole runs with
+        it)."""
         columns = _EVENT_COLUMNS.get(table)
         if columns is None:
             raise ValueError(f"unknown event table {table!r}")
@@ -625,6 +709,22 @@ class CrawlStore:
                 ))
         rows.sort(key=lambda row: row[0])
         return rows
+
+    def position_ends(self, run: RunRef) -> Dict[str, int]:
+        """Event table -> highest stored position of the run plus one
+        (0 for no rows), across shards."""
+        ends = dict.fromkeys(_EVENT_COLUMNS, 0)
+        with self._lock:
+            for index, local_id in self._resolve(run):
+                connection = self._conn(index)
+                for table in ends:
+                    highest = connection.execute(
+                        f"SELECT MAX(position) FROM {table} WHERE run_id=?",
+                        (local_id,),
+                    ).fetchone()[0]
+                    if highest is not None:
+                        ends[table] = max(ends[table], highest + 1)
+        return ends
 
     def finish_run(self, run: RunRef,
                    stats: Optional[Dict] = None) -> None:
@@ -759,7 +859,6 @@ class CrawlStore:
         log.cookies = list(self.iter_cookies(run))
         log.js_calls = list(self.iter_js_calls(run))
         log._seq = seq
-        from .delta import _slice_index
         log.site_marks = [
             (s.domain, s.visits_start, s.requests_start, s.cookies_start,
              s.js_calls_start)
@@ -863,8 +962,8 @@ class RunWriter:
     accumulates elapsed time) exactly as an uninterrupted full crawl
     would.  :meth:`checkpoint` is the callback handed to
     ``OpenWPMCrawler`` (see :meth:`CrawlStore.checkpointer`);
-    :meth:`splice` is the delta-crawl fast path that re-inserts a prior
-    run's raw rows without rendering the site
+    :meth:`splice_many` is the delta-crawl fast path that copies a prior
+    run's rows inside SQLite without rendering the site
     (:func:`repro.datastore.delta.delta_crawl`).
     """
 
@@ -886,6 +985,8 @@ class RunWriter:
             for table in ("visits", "requests", "cookies", "js_calls")
         }
         self._last = time.perf_counter()
+        #: ``(shard index, alias)`` of every baseline attachment.
+        self._attached: List[Tuple[int, str]] = []
 
     def checkpoint(self, domain: str, log: CrawlLog,
                    marks: Tuple[int, int, int, int]) -> bool:
@@ -938,137 +1039,173 @@ class RunWriter:
         counters["js_calls"] = jp + len(log.js_calls) - j0
         return self._trim
 
-    def _insert_spliced(self, conn: sqlite3.Connection, local_id: int,
-                        position: int, rows: Dict[str, List[tuple]],
-                        site_elapsed: float) -> None:
-        """Insert one site's raw rows inside an open transaction."""
-        counters = self._counters
-        vp, rp = counters["visits"], counters["requests"]
-        cp, jp = counters["cookies"], counters["js_calls"]
-        conn.executemany(
-            "INSERT INTO visits VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            [(local_id, vp + i) + tuple(row)
-             for i, row in enumerate(rows["visits"])],
-        )
-        conn.executemany(
-            "INSERT INTO requests VALUES"
-            " (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            [(local_id, rp + i) + tuple(row)
-             for i, row in enumerate(rows["requests"])],
-        )
-        conn.executemany(
-            "INSERT INTO cookies VALUES"
-            " (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            [(local_id, cp + i) + tuple(row)
-             for i, row in enumerate(rows["cookies"])],
-        )
-        conn.executemany(
-            "INSERT INTO js_calls VALUES (?, ?, ?, ?, ?, ?)",
-            [(local_id, jp + i) + tuple(row)
-             for i, row in enumerate(rows["js_calls"])],
-        )
+    def attach(self, baseline: CrawlStore, run: RunRef) -> None:
+        """Attach ``baseline``'s shard files, read-only, to every shard
+        connection of this store, as the source :meth:`splice_many`
+        copies ``run``'s rows from.
+
+        The ``file:...?mode=ro`` URI matters: ``BEGIN IMMEDIATE`` takes
+        a write lock on every attached database it could write, but only
+        a read transaction on a read-only one, so splicing never
+        write-locks the baseline.  When a connection refuses an attach
+        (SQLite allows :data:`MAX_ATTACHED` per connection) whatever was
+        attached is detached again and the error propagates.  Pair with
+        :meth:`detach` in a ``finally``.
+        """
+        serial = next(_ATTACH_SERIAL)
+        local_ids = dict(baseline._resolve(run))
+        self._base_ids = [local_ids.get(index)
+                          for index in range(baseline.shard_count)]
+        self._aliases = [f"base{serial}_{index}"
+                         for index in range(baseline.shard_count)]
+        self._copy_sql = {
+            (table, alias): _copy_statement(table, alias)
+            for table in _EVENT_COLUMNS for alias in self._aliases
+        }
+        try:
+            with self._store._lock:
+                for index in range(self._store.shard_count):
+                    connection = self._store._conn(index)
+                    for alias, path in zip(self._aliases,
+                                           baseline._shard_paths):
+                        uri = ("file:" + urllib.parse.quote(
+                            os.path.abspath(path)) + "?mode=ro")
+                        connection.execute(f"ATTACH DATABASE ? AS {alias}",
+                                           (uri,))
+                        self._attached.append((index, alias))
+        except BaseException:
+            self.detach()
+            raise
+
+    def detach(self) -> None:
+        """Detach what :meth:`attach` attached (a no-op otherwise)."""
+        with self._store._lock:
+            while self._attached:
+                index, alias = self._attached.pop()
+                self._store._conn(index).execute(f"DETACH DATABASE {alias}")
+
+    def _copy_site(self, conn: sqlite3.Connection,
+                   item: Tuple[SiteSlice, int], site_elapsed: float) -> bool:
+        """Copy one site's baseline rows inside an open transaction.
+
+        False as soon as a table's row count disagrees with the slice;
+        the caller then rolls the site back.  The counters only advance
+        once every table matched.
+        """
+        slice_, seq_delta = item
+        _, local_id, position = self._site_shard[slice_.domain]
+        shard = shard_of_domain(slice_.domain, len(self._aliases))
+        base_id = self._base_ids[shard]
+        if base_id is None:
+            return False
+        alias = self._aliases[shard]
+        bounds = slice_.bounds()
+        params = {"run": local_id, "base": base_id, "seq": seq_delta}
+        for table, (lo, hi, expected) in bounds.items():
+            params.update(shift=self._counters[table] - lo, lo=lo, hi=hi)
+            copied = conn.execute(self._copy_sql[table, alias], params)
+            if copied.rowcount != expected:
+                return False
         conn.execute(
             "UPDATE run_sites SET completed=1, elapsed=?, requests=?,"
             " cookies=?, js_calls=? WHERE run_id=? AND position=?",
-            (site_elapsed, len(rows["requests"]), len(rows["cookies"]),
-             len(rows["js_calls"]), local_id, position),
+            (site_elapsed, slice_.requests, slice_.cookies, slice_.js_calls,
+             local_id, position),
         )
-        counters["visits"] = vp + len(rows["visits"])
-        counters["requests"] = rp + len(rows["requests"])
-        counters["cookies"] = cp + len(rows["cookies"])
-        counters["js_calls"] = jp + len(rows["js_calls"])
+        for table, (lo, hi, _) in bounds.items():
+            self._counters[table] += hi - lo
+        return True
 
-    def splice(self, domain: str, rows: Dict[str, List[tuple]], *,
-               seq_end: int) -> None:
-        """Insert one site's pre-rewritten raw rows without a visit.
-
-        ``rows`` maps each event table to serialized tuples exactly as
-        :meth:`CrawlStore.site_event_rows` returned them, with ``seq``
-        columns already rebased to this run's counter.  Positions are
-        assigned from the shared counters, so the spliced site lands in
-        the store byte-identically to a real visit.
-        """
+    def splice(self, item: Tuple[SiteSlice, int]) -> bool:
+        """Splice one ``(slice, seq_delta)`` site in its own transaction
+        on its shard; False, with nothing written, when its baseline rows
+        disagree with the slice (see :meth:`splice_many`)."""
+        slice_, seq_delta = item
+        index, local_id, _ = self._site_shard[slice_.domain]
         now = time.perf_counter()
-        site_elapsed, self._last = now - self._last, now
-        index, local_id, position = self._site_shard[domain]
-        with self._store._txn(index) as conn:
-            self._insert_spliced(conn, local_id, position, rows,
-                                 site_elapsed)
-            conn.execute(
-                "UPDATE runs SET seq=?, elapsed=elapsed+? WHERE id=?",
-                (seq_end, site_elapsed, local_id),
-            )
+        site_elapsed = now - self._last
+        try:
+            with self._store._txn(index) as conn:
+                if not self._copy_site(conn, item, site_elapsed):
+                    raise _SliceMismatch
+                conn.execute(
+                    "UPDATE runs SET seq=?, elapsed=elapsed+? WHERE id=?",
+                    (slice_.seq_start + slice_.seq_span + seq_delta,
+                     site_elapsed, local_id),
+                )
+        except _SliceMismatch:
+            return False
+        self._last = now
+        return True
 
-    def splice_many(self,
-                    items: List[Tuple[str, Dict[str, List[tuple]], int]],
-                    ) -> None:
-        """Splice a contiguous group of ``(domain, rows, seq_end)`` sites.
+    def splice_many(self, items: Sequence[Tuple[SiteSlice, int]]) -> int:
+        """Splice consecutive ``(slice, seq_delta)`` sites from the
+        attached baseline; returns how many of them (a prefix) landed.
 
-        On a one-shard store the whole group commits in one transaction
-        — per-site commit overhead is the dominant splice cost, and
-        coarsening crash granularity is safe because spliced sites are
-        nearly free to redo on resume.  With more shards each site
-        still commits alone: a site's rows and completion flag
-        must land atomically in its own shard, and committing shards
-        independently could tear the completed *prefix* that global row
-        positions rely on.
+        Each site is one ``INSERT ... SELECT`` per event table: ``run_id``
+        replaced, positions shifted onto this run's counters, and the
+        request and cookie ``seq`` values shifted by ``seq_delta``.  A
+        row count that disagrees with the slice (a baseline torn or
+        edited behind its manifest) rolls that site back and ends the
+        batch there; the caller visits the site for real.
+
+        On a one-shard store the batch commits in one transaction, with
+        a savepoint per site — per-site commit overhead is the dominant
+        splice cost, and coarsening crash granularity is safe because
+        spliced sites are nearly free to redo on resume.  With more
+        shards each site commits alone (:meth:`splice`): a site's rows
+        and completion flag must land atomically in its own shard, and
+        committing shards independently could tear the completed
+        *prefix* that global row positions rely on.
         """
         if not items:
-            return
+            return 0
         if self._store.shard_count > 1:
-            for domain, rows, seq_end in items:
-                self.splice(domain, rows, seq_end=seq_end)
-            return
+            for done, item in enumerate(items):
+                if not self.splice(item):
+                    return done
+            return len(items)
         now = time.perf_counter()
-        batch_elapsed, self._last = now - self._last, now
+        batch_elapsed = now - self._last
         site_elapsed = batch_elapsed / len(items)
-        counters = self._counters
-        inserts: Dict[str, List[tuple]] = {
-            "visits": [], "requests": [], "cookies": [], "js_calls": [],
-        }
-        site_updates: List[tuple] = []
-        local_id = None
-        for domain, rows, _ in items:
-            _, local_id, position = self._site_shard[domain]
-            for table, batch in inserts.items():
-                base = counters[table]
-                batch.extend(
-                    (local_id, base + i) + tuple(row)
-                    for i, row in enumerate(rows[table])
-                )
-                counters[table] = base + len(rows[table])
-            site_updates.append((
-                site_elapsed, len(rows["requests"]), len(rows["cookies"]),
-                len(rows["js_calls"]), local_id, position,
-            ))
+        done = 0
         with self._store._txn(0) as conn:
-            conn.executemany(
-                "INSERT INTO visits VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                inserts["visits"],
-            )
-            conn.executemany(
-                "INSERT INTO requests VALUES"
-                " (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                inserts["requests"],
-            )
-            conn.executemany(
-                "INSERT INTO cookies VALUES"
-                " (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                inserts["cookies"],
-            )
-            conn.executemany(
-                "INSERT INTO js_calls VALUES (?, ?, ?, ?, ?, ?)",
-                inserts["js_calls"],
-            )
-            conn.executemany(
-                "UPDATE run_sites SET completed=1, elapsed=?, requests=?,"
-                " cookies=?, js_calls=? WHERE run_id=? AND position=?",
-                site_updates,
-            )
-            conn.execute(
-                "UPDATE runs SET seq=?, elapsed=elapsed+? WHERE id=?",
-                (items[-1][2], batch_elapsed, local_id),
-            )
+            for item in items:
+                conn.execute("SAVEPOINT splice_site")
+                if not self._copy_site(conn, item, site_elapsed):
+                    conn.execute("ROLLBACK TO splice_site")
+                    conn.execute("RELEASE splice_site")
+                    break
+                conn.execute("RELEASE splice_site")
+                done += 1
+            if done:
+                slice_, seq_delta = items[done - 1]
+                conn.execute(
+                    "UPDATE runs SET seq=?, elapsed=elapsed+? WHERE id=?",
+                    (slice_.seq_start + slice_.seq_span + seq_delta,
+                     batch_elapsed, self._site_shard[slice_.domain][1]),
+                )
+        if done:
+            self._last = now
+        return done
+
+
+class _SliceMismatch(Exception):
+    """Rolls back a site whose baseline rows disagree with its slice."""
+
+
+def _copy_statement(table: str, alias: str) -> str:
+    """``INSERT ... SELECT`` copying one site's ``table`` rows from the
+    attached ``alias`` (named parameters: see ``RunWriter._copy_site``)."""
+    columns = _EVENT_COLUMNS[table]
+    selected = ", ".join("seq + :seq" if column == "seq" else column
+                         for column in columns)
+    return (
+        f"INSERT INTO main.{table} (run_id, position, {', '.join(columns)})"
+        f" SELECT :run, position + :shift, {selected} FROM {alias}.{table}"
+        " WHERE run_id=:base AND position>=:lo AND position<:hi"
+        " ORDER BY position"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1139,10 +1276,11 @@ def stored_crawl(
 
     ``baseline`` turns the crawl into a **delta crawl**: when the
     baseline store holds the matching run for a *previous universe
-    epoch*, sites whose content hash is unchanged are spliced from the
-    baseline's stored rows instead of being rendered
-    (:mod:`repro.datastore.delta`).  The result is byte-identical to a
-    full crawl by construction; when preconditions fail the delta layer
+    epoch*, unchanged sites are spliced from the baseline's stored rows
+    instead of being rendered (:mod:`repro.datastore.delta`).  A delta
+    crawl always streams; with ``hydrate=True`` the finished run is
+    loaded back from the store.  The result is byte-identical to a full
+    crawl by construction; when preconditions fail the delta layer
     degrades to a normal crawl.
 
     ``progress(event, **fields)`` observes the crawl: ``run_started``
@@ -1182,14 +1320,6 @@ def stored_crawl(
                 f"sites for {kind} from {vantage.country_code}; re-run with "
                 "--store to complete it"
             )
-        if hydrate:
-            partial = store.load_log(state.run_id)
-        else:
-            # Trim mode resumes with an empty log that only carries the seq
-            # counter forward; stored rows are never re-materialized.
-            partial = CrawlLog(country_code=vantage.country_code,
-                               client_ip=vantage.client_ip)
-            partial._seq = state.seq
         fetch_before = _cache_snapshot(universe.fetch_cache.stats)
         parse_before = _cache_snapshot(parse_cache_stats())
         delta_stats = None
@@ -1198,12 +1328,20 @@ def stored_crawl(
             from .delta import delta_crawl
             outcome = delta_crawl(
                 store, universe, vantage, kind, domains, state, baseline,
-                partial, epoch=epoch, keep_html=keep_html, hydrate=hydrate,
-                progress=progress,
+                epoch=epoch, keep_html=keep_html, progress=progress,
             )
             if outcome is not None:
-                log, delta_stats = outcome
+                delta_stats = outcome[1]
         if delta_stats is None:
+            if hydrate:
+                partial = store.load_log(state.run_id)
+            else:
+                # Trim mode resumes with an empty log that only carries
+                # the seq counter forward; stored rows are never
+                # re-materialized.
+                partial = CrawlLog(country_code=vantage.country_code,
+                                   client_ip=vantage.client_ip)
+                partial._seq = state.seq
             crawler = OpenWPMCrawler(universe, vantage, epoch=epoch,
                                      keep_html=keep_html)
             log = crawler.crawl(
@@ -1224,4 +1362,6 @@ def stored_crawl(
         if progress is not None:
             progress("run_finished", kind=kind,
                      country=vantage.country_code, total=len(domains))
-        return log if hydrate else None
+        if not hydrate:
+            return None
+        return log if delta_stats is None else store.load_log(state.run_id)

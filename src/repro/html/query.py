@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from .dom import Element
 

@@ -13,8 +13,8 @@ canvas heuristics and the paper's stricter ``measureText`` rule
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from .api import API, JSCall
 

@@ -8,7 +8,7 @@ identifiers into URLs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .url import URL, is_subdomain_of

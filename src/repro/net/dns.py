@@ -9,7 +9,6 @@ its zone to the same server.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 __all__ = ["DNSError", "NXDomain", "DNSResolver"]

@@ -14,7 +14,7 @@ coordinates (geo-IP is city-level at best in reality).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "COUNTRIES",

@@ -9,7 +9,7 @@ convenience accessors for the handful of headers the analyses rely on
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .url import URL
 

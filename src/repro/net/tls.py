@@ -17,7 +17,7 @@ implemented in :mod:`repro.core.attribution`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
 from .url import is_subdomain_of

@@ -10,7 +10,7 @@ synthetic universe, which uses a fixed set of suffixes (see
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Optional, Tuple
 

@@ -8,7 +8,7 @@ dependencies.
 from __future__ import annotations
 
 import io
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Sequence
 
 from ..core.cookie_sync import SyncReport
 from ..core.ecosystem import OrganizationPrevalence

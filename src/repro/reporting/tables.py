@@ -7,7 +7,7 @@ the benchmark harness.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Sequence, Tuple
 
 from ..core.compliance.banners import (
     BANNER_BINARY,

@@ -34,7 +34,6 @@ from .core.compliance.policies import (
     CollectedPolicy,
     PolicyReport,
     analyze_policies,
-    collect_policies,
 )
 from .core.cookie_analysis import CookieStats
 from .core.cookie_sync import SyncReport
@@ -329,13 +328,14 @@ class Study:
     _REGULAR_KIND = "openwpm:regular"
 
     def _stored_crawl(self, country: str, kind: str,
-                      domains: Sequence[str], *, keep_html: bool) -> CrawlLog:
+                      domains: Sequence[str], *, keep_html: bool,
+                      hydrate: bool = True) -> Optional[CrawlLog]:
         from .datastore import stored_crawl
 
         return stored_crawl(
             self.store, self.universe, self.vantage_points.point(country),
             kind, domains, keep_html=keep_html,
-            allow_crawl=not self.store_only,
+            allow_crawl=not self.store_only, hydrate=hydrate,
             baseline=self.baseline_store,
             progress=self.progress,
         )
@@ -621,15 +621,18 @@ class Study:
     def _run_rows(self, country: str, kind: str):
         """The run as per-site row groups.
 
-        In ``store_only`` mode the run is always read back from the
-        store one site at a time (:class:`~repro.datastore.StoredRows`),
-        so ``repro report`` holds no run in memory whole.  Otherwise it
-        is the crawl memo's log (crawled, or loaded and completed
-        through the store, on first use).
+        In ``store_only`` mode, and in a study with an aggregate cache,
+        the run is read back from the store one site at a time
+        (:class:`~repro.datastore.StoredRows`): ``repro report`` holds
+        no run in memory whole, and the cached engine reads a site's
+        rows only on a cache miss, once for all analyses, so the sites
+        that hit never pass through memory.  Otherwise it is the crawl
+        memo's log (crawled, or loaded and completed through the store,
+        on first use).
         """
         from .datastore import LogRows
 
-        if self.store_only:
+        if self.store_only or self.aggregate_cache is not None:
             return self._memo(f"stored_rows:{kind}:{country}",
                               lambda: self._stored_rows(country, kind))
         return LogRows(self.porn_log(country) if kind == self._PORN_KIND
@@ -639,9 +642,16 @@ class Study:
         from .datastore import MissingRunError, StoredRows
 
         domains = self._run_domains(kind)
+        keep_html = kind == self._PORN_KIND
+        log_key = (f"porn_log:{country}" if kind == self._PORN_KIND
+                   else "regular_log")
+        if not self.store_only and not self._memoized(log_key):
+            # Crawl, resume or delta-crawl the run, streaming: no log.
+            self._stored_crawl(country, kind, domains, keep_html=keep_html,
+                               hydrate=False)
         state = self.store.find_run(
             self.universe.config, self.vantage_points.point(country), kind,
-            domains, keep_html=kind == self._PORN_KIND,
+            domains, keep_html=keep_html,
         )
         if state is None or not state.complete:
             held = len(state.completed) if state is not None else 0

@@ -8,7 +8,7 @@ German, and Romanian (Section 3.1, footnote 4).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set
+from typing import Dict, FrozenSet, List, Set
 
 __all__ = [
     "LANGUAGES",

@@ -22,7 +22,7 @@ from ..blocklists.disconnect import DisconnectEntry, DisconnectList
 from ..net.tls import Certificate
 from ..net.whois import WhoisRegistry
 from ..util import rng_for, stable_hash
-from .config import CalibrationTargets, UniverseConfig
+from .config import UniverseConfig
 from .lazyspecs import (
     LazyCertificates,
     LazyPolicyTexts,
@@ -35,7 +35,7 @@ from .lazyspecs import (
 )
 from .names import NameFactory
 from .organizations import TailOrgAllocator, operators_from_targets
-from .policytext import PolicyGenerator, PolicySpec, TEMPLATE_COUNT
+from .policytext import PolicyGenerator, TEMPLATE_COUNT
 from .rank import RankModel, RankTrajectory, tier_of_rank
 from .sites import (
     AgeGateSpec,

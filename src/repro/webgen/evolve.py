@@ -45,7 +45,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 from ..net.tls import Certificate
 from ..net.whois import WhoisRegistry
 from ..util import stable_hash
-from .config import UniverseConfig
 from .lazyspecs import LazyCertificates, porn_spec_to_row, regular_spec_to_row
 from .sites import BANNER_TYPES, BannerSpec, PornSiteSpec
 from .thirdparty import (

@@ -37,7 +37,7 @@ import marshal
 import threading
 from collections import OrderedDict
 from collections.abc import Mapping
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional
 
 from ..net.tls import Certificate
 from .policytext import PolicyGenerator, PolicySpec

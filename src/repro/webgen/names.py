@@ -16,7 +16,7 @@ guarantees global uniqueness.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import Optional, Sequence, Set
 
 import numpy as np
 

@@ -13,7 +13,7 @@ handful of domains — giving attribution something real to recover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 

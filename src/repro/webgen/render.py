@@ -10,7 +10,7 @@ owner clustering.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..util import token_for
 from .sites import AgeGateSpec, BannerSpec, PornSiteSpec, RegularSiteSpec

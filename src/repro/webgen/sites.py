@@ -7,7 +7,7 @@ evaluation needs as ground truth (never read by the analysis pipeline).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
 from .policytext import PolicySpec

@@ -15,7 +15,7 @@ and Tables 2-5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..js.runtime import CanvasBehavior, FontProbeBehavior

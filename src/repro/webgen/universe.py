@@ -15,15 +15,10 @@ the analysis itself consumes crawl logs exclusively.
 from __future__ import annotations
 
 import base64
-import dataclasses
-from dataclasses import dataclass, field
-from typing import (
-    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
-)
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-import numpy as np
-
-from ..blocklists.disconnect import DisconnectEntry, DisconnectList
+from ..blocklists.disconnect import DisconnectList
 from ..cache import FetchCache
 from ..js.runtime import CanvasBehavior, FontProbeBehavior, ScriptBehavior
 from ..net.dns import DNSResolver
@@ -32,18 +27,9 @@ from ..net.http import Headers, Request, Response
 from ..net.tls import Certificate
 from ..net.whois import WhoisRegistry
 from ..net.url import URL, parse_url, registrable_domain
-from ..util import rng_for, stable_hash, token_for
-from .config import CalibrationTargets, UniverseConfig
+from ..util import stable_hash, token_for
+from .config import UniverseConfig
 from .lazyspecs import LazyPolicyTexts
-from .names import ADULT_KEYWORDS, NameFactory
-from .organizations import PornOperator, TailOrgAllocator, operators_from_targets
-from .policytext import (
-    DOMINANT_TEMPLATE,
-    TEMPLATE_COUNT,
-    PolicyGenerator,
-    PolicySpec,
-)
-from .rank import RankModel
 from .render import (
     page_manifest,
     render_error_page,
@@ -51,22 +37,11 @@ from .render import (
     render_porn_landing,
     render_regular_landing,
 )
-from .sites import (
-    AgeGateSpec,
-    BannerSpec,
-    DISCOVERY_AGGREGATOR,
-    DISCOVERY_ALEXA_CATEGORY,
-    DISCOVERY_KEYWORD,
-    PornSiteSpec,
-    RegularSiteSpec,
-)
+from .sites import PornSiteSpec, RegularSiteSpec
 from .thirdparty import (
-    CATEGORY_ADS,
     CATEGORY_ANALYTICS,
     CATEGORY_CDN,
-    CATEGORY_MINER,
     CATEGORY_SOCIAL,
-    NAMED_SERVICES,
     ThirdPartyService,
 )
 

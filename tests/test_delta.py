@@ -15,18 +15,28 @@ Pins the contracts the longitudinal pipeline rests on:
   layer degrades to a normal crawl without writing anything first;
 * ``jar_sensitive`` universes stop splicing at the first divergence but
   stay byte-identical;
+* the splice copies rows inside SQLite and checks each site's row
+  counts: a baseline site with a deleted row is visited for real while
+  the rest still splice, a baseline whose per-site counts disagree with
+  its rows is not spliced from at all, both land on a full crawl's rows,
+  and the baseline's shard files are never written;
 * service-layer plumbing: ``JobSpec`` epoch/delta validation and the
   ``-eN`` sibling-store naming;
 * ``repro trend`` renders the longitudinal sections from per-epoch
   stores.
 """
 
+import hashlib
+import sqlite3
+from pathlib import Path
+
 import pytest
 
 from repro import Study
 from repro.__main__ import main
 from repro.crawler import OpenWPMCrawler
-from repro.datastore import CrawlStore, stored_crawl
+from repro.datastore import CrawlStore, shard_of_domain, stored_crawl
+from repro.datastore.store import _slice_index
 from repro.reporting import trend_report
 from repro.service.jobs import JobSpec, epoch_store_path
 from repro.webgen.builder import build_universe
@@ -65,6 +75,28 @@ def epoch1_store(stores_dir, evolved, epoch0_store):
 
 def _all_domains(universe):
     return list(universe.porn_sites) + list(universe.regular_sites)
+
+
+def store_digest(path) -> str:
+    """sha256 over every event row of every run (positions included),
+    runs in (kind, country) order."""
+    digest = hashlib.sha256()
+    with CrawlStore(str(path)) as store:
+        for manifest in sorted(store.run_manifests(),
+                               key=lambda m: (m.kind, m.country_code)):
+            digest.update(f"{manifest.kind}|{manifest.country_code}"
+                          .encode())
+            for table in ("visits", "requests", "cookies", "js_calls"):
+                for row in store.event_rows_in_range(manifest.run_id, table,
+                                                     0, 1 << 60):
+                    digest.update(repr(row).encode())
+    return digest.hexdigest()
+
+
+def shard_file_digests(path):
+    """sha256 of each shard file of a store, by file name."""
+    return {shard.name: hashlib.sha256(shard.read_bytes()).hexdigest()
+            for shard in sorted(Path(path).glob("shard-*.sqlite"))}
 
 
 class TestEvolution:
@@ -193,6 +225,116 @@ class TestDeltaCrawl:
         full = OpenWPMCrawler(evolved, vantage,
                               keep_html=True).crawl(domains)
         assert log == full
+
+
+class TestSpliceCountCheck:
+    """The splice trusts the baseline's slice index only as far as the
+    row counts it copies agree with it."""
+
+    KIND = "openwpm:porn"
+
+    @pytest.fixture(scope="class")
+    def domains(self, crawlable_porn):
+        return crawlable_porn[:16]
+
+    def _baseline(self, tmp_path, universe, vantage, domains, shards):
+        path = tmp_path / f"base{shards}"
+        with CrawlStore(str(path), shards=shards) as store:
+            stored_crawl(store, universe, vantage, self.KIND, domains,
+                         hydrate=False)
+        return path
+
+    def _victim(self, path, evolved, domains):
+        """An unchanged site with requests whose neighbours are
+        unchanged too, so it sits inside a splice group."""
+        changed = evolved.changed_domains_since(0)
+        with CrawlStore(str(path)) as store:
+            slices = _slice_index(store, store.run_manifests()[0].run_id)
+        for before, site, after in zip(domains, domains[1:], domains[2:]):
+            if not {before, site, after} & changed \
+                    and slices[site].requests:
+                return slices[site], len(changed & set(domains))
+        pytest.skip("no unchanged site inside a splice group")
+
+    def _edit_shard(self, path, domain, statement, *params):
+        with CrawlStore(str(path)) as store:
+            shard = shard_of_domain(domain, store.shard_count)
+        connection = sqlite3.connect(
+            str(Path(path) / f"shard-{shard:04d}.sqlite"))
+        with connection:
+            (run_id,) = connection.execute("SELECT id FROM runs").fetchone()
+            assert connection.execute(statement, (run_id,) + params) \
+                .rowcount == 1
+        connection.close()
+
+    def _delta(self, tmp_path, evolved, vantage, domains, baseline, shards):
+        events = []
+        path = tmp_path / f"delta{shards}"
+        with CrawlStore(str(baseline)) as base, \
+                CrawlStore(str(path), shards=shards) as store:
+            stored_crawl(store, evolved, vantage, self.KIND, domains,
+                         hydrate=False, baseline=base,
+                         progress=lambda event, **fields: events.append(
+                             (event, fields.get("domain"))))
+            stats = store.run_manifests()[0].stats
+        return path, stats.get("delta"), events
+
+    def _full(self, tmp_path, evolved, vantage, domains, shards):
+        path = tmp_path / f"full{shards}"
+        with CrawlStore(str(path), shards=shards) as store:
+            stored_crawl(store, evolved, vantage, self.KIND, domains,
+                         hydrate=False)
+        return path
+
+    @pytest.mark.parametrize("base_shards,shards", [(1, 1), (2, 3)])
+    def test_site_with_a_missing_row_is_visited(
+            self, tmp_path, universe, evolved, vantage_points, domains,
+            base_shards, shards):
+        """One transaction per group on one shard, one per site on
+        three: either way the site whose rows disagree is rolled back
+        and visited, and every other unchanged site still splices."""
+        vantage = vantage_points.point("ES")
+        baseline = self._baseline(tmp_path, universe, vantage, domains,
+                                  base_shards)
+        victim, changed = self._victim(baseline, evolved, domains)
+        self._edit_shard(baseline, victim.domain,
+                         "DELETE FROM requests WHERE run_id=?"
+                         " AND position=?", victim.requests_start)
+        before = shard_file_digests(baseline)
+
+        path, delta, events = self._delta(tmp_path, evolved, vantage,
+                                          domains, baseline, shards)
+        assert ("site_spliced", victim.domain) not in events
+        assert ("site_finished", victim.domain) in events
+        assert delta["crawled"] == changed + 1
+        assert delta["spliced"] == len(domains) - changed - 1
+        assert store_digest(path) == store_digest(
+            self._full(tmp_path, evolved, vantage, domains, shards))
+        assert shard_file_digests(baseline) == before
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_wrong_site_count_is_not_spliced_from(
+            self, tmp_path, universe, evolved, vantage_points, domains,
+            shards):
+        """A per-site count one too high shifts every later slice; a
+        shifted slice still counts right, so the delta checks the run's
+        layout first and crawls normally."""
+        vantage = vantage_points.point("ES")
+        baseline = self._baseline(tmp_path, universe, vantage, domains,
+                                  shards)
+        victim, _ = self._victim(baseline, evolved, domains)
+        self._edit_shard(baseline, victim.domain,
+                         "UPDATE run_sites SET requests=requests+1"
+                         " WHERE run_id=? AND domain=?", victim.domain)
+        before = shard_file_digests(baseline)
+
+        path, delta, events = self._delta(tmp_path, evolved, vantage,
+                                          domains, baseline, shards)
+        assert delta is None
+        assert not any(event == "site_spliced" for event, _ in events)
+        assert store_digest(path) == store_digest(
+            self._full(tmp_path, evolved, vantage, domains, shards))
+        assert shard_file_digests(baseline) == before
 
 
 class TestServicePlumbing:

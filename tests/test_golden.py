@@ -7,7 +7,8 @@ study can take from a universe to the report must land on those bytes:
 
 * an in-memory study, serial and with crawls fanned out two-wide;
 * ``repro report``'s store-only study over a 2-shard store;
-* the same with the aggregate cache (``repro report --incremental``);
+* the same with the aggregate cache (``repro report --incremental``),
+  on a copy of the store, since the cache is written inside it;
   both store-only routes run with ``Browser.visit`` and
   ``CrawlStore.load_log`` made to raise: a report reads stored partials
   and artifacts and nothing else;
@@ -15,7 +16,12 @@ study can take from a universe to the report must land on those bytes:
   store-only study must refuse and a crawl-allowed one must recompute
   and rewrite;
 * an epoch-1 delta study (``baseline_store`` + ``aggregate_cache``),
-  pinned to its own digests.
+  pinned to its own digests, which leaves the baseline's shard files
+  byte-identical.
+
+The shared epoch-0 store is read-only: a test that writes works on a
+copy, and the fixture fails at teardown if an aggregate cache appeared
+in it.
 
 ``tests/golden/universe.json`` pins the seed universe every route
 crawls: site specs, policy texts, certificates, WHOIS and DNS.
@@ -62,6 +68,7 @@ from repro.reporting.sections import report_sections
 from repro.webgen.builder import build_universe
 
 from .golden.regen import analysis_digests, study_analyses, universe_digests
+from .test_delta import shard_file_digests
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "sections.json").read_text()
@@ -108,7 +115,12 @@ def test_universe():
 
 @pytest.fixture(scope="module")
 def golden_store(tmp_path_factory):
-    """A 2-shard epoch-0 store holding every run the geo report reads."""
+    """A 2-shard epoch-0 store holding every run the geo report reads.
+
+    Read-only for the tests that share it: a test that writes (an
+    aggregate cache, a damaged artifact) works on a copy, so no test's
+    outcome depends on which ran first.
+    """
     path = str(tmp_path_factory.mktemp("golden") / "e0")
     study = Study(build_universe(_config()), parallelism=1,
                   store=path, store_shards=2)
@@ -116,7 +128,9 @@ def golden_store(tmp_path_factory):
         study.run_all(geo=True)
     finally:
         study.close()
-    return path
+    yield path
+    assert not list(Path(path).glob("aggregates.sqlite*")), \
+        "a test wrote an aggregate cache into the shared golden store"
 
 
 @pytest.fixture(scope="module")
@@ -219,9 +233,12 @@ def test_store_only_report(golden_store, monkeypatch):
     _assert_golden(study, GOLDEN["epoch0"])
 
 
-def test_aggregate_cache_report(golden_store, monkeypatch):
+def test_aggregate_cache_report(golden_store, monkeypatch, tmp_path):
+    """The cache lands inside the store it reads, so this reads a copy."""
+    path = str(tmp_path / "store")
+    shutil.copytree(golden_store, path)
     _forbid_browsing_and_hydration(monkeypatch)
-    study = Study(build_universe(_config()), store=golden_store,
+    study = Study(build_universe(_config()), store=path,
                   store_only=True, aggregate_cache=True)
     _assert_golden(study, GOLDEN["epoch0"])
 
@@ -270,13 +287,22 @@ def test_damaged_sanitize_verdicts(fault, golden_store, tmp_path):
         assert store.get_artifact(key) == pristine
 
 
-def test_epoch1_delta_study(golden_store):
+def test_epoch1_delta_study(golden_store, monkeypatch):
+    """The delta study lands on its digests without hydrating a log (a
+    cached study streams), and only reads the baseline: its shard files
+    are byte-for-byte what they were."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a cached delta study called load_log")
+
+    monkeypatch.setattr(CrawlStore, "load_log", forbidden)
+    baseline_shards = shard_file_digests(golden_store)
     path = str(Path(golden_store).with_name("e1"))
     study = Study(build_universe(_config(1)), parallelism=1,
                   store=path, baseline_store=golden_store,
                   aggregate_cache=aggregates_path(path))
     study.run_all(geo=True)
     _assert_golden(study, GOLDEN["epoch1_delta"])
+    assert shard_file_digests(golden_store) == baseline_shards
 
 
 def test_aggregate_cache_from_another_universe(golden_store, tmp_path):
@@ -297,11 +323,8 @@ def test_aggregate_cache_from_another_universe(golden_store, tmp_path):
         other.close()
 
     def report_stats(name, cache_file):
-        # The golden store may hold its own cache (and its WAL) from an
-        # earlier test; leave all of it behind.
         path = str(tmp_path / name)
-        shutil.copytree(golden_store, path,
-                        ignore=shutil.ignore_patterns("aggregates.sqlite*"))
+        shutil.copytree(golden_store, path)
         if cache_file:
             shutil.copyfile(cache_file, aggregates_path(path))
         study = Study(build_universe(_config()), store=path,

@@ -353,6 +353,63 @@ class TestCancellationResumesFromCheckpoints:
                      if event.kind == "site_started"]
         assert not set(finished_sites) & set(restarted)
 
+    def test_cancel_mid_splice_then_resubmit_resumes(self, tmp_path,
+                                                     monkeypatch):
+        """A delta job cancelled inside a splice group leaves nothing
+        attached to its store's connections, and a resubmitted job
+        resumes to the store an uninterrupted delta job writes."""
+        import shutil
+
+        from repro.datastore import CrawlStore
+
+        from .test_delta import store_digest
+
+        base_spec = JobSpec(seed=SEED, scale=SCALE, analyses=("table2",))
+        delta_spec = JobSpec(seed=SEED, scale=SCALE, epoch=1, churn=0.05,
+                             delta=True, analyses=("table2",))
+        store = str(tmp_path / "cancelled" / "store")
+        reference = str(tmp_path / "reference" / "store")
+        execute_job(Job(id="0", spec=base_spec), store, store_shards=2)
+        shutil.copytree(store, reference)
+
+        attached_at_close = []
+        close = CrawlStore.close
+
+        def recording_close(self):
+            attached_at_close.extend(
+                name for connection in self._connections
+                if connection is not None
+                for _, name, _ in connection.execute("PRAGMA database_list")
+                if name not in ("main", "temp"))
+            close(self)
+
+        monkeypatch.setattr(CrawlStore, "close", recording_close)
+        cancelled = Job(id="1", spec=delta_spec)
+        spliced = []
+        publish = cancelled.events.publish
+
+        def arming_publish(kind, payload=None):
+            if kind == "site_spliced":
+                spliced.append(payload["domain"])
+                if len(spliced) == 3:
+                    cancelled.cancel_requested.set()
+            return publish(kind, payload)
+
+        cancelled.events.publish = arming_publish
+        with pytest.raises(JobCancelled):
+            execute_job(cancelled, store, store_shards=2)
+        assert len(spliced) == 3  # stopped at the third spliced site
+        assert attached_at_close == []
+        monkeypatch.undo()
+
+        resumed = Job(id="2", spec=delta_spec)
+        execute_job(resumed, store, store_shards=2)
+        run_started = [event for event in resumed.events.snapshot()
+                       if event.kind == "run_started"]
+        assert run_started[0].payload["completed"] >= 3
+        execute_job(Job(id="3", spec=delta_spec), reference, store_shards=2)
+        assert store_digest(store + "-e1") == store_digest(reference + "-e1")
+
 
 class TestJobRelease:
     def test_finished_job_closes_its_connections(self, tmp_path,
