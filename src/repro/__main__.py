@@ -248,11 +248,14 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 1
     # The synthetic universe is rebuilt (cheap, deterministic) for the
     # analyses' lookup tables; crawl data streams from the store and no
-    # browser session is ever started.
+    # browser session is ever started.  Each run is mapped in one pass
+    # (forked workers when there are cores for them) before the sections
+    # merge the partials.
     study = Study(build_universe(config), store=store,
                   store_only=True,
                   aggregate_cache=args.incremental or None)
     try:
+        study.prefetch_partials(geo=args.geo)
         _render_study(study, config.scale, args.geo)
     except MissingRunError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -506,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="include the six-country Table 7 (slow)")
     study.add_argument("--parallelism", type=int, default=None,
                        help="worker count for crawl/analysis fan-out "
-                            "(default: cpu count; 1 = historical serial "
+                            "(default: usable CPUs; 1 = historical serial "
                             "order; output is byte-identical either way)")
     study.add_argument("--stats", action="store_true",
                        help="print similarity-engine counters and "

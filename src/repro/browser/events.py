@@ -57,10 +57,6 @@ class CookieRecord:
     over_https: bool     # the setting response traveled over TLS
     seq: int = 0         # global event order within the crawl
 
-    @property
-    def value_length(self) -> int:
-        return len(self.value)
-
 
 @dataclass(slots=True)
 class PageVisit:

@@ -33,10 +33,6 @@ class AttributionResult:
     unattributed: Set[str] = field(default_factory=set)
 
     @property
-    def attributed_count(self) -> int:
-        return len(self.organization_of)
-
-    @property
     def organizations(self) -> Set[str]:
         return set(self.organization_of.values())
 

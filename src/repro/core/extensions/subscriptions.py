@@ -39,15 +39,6 @@ class SubscriptionTrackingReport:
     def row(self, model: str) -> Optional[ModelTrackingRow]:
         return next((row for row in self.rows if row.model == model), None)
 
-    @property
-    def ad_supported_vs_paid_ratio(self) -> float:
-        """How much heavier tracking is on ad-supported sites than paid."""
-        free = self.row(MODEL_NONE)
-        paid = self.row(MODEL_PAID)
-        if free is None or paid is None or not paid.mean_third_parties:
-            return 0.0
-        return free.mean_third_parties / paid.mean_third_parties
-
 
 def compare_tracking_by_model(
     business: BusinessReport,

@@ -9,7 +9,8 @@ cache); the whole-log entry points (``label_parties``,
 ``analyze_banners``, ``detect_cookie_sync``) are the same merges over
 :meth:`~repro.browser.events.CrawlLog.site_groups`.  Fingerprinting and
 malware merge into their shared whole-log analyzers
-(``analyze_fingerprinting``, ``malware_report``) instead, and the
+(``analyze_fingerprinting``, ``malware_report``) instead; malware needs
+only the ``visits`` partial, which carries the site's miner calls.  The
 study folds two partials straight into their consumers: ``map_owners``
 feeds ``discover_owners`` (Table 1) and ``map_visits``'s ``blocked``
 count feeds ``CountryObservation`` (Table 7).
@@ -58,7 +59,12 @@ from .cookie_sync import (
 )
 from .fingerprinting import FingerprintingReport, analyze_fingerprinting
 from .https_analysis import HTTPSReport, HTTPSTierRow
-from .malware import DETECTION_THRESHOLD, MalwareReport, malware_report
+from .malware import (
+    DETECTION_THRESHOLD,
+    MalwareReport,
+    is_miner_call,
+    malware_report,
+)
 from .owners import extract_head_organization
 from .partylabel import PartyLabels, _is_direct, _is_first_party
 from .popularity import PopularityReport
@@ -95,7 +101,7 @@ ANALYSIS_VERSIONS: Dict[str, int] = {
     "banners": 1,
     "sync": 1,
     "jsapi": 1,
-    "visits": 2,
+    "visits": 3,
     "owners": 1,
     # §3 per-candidate sanitize verdicts (cached by
     # repro.datastore.incremental.cached_sanitize).
@@ -111,14 +117,20 @@ ANALYSIS_VERSIONS: Dict[str, int] = {
 # ----------------------------------------------------------------------
 
 def map_labels(requests, *, cert_lookup=None,
-               levenshtein_threshold: float = 0.7) -> dict:
+               levenshtein_threshold: float = 0.7,
+               decided: Optional[Dict[Tuple[str, str], bool]] = None) -> dict:
     """Per-site half of :func:`~repro.core.partylabel.label_parties`.
 
-    Labeling is fully per-(page, fqdn): the ``decided`` memo never
-    crosses sites, so the partial is simply the ordered sequence of
-    first set-insertions a scan of this site's records performs — ``(record ordinal, target set, page, fqdn)``.
+    Labeling is fully per-(page, fqdn), so the partial is simply the
+    ordered sequence of first set-insertions a scan of this site's
+    records performs — ``(record ordinal, target set, page, fqdn)``.
+    A first-party decision is a pure function of ``(page, fqdn)`` for a
+    fixed ``cert_lookup`` and threshold: ``decided``, a memo of them, may
+    be shared across sites and runs that keep both fixed (a study's
+    runs label the same pages).  Without one, each call decides afresh.
     """
-    decided: Dict[Tuple[str, str], bool] = {}
+    if decided is None:
+        decided = {}
     events: List[Tuple[int, str, str, str]] = []
     seen: Set[Tuple[str, str, str]] = set()
     for idx, record in enumerate(requests):
@@ -657,8 +669,8 @@ def merge_sync(partials: Sequence[dict]) -> SyncReport:
 
 
 # ----------------------------------------------------------------------
-# JS-call-driven analyses (whole log: analyze_fingerprinting,
-# analyze_malware) — the partial is the site's instrumented call rows.
+# Fingerprinting (whole log: analyze_fingerprinting) — the partial is
+# the site's instrumented call rows.
 # ----------------------------------------------------------------------
 
 def map_jsapi(js_calls) -> dict:
@@ -709,10 +721,13 @@ def merge_fingerprinting(partials: Sequence[dict], *,
 # blocked-site counts
 # ----------------------------------------------------------------------
 
-def map_visits(visits) -> dict:
-    """The site's successful-visit domains, in visit order, and how many
-    of its visits were blocked (§6): a 451, or — country-level blocking
-    surfacing as a network failure — a ``FetchError`` with no status."""
+def map_visits(visits, js_calls) -> dict:
+    """The site's successful-visit domains, in visit order, how many of
+    its visits were blocked (§6): a 451, or — country-level blocking
+    surfacing as a network failure — a ``FetchError`` with no status,
+    and the ``(script_url, document_host)`` of its cryptomining
+    ``Worker`` creations (§5.3), so malware never needs the far larger
+    ``jsapi`` partial."""
     return {
         "visited": tuple(
             visit.site_domain for visit in visits if visit.success
@@ -724,18 +739,21 @@ def map_visits(visits) -> dict:
                 or (visit.status is None
                     and visit.failure_reason == "FetchError"))
         ),
+        "miners": tuple(
+            (call.script_url, call.document_host) for call in js_calls
+            if is_miner_call(call.api, call.args)
+        ),
     }
 
 
-def merge_malware(visit_partials: Sequence[dict],
-                  jsapi_partials: Sequence[dict], *,
+def merge_malware(visit_partials: Sequence[dict], *,
                   labels: PartyLabels, scanner,
                   threshold: int = DETECTION_THRESHOLD) -> MalwareReport:
-    """The §5.3 analysis straight over the visit and call partials."""
+    """The §5.3 analysis straight over the visit partials."""
     return malware_report(
         (domain for partial in visit_partials
          for domain in partial["visited"]),
-        (call for partial in jsapi_partials for call in partial["calls"]),
+        (call for partial in visit_partials for call in partial["miners"]),
         labels, scanner, threshold=threshold,
     )
 

@@ -58,8 +58,13 @@ __all__ = [
 ]
 
 def default_parallelism() -> int:
-    """The executor's default worker count (``os.cpu_count()``)."""
-    return os.cpu_count() or 1
+    """The default worker count: the CPUs this process may run on
+    (its affinity mask, which a container or ``taskset`` may narrow),
+    or ``os.cpu_count()`` where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ _TABLES: Dict[str, Tuple[str, ...]] = {
     "banners": ("visits",),
     "sync": ("requests", "cookies"),
     "jsapi": ("js_calls",),
-    "visits": ("visits",),
+    "visits": ("visits", "js_calls"),
     "owners": ("visits",),
 }
 
@@ -133,7 +133,15 @@ class LogRows:
 class StoredRows:
     """A complete stored run read back a site at a time, so memory stays
     bounded by one site: :meth:`site_rows` is one range scan per table
-    in the site's shard."""
+    in the site's shard.
+
+    It holds a live store handle, so it never crosses a fork: a forked
+    worker of ``Study.prefetch_partials`` builds its own over its own
+    :class:`~repro.datastore.CrawlStore`.  One pass of
+    :meth:`IncrementalRunAnalyzer.partials` over every analysis a render
+    needs reads each site once per table; calling it per analysis reads
+    the site again each time.
+    """
 
     def __init__(self, store: CrawlStore, run: RunRef) -> None:
         self.client_ip = store._run_header(run)[1]
@@ -161,6 +169,12 @@ class IncrementalRunAnalyzer:
     per-site partials in run position order.  Without a cache every
     site is mapped from its rows for the requested analyses only, and
     nothing is kept: callers merge the partials and memoize the result.
+    A caller that knows every analysis it will need asks for them in
+    one call, which reads each site once for all of them; ``repro
+    report`` does (``Study.prefetch_partials``), one call per run, in
+    forked workers when it has the cores.  ``first_party`` is a
+    ``(page, fqdn)`` first-party decision memo shared with the study's
+    other runs (see :func:`~repro.core.mapmerge.map_labels`).
     With an :class:`~repro.datastore.aggregates.AggregateStore`, a
     partial is served from the cache when the site's analysis content
     hash hits and mapped from the rows when it misses; whenever a
@@ -181,12 +195,14 @@ class IncrementalRunAnalyzer:
         keep_html: bool = True,
         classifier=None,
         cert_lookup=None,
+        first_party: Optional[Dict[Tuple[str, str], bool]] = None,
     ) -> None:
         self.cache = cache
         self.kind = kind
         self.domains = list(domains)
         self._classifier = classifier
         self._cert_lookup = cert_lookup
+        self._first_party = first_party
         self.analyses = PORN_ANALYSES if kind.endswith(":porn") \
             else REGULAR_ANALYSES
         self._key_suffix = \
@@ -297,7 +313,8 @@ class IncrementalRunAnalyzer:
         for name in names:
             if name == "labels":
                 mapped[name] = map_labels(requests,
-                                          cert_lookup=self._cert_lookup)
+                                          cert_lookup=self._cert_lookup,
+                                          decided=self._first_party)
             elif name == "ats":
                 if self._classifier is None:
                     raise ValueError(
@@ -310,7 +327,8 @@ class IncrementalRunAnalyzer:
                                            client_ip=client_ip)
             elif name == "https":
                 labels_partial = mapped.get("labels") or map_labels(
-                    requests, cert_lookup=self._cert_lookup)
+                    requests, cert_lookup=self._cert_lookup,
+                    decided=self._first_party)
                 mapped[name] = map_https(
                     visits, requests, cookies,
                     client_ip=client_ip,
@@ -324,7 +342,7 @@ class IncrementalRunAnalyzer:
             elif name == "jsapi":
                 mapped[name] = map_jsapi(rows["js_calls"])
             elif name == "visits":
-                mapped[name] = map_visits(visits)
+                mapped[name] = map_visits(visits, rows["js_calls"])
             elif name == "owners":
                 mapped[name] = map_owners(visits)
             else:  # pragma: no cover - guarded by partials()

@@ -182,9 +182,6 @@ class CookieJar:
             return None
         return "; ".join(f"{c.name}={c.value}" for c in cookies)
 
-    def all_cookies(self) -> List[Cookie]:
-        return list(self._cookies.values())
-
     def domains(self) -> List[str]:
         return sorted({c.domain for c in self._cookies.values()})
 

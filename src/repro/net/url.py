@@ -130,12 +130,6 @@ class URL:
 
     # -- manipulation --------------------------------------------------------
 
-    def with_scheme(self, scheme: str) -> "URL":
-        return URL(scheme, self.host, self.port, self.path, self.query, self.fragment)
-
-    def with_path(self, path: str, query: str = "") -> "URL":
-        return URL(self.scheme, self.host, self.port, path, query, "")
-
     def with_query_param(self, key: str, value: str) -> "URL":
         """Return a copy with ``key=value`` appended to the query string."""
         pair = f"{key}={value}"

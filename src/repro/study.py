@@ -16,8 +16,9 @@ Typical use::
 from __future__ import annotations
 
 import functools
+import multiprocessing
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -79,6 +80,29 @@ from .webgen.universe import Universe
 
 __all__ = ["Study"]
 
+#: ``(country, run kind, analyses)``: one planned pass over a stored run.
+RunPass = Tuple[str, str, Tuple[str, ...]]
+
+#: The study a planned-pass pool maps for, set by the parent just before
+#: the pool forks so workers inherit it by copy-on-write (the pattern of
+#: :class:`~repro.crawler.executor.CrawlExecutor`); nothing large is
+#: pickled on the way in.
+_PASS_STUDY: Optional["Study"] = None
+
+
+def _forked_pass(entry: RunPass) -> Dict[str, List[object]]:
+    """One planned pass inside a forked worker.
+
+    SQLite connections must not cross a fork, so the worker reads the
+    run through a store handle of its own; its partial lists travel back
+    pickled, and an exception (``MissingRunError``) re-raises in the
+    parent.
+    """
+    from .datastore import CrawlStore
+
+    with CrawlStore(_PASS_STUDY.store.path) as store:
+        return _PASS_STUDY._map_run(*entry, store=store)
+
 
 class Study:
     """The full measurement study over one synthetic universe."""
@@ -98,10 +122,11 @@ class Study:
         progress: Optional[Callable[..., None]] = None,
     ) -> None:
         """``parallelism`` bounds how many independent crawls run at once
-        (default ``os.cpu_count()``).  ``parallelism=1`` reproduces the
-        historical strictly-sequential evaluation order exactly; any
-        value produces bit-identical results, because only whole crawls
-        (each owning its cookie jar) and pure per-log analyses fan out.
+        (default: the CPUs this process may use).  ``parallelism=1``
+        reproduces the historical strictly-sequential evaluation order
+        exactly; any value produces bit-identical results, because only
+        whole crawls (each owning its cookie jar) and pure per-log
+        analyses fan out.
 
         ``store`` (a :class:`~repro.datastore.CrawlStore` or a path)
         persists every crawl and hydrates already-stored ones, making an
@@ -115,7 +140,8 @@ class Study:
         artifacts, and a missing crawl or artifact raises
         :class:`~repro.datastore.MissingRunError` instead of touching a
         browser; no log is hydrated unless a §10 extension asks for
-        :meth:`porn_log`.
+        :meth:`porn_log`.  :meth:`prefetch_partials` maps every run a
+        render reads in one pass each, fanned out over forked workers.
 
         ``baseline_store`` (a :class:`~repro.datastore.CrawlStore` or a
         path) enables delta crawls against a prior epoch's store: sites
@@ -183,6 +209,9 @@ class Study:
         self._cache: Dict[str, object] = {}
         self._cache_lock = threading.Lock()
         self._key_locks: Dict[str, threading.Lock] = {}
+        #: ``(country, kind)`` -> analysis -> per-site partials, filled by
+        #: :meth:`prefetch_partials` and served by :meth:`_partials`.
+        self._planned: Dict[Tuple[str, str], Dict[str, List[object]]] = {}
 
     def close(self) -> None:
         """Close the stores and the aggregate cache this study opened.
@@ -493,6 +522,76 @@ class Study:
             )
         return tasks
 
+    def _run_plan(self, *, geo: bool = False) -> List[RunPass]:
+        """The per-site analyses each run feeds in :meth:`_analysis_tasks`.
+
+        The home porn run feeds every porn analysis and the regular run
+        every regular one; with ``geo`` each Table 7 country's run feeds
+        labels, ATS and visits (blocked counts, malware); each banner
+        country's run feeds banners.  Change this list with the task
+        list: an analysis missing here still renders, from a second read
+        of its run.
+        """
+        from .datastore.incremental import PORN_ANALYSES, REGULAR_ANALYSES
+
+        plan: Dict[Tuple[str, str], List[str]] = {
+            (self.home_country, self._PORN_KIND): list(PORN_ANALYSES),
+            (self.home_country, self._REGULAR_KIND): list(REGULAR_ANALYSES),
+        }
+
+        def feed(country: str, names: Sequence[str]) -> None:
+            planned = plan.setdefault((country, self._PORN_KIND), [])
+            planned.extend(name for name in names if name not in planned)
+
+        if geo:
+            for country in self.vantage_points.country_codes:
+                feed(country, ("labels", "ats", "visits"))
+        for country in self._BANNER_COUNTRIES:
+            feed(country, ("banners",))
+        return [(country, kind, tuple(names))
+                for (country, kind), names in plan.items()]
+
+    def prefetch_partials(self, *, geo: bool = False) -> None:
+        """Map each stored run a full render reads in one pass.
+
+        For a ``store_only`` study without an aggregate cache (``repro
+        report``): each planned run (:meth:`_run_plan`) is one
+        :meth:`~repro.datastore.IncrementalRunAnalyzer.partials` call
+        over :class:`~repro.datastore.StoredRows`, so each site is read
+        once per event table however many sections use the run.  With
+        ``parallelism > 1`` and ``fork`` the passes fan out over a pool
+        of ``min(parallelism, runs)`` forked workers; otherwise they run
+        here in plan order.  :meth:`_partials` serves the held partial
+        lists, and sections merge them lazily as before.
+
+        Other studies keep mapping on demand: a cached engine already
+        reads a missed site once for all analyses, an in-memory log has
+        no read to save, and a long-lived study would hold every partial
+        for its lifetime.  For them this is a no-op.
+        """
+        global _PASS_STUDY
+        if not self.store_only or self.aggregate_cache is not None:
+            return
+        plan = [entry for entry in self._run_plan(geo=geo)
+                if entry[:2] not in self._planned]
+        for country, kind, _ in plan:
+            self._engine(country, kind)  # built here, inherited by workers
+        workers = min(self.parallelism, len(plan))
+        if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+            _PASS_STUDY = self
+            try:
+                with ProcessPoolExecutor(
+                        max_workers=workers,
+                        mp_context=multiprocessing.get_context("fork"),
+                ) as pool:
+                    results = list(pool.map(_forked_pass, plan))
+            finally:
+                _PASS_STUDY = None
+        else:
+            results = [self._map_run(*entry) for entry in plan]
+        for (country, kind, _), partials in zip(plan, results):
+            self._planned[(country, kind)] = partials
+
     def prefetch_analyses(
         self,
         countries: Optional[Sequence[str]] = None,
@@ -599,6 +698,7 @@ class Study:
                 keep_html=kind == self._PORN_KIND,
                 classifier=self.ats_classifier(),
                 cert_lookup=self._cert_lookup(),
+                first_party=self._first_party_decisions(),
             )
 
         return self._memo(f"engine:{kind}:{country}", build)
@@ -612,6 +712,13 @@ class Study:
             lambda: functools.lru_cache(maxsize=1 << 16)(
                 self.universe.certificate_for),
         )
+
+    def _first_party_decisions(self) -> Dict[Tuple[str, str], bool]:
+        """The ``(page, fqdn)`` first-party decisions of every run's
+        labeling, made once per study: each porn run labels the same
+        pages (see :func:`~repro.core.mapmerge.map_labels`).  Scoped to
+        the study, so a long-lived process frees it with the study."""
+        return self._memo("first_party", dict)
 
     def _run_domains(self, kind: str) -> Sequence[str]:
         if kind == self._PORN_KIND:
@@ -638,9 +745,11 @@ class Study:
         return LogRows(self.porn_log(country) if kind == self._PORN_KIND
                        else self.regular_log())
 
-    def _stored_rows(self, country: str, kind: str):
+    def _stored_rows(self, country: str, kind: str, store=None):
+        """The stored run (read through ``store``, default the study's)."""
         from .datastore import MissingRunError, StoredRows
 
+        store = store or self.store
         domains = self._run_domains(kind)
         keep_html = kind == self._PORN_KIND
         log_key = (f"porn_log:{country}" if kind == self._PORN_KIND
@@ -649,24 +758,36 @@ class Study:
             # Crawl, resume or delta-crawl the run, streaming: no log.
             self._stored_crawl(country, kind, domains, keep_html=keep_html,
                                hydrate=False)
-        state = self.store.find_run(
+        state = store.find_run(
             self.universe.config, self.vantage_points.point(country), kind,
             domains, keep_html=keep_html,
         )
         if state is None or not state.complete:
             held = len(state.completed) if state is not None else 0
             raise MissingRunError(
-                f"store {self.store.path} holds {held}/{len(domains)} sites "
+                f"store {store.path} holds {held}/{len(domains)} sites "
                 f"for {kind} from {country}; re-run with --store to "
                 "complete it"
             )
-        return StoredRows(self.store, state.run_id)
+        return StoredRows(store, state.run_id)
+
+    def _map_run(self, country: str, kind: str, names: Sequence[str], *,
+                 store=None) -> Dict[str, List[object]]:
+        """Map ``names`` over one run.  ``store`` is a forked worker's
+        own handle on the study's store."""
+        rows = (self._run_rows(country, kind) if store is None
+                else self._stored_rows(country, kind, store))
+        return self._engine(country, kind).partials(names, rows)
 
     def _partials(self, country: str, kind: str,
                   names: Sequence[str]) -> Dict[str, List[object]]:
-        """Per-site partials of one run, in run position order."""
-        rows = self._run_rows(country, kind)
-        return self._engine(country, kind).partials(names, rows)
+        """Per-site partials of one run, in run position order: from
+        :meth:`prefetch_partials` when its pass covered ``names``,
+        otherwise mapped now."""
+        planned = self._planned.get((country, kind))
+        if planned is not None and all(name in planned for name in names):
+            return {name: planned[name] for name in names}
+        return self._map_run(country, kind, names)
 
     def visited_sites(self, country: Optional[str] = None) -> List[str]:
         """Successfully visited sites of a porn crawl, in visit order."""
@@ -857,9 +978,9 @@ class Study:
                 return self.universe.scanner_hits(domain, country)
 
             partials = self._partials(country, self._PORN_KIND,
-                                      ("visits", "jsapi"))
-            return merge_malware(partials["visits"], partials["jsapi"],
-                                 labels=labels, scanner=scanner)
+                                      ("visits",))
+            return merge_malware(partials["visits"], labels=labels,
+                                 scanner=scanner)
 
         return self._memo(f"malware:{country}", build)
 

@@ -166,14 +166,6 @@ class ThirdPartyService:
             return False
         return True
 
-    def is_malicious_for(self, country_code: str) -> bool:
-        """True when a client in ``country_code`` receives malicious content."""
-        if self.scanner_hits < 4:
-            return False
-        if self.malicious_countries is None:
-            return True
-        return country_code in self.malicious_countries
-
 
 def _svc(**kwargs) -> ThirdPartyService:
     return ThirdPartyService(**kwargs)

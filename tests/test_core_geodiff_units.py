@@ -8,6 +8,7 @@ from repro.core.geodiff import CountryObservation, analyze_geography
 from repro.core.malware import MalwareReport
 from repro.core.mapmerge import map_visits
 from repro.core.partylabel import PartyLabels
+from repro.js.api import API, JSCall
 
 
 def observation(country, fqdns, ats=(), malicious_domains=(),
@@ -78,7 +79,25 @@ class TestGeoUnit:
 
 
 class TestMapVisits:
-    """Table 7's blocked count is part of the per-site ``visits`` partial."""
+    """Table 7's blocked count and §5.3's miner calls are part of the
+    per-site ``visits`` partial."""
+
+    def test_keeps_only_cryptomining_worker_creations(self):
+        script = "https://cdn.miner.io/m.js"
+        calls = [
+            JSCall(script, "a.com", API.WORKER_CREATE,
+                   {"purpose": "cryptomining"}),
+            JSCall(script, "a.com", API.WORKER_CREATE, {"purpose": "ui"}),
+            JSCall(script, "a.com", API.WORKER_CREATE),
+            JSCall(script, "a.com", API.CANVAS_TO_DATA_URL,
+                   {"purpose": "cryptomining"}),
+            JSCall("https://other.net/w.js", "b.a.com", API.WORKER_CREATE,
+                   {"purpose": "cryptomining"}),
+        ]
+        visits = [PageVisit("a.com", "https://a.com/", True, status=200)]
+        assert map_visits(visits, calls)["miners"] == (
+            (script, "a.com"), ("https://other.net/w.js", "b.a.com"))
+        assert map_visits(visits, [])["miners"] == ()
 
     def test_blocked_counted(self):
         visits = [
@@ -96,6 +115,6 @@ class TestMapVisits:
             # A page served despite its 451 status is a visit.
             PageVisit("b.com", "https://b.com/", True, status=451),
         ]
-        partial = map_visits(visits)
+        partial = map_visits(visits, [])
         assert partial["blocked"] == 2
         assert partial["visited"] == ("a.com", "b.com")

@@ -4,10 +4,12 @@ import pytest
 
 from repro import Study
 from repro.cache import BoundedCache, FetchCache, content_key
+from repro.crawler import executor
 from repro.crawler.executor import (
     CrawlExecutionError,
     CrawlExecutor,
     CrawlSpec,
+    default_parallelism,
 )
 from repro.html.parser import parse_html, parse_html_cached
 from repro.net.http import Request
@@ -181,6 +183,24 @@ class TestSerialFallback:
     def test_empty_run(self, universe, vantage_points):
         executor = CrawlExecutor(universe, vantage_points, parallelism=4)
         assert executor.run([]) == []
+
+
+class TestDefaultParallelism:
+    def test_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(executor.os, "sched_getaffinity",
+                            lambda pid: {3}, raising=False)
+        monkeypatch.setattr(executor.os, "cpu_count", lambda: 64)
+        assert default_parallelism() == 1
+        assert CrawlExecutor(None, None).parallelism == 1
+        assert Study(None).parallelism == 1
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(executor.os, "sched_getaffinity",
+                            raising=False)
+        monkeypatch.setattr(executor.os, "cpu_count", lambda: 3)
+        assert default_parallelism() == 3
+        monkeypatch.setattr(executor.os, "cpu_count", lambda: None)
+        assert default_parallelism() == 1
 
 
 class TestBannersShareCrawl:

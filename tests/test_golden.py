@@ -6,12 +6,17 @@ geo report at seed 20191021, scale 0.05 (written by
 study can take from a universe to the report must land on those bytes:
 
 * an in-memory study, serial and with crawls fanned out two-wide;
-* ``repro report``'s store-only study over a 2-shard store;
+* ``repro report``'s store-only study over a 2-shard store, through the
+  planned passes ``repro report`` runs first
+  (:meth:`~repro.Study.prefetch_partials`), in process and in forked
+  workers; and the ``repro report --geo`` command itself on a copy of
+  the store;
 * the same with the aggregate cache (``repro report --incremental``),
   on a copy of the store, since the cache is written inside it;
   both store-only routes run with ``Browser.visit`` and
-  ``CrawlStore.load_log`` made to raise: a report reads stored partials
-  and artifacts and nothing else;
+  ``CrawlStore.load_log`` made to raise (forked workers inherit the
+  patches): a report reads stored partials and artifacts and nothing
+  else;
 * a store whose ``sanitize:verdicts`` artifact is damaged, which a
   store-only study must refuse and a crawl-allowed one must recompute
   and rewrite;
@@ -36,7 +41,11 @@ import dataclasses
 import hashlib
 import json
 import marshal
+import os
+import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,6 +78,7 @@ from repro.webgen.builder import build_universe
 
 from .golden.regen import analysis_digests, study_analyses, universe_digests
 from .test_delta import shard_file_digests
+from .test_incremental import planned_scans
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "sections.json").read_text()
@@ -226,11 +236,40 @@ def _forbid_browsing_and_hydration(monkeypatch):
                         forbidden("CrawlStore.load_log"))
 
 
-def test_store_only_report(golden_store, monkeypatch):
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_store_only_report(parallelism, golden_store, monkeypatch):
+    """In process the planned passes scan each (run, site, planned
+    table) once; forked workers read through handles of their own, so
+    the study's scans nothing.  Rendering afterwards scans nothing."""
     _forbid_browsing_and_hydration(monkeypatch)
     study = Study(build_universe(_config()), store=golden_store,
-                  store_only=True)
+                  store_only=True, parallelism=parallelism)
+    study.prefetch_partials(geo=True)
+    scans = study.store.io_stats["scans"]
+    assert scans == (planned_scans(study, geo=True) if parallelism == 1
+                     else 0)
     _assert_golden(study, GOLDEN["epoch0"])
+    assert study.store.io_stats["scans"] == scans
+
+
+def test_report_command(golden_store, tmp_path):
+    """``python -m repro report --geo`` prints the golden sections: the
+    report is the sections joined by blank lines, and each section but
+    the header-less malware line opens with ``== ``."""
+    path = str(tmp_path / "store")
+    shutil.copytree(golden_store, path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "report", "--geo", "--store", path],
+        capture_output=True, text=True, env=env, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("\n")
+    texts = re.split(r"\n\n(?=== |§5\.3 malware:)", done.stdout[:-1])
+    got = [hashlib.sha256(text.encode("utf-8")).hexdigest()
+           for text in texts]
+    assert got == list(GOLDEN["epoch0"].values())
 
 
 def test_aggregate_cache_report(golden_store, monkeypatch, tmp_path):

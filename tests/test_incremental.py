@@ -13,6 +13,8 @@ themselves are pinned by ``tests/golden/analyses.json``, see
   cached partials (full recompute, same bytes);
 * a corrupted aggregate row degrades to a recompute — never a wrong
   table;
+* ``repro report``'s planned passes read each site of a run once per
+  event table, and cover every section the report renders;
 * satellites: per-analysis wall timings under the prefetch pool, store
   open/scan counters, CLI ``--incremental`` / ``--stats`` / ``store
   info -v`` surfaces.
@@ -40,12 +42,12 @@ from repro.datastore import (
     cached_inspections,
     cached_sanitize,
 )
-from repro.datastore.incremental import _inspection_hash
+from repro.datastore.incremental import _TABLES, _inspection_hash
 from repro.datastore.serialize import (
     inspections_from_payload,
     inspections_to_payload,
 )
-from repro.reporting.sections import render_section
+from repro.reporting.sections import render_section, report_sections
 from repro.webgen.builder import build_universe
 from repro.webgen.evolve import analysis_hash_index, evolve_universe
 
@@ -243,6 +245,64 @@ class TestAggregateCache:
             engine.partials(("nonsense",), LogRows(study.regular_log()))
         with pytest.raises(ValueError):  # a porn-only analysis
             engine.partials(("banners",), LogRows(study.regular_log()))
+
+
+def planned_scans(study, geo=False):
+    """One range scan per (run, site, planned table) of the study's plan."""
+    return sum(
+        len(study._run_domains(kind))
+        * len({table for name in names for table in _TABLES[name]})
+        for _country, kind, names in study._run_plan(geo=geo)
+    )
+
+
+class TestPlannedPass:
+    def test_one_scan_per_site_and_table_then_none(self, universe,
+                                                   epoch0_store):
+        """At parallelism 1 the planned passes scan each (run, site,
+        planned table) exactly once, and the sections rendered
+        afterwards scan nothing: the plan covers them all."""
+        store = CrawlStore(epoch0_store)
+        study = Study(_rebuild(universe), store=store, store_only=True,
+                      parallelism=1)
+        try:
+            study.prefetch_partials()
+            assert store.io_stats["scans"] == planned_scans(study)
+            assert list(study._planned) == \
+                [(country, kind) for country, kind, _ in study._run_plan()]
+            report_sections(study, universe.config.scale)
+            assert store.io_stats["scans"] == planned_scans(study)
+        finally:
+            store.close()
+
+    def test_forked_missing_run_exits_1(self, epoch0_store, capsys,
+                                        monkeypatch):
+        """A worker's MissingRunError re-raises in the parent: ``repro
+        report --geo`` on a store without the geo runs still exits 1
+        with the re-run hint."""
+        monkeypatch.setattr("repro.study.default_parallelism", lambda: 2)
+        capsys.readouterr()
+        assert main(["report", "--geo", "--store", epoch0_store]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: store" in captured.err
+        assert "holds 0/" in captured.err
+        assert "re-run with --store" in captured.err
+
+    def test_planned_passes_skip_cached_and_live_studies(self, universe,
+                                                          epoch0_store,
+                                                          tmp_path):
+        live = Study(universe, parallelism=1)
+        live.prefetch_partials()
+        assert live._planned == {}
+        cached = Study(_rebuild(universe), store=epoch0_store,
+                       store_only=True,
+                       aggregate_cache=str(tmp_path / "aggregates.sqlite"))
+        try:
+            cached.prefetch_partials()
+            assert cached._planned == {}
+        finally:
+            cached.close()
 
 
 class TestSatellites:

@@ -629,6 +629,34 @@ class TestServerEndToEnd:
         finally:
             del server.manager._jobs["999"]
 
+    def _delete(self, url):
+        request = urllib.request.Request(url, method="DELETE")
+        with urllib.request.urlopen(request) as resp:
+            return resp.status, json.loads(resp.read())
+
+    def test_delete_cancels_a_queued_job(self, server, done_job):
+        # A job no worker will pick up, so it is still queued.
+        pending = Job(id="998", spec=JobSpec(seed=SEED, scale=SCALE))
+        server.manager._jobs["998"] = pending
+        try:
+            status, body = self._delete(server.url + "/jobs/998")
+            assert status == 202
+            assert body["id"] == "998"
+            assert pending.state == JobState.CANCELLED
+            assert pending.cancel_requested.is_set()
+            # Cancelling it again, or a finished job, is a conflict.
+            for job_id in ("998", done_job[0]["id"]):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    self._delete(server.url + f"/jobs/{job_id}")
+                assert excinfo.value.code == 409
+        finally:
+            del server.manager._jobs["998"]
+
+    def test_delete_unknown_job_is_404(self, server):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._delete(server.url + "/jobs/12345")
+        assert excinfo.value.code == 404
+
     def test_terminal_kinds_cover_job_states(self):
         assert TERMINAL_KINDS == {f"job_{state}"
                                   for state in JobState.TERMINAL}
