@@ -1,8 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test store-check parallel-check scale-check serve-check \
-	delta-check incremental-check
+.PHONY: test store-check scale-check serve-check delta-check \
+	incremental-check
 
 ## Run the tier-1 test suite.
 test:
@@ -15,18 +15,6 @@ test:
 ## REPRO_SCALE_CHECK_SCALES.
 scale-check:
 	$(PYTHON) benchmarks/scale_check.py
-
-## Scheduler identity check (used by CI): the rendered study must be
-## byte-identical across --parallelism 1 and 2, and --stats must report
-## the sparse similarity engine's counters.
-parallel-check:
-	$(PYTHON) -m repro study --scale 0.02 --parallelism 1 \
-		> /tmp/repro-serial.out
-	$(PYTHON) -m repro study --scale 0.02 --parallelism 2 \
-		> /tmp/repro-parallel.out
-	diff /tmp/repro-serial.out /tmp/repro-parallel.out
-	$(PYTHON) -m repro study --scale 0.02 --parallelism 2 --stats \
-		| grep "similarity engine:"
 
 ## Store replay check (used by CI): run a scale-0.02 study into a fresh
 ## datastore (one shard, the default), re-render everything from the

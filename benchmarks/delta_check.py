@@ -90,9 +90,8 @@ def run_delta_probe(scale: float, store_dir: str) -> dict:
     the full crawl inherits any warm global caches and the reported
     speedup is conservative.  Verifies byte-identical stores and
     reports the spliced and crawled counts, the speedup, and the per-kind
-    jar-digest divergence points (the position where a ``jar_sensitive``
-    universe would have stopped splicing; the stock universe serves
-    cookie-blind, so splicing continues past it).
+    divergence index (the first site that needed a real visit; splicing
+    continues past it).
     """
     from repro import Study, UniverseConfig
     from repro.datastore import CrawlStore, stored_crawl

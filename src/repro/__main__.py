@@ -24,9 +24,10 @@ resumes at per-site granularity).
 Longitudinal runs add ``--epoch N`` (evolve the universe N epochs past
 the seed one: trackers are born, die, and consolidate; sites migrate to
 HTTPS, adopt banners, and churn content) and ``--since PATH`` (delta
-crawl: splice event slices for provably-unchanged sites out of a prior
-epoch's store instead of re-rendering them — byte-identical to a full
-crawl by construction, and several times faster at low churn).
+crawl: splice event slices for provably-unchanged sites out of an
+earlier epoch's store of the same seed, scale and churn instead of
+re-rendering them — byte-identical to a full crawl by construction, and
+several times faster at low churn; any other store means a full crawl).
 
 Universes keep their site specs as compact packed rows minted on first
 fetch (``tests/golden/universe.json`` pins what they serve), so memory
@@ -68,11 +69,12 @@ def _add_store(parser: argparse.ArgumentParser) -> None:
                              "by site domain (default 1; checkpoints touch "
                              "one shard)")
     parser.add_argument("--since", metavar="PATH", default=None,
-                        help="delta crawl against this prior-epoch store: "
+                        help="delta crawl against this earlier-epoch "
+                             "store of the same seed, scale and churn: "
                              "sites whose content is provably unchanged "
                              "splice their stored slices instead of "
                              "re-rendering (results byte-identical to a "
-                             "full crawl)")
+                             "full crawl; any other store: a full crawl)")
     parser.add_argument("--incremental", action="store_true",
                         help="cache per-site analysis partials next to the "
                              "store and reuse them across epochs: only "

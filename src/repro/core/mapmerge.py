@@ -101,7 +101,7 @@ ANALYSIS_VERSIONS: Dict[str, int] = {
     "banners": 1,
     "sync": 1,
     "jsapi": 1,
-    "visits": 3,
+    "visits": 4,
     "owners": 1,
     # §3 per-candidate sanitize verdicts (cached by
     # repro.datastore.incremental.cached_sanitize).
@@ -727,7 +727,8 @@ def map_visits(visits, js_calls) -> dict:
     surfacing as a network failure — a ``FetchError`` with no status,
     and the ``(script_url, document_host)`` of its cryptomining
     ``Worker`` creations (§5.3), so malware never needs the far larger
-    ``jsapi`` partial."""
+    ``jsapi`` partial.  A regular run is mapped with no JS calls (its
+    ``miners`` are empty): malware reads only porn runs."""
     return {
         "visited": tuple(
             visit.site_domain for visit in visits if visit.success

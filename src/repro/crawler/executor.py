@@ -12,7 +12,9 @@ sequential one.
 Backends
 --------
 
-``process`` (default on POSIX)
+The platform and the parallelism choose the backend.
+
+``process`` (wherever ``fork`` is available)
     Forked worker processes inherit the immutable :class:`Universe` by
     copy-on-write; only the compact :class:`CrawlOutcome` results cross
     the process boundary.  This sidesteps the GIL for the CPU-bound
@@ -247,7 +249,6 @@ class CrawlExecutor:
         vantage_points: VantagePointManager,
         *,
         parallelism: Optional[int] = None,
-        backend: Optional[str] = None,
         store=None,
         baseline=None,
         progress: Optional[Callable[..., None]] = None,
@@ -265,12 +266,9 @@ class CrawlExecutor:
         ``count=`` field) once the pool drains — see
         :class:`_WorkerContext`.
         """
-        if backend not in (None, "process", "thread", "serial"):
-            raise ValueError(f"unknown backend: {backend!r}")
         self.universe = universe
         self.vantage_points = vantage_points
         self.parallelism = max(1, int(parallelism or default_parallelism()))
-        self.backend = backend
         self.store_path = getattr(store, "path", store)
         self.baseline_path = getattr(baseline, "path", baseline)
         self.progress = progress
@@ -278,15 +276,15 @@ class CrawlExecutor:
     # ------------------------------------------------------------------
 
     def _resolve_backend(self, spec_count: int) -> str:
+        """Serial for one worker, forked processes where the platform
+        can fork, threads where it cannot."""
         if self.parallelism == 1 or spec_count <= 1:
             return "serial"
-        if self.backend is not None and self.backend != "process":
-            return self.backend
         if "fork" in multiprocessing.get_all_start_methods():
             return "process"
         # No fork (e.g. Windows): pickling the whole universe per worker
         # would dwarf the crawl itself, so degrade to threads.
-        return "thread" if self.backend is None else "thread"
+        return "thread"
 
     def _context(self) -> _WorkerContext:
         return _WorkerContext(self.universe, self.vantage_points,

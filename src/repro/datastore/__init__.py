@@ -8,7 +8,7 @@ the reproduction the same shape.  :class:`CrawlStore` is the store,
 """
 
 from .aggregates import AggregateCacheStats, AggregateStore, aggregates_path
-from .delta import DeltaSource, delta_crawl
+from .delta import delta_crawl
 from .incremental import (
     IncrementalRunAnalyzer,
     LogRows,
@@ -43,7 +43,6 @@ __all__ = [
     "LogRows",
     "cached_inspections",
     "cached_sanitize",
-    "DeltaSource",
     "MissingRunError",
     "RunManifest",
     "RunRef",

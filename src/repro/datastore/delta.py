@@ -17,11 +17,14 @@ A delta crawl therefore sorts each remaining site of the new run:
 * changed (or missing from the baseline) → **real visit** through the
   normal browser path.
 
-"Unchanged" comes from the evolution lineage
-(:meth:`Universe.changed_domains_since`), or, for a baseline from
-another chain, from comparing :class:`~repro.webgen.evolve.ContentHashIndex`
-digests of the canonical site spec plus every third-party service its
-visit can transitively touch.
+"Unchanged" comes from the evolution lineage alone
+(:meth:`Universe.changed_domains_since`): the target universe records
+which sites each evolution step changed, so every site outside the set
+since the baseline's epoch serves the same bytes.  The lineage answers
+only for a baseline whose stored config is the target's with just the
+epoch changed (an ancestor on the same chain); any other baseline — a
+different ``churn`` or seed, or a later epoch — has no lineage and the
+run is crawled normally.
 
 The copy never leaves SQLite.  The baseline's shard files are attached
 read-only to the target shards' connections (:meth:`RunWriter.attach`;
@@ -47,30 +50,21 @@ No spliced row passes through Python, so the crawl always runs in trim
 mode; :func:`~repro.datastore.stored_crawl` loads the finished run back
 for callers that asked for a hydrated log.
 
-Because serving is jar-oblivious, the cookie-relevant projection of the
-jar state at every visit start is the empty digest, and the splice key
-collapses to (content, vantage).  A universe subclass that *does*
-serve from jar state can set ``jar_sensitive = True``: splicing then
-stops at the first divergence point (the first really-visited site may
-have mutated the jar, so later stored slices are no longer provably
-equal) and the crawl degrades gracefully to real visits — correctness
-never depends on the hash being right, only speed does.  The
-result is byte-identical to a full crawl *by construction*, which
-``make delta-check`` re-proves by digesting both stores' event rows and
-diffing every rendered report table.
+Serving never reads request cookies, so the jar a visit starts with
+cannot change what it records, and a stored slice is reusable whenever
+the site's content and the vantage match.  The result is byte-identical
+to a full crawl *by construction*, which ``make delta-check`` re-proves
+by digesting both stores' event rows and diffing every rendered report
+table.
 """
 
 from __future__ import annotations
 
-import os
 import sqlite3
-import threading
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..browser.events import CrawlLog
 from ..net.geo import VantagePoint
-from ..webgen.config import UniverseConfig
-from .serialize import config_to_json
 from .store import (
     MAX_ATTACHED,
     CrawlStore,
@@ -80,63 +74,7 @@ from .store import (
     _slice_index,
 )
 
-__all__ = ["DeltaSource", "SiteSlice", "delta_crawl"]
-
-
-class DeltaSource:
-    """The baseline side of a delta crawl, shared process-wide.
-
-    Rebuilding the previous epoch's universe (needed to hash its sites)
-    costs a lazy :func:`~repro.webgen.builder.build_universe`, so
-    instances are memoized per (store path, stored config) — every
-    vantage/kind pair of a study reuses the same baseline hashes.
-    """
-
-    _instances: Dict[Tuple[str, str], "DeltaSource"] = {}
-    _guard = threading.Lock()
-
-    def __init__(self, store_path: str, config: UniverseConfig) -> None:
-        self.store_path = store_path
-        self.config = config
-        self._lock = threading.Lock()
-        self._index = None
-
-    @classmethod
-    def for_store(cls, store: CrawlStore,
-                  config: UniverseConfig) -> "DeltaSource":
-        key = (os.path.abspath(store.path), config_to_json(config))
-        with cls._guard:
-            source = cls._instances.get(key)
-            if source is None:
-                source = cls(store.path, config)
-                cls._instances[key] = source
-            return source
-
-    def content_hashes(self):
-        """The baseline epoch's :class:`ContentHashIndex`, built lazily."""
-        with self._lock:
-            if self._index is None:
-                from ..webgen.builder import build_universe
-                from ..webgen.evolve import ContentHashIndex
-                self._index = ContentHashIndex(
-                    build_universe(self.config)
-                )
-            return self._index
-
-
-def _target_hashes(universe):
-    """The target universe's hash index, cached on the instance.
-
-    The attribute write is benignly racy: two threads may each build an
-    index, and either result is correct — both are pure functions of
-    the universe.
-    """
-    index = getattr(universe, "_content_hash_index", None)
-    if index is None:
-        from ..webgen.evolve import ContentHashIndex
-        index = ContentHashIndex(universe)
-        universe._content_hash_index = index
-    return index
+__all__ = ["SiteSlice", "delta_crawl"]
 
 
 def _layout_matches(baseline: CrawlStore, run: RunRef,
@@ -172,17 +110,17 @@ def delta_crawl(
 
     Returns ``(None, stats)`` — the rows are all in the store, so the
     first member is always ``None`` — or ``None`` when the delta
-    preconditions fail (no stored baseline config, same universe as the
-    target, no matching baseline run, an empty completed prefix, a
-    slice index that disagrees with the baseline's rows, or more
-    baseline shards than SQLite can attach), in which case the caller
-    runs a normal crawl.  The bail-out happens before anything is
-    written, so falling back is always safe.
+    preconditions fail (no stored baseline config, a baseline that is
+    not an earlier epoch of the target's chain, no matching baseline
+    run, an empty completed prefix, a slice index that disagrees with
+    the baseline's rows, or more baseline shards than SQLite can
+    attach), in which case the caller runs a normal crawl.
+    The bail-out happens before anything is written, so falling back is
+    always safe.
 
     ``stats`` reports ``spliced``/``crawled`` site counts and
     ``divergence_index`` — the remaining-list index of the first site
-    that needed a real visit (``None`` when everything spliced), which
-    is also where a ``jar_sensitive`` universe stops splicing.
+    that needed a real visit (``None`` when everything spliced).
 
     Progress events for spliced sites (``site_started``,
     ``site_spliced``, ``site_finished``) fire after the transaction that
@@ -193,9 +131,10 @@ def delta_crawl(
     base_config = baseline.stored_config()
     if base_config is None:
         return None
-    if config_to_json(base_config) == config_to_json(universe.config):
-        return None
     if baseline.shard_count > MAX_ATTACHED:
+        return None
+    changed = universe.changed_domains_since(base_config)
+    if changed is None:
         return None
     base_state = baseline.find_run(base_config, vantage, kind, domains,
                                    epoch=epoch, keep_html=keep_html)
@@ -204,24 +143,6 @@ def delta_crawl(
     slices = _slice_index(baseline, base_state.run_id)
     if not slices or not _layout_matches(baseline, base_state.run_id,
                                          slices):
-        return None
-
-    changed = universe.changed_domains_since(base_config.epoch)
-    if changed is None:
-        base_index = DeltaSource.for_store(
-            baseline, base_config).content_hashes()
-        target_index = _target_hashes(universe)
-
-    def spliceable(domain: str) -> Optional[SiteSlice]:
-        slice_ = slices.get(domain)
-        if slice_ is None:
-            return None
-        if changed is not None:
-            return None if domain in changed else slice_
-        base_hash = base_index.hash_of(domain)
-        if base_hash is not None \
-                and base_hash == target_index.hash_of(domain):
-            return slice_
         return None
 
     crawler = OpenWPMCrawler(universe, vantage, epoch=epoch,
@@ -250,12 +171,12 @@ def delta_crawl(
         while index < total:
             # Maximal run of consecutive spliceable sites -> one call.
             group = []
-            if divergence_index is None or not universe.jar_sensitive:
-                while index + len(group) < total:
-                    slice_ = spliceable(remaining[index + len(group)])
-                    if slice_ is None:
-                        break
-                    group.append(slice_)
+            while index + len(group) < total:
+                domain = remaining[index + len(group)]
+                slice_ = slices.get(domain)
+                if slice_ is None or domain in changed:
+                    break
+                group.append(slice_)
             if group:
                 items = []
                 seq = log._seq

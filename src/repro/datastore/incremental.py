@@ -9,25 +9,23 @@ hydrated log's :meth:`~repro.browser.events.CrawlLog.site_groups`,
 each site is mapped through the pairs of :mod:`repro.core.mapmerge`,
 and the merge replays the partials in run position order.
 
-PR 7 made *crawling* an evolved epoch scale with churn by splicing the
-sites whose content hash did not change; an optional
+Delta crawls make *crawling* an evolved epoch scale with churn by
+splicing the sites the evolution lineage left unchanged; an optional
 :class:`~repro.datastore.aggregates.AggregateStore` does the same for
 *analysis*.  Each site's partial is persisted keyed on
 ``(analysis_key, analysis_version, site_domain, content_hash,
 run_ref)``.  Analyzing epoch N+1 then looks every site up by its *new*
-content hash: spliced sites hit (their hash — and hence their stored
+content hash: unchanged sites hit (their hash — and hence their stored
 rows, by the purity contract — is unchanged), churned sites miss and
 are mapped from their event rows.  The merged tables are
 byte-identical whichever mix of cached and fresh partials fed them.
 
-Invalidation is exactly the machinery delta crawls already trust, with
-one strengthening: :class:`~repro.webgen.evolve.AnalysisHashIndex`
-extends the splice-grade :class:`~repro.webgen.evolve.ContentHashIndex`
-to also cover the attribution-only service fields (organization /
-cert_org / in_disconnect) that party labeling reads but serving never
-does — a consolidation epoch rewrites certificate organizations without
-changing a byte on the wire, and cached label partials must not survive
-it.
+The hash is :class:`~repro.webgen.evolve.AnalysisHashIndex`, the one
+per-site hash of the package.  It covers what a visit can observe and
+also the attribution-only service fields (organization / cert_org /
+in_disconnect) that party labeling reads but serving never does — a
+consolidation epoch rewrites certificate organizations without changing
+a byte on the wire, and cached label partials must not survive it.
 
 The engine deliberately lives in :mod:`repro.datastore` next to
 :mod:`~repro.datastore.delta`: both are consumers of the slice index
@@ -81,7 +79,7 @@ PORN_ANALYSES: Tuple[str, ...] = ("labels", "ats", "cookies", "https",
                                   "owners")
 REGULAR_ANALYSES: Tuple[str, ...] = ("labels", "ats", "visits")
 
-#: The event tables each analysis's map function reads.
+#: The event tables each analysis's map function reads on a porn run.
 _TABLES: Dict[str, Tuple[str, ...]] = {
     "labels": ("requests",),
     "ats": ("requests",),
@@ -93,6 +91,17 @@ _TABLES: Dict[str, Tuple[str, ...]] = {
     "visits": ("visits", "js_calls"),
     "owners": ("visits",),
 }
+#: On a regular run: nothing reads its miners (malware is a porn-run
+#: analysis), so its ``visits`` partials read no JS calls.
+_REGULAR_TABLES: Dict[str, Tuple[str, ...]] = {
+    **_TABLES, "visits": ("visits",),
+}
+
+
+def _run_tables(kind: str, names: Sequence[str]) -> set:
+    """The event tables a run of ``kind`` reads to map ``names``."""
+    tables = _TABLES if kind.endswith(":porn") else _REGULAR_TABLES
+    return {table for name in names for table in tables[name]}
 
 _DECODE = {
     "visits": visit_from_row,
@@ -153,12 +162,17 @@ class StoredRows:
                   tables: Sequence[str]) -> Dict[str, list]:
         slice_ = self._slices[domain]
         rows: Dict[str, list] = {}
-        for table, (lo, hi, _count) in slice_.bounds().items():
-            if table in tables:
-                decode = _DECODE[table]
-                rows[table] = [decode(row) for row in
-                               self._store.site_event_rows(
-                                   self._run, domain, table, lo, hi)]
+        for table, (lo, hi, count) in slice_.bounds().items():
+            if table not in tables:
+                continue
+            if not count:
+                # The slice says the site has none: no scan.
+                rows[table] = []
+                continue
+            decode = _DECODE[table]
+            rows[table] = [decode(row) for row in
+                           self._store.site_event_rows(
+                               self._run, domain, table, lo, hi)]
         return rows
 
 
@@ -251,7 +265,7 @@ class IncrementalRunAnalyzer:
 
     def _map_all(self, names: List[str], rows) -> Dict[str, List[object]]:
         """No cache: map just ``names`` for every site."""
-        tables = {table for name in names for table in _TABLES[name]}
+        tables = _run_tables(self.kind, names)
         results: Dict[str, List[object]] = {name: [] for name in names}
         for domain in self.domains:
             mapped = self._map_site(rows.site_rows(domain, tables), names,
@@ -272,7 +286,7 @@ class IncrementalRunAnalyzer:
                                       ANALYSIS_VERSIONS[name], wanted)
             for name in names
         }
-        tables = {table for name in self.analyses for table in _TABLES[name]}
+        tables = _run_tables(self.kind, self.analyses)
         results: Dict[str, List[object]] = {name: [] for name in names}
         to_put: List[Tuple[str, int, str, str, str, object]] = []
         for domain in self.domains:
@@ -342,7 +356,7 @@ class IncrementalRunAnalyzer:
             elif name == "jsapi":
                 mapped[name] = map_jsapi(rows["js_calls"])
             elif name == "visits":
-                mapped[name] = map_visits(visits, rows["js_calls"])
+                mapped[name] = map_visits(visits, rows.get("js_calls", ()))
             elif name == "owners":
                 mapped[name] = map_owners(visits)
             else:  # pragma: no cover - guarded by partials()

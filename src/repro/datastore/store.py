@@ -1275,8 +1275,9 @@ def stored_crawl(
     one site's events instead of the whole run.
 
     ``baseline`` turns the crawl into a **delta crawl**: when the
-    baseline store holds the matching run for a *previous universe
-    epoch*, unchanged sites are spliced from the baseline's stored rows
+    baseline store holds the matching run for an *earlier epoch of the
+    universe's evolution chain*, unchanged sites are spliced from the
+    baseline's stored rows
     instead of being rendered (:mod:`repro.datastore.delta`).  A delta
     crawl always streams; with ``hydrate=True`` the finished run is
     loaded back from the store.  The result is byte-identical to a full

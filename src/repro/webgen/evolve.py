@@ -23,16 +23,25 @@ dies, only content and the third-party ecosystem change.  That gives
 every epoch the same corpus ``domains_hash`` so delta crawls
 (:mod:`repro.datastore.delta`) can map site slices 1:1 between epochs.
 
-**Content hashes.**  :class:`ContentHashIndex` fingerprints what a visit
-to a site *could possibly observe*: the packed site spec, the site's CDN
-assignment, and the transitive service closure (embedded services, their
-sync partners, the RTB bidders reachable through any ad frame).  A
-service fingerprint covers every behavioral field but excludes exactly
-``organization`` / ``cert_org`` / ``in_disconnect`` — attribution
-metadata that consolidation rewrites without changing any response byte
-— so consolidation-only epochs splice 100% of sites.  Hashes are
-intentionally conservative: a hash match guarantees identical visit
-logs; a mismatch merely forces a real visit.
+**Lineage.**  Each evolved universe records which sites it changed
+(``Universe.content_changed_since``): the overlay keys of every step
+since each earlier epoch of its chain.  Consolidation rewrites only
+attribution metadata (``organization`` / ``cert_org`` /
+``in_disconnect``) and changes no response byte, so it adds no site;
+every other operation reaches a page only through its overlay entry.
+Delta crawls splice every site outside that set
+(:meth:`Universe.changed_domains_since`).
+
+**Site hashes.**  :class:`AnalysisHashIndex` fingerprints everything a
+visit to a site could observe and every per-site analysis could read:
+the packed site spec, the site's CDN assignment, and the transitive
+service closure (embedded services, their sync partners, the RTB
+bidders reachable through any ad frame), with every behavioral field
+of each service *and* its attribution fields, which party labeling
+reads.  It keys the aggregate cache, the sanitize verdicts and the
+inspection pass (:mod:`repro.datastore.incremental`); a hash match
+means a cached result still holds, a mismatch merely forces a
+recompute.
 """
 
 from __future__ import annotations
@@ -57,8 +66,6 @@ from .universe import Universe
 
 __all__ = [
     "evolve_universe",
-    "ContentHashIndex",
-    "site_content_hash",
     "AnalysisHashIndex",
     "analysis_hash_index",
 ]
@@ -167,23 +174,38 @@ def _service_fingerprint(service: ThirdPartyService) -> bytes:
     return repr(row).encode()
 
 
-class ContentHashIndex:
-    """Per-site content hashes for one universe, computed on demand.
+class AnalysisHashIndex:
+    """Per-site hashes over everything a visit and its analyses can read.
 
     ``hash_of(domain)`` is vantage-independent by design: it covers the
-    full service closure for every country, so a match guarantees
-    identical visits from *any* vantage point (conservative — a
-    geo-fenced change hashes differently even for countries that never
-    see it).
+    full service closure for every country (conservative — a geo-fenced
+    change hashes differently even for countries that never see it).
+    Each service's fingerprint folds in the attribution-only fields
+    (``ATTRIBUTION_ONLY_FIELDS``) that serving never reads but party
+    labeling does (``share_organization`` inside ``_is_first_party``):
+    a consolidation epoch rewrites certificate organizations without
+    changing a served byte, and a cached label partial must not
+    survive it.
+
+    An incremental study hashes *every* site of the corpus on every
+    pass (the lookup key), so each service's transitive sync-partner
+    closure and its 32-byte digest are memoized once, and a site's hash
+    folds the *sorted union* of its root services' closures.  Order
+    insensitivity is sound: the site's own packed row already pins the
+    embed order, and the closure contributes only which services are
+    reachable and what each serves.
     """
 
     def __init__(self, universe: Universe) -> None:
         self.universe = universe
         self._hashes: Dict[str, Optional[str]] = {}
-        self._fingerprints: Dict[str, bytes] = {}
+        self._service_digests: Dict[str, bytes] = {}
+        # name -> (closure member frozenset, closure reaches ads)
+        self._closures: Dict[str, Tuple[frozenset, bool]] = {}
+        self._bidders_digest: Optional[bytes] = None
 
     def hash_of(self, domain: str) -> Optional[str]:
-        """The site's content hash, or ``None`` for unknown domains."""
+        """The site's hash, or ``None`` for unknown domains."""
         try:
             return self._hashes[domain]
         except KeyError:
@@ -191,152 +213,20 @@ class ContentHashIndex:
             self._hashes[domain] = value
             return value
 
-    def _service_bytes(self, domain: str) -> bytes:
-        blob = self._fingerprints.get(domain)
-        if blob is None:
-            service = self.universe.services.get(domain)
+    def _service_digest(self, name: str) -> bytes:
+        digest = self._service_digests.get(name)
+        if digest is None:
+            service = self.universe.services.get(name)
             if service is None:
                 # Delisted or never existed: pages that still reference it
                 # get failed embeds, which is observable — hash the absence.
-                blob = b"dead\x1f" + domain.encode()
-            else:
-                blob = _service_fingerprint(service)
-            self._fingerprints[domain] = blob
-        return blob
-
-    def _compute(self, domain: str) -> Optional[str]:
-        universe = self.universe
-        spec = universe.porn_sites.get(domain)
-        if spec is not None:
-            kind = b"porn"
-            # repr of the canonical row, not marshal: marshal encodes the
-            # *interning state* of strings, which varies with decode path.
-            packed = repr(porn_spec_to_row(spec)).encode()
-        else:
-            spec = universe.regular_sites.get(domain)
-            if spec is None:
-                return None
-            kind = b"regular"
-            packed = repr(regular_spec_to_row(spec)).encode()
-        digest = hashlib.sha256()
-        digest.update(kind)
-        digest.update(b"\x1f")
-        digest.update(packed)
-        digest.update(
-            repr(
-                (
-                    universe._cdn_of_site.get(domain),
-                    domain in universe.dynamic_cdn_sites,
-                    domain == universe.full_list_site,
-                )
-            ).encode()
-        )
-
-        # Transitive service closure in deterministic BFS order.
-        queue: List[str] = list(spec.embedded_services)
-        if isinstance(spec, PornSiteSpec):
-            queue.extend(partner for _, partner in spec.regional_services)
-            if spec.passes_id_to:
-                queue.append(spec.passes_id_to)
-        seen = set()
-        reaches_ads = False
-        cursor = 0
-        while cursor < len(queue):
-            name = queue[cursor]
-            cursor += 1
-            if name in seen:
-                continue
-            seen.add(name)
-            digest.update(name.encode())
-            digest.update(b"\x1f")
-            digest.update(self._service_bytes(name))
-            service = self.universe.services.get(name)
-            if service is None:
-                continue
-            queue.extend(service.sync_partners)
-            if service.category == CATEGORY_ADS:
-                reaches_ads = True
-        if reaches_ads:
-            # Any ad embed may open an RTB frame; fold in the bidder set.
-            digest.update(b"\x1fbidders\x1f")
-            bidders: List[str] = list(universe.rtb_bidders)
-            cursor = 0
-            while cursor < len(bidders):
-                name = bidders[cursor]
-                cursor += 1
-                if name in seen:
-                    continue
-                seen.add(name)
-                digest.update(name.encode())
-                digest.update(b"\x1f")
-                digest.update(self._service_bytes(name))
-                service = universe.services.get(name)
-                if service is not None:
-                    bidders.extend(service.sync_partners)
-        return digest.hexdigest()
-
-
-def site_content_hash(universe: Universe, domain: str) -> Optional[str]:
-    """One-off content hash (prefer :class:`ContentHashIndex` for many)."""
-    return ContentHashIndex(universe).hash_of(domain)
-
-
-class AnalysisHashIndex(ContentHashIndex):
-    """Per-site hashes that also cover attribution-only service fields.
-
-    :class:`ContentHashIndex` deliberately excludes
-    ``ATTRIBUTION_ONLY_FIELDS`` — consolidation rewrites an absorbed
-    organization's ``cert_org`` without changing a single served byte,
-    so delta *crawls* may still splice those sites.  Analyses are a
-    different contract: party labeling reads certificate organizations
-    (``share_organization`` inside ``_is_first_party``), so a cached
-    per-site analysis partial keyed on the plain content hash could
-    survive a consolidation epoch and serve stale labels.  This index
-    folds the attribution fields of every service in the site's closure
-    back into the fingerprint, making the hash cover everything the
-    map/merge analyses can read for that site.
-
-    It also restructures the hash: an incremental study hashes *every*
-    site of the corpus on every pass (the lookup key), so the base
-    index's per-site BFS — which re-walks and re-hashes the same shared
-    service subgraphs for every site — is the dominant cost of a fully
-    warm pass.  Here each service's transitive sync-partner closure and
-    its 32-byte fingerprint digest are memoized once, and a site's hash
-    folds the *sorted union* of its root services' closures.  Order
-    insensitivity is sound: the site's own packed row already pins the
-    embed order, and the closure contributes only which services are
-    reachable and what each serves.  The hash values differ from
-    :class:`ContentHashIndex` by construction; the two indexes feed
-    disjoint key spaces (splice decisions vs. aggregate-cache keys).
-    """
-
-    def __init__(self, universe: Universe) -> None:
-        super().__init__(universe)
-        self._service_digests: Dict[str, bytes] = {}
-        # name -> (closure member frozenset, closure reaches ads)
-        self._closures: Dict[str, Tuple[frozenset, bool]] = {}
-        self._bidders_digest: Optional[bytes] = None
-
-    def _service_bytes(self, domain: str) -> bytes:
-        blob = self._fingerprints.get(domain)
-        if blob is None:
-            service = self.universe.services.get(domain)
-            if service is None:
-                blob = b"dead\x1f" + domain.encode()
+                blob = b"dead\x1f" + name.encode()
             else:
                 blob = _service_fingerprint(service) + b"\x1fattr\x1f" + repr(
                     (service.organization, service.cert_org,
                      service.in_disconnect)
                 ).encode()
-            self._fingerprints[domain] = blob
-        return blob
-
-    def _service_digest(self, name: str) -> bytes:
-        digest = self._service_digests.get(name)
-        if digest is None:
-            digest = hashlib.sha256(
-                name.encode() + b"\x1f" + self._service_bytes(name)
-            ).digest()
+            digest = hashlib.sha256(name.encode() + b"\x1f" + blob).digest()
             self._service_digests[name] = digest
         return digest
 
@@ -389,6 +279,8 @@ class AnalysisHashIndex(ContentHashIndex):
         roots: List[str]
         if spec is not None:
             kind = b"porn"
+            # repr of the canonical row, not marshal: marshal encodes the
+            # *interning state* of strings, which varies with decode path.
             packed = repr(porn_spec_to_row(spec)).encode()
             roots = list(spec.embedded_services)
             roots.extend(partner for _, partner in spec.regional_services)
@@ -431,9 +323,8 @@ class AnalysisHashIndex(ContentHashIndex):
 def analysis_hash_index(universe: Universe) -> AnalysisHashIndex:
     """The universe's :class:`AnalysisHashIndex`, built once per universe.
 
-    Cached on the universe object (mirroring the delta layer's
-    ``_content_hash_index``) so every run a study analyzes incrementally
-    shares one fingerprint/hash memo.
+    Cached on the universe object so every run a study analyzes
+    incrementally shares one fingerprint/hash memo.
     """
     index = getattr(universe, "_analysis_hash_index", None)
     if index is None:

@@ -15,7 +15,7 @@ the analysis itself consumes crawl logs exclusively.
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..blocklists.disconnect import DisconnectList
@@ -112,17 +112,6 @@ def _fraction(*parts) -> float:
 class Universe:
     """The assembled synthetic web (server side + data sources)."""
 
-    #: Does serving ever read *request cookies*?  ``fetch`` keys its memo on
-    #: ``(url, referrer, country, client_ip, epoch)`` and every handler below
-    #: derives cookie values server-side (``token_for``), so the answer for
-    #: this class is ``False`` — the cookie-relevant projection of the jar is
-    #: empty and a stored visit slice is reusable whenever its content hash
-    #: and vantage match (see ``repro.datastore.delta``).  A subclass that
-    #: makes responses depend on the jar must flip this flag; delta crawls
-    #: then stop splicing at the first jar divergence instead of assuming
-    #: slice purity.
-    jar_sensitive = False
-
     def __init__(
         self,
         config: UniverseConfig,
@@ -190,17 +179,29 @@ class Universe:
     #: adult-hosting market: US and Dutch datacenters dominate).
     _HOSTING = ("US", "US", "US", "NL", "NL", "DE", "SG")
 
-    def changed_domains_since(self, epoch: int) -> Optional[frozenset]:
-        """Sites whose content changed since ``epoch``, if lineage is known.
+    def changed_domains_since(
+        self, config: UniverseConfig
+    ) -> Optional[frozenset]:
+        """Sites whose content changed since the universe ``config``
+        describes, if that universe is this one's ancestor.
 
-        ``None`` means this universe was not derived from that epoch by
-        an in-process evolution chain, and the caller must fall back to
-        content-hash comparison (``repro.webgen.evolve``).  When a set is
-        returned it is a proven *superset* of the hash-differing sites —
-        evolution only alters serve-relevant state through the site-spec
-        overlays it records — so splicing everything outside it is safe.
+        It is when ``config`` equals this universe's config with only
+        ``epoch`` changed (an epoch-0 universe never reads ``churn``, so
+        an epoch-0 ``config`` may differ in ``churn`` too), and this
+        universe's evolution chain passed through that epoch.  Evolution
+        changes nothing else, so any other ``config`` gets ``None``: its
+        universe is not on this chain, and the caller must not splice
+        from it.  A returned set covers every site whose served content
+        can differ: evolution only alters serve-relevant state through
+        the site-spec overlays it records, so splicing everything outside
+        it is safe.
         """
-        return self.content_changed_since.get(epoch)
+        ancestor = replace(self.config, epoch=config.epoch)
+        if config.epoch == 0:
+            ancestor = replace(ancestor, churn=config.churn)
+        if config != ancestor:
+            return None
+        return self.content_changed_since.get(config.epoch)
 
     def _hosting_country(self, domain: str) -> str:
         if domain.endswith(".ru"):

@@ -7,6 +7,8 @@ non-empty.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro import Study, UniverseConfig
@@ -50,3 +52,10 @@ def porn_log(study):
 @pytest.fixture(scope="session")
 def regular_log(study):
     return study.regular_log()
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """A platform without ``fork``: the crawl executor runs threads."""
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])

@@ -4,11 +4,13 @@ Each one is the historical, unoptimized form of a shipped function:
 exhaustive where the shipped one indexes, dense where it streams,
 parse-every-page where it prefilters.  Parity tests assert that both
 give the same answer on the same input; nothing in ``repro`` calls
-these.
+these.  :class:`ContentHashIndex` is the hash delta crawls used to
+splice by, now the oracle the evolution lineage is checked against.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,6 +21,10 @@ from repro.html.parser import parse_html
 from repro.net.url import URL, parse_url, registrable_domain
 from repro.text.tfidf import TfIdfVectorizer, cosine_similarity
 from repro.text.tokenize import term_counts
+from repro.webgen.evolve import _service_fingerprint
+from repro.webgen.lazyspecs import porn_spec_to_row, regular_spec_to_row
+from repro.webgen.sites import PornSiteSpec
+from repro.webgen.thirdparty import CATEGORY_ADS
 
 
 def pairwise_similarities_linear(
@@ -134,3 +140,90 @@ class LinearFilterList(FilterList):
             return False
         return not any(rule.matches(url, context)
                        for rule in self._linear_exceptions)
+
+
+class ContentHashIndex:
+    """Per-site content hashes that cover only what a visit can observe.
+
+    The hash a delta crawl once spliced by, kept as the oracle of the
+    evolution lineage (``Universe.changed_domains_since``): the packed
+    site spec, the site's CDN assignment, and every service the visit
+    can transitively reach (embedded services, their sync partners, the
+    RTB bidders behind any ad frame), in BFS order.  Unlike
+    :class:`repro.webgen.evolve.AnalysisHashIndex` it leaves out the
+    attribution-only service fields, which serving never reads, just as
+    the lineage leaves out consolidation.
+    """
+
+    def __init__(self, universe) -> None:
+        self.universe = universe
+        self._hashes: Dict[str, Optional[str]] = {}
+        self._fingerprints: Dict[str, bytes] = {}
+
+    def hash_of(self, domain: str) -> Optional[str]:
+        """The site's content hash, or ``None`` for unknown domains."""
+        if domain not in self._hashes:
+            self._hashes[domain] = self._compute(domain)
+        return self._hashes[domain]
+
+    def _service_bytes(self, domain: str) -> bytes:
+        blob = self._fingerprints.get(domain)
+        if blob is None:
+            service = self.universe.services.get(domain)
+            blob = (b"dead\x1f" + domain.encode() if service is None
+                    else _service_fingerprint(service))
+            self._fingerprints[domain] = blob
+        return blob
+
+    def _walk(self, digest, queue: List[str], seen: set) -> bool:
+        """Fold each service reachable from ``queue`` into ``digest``;
+        whether any of them is an ad service."""
+        reaches_ads = False
+        cursor = 0
+        while cursor < len(queue):
+            name = queue[cursor]
+            cursor += 1
+            if name in seen:
+                continue
+            seen.add(name)
+            digest.update(name.encode())
+            digest.update(b"\x1f")
+            digest.update(self._service_bytes(name))
+            service = self.universe.services.get(name)
+            if service is None:
+                continue
+            queue.extend(service.sync_partners)
+            if service.category == CATEGORY_ADS:
+                reaches_ads = True
+        return reaches_ads
+
+    def _compute(self, domain: str) -> Optional[str]:
+        universe = self.universe
+        spec = universe.porn_sites.get(domain)
+        if spec is not None:
+            kind = b"porn"
+            packed = repr(porn_spec_to_row(spec)).encode()
+        else:
+            spec = universe.regular_sites.get(domain)
+            if spec is None:
+                return None
+            kind = b"regular"
+            packed = repr(regular_spec_to_row(spec)).encode()
+        digest = hashlib.sha256()
+        digest.update(kind + b"\x1f" + packed)
+        digest.update(repr((
+            universe._cdn_of_site.get(domain),
+            domain in universe.dynamic_cdn_sites,
+            domain == universe.full_list_site,
+        )).encode())
+        queue: List[str] = list(spec.embedded_services)
+        if isinstance(spec, PornSiteSpec):
+            queue.extend(partner for _, partner in spec.regional_services)
+            if spec.passes_id_to:
+                queue.append(spec.passes_id_to)
+        seen: set = set()
+        if self._walk(digest, queue, seen):
+            # Any ad embed may open an RTB frame; fold in the bidders.
+            digest.update(b"\x1fbidders\x1f")
+            self._walk(digest, list(universe.rtb_bidders), seen)
+        return digest.hexdigest()

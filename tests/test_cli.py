@@ -66,11 +66,16 @@ class TestCommands:
         assert "third-party domains" in out
 
     def test_study_command(self, capsys):
-        assert main(["study", "--scale", "0.02", "--seed", "3"]) == 0
+        """Two workers (the output's byte-identity with a serial study is
+        pinned by ``test_golden.py::test_in_memory_study[2]``), and
+        ``--stats`` reports the sparse similarity engine's counters."""
+        assert main(["study", "--scale", "0.02", "--seed", "3",
+                     "--parallelism", "2", "--stats"]) == 0
         out = capsys.readouterr().out
         for marker in ("Table 2", "Table 4", "Figure 4", "Table 5",
                        "§5.3 malware", "Table 6", "Table 8"):
             assert marker in out
+        assert re.search(r"^similarity engine: \d+ docs", out, re.M)
 
     def test_crawl_stats_prints_progress_counts(self, capsys):
         assert main(["crawl", "--scale", "0.02", "--seed", "3",

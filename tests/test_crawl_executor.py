@@ -84,9 +84,9 @@ class TestExecutorFailures:
         assert "KeyError" in str(excinfo.value)
 
     def test_thread_backend_crash_propagates(self, universe, vantage_points,
-                                             crawlable_porn):
-        executor = CrawlExecutor(universe, vantage_points, parallelism=2,
-                                 backend="thread")
+                                             crawlable_porn, no_fork):
+        executor = CrawlExecutor(universe, vantage_points, parallelism=2)
+        assert executor._resolve_backend(spec_count=2) == "thread"
         specs = [
             CrawlSpec(key="bad", country="XX", domains=()),
             CrawlSpec(key="good", country="ES",
@@ -115,7 +115,7 @@ class TestForkProgressTallies:
         domains = tuple(crawlable_porn[:4])
         replayed = []
         executor = CrawlExecutor(
-            universe, vantage_points, parallelism=2, backend="process",
+            universe, vantage_points, parallelism=2,
             progress=lambda event, **fields: replayed.append((event,
                                                               fields)))
         specs = [CrawlSpec(key=f"porn:{c}", country=c, domains=domains)
@@ -160,12 +160,11 @@ class TestSerialFallback:
         assert executor._resolve_backend(spec_count=1) == "serial"
 
     def test_serial_run_matches_parallel_run(self, universe, vantage_points,
-                                             crawlable_porn):
+                                             crawlable_porn, no_fork):
         domains = tuple(crawlable_porn[:8])
         spec = [CrawlSpec(key="porn:UK", country="UK", domains=domains)]
         serial = CrawlExecutor(universe, vantage_points, parallelism=1)
-        threaded = CrawlExecutor(universe, vantage_points, parallelism=2,
-                                 backend="thread")
+        threaded = CrawlExecutor(universe, vantage_points, parallelism=2)
         one = serial.run(list(spec))[0]
         # Force the pooled path with a second (dummy) spec.
         two = threaded.run(list(spec) + [

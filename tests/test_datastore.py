@@ -228,7 +228,7 @@ class TestConcurrentOpen:
 class TestStoreBackedExecution:
     def test_executor_skips_stored_crawls(self, tmp_path, universe,
                                           vantage_points, crawlable_porn,
-                                          monkeypatch):
+                                          monkeypatch, no_fork):
         store_path = str(tmp_path / "exec.db")
         specs = [
             CrawlSpec(key=f"porn:{country}", country=country,
@@ -237,7 +237,6 @@ class TestStoreBackedExecution:
             for country in ("ES", "US")
         ]
         first = CrawlExecutor(universe, vantage_points, parallelism=2,
-                              backend="thread",
                               store=store_path).run(specs)
 
         def exploding_crawl(self, domains, **kwargs):  # pragma: no cover
@@ -245,7 +244,6 @@ class TestStoreBackedExecution:
 
         monkeypatch.setattr(OpenWPMCrawler, "crawl", exploding_crawl)
         second = CrawlExecutor(universe, vantage_points, parallelism=2,
-                               backend="thread",
                                store=store_path).run(specs)
         for before, after in zip(first, second):
             assert before.log == after.log

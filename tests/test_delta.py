@@ -7,14 +7,14 @@ Pins the contracts the longitudinal pipeline rests on:
   ``build_universe(epoch=N)`` reaches the same universe by chaining
   evolution steps, so the lineage fast path works cross-process;
 * the recorded lineage is *conservative*: every site it omits provably
-  hashes identically across the epochs (a splice is never wrong);
+  hashes identically across the epochs (a splice is never wrong), and
+  it answers only for an ancestor's config;
 * a delta crawl against the previous epoch's store is byte-identical to
   a full crawl of the evolved universe — hydrated and streaming alike —
   and its manifest records the spliced/crawled/divergence stats;
-* when preconditions fail (no baseline config, same epoch) the delta
-  layer degrades to a normal crawl without writing anything first;
-* ``jar_sensitive`` universes stop splicing at the first divergence but
-  stay byte-identical;
+* when preconditions fail (no baseline config, same epoch, a baseline
+  from another ``churn`` or from a later epoch) the delta layer degrades
+  to a normal crawl without writing anything first;
 * the splice copies rows inside SQLite and checks each site's row
   counts: a baseline site with a deleted row is visited for real while
   the rest still splice, a baseline whose per-site counts disagree with
@@ -26,6 +26,7 @@ Pins the contracts the longitudinal pipeline rests on:
   stores.
 """
 
+import dataclasses
 import hashlib
 import sqlite3
 from pathlib import Path
@@ -40,7 +41,9 @@ from repro.datastore.store import _slice_index
 from repro.reporting import trend_report
 from repro.service.jobs import JobSpec, epoch_store_path
 from repro.webgen.builder import build_universe
-from repro.webgen.evolve import ContentHashIndex, evolve_universe
+from repro.webgen.evolve import analysis_hash_index, evolve_universe
+
+from .reference import ContentHashIndex
 
 
 @pytest.fixture(scope="module")
@@ -99,12 +102,16 @@ def shard_file_digests(path):
             for shard in sorted(Path(path).glob("shard-*.sqlite"))}
 
 
+def _epoch(config, epoch, **changes):
+    return dataclasses.replace(config, epoch=epoch, **changes)
+
+
 class TestEvolution:
     def test_evolve_is_deterministic(self, universe, evolved):
         again = evolve_universe(universe)
         assert again.content_changed_since == evolved.content_changed_since
-        index_a = ContentHashIndex(evolved)
-        index_b = ContentHashIndex(again)
+        index_a = analysis_hash_index(evolved)
+        index_b = analysis_hash_index(again)
         for domain in _all_domains(universe):
             assert index_a.hash_of(domain) == index_b.hash_of(domain)
 
@@ -114,14 +121,11 @@ class TestEvolution:
         assert set(evolved.regular_sites) == set(universe.regular_sites)
 
     def test_builder_epoch_chains_evolution(self, universe, evolved):
-        import dataclasses
-
-        built = build_universe(
-            dataclasses.replace(universe.config, epoch=1))
-        assert built.changed_domains_since(0) == \
-            evolved.changed_domains_since(0)
-        built_index = ContentHashIndex(built)
-        evolved_index = ContentHashIndex(evolved)
+        built = build_universe(_epoch(universe.config, 1))
+        assert built.changed_domains_since(universe.config) == \
+            evolved.changed_domains_since(universe.config)
+        built_index = analysis_hash_index(built)
+        evolved_index = analysis_hash_index(evolved)
         for domain in _all_domains(universe):
             assert built_index.hash_of(domain) == \
                 evolved_index.hash_of(domain)
@@ -129,8 +133,10 @@ class TestEvolution:
     def test_lineage_is_conservative(self, universe, evolved):
         """Every site the lineage omits must hash identically — the
         direction splice correctness depends on.  (The converse may not
-        hold: a listed site whose rotation was a no-op is allowed.)"""
-        changed = evolved.changed_domains_since(0)
+        hold: a listed site whose rotation was a no-op is allowed.)
+        The hash leaves out attribution-only fields, as the lineage
+        leaves out consolidation."""
+        changed = evolved.changed_domains_since(universe.config)
         assert changed  # some churn happened
         domains = _all_domains(universe)
         assert len(changed) < len(domains)  # and most sites did not change
@@ -140,7 +146,24 @@ class TestEvolution:
             if domain not in changed:
                 assert base_index.hash_of(domain) == \
                     next_index.hash_of(domain), domain
-        assert evolved.changed_domains_since(99) is None  # unknown base
+
+    def test_lineage_answers_only_for_an_ancestor(self, universe, evolved):
+        """The lineage is keyed by the baseline's whole config: another
+        seed, another ``churn`` past epoch 0, a later epoch or the
+        universe itself has none.  An epoch-0 universe never reads
+        ``churn``, so an epoch-0 baseline at another ``churn`` is still
+        the ancestor."""
+        config = universe.config
+        assert evolved.changed_domains_since(_epoch(config, 0, churn=0.5)) \
+            == evolved.changed_domains_since(config)
+        epoch2 = evolve_universe(evolved)
+        assert epoch2.changed_domains_since(evolved.config) \
+            <= epoch2.changed_domains_since(config)
+        for other in (_epoch(config, 0, seed=config.seed + 1),
+                      _epoch(config, 1, churn=0.5),
+                      _epoch(config, 3), epoch2.config):
+            assert epoch2.changed_domains_since(other) is None, other
+        assert universe.changed_domains_since(evolved.config) is None
 
 
 class TestDeltaCrawl:
@@ -205,26 +228,72 @@ class TestDeltaCrawl:
             assert log == reference
             assert "delta" not in store.run_manifests()[0].stats
 
-    def test_jar_sensitive_stops_at_divergence(self, tmp_path, evolved,
-                                               epoch0_store, vantage_points,
-                                               monkeypatch, universe):
-        """With ``jar_sensitive`` set, no site after the first real visit
-        is spliced — and the result is still byte-identical."""
-        monkeypatch.setattr(evolved, "jar_sensitive", True, raising=False)
-        domains = Study(evolved).corpus_domains()
-        vantage = vantage_points.point("ES")
-        with CrawlStore(epoch0_store) as baseline, \
-                CrawlStore(str(tmp_path / "jar.db")) as store:
-            log = stored_crawl(store, evolved, vantage, "openwpm:porn",
-                               domains, baseline=baseline)
-            delta = store.run_manifests()[0].stats["delta"]
-        assert delta["divergence_index"] is not None
-        # Everything before the divergence spliced; nothing after did.
-        assert delta["spliced"] == delta["divergence_index"]
-        assert delta["spliced"] + delta["crawled"] == len(domains)
-        full = OpenWPMCrawler(evolved, vantage,
-                              keep_html=True).crawl(domains)
-        assert log == full
+    @pytest.fixture(scope="class")
+    def subset(self, crawlable_porn):
+        return crawlable_porn[:40]
+
+    @pytest.fixture(scope="class")
+    def epoch1_subset(self, tmp_path_factory, evolved, vantage_points,
+                      subset):
+        """The epoch-1 porn run of ``subset`` (``churn`` 0.1)."""
+        path = str(tmp_path_factory.mktemp("subset") / "e1.db")
+        with CrawlStore(path) as store:
+            stored_crawl(store, evolved, vantage_points.point("ES"),
+                         "openwpm:porn", subset, hydrate=False)
+        return path
+
+    def _against(self, tmp_path, target, baseline, vantage, domains):
+        """``domains`` crawled with ``baseline``, and without: each
+        store's row digest and the first's ``delta`` stats."""
+        digests = []
+        delta = None
+        for name, base in (("delta.db", baseline), ("full.db", None)):
+            path = str(tmp_path / name)
+            with CrawlStore(path) as store:
+                if base is None:
+                    stored_crawl(store, target, vantage, "openwpm:porn",
+                                 domains, hydrate=False)
+                else:
+                    with CrawlStore(base) as base_store:
+                        stored_crawl(store, target, vantage, "openwpm:porn",
+                                     domains, hydrate=False,
+                                     baseline=base_store)
+                    delta = store.run_manifests()[0].stats.get("delta")
+            digests.append(store_digest(path))
+        return digests, delta
+
+    def test_baseline_from_another_churn_is_not_spliced_from(
+            self, tmp_path, universe, evolved, epoch1_subset,
+            vantage_points, subset):
+        """Epoch 1 at ``churn`` 0.1 is not the ancestor of epoch 2 at
+        ``churn`` 0.5, though the epochs are consecutive: the target's
+        lineage since its own epoch 1 says nothing about the baseline's
+        sites, some of which it changed.  So the run is crawled
+        normally and equals a full crawl."""
+        target = build_universe(_epoch(universe.config, 2, churn=0.5))
+        own_parent = target.content_changed_since[1]
+        base_index = ContentHashIndex(evolved)
+        target_index = ContentHashIndex(target)
+        stale = [domain for domain in subset if domain not in own_parent
+                 and base_index.hash_of(domain)
+                 != target_index.hash_of(domain)]
+        assert stale  # sites an epoch-keyed lineage would have spliced
+        (delta, full), stats = self._against(
+            tmp_path, target, epoch1_subset, vantage_points.point("ES"),
+            subset)
+        assert delta == full
+        assert stats is None
+
+    def test_baseline_from_a_later_epoch_is_not_spliced_from(
+            self, tmp_path, universe, epoch1_subset, vantage_points,
+            subset):
+        """An epoch-0 crawl against an epoch-1 baseline has no lineage:
+        a normal crawl, with no ``delta`` block in its manifest."""
+        (delta, full), stats = self._against(
+            tmp_path, universe, epoch1_subset, vantage_points.point("ES"),
+            subset)
+        assert delta == full
+        assert stats is None
 
 
 class TestSpliceCountCheck:
@@ -247,7 +316,7 @@ class TestSpliceCountCheck:
     def _victim(self, path, evolved, domains):
         """An unchanged site with requests whose neighbours are
         unchanged too, so it sits inside a splice group."""
-        changed = evolved.changed_domains_since(0)
+        changed = evolved.changed_domains_since(_epoch(evolved.config, 0))
         with CrawlStore(str(path)) as store:
             slices = _slice_index(store, store.run_manifests()[0].run_id)
         for before, site, after in zip(domains, domains[1:], domains[2:]):

@@ -42,7 +42,7 @@ from repro.datastore import (
     cached_inspections,
     cached_sanitize,
 )
-from repro.datastore.incremental import _TABLES, _inspection_hash
+from repro.datastore.incremental import _inspection_hash, _run_tables
 from repro.datastore.serialize import (
     inspections_from_payload,
     inspections_to_payload,
@@ -248,12 +248,16 @@ class TestAggregateCache:
 
 
 def planned_scans(study, geo=False):
-    """One range scan per (run, site, planned table) of the study's plan."""
-    return sum(
-        len(study._run_domains(kind))
-        * len({table for name in names for table in _TABLES[name]})
-        for _country, kind, names in study._run_plan(geo=geo)
-    )
+    """One range scan per (run, site, planned table) of the study's
+    plan, where the site's slice holds rows of that table."""
+    total = 0
+    for country, kind, names in study._run_plan(geo=geo):
+        tables = _run_tables(kind, names)
+        for slice_ in study._stored_rows(country, kind)._slices.values():
+            total += sum(1 for table, (_lo, _hi, count)
+                         in slice_.bounds().items()
+                         if table in tables and count)
+    return total
 
 
 class TestPlannedPass:
@@ -274,6 +278,33 @@ class TestPlannedPass:
             assert store.io_stats["scans"] == planned_scans(study)
         finally:
             store.close()
+
+    def test_scans_skip_empty_tables_and_regular_js_calls(
+            self, universe, epoch0_store, monkeypatch):
+        """A site's table with no rows costs no scan, and the regular
+        run's ``visits`` map reads no JS calls (nothing reads its
+        miners); the porn run's does."""
+        scanned = []
+        original = CrawlStore.site_event_rows
+
+        def spy(self, run, domain, table, lo, hi):
+            assert hi > lo, (domain, table)
+            scanned.append(table)
+            return original(self, run, domain, table, lo, hi)
+
+        monkeypatch.setattr(CrawlStore, "site_event_rows", spy)
+        study = Study(_rebuild(universe), store=epoch0_store,
+                      store_only=True, parallelism=1)
+        try:
+            study._partials(study.home_country, study._REGULAR_KIND,
+                            ("visits",))
+            assert set(scanned) == {"visits"}
+            del scanned[:]
+            study._partials(study.home_country, study._PORN_KIND,
+                            ("visits",))
+            assert set(scanned) == {"visits", "js_calls"}
+        finally:
+            study.close()
 
     def test_forked_missing_run_exits_1(self, epoch0_store, capsys,
                                         monkeypatch):

@@ -245,7 +245,7 @@ class TestSiteMarks:
         path = str(tmp_path / "fork")
         CrawlStore(path, shards=SHARDS).close()
         executor = CrawlExecutor(universe, vantage_points, parallelism=2,
-                                 backend="process", store=path)
+                                 store=path)
         outcomes = executor.run([
             CrawlSpec(key=f"porn:{country}", country=country,
                       domains=domains, store_kind="openwpm:porn")
