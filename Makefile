@@ -1,8 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test store-check scale-check serve-check delta-check \
-	incremental-check
+.PHONY: test scale-check serve-check delta-check incremental-check
 
 ## Run the tier-1 test suite.
 test:
@@ -15,28 +14,6 @@ test:
 ## REPRO_SCALE_CHECK_SCALES.
 scale-check:
 	$(PYTHON) benchmarks/scale_check.py
-
-## Store replay check (used by CI): run a scale-0.02 study into a fresh
-## datastore (one shard, the default), re-render everything from the
-## store alone, and require the two outputs to be byte-identical; then
-## run the same study into a fresh 3-shard store and require its study
-## and report output to match too.  (Migrating a legacy single-file store
-## is covered by tests/test_sharded_store.py::TestLegacyUpgrade.)
-store-check:
-	rm -rf /tmp/repro-store-check /tmp/repro-store-check-sharded
-	$(PYTHON) -m repro study --scale 0.02 \
-		--store /tmp/repro-store-check > /tmp/repro-study.out
-	$(PYTHON) -m repro report \
-		--store /tmp/repro-store-check > /tmp/repro-report.out
-	diff /tmp/repro-study.out /tmp/repro-report.out
-	$(PYTHON) -m repro study --scale 0.02 --store-shards 3 \
-		--store /tmp/repro-store-check-sharded > /tmp/repro-study-sharded.out
-	diff /tmp/repro-study.out /tmp/repro-study-sharded.out
-	$(PYTHON) -m repro report \
-		--store /tmp/repro-store-check-sharded > /tmp/repro-sharded.out
-	diff /tmp/repro-study.out /tmp/repro-sharded.out
-	$(PYTHON) -m repro store info /tmp/repro-store-check --verbose
-	$(PYTHON) -m repro store info /tmp/repro-store-check-sharded --shards
 
 ## Measurement-service gate (used by CI): boot `repro serve` on an
 ## ephemeral port, submit a scale-0.02 study over HTTP, stream its events

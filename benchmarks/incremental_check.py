@@ -90,9 +90,9 @@ def run_incremental_probe(scale: float, store_dir: str) -> dict:
     def crawl_both(store, universe, domains, regular, vantage,
                    baseline=None):
         stored_crawl(store, universe, vantage, Study._PORN_KIND, domains,
-                     hydrate=False, baseline=baseline)
+                     baseline=baseline)
         stored_crawl(store, universe, vantage, Study._REGULAR_KIND, regular,
-                     keep_html=False, hydrate=False, baseline=baseline)
+                     keep_html=False, baseline=baseline)
 
     def record_corpus(store, universe):
         # Store-only studies read the sanitize verdicts from the store,

@@ -1,6 +1,6 @@
 """``make scale-check``: memory flatness + parity gate for the streaming path.
 
-Runs the streaming memory probe (sharded store, trim-mode crawl,
+Runs the streaming memory probe (sharded store, streaming crawl,
 cursor-fed analyses — see :func:`run_memory_probe`) at two scales, each
 in a fresh process so its ``ru_maxrss`` reflects only that scale, and
 FAILS if either:
@@ -94,8 +94,8 @@ def _record_corpus(store, universe) -> list:
 def run_memory_probe(scale: float, store_dir: str) -> dict:
     """The bounded-memory pipeline at one scale: sharded + cursors.
 
-    Universe specs are minted from packed rows on access, the crawl runs in
-    trim mode (each site's events dropped once checkpointed to its
+    Universe specs are minted from packed rows on access, the crawl
+    streams (each site's events dropped once checkpointed to its
     shard), and the Table 2/4/6 analyses consume datastore cursors in a
     store-only study — the configuration whose RSS must stay flat as
     scale grows.  Returns the peak RSS after the crawl and after the
@@ -115,11 +115,9 @@ def run_memory_probe(scale: float, store_dir: str) -> dict:
     reader = Study(universe, parallelism=1, store=store, store_only=True)
     vantage = reader.vantage_points.point(reader.home_country)
 
-    stored_crawl(store, universe, vantage, Study._PORN_KIND, domains,
-                 hydrate=False)
+    stored_crawl(store, universe, vantage, Study._PORN_KIND, domains)
     stored_crawl(store, universe, vantage, Study._REGULAR_KIND,
-                 universe.reference_regular_corpus(), keep_html=False,
-                 hydrate=False)
+                 universe.reference_regular_corpus(), keep_html=False)
     # ru_maxrss is monotone: sampled here, it is the crawl path's peak.
     crawl_rss = _peak_rss_mb()
 

@@ -165,12 +165,14 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     if args.store:
         from .datastore import stored_crawl
 
-        log = stored_crawl(
+        # The crawl streams into the store; the summary below reads the
+        # stored run back whole.
+        log = study.store.load_log(stored_crawl(
             study.store, study.universe,
             study.vantage_points.point(args.country),
             Study._PORN_KIND, domains, progress=hook,
             baseline=study.baseline_store,
-        )
+        ))
     else:
         crawler = OpenWPMCrawler(
             study.universe, study.vantage_points.point(args.country)

@@ -126,7 +126,7 @@ class CrawlLog:
     def clear_events(self) -> None:
         """Drop the event lists but keep the sequence counter running.
 
-        The trim-mode crawl path calls this once a site's slice is on
+        A checkpointed crawl calls this once each site's slice is on
         disk, so in-memory growth stays bounded by one site.  Clearing
         is in-place (``del lst[:]``) because the live ``Browser`` holds
         aliases to these lists.

@@ -3,7 +3,7 @@
 Each analysis of a crawl run is ``merge(map(one site's rows) for each
 site, in run order)``.  The study feeds the pairs through
 :class:`~repro.datastore.incremental.IncrementalRunAnalyzer` (rows from
-a hydrated log or the store, partials optionally from the aggregate
+an in-memory log or the store, partials optionally from the aggregate
 cache); the whole-log entry points (``label_parties``,
 ``ATSClassifier.classify_log``, ``analyze_cookies``, ``analyze_https``,
 ``analyze_banners``, ``detect_cookie_sync``) are the same merges over

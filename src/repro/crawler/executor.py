@@ -17,8 +17,8 @@ The platform and the parallelism choose the backend.
 ``process`` (wherever ``fork`` is available)
     Forked worker processes inherit the immutable :class:`Universe` by
     copy-on-write; only the compact :class:`CrawlOutcome` results cross
-    the process boundary.  This sidesteps the GIL for the CPU-bound
-    page-render/parse loop.
+    the process boundary (with a store, a run reference and no log).
+    This sidesteps the GIL for the CPU-bound page-render/parse loop.
 ``thread``
     Fallback where ``fork`` is unavailable.  Correct (crawls share no
     mutable state; the universe caches are thread-safe) but bounded by
@@ -36,6 +36,7 @@ spec in input order, carrying the worker's traceback text.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import traceback
@@ -47,6 +48,7 @@ from typing import (
 )
 
 from ..browser.events import CrawlLog
+from ..datastore.store import RunRef
 from ..webgen.universe import Universe
 from .openwpm import OpenWPMCrawler
 from .vpn import VantagePointManager
@@ -91,11 +93,16 @@ class CrawlSpec:
 
 @dataclass
 class CrawlOutcome:
-    """Everything one worker produced for one :class:`CrawlSpec`."""
+    """Everything one worker produced for one :class:`CrawlSpec`.
+
+    Without a store the crawl's ``log``; with one, the stored ``run``
+    (read it back through the store) and no log.
+    """
 
     key: str
     country: str
-    log: CrawlLog
+    log: Optional[CrawlLog] = None
+    run: Optional[RunRef] = None
     #: Per-event tallies counted inside a forked worker (whose local
     #: progress events cannot reach the parent's callback); the parent
     #: replays them as ``progress(event, count=n, ...)`` after the pool
@@ -164,40 +171,37 @@ class _WorkerContext:
 _FORK_CONTEXT: Optional[_WorkerContext] = None
 
 
-def _crawl_spec_log(context: _WorkerContext, spec: CrawlSpec,
-                    progress: Optional[Callable[..., None]]) -> CrawlLog:
-    """Produce the spec's crawl log, through the store when one is set.
+def _crawl_spec(context: _WorkerContext, spec: CrawlSpec,
+                progress: Optional[Callable[..., None]]) -> CrawlOutcome:
+    """Run the spec's crawl, through the store when one is set.
 
-    With a store attached, fully stored crawls load without a browser,
+    With a store attached, fully stored crawls are left as they are,
     partially stored ones resume at the first missing site, and fresh
-    ones checkpoint after every site — all yielding logs bit-identical
-    to a plain uninterrupted crawl.  When a baseline store is attached
-    too, each crawl runs as a delta against the previous epoch's rows
-    (:mod:`repro.datastore.delta`).
+    ones checkpoint after every site — the stored rows bit-identical to
+    a plain uninterrupted crawl's log.  When a baseline store is
+    attached too, each crawl runs as a delta against the previous
+    epoch's rows (:mod:`repro.datastore.delta`).
     """
     vantage = context.vantage_points.point(spec.country)
-    if context.store_path is not None:
-        from ..datastore import CrawlStore, stored_crawl
+    if context.store_path is None:
+        crawler = OpenWPMCrawler(context.universe, vantage, epoch=spec.epoch,
+                                 keep_html=spec.keep_html)
+        return CrawlOutcome(spec.key, spec.country, log=crawler.crawl(
+            list(spec.domains), progress=progress))
+    from ..datastore import CrawlStore, stored_crawl
 
-        with CrawlStore(context.store_path) as store:
-            if context.baseline_path is not None:
-                with CrawlStore(context.baseline_path) as baseline:
-                    return stored_crawl(
-                        store, context.universe, vantage,
-                        spec.store_kind or f"openwpm:{spec.key}",
-                        list(spec.domains), epoch=spec.epoch,
-                        keep_html=spec.keep_html, baseline=baseline,
-                        progress=progress,
-                    )
-            return stored_crawl(
-                store, context.universe, vantage,
-                spec.store_kind or f"openwpm:{spec.key}",
-                list(spec.domains), epoch=spec.epoch,
-                keep_html=spec.keep_html, progress=progress,
-            )
-    crawler = OpenWPMCrawler(context.universe, vantage, epoch=spec.epoch,
-                             keep_html=spec.keep_html)
-    return crawler.crawl(list(spec.domains), progress=progress)
+    with contextlib.ExitStack() as stack:
+        store = stack.enter_context(CrawlStore(context.store_path))
+        baseline = None
+        if context.baseline_path is not None:
+            baseline = stack.enter_context(CrawlStore(context.baseline_path))
+        run = stored_crawl(
+            store, context.universe, vantage,
+            spec.store_kind or f"openwpm:{spec.key}",
+            list(spec.domains), epoch=spec.epoch,
+            keep_html=spec.keep_html, baseline=baseline, progress=progress,
+        )
+    return CrawlOutcome(spec.key, spec.country, run=run)
 
 
 def _execute_spec(context: _WorkerContext,
@@ -212,11 +216,10 @@ def _execute_spec(context: _WorkerContext,
             def progress(event: str, **fields) -> None:
                 counts[event] += 1
 
-        log = _crawl_spec_log(context, spec, progress)
-        return CrawlOutcome(
-            key=spec.key, country=spec.country, log=log,
-            event_counts=dict(counts) if counts is not None else None,
-        )
+        outcome = _crawl_spec(context, spec, progress)
+        if counts is not None:
+            outcome.event_counts = dict(counts)
+        return outcome
     except Exception as exc:
         return _WorkerFailure(
             key=spec.key,
@@ -240,7 +243,8 @@ class CrawlExecutor:
 
     Deterministic by construction: results come back in submission
     order and each crawl is internally sequential.  Workers only crawl;
-    analysis happens in the caller over the returned logs.
+    analysis happens in the caller over the returned logs, or over the
+    stored runs when there is a store.
     """
 
     def __init__(

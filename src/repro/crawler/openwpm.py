@@ -45,11 +45,13 @@ class OpenWPMCrawler:
                    checkpoint: Optional[Callable[
                        [str, CrawlLog, Tuple[int, int, int, int]], None
                    ]] = None) -> None:
-        """One landing-page visit plus its checkpoint/trim handling."""
+        """One landing-page visit; with a ``checkpoint`` its events are
+        persisted and then dropped from memory."""
         log = browser.log
         marks = log.mark_site(domain)
         browser.visit(domain)
-        if checkpoint is not None and checkpoint(domain, log, marks):
+        if checkpoint is not None:
+            checkpoint(domain, log, marks)
             log.clear_events()
 
     def crawl(self, domains: Iterable[str],
@@ -68,10 +70,11 @@ class OpenWPMCrawler:
         visit with the pre-visit lengths of the log's (visits, requests,
         cookies, js_calls) lists, so a persistence layer can durably
         append exactly that site's event slice (see
-        :func:`repro.datastore.stored_crawl`).  A checkpoint returning a
-        truthy value asks for *trim mode*: the just-persisted events are
-        dropped from memory (the sequence counter keeps running), which
-        bounds crawl RSS by one site's events instead of the whole run.
+        :func:`repro.datastore.stored_crawl`).  The just-persisted events
+        are then dropped from memory (the sequence counter keeps
+        running), which bounds crawl RSS by one site's events instead of
+        the whole run: with a checkpoint the returned log holds no
+        events, and readers go through the store.
 
         ``progress(event, **fields)`` is the generic observation hook the
         CLI ``--stats`` output and the measurement service share: it

@@ -46,9 +46,8 @@ more shards (:meth:`RunWriter.splice_many`).  The baseline is detached
 in a ``finally``, since a cancelled service job raises out of the
 ``progress`` hook.
 
-No spliced row passes through Python, so the crawl always runs in trim
-mode; :func:`~repro.datastore.stored_crawl` loads the finished run back
-for callers that asked for a hydrated log.
+No spliced row passes through Python, and a visited site's events are
+dropped once checkpointed, as in every stored crawl.
 
 Serving never reads request cookies, so the jar a visit starts with
 cannot change what it records, and a stored slice is reusable whenever
@@ -151,7 +150,7 @@ def delta_crawl(
                    client_ip=vantage.client_ip)
     log._seq = state.seq
     browser = crawler.browser_for(log)
-    writer = store.run_writer(state.run_id, trim=True)
+    writer = store.run_writer(state.run_id)
     remaining = state.remaining
     total = len(remaining)
     spliced = crawled = 0

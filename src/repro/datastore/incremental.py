@@ -3,9 +3,10 @@
 Every per-site analysis of a crawl run goes through here — it is the one
 path from crawl rows to labels, ATS, cookie, HTTPS, banner, sync,
 fingerprinting, malware, blocked-visit and owner-evidence results.  A
-run is an ordered list of per-site row groups (:class:`LogRows` over a
-hydrated log's :meth:`~repro.browser.events.CrawlLog.site_groups`,
-:class:`StoredRows` reading a stored run back one site at a time);
+run is an ordered list of per-site row groups (:class:`LogRows` over an
+in-memory log's :meth:`~repro.browser.events.CrawlLog.site_groups` when
+there is no store, :class:`StoredRows` reading a stored run back one
+site at a time when there is one);
 each site is mapped through the pairs of :mod:`repro.core.mapmerge`,
 and the merge replays the partials in run position order.
 
@@ -124,7 +125,7 @@ def _vantage_digest(vantage) -> str:
 # --------------------------------------------------------------------------
 
 class LogRows:
-    """A hydrated crawl log's per-site row groups
+    """An in-memory crawl log's per-site row groups
     (:meth:`~repro.browser.events.CrawlLog.site_groups`), by domain."""
 
     def __init__(self, log: CrawlLog) -> None:
@@ -185,7 +186,8 @@ class IncrementalRunAnalyzer:
     nothing is kept: callers merge the partials and memoize the result.
     A caller that knows every analysis it will need asks for them in
     one call, which reads each site once for all of them; ``repro
-    report`` does (``Study.prefetch_partials``), one call per run, in
+    report`` and ``repro study --store`` do
+    (``Study.prefetch_partials``), one call per run, in
     forked workers when it has the cores.  ``first_party`` is a
     ``(page, fqdn)`` first-party decision memo shared with the study's
     other runs (see :func:`~repro.core.mapmerge.map_labels`).

@@ -33,22 +33,23 @@ The older single-file (v1) layout is refused at open;
 Why resume is bit-identical
 ---------------------------
 
-A resumed session rebuilds the browser with the stored partial log (so
-global ``seq`` numbering continues where it stopped) but a *fresh*
-cookie jar.  That is safe because nothing the log records depends on
-jar state carried across sites: the synthetic servers never read request
-cookies (``Universe.fetch`` is a pure function of URL, referrer and
-client context), ``CookieJar.store_from_response`` reports every parsed
+A resumed session starts a browser whose empty log carries the stored
+``seq`` counter forward (so global ``seq`` numbering continues where it
+stopped) with a *fresh* cookie jar.  That is safe because nothing the
+log records depends on jar state carried across sites: the synthetic
+servers never read request cookies (``Universe.fetch`` is a pure
+function of URL, referrer and client context),
+``CookieJar.store_from_response`` reports every parsed
 cookie regardless of what the jar already holds, and minted
 ``document.cookie`` identifiers derive from (script host, cookie name,
 client IP) only.  The per-site event stream is thus a pure function of
 (universe, client, site), which ``tests/test_datastore.py`` asserts by
 diffing an aborted-and-resumed crawl against an uninterrupted one.
 
-The same property is why *trim mode* works: a checkpointer built with
-``trim=True`` asks the crawler to drop the in-memory event lists after
-each site is on disk (positions continue from persistent counters), so
-crawl RSS is bounded by one site's events regardless of corpus size.
+The same property lets a stored crawl keep nothing: the crawler drops
+its in-memory event lists once each site is on disk (positions continue
+from persistent counters), so crawl RSS is bounded by one site's events
+regardless of corpus size.
 
 It is also the purity contract behind **delta crawls**
 (:mod:`repro.datastore.delta`): since a site's event slice is a pure
@@ -630,22 +631,20 @@ class CrawlStore:
             return None
         return self._run_state(key, dh, domains)
 
-    def run_writer(self, run: RunRef, *, trim: bool = False) -> "RunWriter":
+    def run_writer(self, run: RunRef) -> "RunWriter":
         """The per-site writer for one run (checkpoints and splices)."""
-        return RunWriter(self, run, trim=trim)
+        return RunWriter(self, run)
 
-    def checkpointer(self, run: RunRef, *, trim: bool = False) -> Callable:
+    def checkpointer(self, run: RunRef) -> Callable:
         """A per-site checkpoint callback for ``OpenWPMCrawler.crawl``.
 
         Each invocation appends one visited site's event rows and marks
         the site complete in a single transaction *on that site's shard*
         — the atomic unit a kill can never tear.  Event positions come
         from persistent counters seeded with the rows already stored, so
-        they are identical whether the in-memory log is kept (hydrated
-        resume) or dropped after every site (``trim=True``; the returned
-        callback's value tells the crawler to clear its event lists).
+        the crawler can drop its event lists after every site.
         """
-        return self.run_writer(run, trim=trim).checkpoint
+        return self.run_writer(run).checkpoint
 
     def run_site_counts(
         self, run: RunRef
@@ -967,10 +966,8 @@ class RunWriter:
     (:func:`repro.datastore.delta.delta_crawl`).
     """
 
-    def __init__(self, store: CrawlStore, run: RunRef, *,
-                 trim: bool = False) -> None:
+    def __init__(self, store: CrawlStore, run: RunRef) -> None:
         self._store = store
-        self._trim = trim
         handles = store._resolve(run)
         self._site_shard: Dict[str, Tuple[int, int, int]] = {}
         with store._lock:
@@ -989,7 +986,7 @@ class RunWriter:
         self._attached: List[Tuple[int, str]] = []
 
     def checkpoint(self, domain: str, log: CrawlLog,
-                   marks: Tuple[int, int, int, int]) -> bool:
+                   marks: Tuple[int, int, int, int]) -> None:
         """Persist one freshly visited site's event rows (see
         :meth:`CrawlStore.checkpointer`)."""
         now = time.perf_counter()
@@ -1037,7 +1034,6 @@ class RunWriter:
         counters["requests"] = rp + len(log.requests) - r0
         counters["cookies"] = cp + len(log.cookies) - c0
         counters["js_calls"] = jp + len(log.js_calls) - j0
-        return self._trim
 
     def attach(self, baseline: CrawlStore, run: RunRef) -> None:
         """Attach ``baseline``'s shard files, read-only, to every shard
@@ -1216,7 +1212,7 @@ def _copy_statement(table: str, alias: str) -> str:
 #: pool may execute two jobs that need the same logical run (same
 #: run_key + domains_hash) concurrently; without a lock both would
 #: resume the run and race to insert the same row positions.  The loser
-#: of this lock finds the run complete and loads it instead.  Keyed by
+#: of this lock finds the run complete and crawls nothing.  Keyed by
 #: (absolute store path, run_key, domains_hash); cross-*process* writers
 #: are already serialized per checkpoint by WAL, and distinct runs never
 #: contend.
@@ -1253,45 +1249,36 @@ def stored_crawl(
     *,
     epoch: str = "crawl",
     keep_html: bool = True,
-    allow_crawl: bool = True,
-    hydrate: bool = True,
     baseline: Optional["CrawlStore"] = None,
     progress=None,
-) -> Optional[CrawlLog]:
-    """Load, resume, or run one crawl through the store.
+) -> RunRef:
+    """Complete one crawl in the store and return its :class:`RunRef`.
 
-    Fully stored runs are loaded without touching a browser; partially
-    stored runs resume with the remaining sites appended to the stored
-    partial log (bit-identical to an uninterrupted session — see the
-    module docstring); fresh runs crawl from scratch, checkpointing after
-    every site.  ``allow_crawl=False`` turns a miss into
-    :class:`MissingRunError` (the ``repro report`` contract: render from
-    the store, never crawl).
-
-    ``hydrate=False`` is the streaming mode: the crawl runs with trim
-    checkpointing (in-memory event lists dropped once each site is on
-    disk) and the function returns ``None`` — consumers read the rows
-    back through the store's cursors.  Peak memory is then bounded by
-    one site's events instead of the whole run.
+    Fully stored runs are left as they are, without touching a browser;
+    partially stored runs resume at the first missing site
+    (bit-identical to an uninterrupted session — see the module
+    docstring); fresh runs crawl from scratch.  Every visited site is
+    checkpointed and then dropped from memory, so peak memory is bounded
+    by one site's events; readers go through the store
+    (:class:`~repro.datastore.StoredRows`, or :meth:`CrawlStore.load_log`
+    for a whole log).
 
     ``baseline`` turns the crawl into a **delta crawl**: when the
     baseline store holds the matching run for an *earlier epoch of the
     universe's evolution chain*, unchanged sites are spliced from the
-    baseline's stored rows
-    instead of being rendered (:mod:`repro.datastore.delta`).  A delta
-    crawl always streams; with ``hydrate=True`` the finished run is
-    loaded back from the store.  The result is byte-identical to a full
-    crawl by construction; when preconditions fail the delta layer
+    baseline's stored rows instead of being rendered
+    (:mod:`repro.datastore.delta`).  The result is byte-identical to a
+    full crawl by construction; when preconditions fail the delta layer
     degrades to a normal crawl.
 
     ``progress(event, **fields)`` observes the crawl: ``run_started``
     fires once up front (with ``completed`` telling how many sites the
-    store already held — 0 for a fresh run, ``total`` for a pure load),
+    store already held — 0 for a fresh run, ``total`` for a stored one),
     the crawler's per-site ``site_started``/``site_finished`` hooks fire
     for every *remaining* site, and ``run_finished`` fires once the run
     manifest is stamped.  Concurrent callers targeting the same logical
     run serialize on an in-process lock; the second caller finds the
-    rows stored and degrades to a load.
+    rows stored and crawls nothing.
     """
     from ..crawler.openwpm import OpenWPMCrawler
     from ..html.parser import parse_cache_stats
@@ -1313,18 +1300,10 @@ def stored_crawl(
             if progress is not None:
                 progress("run_finished", kind=kind,
                          country=vantage.country_code, total=len(domains))
-            return store.load_log(state.run_id) if hydrate else None
-        if not allow_crawl:
-            raise MissingRunError(
-                f"store {store.path} holds "
-                f"{len(state.completed)}/{len(domains)} "
-                f"sites for {kind} from {vantage.country_code}; re-run with "
-                "--store to complete it"
-            )
+            return state.run_id
         fetch_before = _cache_snapshot(universe.fetch_cache.stats)
         parse_before = _cache_snapshot(parse_cache_stats())
         delta_stats = None
-        log = None
         if baseline is not None:
             from .delta import delta_crawl
             outcome = delta_crawl(
@@ -1334,23 +1313,16 @@ def stored_crawl(
             if outcome is not None:
                 delta_stats = outcome[1]
         if delta_stats is None:
-            if hydrate:
-                partial = store.load_log(state.run_id)
-            else:
-                # Trim mode resumes with an empty log that only carries
-                # the seq counter forward; stored rows are never
-                # re-materialized.
-                partial = CrawlLog(country_code=vantage.country_code,
-                                   client_ip=vantage.client_ip)
-                partial._seq = state.seq
+            # Stored rows are never re-materialized: the crawl starts
+            # from an empty log that carries the seq counter forward.
+            log = CrawlLog(country_code=vantage.country_code,
+                           client_ip=vantage.client_ip)
+            log._seq = state.seq
             crawler = OpenWPMCrawler(universe, vantage, epoch=epoch,
                                      keep_html=keep_html)
-            log = crawler.crawl(
-                remaining, log=partial,
-                checkpoint=store.checkpointer(state.run_id,
-                                              trim=not hydrate),
-                progress=progress,
-            )
+            crawler.crawl(remaining, log=log,
+                          checkpoint=store.checkpointer(state.run_id),
+                          progress=progress)
         stats = {
             "fetch_cache": _cache_delta(universe.fetch_cache.stats,
                                         fetch_before),
@@ -1363,6 +1335,4 @@ def stored_crawl(
         if progress is not None:
             progress("run_finished", kind=kind,
                      country=vantage.country_code, total=len(domains))
-        if not hydrate:
-            return None
-        return log if delta_stats is None else store.load_log(state.run_id)
+        return state.run_id

@@ -94,8 +94,8 @@ def _forked_pass(entry: RunPass) -> Dict[str, List[object]]:
     """One planned pass inside a forked worker.
 
     SQLite connections must not cross a fork, so the worker reads the
-    run through a store handle of its own; its partial lists travel back
-    pickled, and an exception (``MissingRunError``) re-raises in the
+    run the parent resolved through a store handle of its own; its
+    partial lists travel back pickled, and an exception re-raises in the
     parent.
     """
     from .datastore import CrawlStore
@@ -129,18 +129,19 @@ class Study:
         analyses fan out.
 
         ``store`` (a :class:`~repro.datastore.CrawlStore` or a path)
-        persists every crawl and hydrates already-stored ones, making an
-        interrupted study resumable at per-site granularity.
-        ``store_shards`` (with a path) is the shard count of a store
-        created here (default 1); an existing store keeps its own.
-        ``store_only=True`` is the ``repro report`` contract: every
-        table is a merge of stored partials and stored artifacts.  Runs
-        are read back one site's rows at a time (see :meth:`_run_rows`),
-        the §3 corpus and the inspection pass come from their store
-        artifacts, and a missing crawl or artifact raises
-        :class:`~repro.datastore.MissingRunError` instead of touching a
-        browser; no log is hydrated unless a §10 extension asks for
-        :meth:`porn_log`.  :meth:`prefetch_partials` maps every run a
+        persists every crawl and skips already-stored ones, making an
+        interrupted study resumable at per-site granularity.  With a
+        store the analyses read every run back from it one site's rows
+        at a time (see :meth:`_run_rows`); no log is held in memory
+        unless :meth:`porn_log` or :meth:`regular_log` (the §10
+        extensions) asks for one.  ``store_shards`` (with a path) is the
+        shard count of a store created here (default 1); an existing
+        store keeps its own.  ``store_only=True`` is the ``repro
+        report`` contract: every table is a merge of stored partials and
+        stored artifacts, the §3 corpus and the inspection pass come
+        from their store artifacts, and a missing crawl or artifact
+        raises :class:`~repro.datastore.MissingRunError` instead of
+        touching a browser.  :meth:`prefetch_partials` maps every run a
         render reads in one pass each, fanned out over forked workers.
 
         ``baseline_store`` (a :class:`~repro.datastore.CrawlStore` or a
@@ -356,20 +357,45 @@ class Study:
     _PORN_KIND = "openwpm:porn"
     _REGULAR_KIND = "openwpm:regular"
 
-    def _stored_crawl(self, country: str, kind: str,
-                      domains: Sequence[str], *, keep_html: bool,
-                      hydrate: bool = True) -> Optional[CrawlLog]:
-        from .datastore import stored_crawl
+    def _crawl_key(self, country: str, kind: str) -> str:
+        """The memo key of one crawl: its stored run with a store, its
+        log without one."""
+        if self.store is not None:
+            return f"run:{kind}:{country}"
+        return (f"porn_log:{country}" if kind == self._PORN_KIND
+                else "regular_log")
 
-        return stored_crawl(
-            self.store, self.universe, self.vantage_points.point(country),
-            kind, domains, keep_html=keep_html,
-            allow_crawl=not self.store_only, hydrate=hydrate,
-            baseline=self.baseline_store,
-            progress=self.progress,
-        )
+    def _stored_run(self, country: str, kind: str):
+        """The run's :class:`~repro.datastore.RunRef`, crawled (resumed,
+        or delta-crawled) into the store first unless ``store_only``."""
+        from .datastore import MissingRunError, stored_crawl
+
+        def find():
+            vantage = self.vantage_points.point(country)
+            domains = self._run_domains(kind)
+            keep_html = kind == self._PORN_KIND
+            if not self.store_only:
+                return stored_crawl(
+                    self.store, self.universe, vantage, kind, domains,
+                    keep_html=keep_html, baseline=self.baseline_store,
+                    progress=self.progress,
+                )
+            state = self.store.find_run(self.universe.config, vantage, kind,
+                                        domains, keep_html=keep_html)
+            if state is None or not state.complete:
+                held = len(state.completed) if state is not None else 0
+                raise MissingRunError(
+                    f"store {self.store.path} holds {held}/{len(domains)} "
+                    f"sites for {kind} from {country}; re-run with --store "
+                    "to complete it"
+                )
+            return state.run_id
+
+        return self._memo(self._crawl_key(country, kind), find)
 
     def porn_log(self, country: Optional[str] = None) -> CrawlLog:
+        """The porn crawl from ``country`` as one log; with a store it is
+        loaded whole from the stored run."""
         country = country or self.home_country
 
         def crawl() -> CrawlLog:
@@ -377,9 +403,8 @@ class Study:
             # geography analyses and the banner detector (§6 + §7.1 share
             # the crawl instead of re-crawling with a throwaway session).
             if self.store is not None:
-                return self._stored_crawl(country, self._PORN_KIND,
-                                          self.corpus_domains(),
-                                          keep_html=True)
+                return self.store.load_log(
+                    self._stored_run(country, self._PORN_KIND))
             crawler = OpenWPMCrawler(
                 self.universe, self.vantage_points.point(country),
                 keep_html=True,
@@ -390,12 +415,12 @@ class Study:
         return self._memo(f"porn_log:{country}", crawl)
 
     def regular_log(self) -> CrawlLog:
+        """The regular-web control crawl as one log (see
+        :meth:`porn_log`)."""
         def crawl() -> CrawlLog:
             if self.store is not None:
-                return self._stored_crawl(
-                    self.home_country, self._REGULAR_KIND,
-                    self.universe.reference_regular_corpus(), keep_html=False,
-                )
+                return self.store.load_log(
+                    self._stored_run(self.home_country, self._REGULAR_KIND))
             crawler = OpenWPMCrawler(
                 self.universe, self.vantage_points.point(self.home_country),
                 keep_html=False,
@@ -438,19 +463,16 @@ class Study:
         )
 
     def _seed_outcome(self, outcome: CrawlOutcome) -> None:
-        """Adopt a worker's crawl log into the memo (first write wins)."""
-        if outcome.key == self._REGULAR_KEY:
-            self._memo_seed("regular_log", outcome.log)
-        else:
-            self._memo_seed(f"porn_log:{outcome.country}", outcome.log)
+        """Adopt a worker's crawl into the memo (first write wins): its
+        stored run with a store, its log without one."""
+        kind = (self._REGULAR_KIND if outcome.key == self._REGULAR_KEY
+                else self._PORN_KIND)
+        self._memo_seed(self._crawl_key(outcome.country, kind),
+                        outcome.log if self.store is None else outcome.run)
 
-    def prefetch_crawls(
-        self,
-        countries: Optional[Sequence[str]] = None,
-        *,
-        include_regular: bool = True,
-    ) -> None:
-        """Run every not-yet-cached crawl ``parallelism``-wide.
+    def prefetch_crawls(self, countries: Sequence[str]) -> None:
+        """Run the porn crawls from ``countries`` and the regular crawl,
+        those not yet cached, ``parallelism``-wide.
 
         Results land in the memo exactly as if the corresponding
         sequential accessors had produced them (they are bit-identical:
@@ -461,15 +483,17 @@ class Study:
         if self.parallelism <= 1:
             return
         if self.store_only:
-            # Hydration from the store is pure I/O; the sequential
-            # accessors handle it (and raise MissingRunError with a
-            # useful message when a crawl is absent).
+            # Nothing to crawl; the accessors find the stored runs (and
+            # raise MissingRunError with a useful message when a crawl
+            # is absent).
             return
         specs: List[CrawlSpec] = []
-        for country in countries or self.vantage_points.country_codes:
-            if not self._memoized(f"porn_log:{country}"):
+        for country in countries:
+            if not self._memoized(self._crawl_key(country,
+                                                  self._PORN_KIND)):
                 specs.append(self._porn_spec(country))
-        if include_regular and not self._memoized("regular_log"):
+        if not self._memoized(self._crawl_key(self.home_country,
+                                              self._REGULAR_KIND)):
             specs.append(self._regular_spec())
         if len(specs) < 2:
             return
@@ -554,28 +578,37 @@ class Study:
     def prefetch_partials(self, *, geo: bool = False) -> None:
         """Map each stored run a full render reads in one pass.
 
-        For a ``store_only`` study without an aggregate cache (``repro
-        report``): each planned run (:meth:`_run_plan`) is one
+        For a study with a store and without an aggregate cache (``repro
+        study --store`` and ``repro report``): each planned run
+        (:meth:`_run_plan`) is one
         :meth:`~repro.datastore.IncrementalRunAnalyzer.partials` call
         over :class:`~repro.datastore.StoredRows`, so each site is read
-        once per event table however many sections use the run.  With
-        ``parallelism > 1`` and ``fork`` the passes fan out over a pool
-        of ``min(parallelism, runs)`` forked workers; otherwise they run
-        here in plan order.  :meth:`_partials` serves the held partial
-        lists, and sections merge them lazily as before.
+        once per event table however many sections use the run.  A
+        crawling study first completes every planned run in the store
+        (through :meth:`prefetch_crawls` when ``parallelism > 1``), so
+        the passes only read.  With ``parallelism > 1`` and ``fork`` the
+        passes fan out over a pool of ``min(parallelism, runs)`` forked
+        workers; otherwise they run here in plan order.
+        :meth:`_partials` serves the held partial lists, and sections
+        merge them lazily as before.
 
         Other studies keep mapping on demand: a cached engine already
         reads a missed site once for all analyses, an in-memory log has
-        no read to save, and a long-lived study would hold every partial
-        for its lifetime.  For them this is a no-op.
+        no read to save, and a long-lived (service) study would hold
+        every partial for its lifetime.  For them this is a no-op.
         """
         global _PASS_STUDY
-        if not self.store_only or self.aggregate_cache is not None:
+        if self.store is None or self.aggregate_cache is not None:
             return
         plan = [entry for entry in self._run_plan(geo=geo)
                 if entry[:2] not in self._planned]
+        self.prefetch_crawls([country for country, kind, _ in plan
+                              if kind == self._PORN_KIND])
         for country, kind, _ in plan:
-            self._engine(country, kind)  # built here, inherited by workers
+            # Resolved (crawled, or found) and built here, inherited by
+            # the workers.
+            self._stored_run(country, kind)
+            self._engine(country, kind)
         workers = min(self.parallelism, len(plan))
         if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
             _PASS_STUDY = self
@@ -592,16 +625,12 @@ class Study:
         for (country, kind, _), partials in zip(plan, results):
             self._planned[(country, kind)] = partials
 
-    def prefetch_analyses(
-        self,
-        countries: Optional[Sequence[str]] = None,
-        *,
-        geo: bool = False,
-    ) -> None:
+    def prefetch_analyses(self, *, geo: bool = False) -> None:
         """Fan the independent analyses across a thread pool.
 
         Crawls fan out first through :meth:`prefetch_crawls` (process
-        pool); the remaining analyses — per-country banner reports,
+        pool), stored runs are mapped by :meth:`prefetch_partials`; the
+        remaining analyses — per-country banner reports,
         per-log labels/ATS, and the table builders — are pure functions
         of memoized inputs and fan out ``parallelism`` threads wide.
         Shared intermediates (a log, the ATS classifier, the Selenium
@@ -616,40 +645,31 @@ class Study:
         """
         if self.parallelism <= 1:
             return
-        crawl_countries = [self.home_country]
-        for country in self._BANNER_COUNTRIES:
-            if country not in crawl_countries:
-                crawl_countries.append(country)
-        if geo:
-            for country in (countries or self.vantage_points.country_codes):
-                if country not in crawl_countries:
-                    crawl_countries.append(country)
-        self.prefetch_crawls(crawl_countries)
-        tasks = self._analysis_tasks(geo=geo, countries=countries)
+        self.prefetch_crawls([country for country, kind, _
+                              in self._run_plan(geo=geo)
+                              if kind == self._PORN_KIND])
+        self.prefetch_partials(geo=geo)
+        tasks = self._analysis_tasks(geo=geo)
         with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
             futures = [pool.submit(thunk) for _, thunk in tasks]
             for future in futures:
                 future.result()  # re-raise the first failure in task order
 
-    def run_all(
-        self,
-        countries: Optional[Sequence[str]] = None,
-        *,
-        geo: bool = False,
-    ) -> None:
+    def run_all(self, *, geo: bool = False) -> None:
         """Evaluate everything the full study output needs.
 
-        ``parallelism=1`` runs each analysis serially in exactly the
-        order the lazy renderer would pull it; ``parallelism>1`` fans
-        crawls across the process pool and analyses across a thread
-        pool.  Either way the results land in the memo, so rendering
-        afterwards is pure cache reads — byte-identical across
-        parallelism settings.
+        ``parallelism=1`` maps the stored runs (:meth:`prefetch_partials`)
+        and then runs each analysis serially in exactly the order the
+        lazy renderer would pull it; ``parallelism>1`` fans crawls
+        across the process pool and analyses across a thread pool.
+        Either way the results land in the memo, so rendering afterwards
+        is pure cache reads — byte-identical across parallelism settings.
         """
         if self.parallelism > 1:
-            self.prefetch_analyses(countries, geo=geo)
+            self.prefetch_analyses(geo=geo)
             return
-        for _, thunk in self._analysis_tasks(geo=geo, countries=countries):
+        self.prefetch_partials(geo=geo)
+        for _, thunk in self._analysis_tasks(geo=geo):
             thunk()
 
     def inspections(self) -> List[SiteInspection]:
@@ -728,48 +748,27 @@ class Study:
     def _run_rows(self, country: str, kind: str):
         """The run as per-site row groups.
 
-        In ``store_only`` mode, and in a study with an aggregate cache,
-        the run is read back from the store one site at a time
-        (:class:`~repro.datastore.StoredRows`): ``repro report`` holds
-        no run in memory whole, and the cached engine reads a site's
-        rows only on a cache miss, once for all analyses, so the sites
-        that hit never pass through memory.  Otherwise it is the crawl
-        memo's log (crawled, or loaded and completed through the store,
-        on first use).
+        With a store the run is read back from it one site at a time
+        (:class:`~repro.datastore.StoredRows`), after the study crawled
+        it there (unless ``store_only``): no run is held in memory
+        whole, and the cached engine reads a site's rows only on a cache
+        miss, once for all analyses, so the sites that hit never pass
+        through memory.  Without a store it is the crawl memo's log.
         """
         from .datastore import LogRows
 
-        if self.store_only or self.aggregate_cache is not None:
-            return self._memo(f"stored_rows:{kind}:{country}",
-                              lambda: self._stored_rows(country, kind))
-        return LogRows(self.porn_log(country) if kind == self._PORN_KIND
-                       else self.regular_log())
+        if self.store is None:
+            return LogRows(self.porn_log(country) if kind == self._PORN_KIND
+                           else self.regular_log())
+        return self._memo(f"stored_rows:{kind}:{country}",
+                          lambda: self._stored_rows(country, kind))
 
     def _stored_rows(self, country: str, kind: str, store=None):
         """The stored run (read through ``store``, default the study's)."""
-        from .datastore import MissingRunError, StoredRows
+        from .datastore import StoredRows
 
-        store = store or self.store
-        domains = self._run_domains(kind)
-        keep_html = kind == self._PORN_KIND
-        log_key = (f"porn_log:{country}" if kind == self._PORN_KIND
-                   else "regular_log")
-        if not self.store_only and not self._memoized(log_key):
-            # Crawl, resume or delta-crawl the run, streaming: no log.
-            self._stored_crawl(country, kind, domains, keep_html=keep_html,
-                               hydrate=False)
-        state = store.find_run(
-            self.universe.config, self.vantage_points.point(country), kind,
-            domains, keep_html=keep_html,
-        )
-        if state is None or not state.complete:
-            held = len(state.completed) if state is not None else 0
-            raise MissingRunError(
-                f"store {store.path} holds {held}/{len(domains)} sites "
-                f"for {kind} from {country}; re-run with --store to "
-                "complete it"
-            )
-        return StoredRows(store, state.run_id)
+        return StoredRows(store or self.store,
+                          self._stored_run(country, kind))
 
     def _map_run(self, country: str, kind: str, names: Sequence[str], *,
                  store=None) -> Dict[str, List[object]]:
@@ -1022,22 +1021,14 @@ class Study:
         country = country or self.home_country
 
         def build() -> BannerReport:
-            # Outside store_only the rows come from the shared crawl
-            # memo: geography and banner analysis for the same country
-            # crawl exactly once (the per-country logs keep HTML for the
-            # banner detector).
+            # Geography and banner analysis read the same run, so each
+            # country is crawled exactly once (the per-country crawls
+            # keep HTML for the banner detector).
             partials = self._partials(country, self._PORN_KIND, ("banners",))
             return merge_banners(partials["banners"],
                                  corpus_size=len(self.corpus_domains()))
 
         return self._memo(f"banners:{country}", build)
-
-    def banner_reports(
-        self, countries: Sequence[str]
-    ) -> Dict[str, BannerReport]:
-        """Banner reports for several countries, crawling N-wide."""
-        self.prefetch_crawls(countries, include_regular=False)
-        return {country: self.banners(country) for country in countries}
 
     def age_verification(
         self,
@@ -1108,8 +1099,8 @@ class Study:
         """§10 extension: crawl with an EasyList blocker, compare tracking.
 
         With :meth:`subscription_tracking` and :meth:`cross_border` one
-        of the only readers of the hydrated :meth:`porn_log`; no report
-        section renders them.
+        of the only readers of the whole :meth:`porn_log` (loaded from
+        the store when there is one); no report section renders them.
         """
         from .core.extensions.adblock_sim import compare_protection
 
@@ -1127,8 +1118,7 @@ class Study:
     def subscription_tracking(self):
         """§10 extension: tracking by monetization model.
 
-        Reads the hydrated :meth:`porn_log` (see
-        :meth:`adblock_comparison`).
+        Reads the whole :meth:`porn_log` (see :meth:`adblock_comparison`).
         """
         from .core.extensions.subscriptions import compare_tracking_by_model
 
@@ -1142,8 +1132,7 @@ class Study:
     def cross_border(self):
         """§10 extension: identifier flows leaving the EU.
 
-        Reads the hydrated :meth:`porn_log` (see
-        :meth:`adblock_comparison`).
+        Reads the whole :meth:`porn_log` (see :meth:`adblock_comparison`).
         """
         from .core.extensions.crossborder import analyze_cross_border
 

@@ -215,12 +215,6 @@ class TestBannersShareCrawl:
         visits = study.porn_log("US").successful_visits()
         assert visits and any(v.html for v in visits)
 
-    def test_banner_reports_batch(self, universe):
-        study = Study(universe, parallelism=1)
-        reports = study.banner_reports(["ES", "US"])
-        assert set(reports) == {"ES", "US"}
-        assert reports["ES"] is study.banners("ES")
-
 
 class TestFetchCache:
     def test_identical_requests_hit_cache(self, universe):

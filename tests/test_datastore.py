@@ -71,7 +71,7 @@ class TestRoundtrip:
     def test_crawl_log_roundtrip_over_all_archetypes(self, store, universe,
                                                      vantage_points,
                                                      crawlable_porn):
-        """store→load of a full-corpus log equals the in-memory log.
+        """A stored full-corpus run loads back equal to the in-memory log.
 
         The session corpus spans every site archetype (all content
         categories, HTTPS and cleartext, banner/age-gate/policy
@@ -85,22 +85,26 @@ class TestRoundtrip:
 
         vantage = vantage_points.point("ES")
         in_memory = OpenWPMCrawler(universe, vantage).crawl(crawlable_porn)
-        via_store = stored_crawl(store, universe, vantage, "openwpm:porn",
-                                 crawlable_porn)
+        run = stored_crawl(store, universe, vantage, "openwpm:porn",
+                           crawlable_porn)
+        via_store = store.load_log(run)
         assert via_store == in_memory          # every field of every record
         assert via_store._seq == in_memory._seq
 
-        reloaded = stored_crawl(store, universe, vantage, "openwpm:porn",
-                                crawlable_porn)
-        assert reloaded == in_memory
+        # A second call finds the run complete and returns the same ref.
+        again = stored_crawl(store, universe, vantage, "openwpm:porn",
+                             crawlable_porn)
+        assert again == run
+        assert store.load_log(again) == in_memory
 
     def test_regular_log_roundtrip(self, store, universe, vantage_points):
         domains = universe.reference_regular_corpus()
         vantage = vantage_points.point("ES")
         in_memory = OpenWPMCrawler(universe, vantage,
                                    keep_html=False).crawl(domains)
-        via_store = stored_crawl(store, universe, vantage, "openwpm:regular",
-                                 domains, keep_html=False)
+        via_store = store.load_log(stored_crawl(
+            store, universe, vantage, "openwpm:regular", domains,
+            keep_html=False))
         assert via_store == in_memory
 
 
@@ -145,8 +149,8 @@ class TestResume:
                                    domains)
             assert len(state.completed) == self.ABORT_AFTER
             assert not state.finished
-            resumed = stored_crawl(store, universe, vantage, "openwpm:porn",
-                                   domains)
+            resumed = store.load_log(stored_crawl(
+                store, universe, vantage, "openwpm:porn", domains))
             manifest = store.run_manifests()[0]
 
         clean = OpenWPMCrawler(universe, vantage).crawl(domains)
@@ -242,11 +246,18 @@ class TestStoreBackedExecution:
         def exploding_crawl(self, domains, **kwargs):  # pragma: no cover
             raise AssertionError("stored crawl must not re-crawl")
 
+        plain = {country: OpenWPMCrawler(
+            universe, vantage_points.point(country)).crawl(crawlable_porn)
+            for country in ("ES", "US")}
         monkeypatch.setattr(OpenWPMCrawler, "crawl", exploding_crawl)
         second = CrawlExecutor(universe, vantage_points, parallelism=2,
                                store=store_path).run(specs)
-        for before, after in zip(first, second):
-            assert before.log == after.log
+        with CrawlStore(store_path) as store:
+            for before, after in zip(first, second):
+                # With a store, workers ship the run, never a log.
+                assert before.log is None and after.log is None
+                assert after.run == before.run
+                assert store.load_log(after.run) == plain[after.country]
 
     def test_study_store_only_raises_on_missing_run(self, tmp_path, universe):
         hydrated = Study(universe, parallelism=1,

@@ -10,8 +10,8 @@ Pins the contracts the longitudinal pipeline rests on:
   hashes identically across the epochs (a splice is never wrong), and
   it answers only for an ancestor's config;
 * a delta crawl against the previous epoch's store is byte-identical to
-  a full crawl of the evolved universe — hydrated and streaming alike —
-  and its manifest records the spliced/crawled/divergence stats;
+  a full crawl of the evolved universe, and its manifest records the
+  spliced/crawled/divergence stats;
 * when preconditions fail (no baseline config, same epoch, a baseline
   from another ``churn`` or from a later epoch) the delta layer degrades
   to a normal crawl without writing anything first;
@@ -188,23 +188,22 @@ class TestDeltaCrawl:
     def test_streaming_delta_matches_hydrated(self, tmp_path, evolved,
                                               epoch0_store, vantage_points,
                                               universe):
-        """``hydrate=False`` splices through the trim writer; the rows
-        read back through cursors equal the hydrated delta crawl."""
+        """A delta crawl returns its run, not a log; the rows read back
+        through the store equal a plain in-memory crawl."""
         domains = Study(evolved).corpus_domains()
         vantage = vantage_points.point("ES")
         with CrawlStore(epoch0_store) as baseline, \
                 CrawlStore(str(tmp_path / "stream.db")) as store:
             result = stored_crawl(store, evolved, vantage, "openwpm:porn",
-                                  domains, baseline=baseline,
-                                  hydrate=False)
-            assert result is None
+                                  domains, baseline=baseline)
             manifest = store.run_manifests()[0]
+            assert result == manifest.run_id
             assert manifest.stats["delta"]["spliced"] > 0
             streamed = store.load_log(manifest.run_id)
-        hydrated = OpenWPMCrawler(evolved, vantage,
-                                  keep_html=True).crawl(domains)
-        assert streamed == hydrated
-        assert streamed._seq == hydrated._seq
+        plain = OpenWPMCrawler(evolved, vantage,
+                               keep_html=True).crawl(domains)
+        assert streamed == plain
+        assert streamed._seq == plain._seq
 
     def test_degrades_without_usable_baseline(self, tmp_path, universe,
                                               vantage_points,
@@ -216,15 +215,17 @@ class TestDeltaCrawl:
         reference = OpenWPMCrawler(universe, vantage).crawl(domains)
         with CrawlStore(str(tmp_path / "empty.db")) as empty, \
                 CrawlStore(str(tmp_path / "a.db")) as store:
-            log = stored_crawl(store, universe, vantage, "openwpm:porn",
-                               domains, baseline=empty)
+            log = store.load_log(stored_crawl(
+                store, universe, vantage, "openwpm:porn", domains,
+                baseline=empty))
             assert log == reference
             assert "delta" not in store.run_manifests()[0].stats
         # Baseline at the *same* epoch: nothing to delta against.
         with CrawlStore(str(tmp_path / "a.db")) as same_epoch, \
                 CrawlStore(str(tmp_path / "b.db")) as store:
-            log = stored_crawl(store, universe, vantage, "openwpm:porn",
-                               domains, baseline=same_epoch)
+            log = store.load_log(stored_crawl(
+                store, universe, vantage, "openwpm:porn", domains,
+                baseline=same_epoch))
             assert log == reference
             assert "delta" not in store.run_manifests()[0].stats
 
@@ -239,7 +240,7 @@ class TestDeltaCrawl:
         path = str(tmp_path_factory.mktemp("subset") / "e1.db")
         with CrawlStore(path) as store:
             stored_crawl(store, evolved, vantage_points.point("ES"),
-                         "openwpm:porn", subset, hydrate=False)
+                         "openwpm:porn", subset)
         return path
 
     def _against(self, tmp_path, target, baseline, vantage, domains):
@@ -252,12 +253,11 @@ class TestDeltaCrawl:
             with CrawlStore(path) as store:
                 if base is None:
                     stored_crawl(store, target, vantage, "openwpm:porn",
-                                 domains, hydrate=False)
+                                 domains)
                 else:
                     with CrawlStore(base) as base_store:
                         stored_crawl(store, target, vantage, "openwpm:porn",
-                                     domains, hydrate=False,
-                                     baseline=base_store)
+                                     domains, baseline=base_store)
                     delta = store.run_manifests()[0].stats.get("delta")
             digests.append(store_digest(path))
         return digests, delta
@@ -309,8 +309,7 @@ class TestSpliceCountCheck:
     def _baseline(self, tmp_path, universe, vantage, domains, shards):
         path = tmp_path / f"base{shards}"
         with CrawlStore(str(path), shards=shards) as store:
-            stored_crawl(store, universe, vantage, self.KIND, domains,
-                         hydrate=False)
+            stored_crawl(store, universe, vantage, self.KIND, domains)
         return path
 
     def _victim(self, path, evolved, domains):
@@ -342,7 +341,7 @@ class TestSpliceCountCheck:
         with CrawlStore(str(baseline)) as base, \
                 CrawlStore(str(path), shards=shards) as store:
             stored_crawl(store, evolved, vantage, self.KIND, domains,
-                         hydrate=False, baseline=base,
+                         baseline=base,
                          progress=lambda event, **fields: events.append(
                              (event, fields.get("domain"))))
             stats = store.run_manifests()[0].stats
@@ -351,8 +350,7 @@ class TestSpliceCountCheck:
     def _full(self, tmp_path, evolved, vantage, domains, shards):
         path = tmp_path / f"full{shards}"
         with CrawlStore(str(path), shards=shards) as store:
-            stored_crawl(store, evolved, vantage, self.KIND, domains,
-                         hydrate=False)
+            stored_crawl(store, evolved, vantage, self.KIND, domains)
         return path
 
     @pytest.mark.parametrize("base_shards,shards", [(1, 1), (2, 3)])

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import Study
 from repro.core.business import MODEL_NONE, MODEL_PAID
+from repro.datastore import CrawlStore
 
 
 class TestAdblockSimulation:
@@ -85,3 +87,27 @@ class TestCrossBorder:
 
         for code in report.by_country:
             assert code in COUNTRIES
+
+
+def test_store_backed_extensions_match_in_memory(study, universe, tmp_path,
+                                                 monkeypatch):
+    """With a store the extensions read the home porn run whole, loaded
+    once through ``CrawlStore.load_log``; their results equal the
+    in-memory study's."""
+    loads = []
+    load_log = CrawlStore.load_log
+
+    def counted(self, run):
+        loads.append(run)
+        return load_log(self, run)
+
+    monkeypatch.setattr(CrawlStore, "load_log", counted)
+    stored = Study(universe, parallelism=1, store=str(tmp_path / "store"))
+    try:
+        assert stored.adblock_comparison() == study.adblock_comparison()
+        assert stored.subscription_tracking() == \
+            study.subscription_tracking()
+        assert stored.cross_border() == study.cross_border()
+    finally:
+        stored.close()
+    assert len(loads) == 1

@@ -6,6 +6,12 @@ geo report at seed 20191021, scale 0.05 (written by
 study can take from a universe to the report must land on those bytes:
 
 * an in-memory study, serial and with crawls fanned out two-wide;
+* a crawling study with a store (``repro study --store``): the serial
+  study that fills the shared 2-shard store, and studies over 1 shard
+  two-wide and 3 shards serial with ``CrawlStore.load_log`` made to
+  raise, since such a study reads its runs back from the store one site
+  at a time, never as whole logs; and a store-only study over each of
+  the last two stores;
 * ``repro report``'s store-only study over a 2-shard store, through the
   planned passes ``repro report`` runs first
   (:meth:`~repro.Study.prefetch_partials`), in process and in forked
@@ -136,8 +142,11 @@ def golden_store(tmp_path_factory):
                   store=path, store_shards=2)
     try:
         study.run_all(geo=True)
-    finally:
+    except BaseException:
         study.close()
+        raise
+    # The study that filled the store renders the golden sections too.
+    _assert_golden(study, GOLDEN["epoch0"])
     yield path
     assert not list(Path(path).glob("aggregates.sqlite*")), \
         "a test wrote an aggregate cache into the shared golden store"
@@ -225,15 +234,42 @@ def test_whole_log_analyses_without_site_marks(serial_study):
     _assert_analyses(_whole_log_analyses(serial_study, porn, regular))
 
 
-def _forbid_browsing_and_hydration(monkeypatch):
-    def forbidden(name):
-        def call(*args, **kwargs):
-            raise AssertionError(f"a store-only report called {name}")
-        return call
+def _forbidden(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"the study called {name}")
+    return call
 
-    monkeypatch.setattr(Browser, "visit", forbidden("Browser.visit"))
+
+def _forbid_browsing_and_hydration(monkeypatch):
+    monkeypatch.setattr(Browser, "visit", _forbidden("Browser.visit"))
     monkeypatch.setattr(CrawlStore, "load_log",
-                        forbidden("CrawlStore.load_log"))
+                        _forbidden("CrawlStore.load_log"))
+
+
+@pytest.mark.parametrize("shards,parallelism", [(1, 2), (3, 1)])
+def test_stored_study(shards, parallelism, tmp_path, monkeypatch):
+    """``repro study --store``: the crawling study streams every run into
+    the store and maps it back from there, so it never loads a whole
+    log; a store-only study over the same store renders the same
+    bytes."""
+    monkeypatch.setattr(CrawlStore, "load_log",
+                        _forbidden("CrawlStore.load_log"))
+    path = str(tmp_path / "store")
+    study = Study(build_universe(_config()), parallelism=parallelism,
+                  store=path, store_shards=shards)
+    try:
+        study.run_all(geo=True)
+    except BaseException:
+        study.close()
+        raise
+    _assert_golden(study, GOLDEN["epoch0"])
+
+    monkeypatch.setattr(Browser, "visit", _forbidden("Browser.visit"))
+    reader = Study(build_universe(_config()), store=path, store_only=True,
+                   parallelism=parallelism)
+    assert reader.store.shard_count == shards
+    reader.prefetch_partials(geo=True)
+    _assert_golden(reader, GOLDEN["epoch0"])
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
@@ -327,13 +363,11 @@ def test_damaged_sanitize_verdicts(fault, golden_store, tmp_path):
 
 
 def test_epoch1_delta_study(golden_store, monkeypatch):
-    """The delta study lands on its digests without hydrating a log (a
-    cached study streams), and only reads the baseline: its shard files
-    are byte-for-byte what they were."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a cached delta study called load_log")
-
-    monkeypatch.setattr(CrawlStore, "load_log", forbidden)
+    """The delta study lands on its digests without loading a whole log
+    (a study with a store streams), and only reads the baseline: its
+    shard files are byte-for-byte what they were."""
+    monkeypatch.setattr(CrawlStore, "load_log",
+                        _forbidden("CrawlStore.load_log"))
     baseline_shards = shard_file_digests(golden_store)
     path = str(Path(golden_store).with_name("e1"))
     study = Study(build_universe(_config(1)), parallelism=1,

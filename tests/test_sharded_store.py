@@ -10,10 +10,11 @@ tests pin the invariants the streaming pipeline depends on:
   result is bit-identical to a clean crawl;
 * the bounded-memory cursors (``iter_*``) replay the heap-merged
   shards in exact event order;
-* every producer of a crawl log (fresh crawl, resume, delta splice,
-  ``load_log``, the fork executor) marks each site's rows exactly where
-  the store's slice index puts them, and a ``store_only`` study renders
-  the per-site tables from the store without hydrating the runs;
+* every stored run (fresh crawl, resume, delta splice, the fork
+  executor) loads back with each site's rows marked exactly where the
+  store's slice index and a plain in-memory crawl put them, and a
+  ``store_only`` study renders the per-site tables from the store
+  without loading whole runs;
 * a legacy single-file (v1) store is refused with the ``repro store
   reshard`` hint by every command that opens a store, and resharding it
   to 1 or 3 shards renders the report it rendered before;
@@ -132,11 +133,13 @@ class TestSharding:
                                                crawlable_porn):
         vantage = vantage_points.point("ES")
         in_memory = OpenWPMCrawler(universe, vantage).crawl(crawlable_porn)
-        via_store = stored_crawl(sharded, universe, vantage, "openwpm:porn",
-                                 crawlable_porn)
-        assert via_store == in_memory
-        reloaded = stored_crawl(sharded, universe, vantage, "openwpm:porn",
-                                crawlable_porn)
+        run = stored_crawl(sharded, universe, vantage, "openwpm:porn",
+                           crawlable_porn)
+        assert sharded.load_log(run) == in_memory
+        again = stored_crawl(sharded, universe, vantage, "openwpm:porn",
+                             crawlable_porn)
+        assert again == run
+        reloaded = sharded.load_log(again)
         assert reloaded == in_memory
         assert reloaded._seq == in_memory._seq
 
@@ -147,7 +150,8 @@ class TestKilledAndResumed:
     @pytest.fixture()
     def resumed_store(self, tmp_path, universe, vantage_points,
                       crawlable_porn):
-        """A sharded store whose crawl was killed mid-run, then resumed."""
+        """A sharded store whose crawl was killed mid-run, then resumed,
+        with a clean in-memory crawl of the same sites to compare."""
         path = str(tmp_path / "resume-shards")
         vantage = vantage_points.point("ES")
         with CrawlStore(path, shards=SHARDS) as store:
@@ -163,32 +167,31 @@ class TestKilledAndResumed:
                                crawlable_porn)
         assert len(state.completed) == self.ABORT_AFTER
         assert not state.finished
-        resumed = stored_crawl(store, universe, vantage, "openwpm:porn",
-                               crawlable_porn)
-        yield store, state.run_id, resumed
+        assert stored_crawl(store, universe, vantage, "openwpm:porn",
+                            crawlable_porn) == state.run_id
+        clean = OpenWPMCrawler(universe, vantage).crawl(crawlable_porn)
+        yield store, state.run_id, clean
         store.close()
 
-    def test_resume_is_bit_identical(self, resumed_store, universe,
-                                     vantage_points, crawlable_porn):
-        _, _, resumed = resumed_store
-        clean = OpenWPMCrawler(
-            universe, vantage_points.point("ES")).crawl(crawlable_porn)
+    def test_resume_is_bit_identical(self, resumed_store):
+        store, run_id, clean = resumed_store
+        resumed = store.load_log(run_id)
         assert resumed == clean
         assert resumed._seq == clean._seq
 
     def test_cursors_replay_hydrated_log_in_order(self, resumed_store):
-        store, run_id, resumed = resumed_store
-        assert list(store.iter_visits(run_id)) == resumed.visits
-        assert list(store.iter_requests(run_id)) == resumed.requests
-        assert list(store.iter_cookies(run_id)) == resumed.cookies
-        assert list(store.iter_js_calls(run_id)) == resumed.js_calls
+        store, run_id, clean = resumed_store
+        assert list(store.iter_visits(run_id)) == clean.visits
+        assert list(store.iter_requests(run_id)) == clean.requests
+        assert list(store.iter_cookies(run_id)) == clean.cookies
+        assert list(store.iter_js_calls(run_id)) == clean.js_calls
         # Tiny batches exercise the heap merge across fetchmany windows.
-        assert list(store.iter_requests(run_id, batch=3)) == resumed.requests
+        assert list(store.iter_requests(run_id, batch=3)) == clean.requests
 
     def test_resumed_log_marks_match_slice_index(self, resumed_store):
-        store, run_id, resumed = resumed_store
-        assert resumed.site_marks == _slice_marks(store, run_id)
-        assert store.load_log(run_id).site_marks == resumed.site_marks
+        store, run_id, clean = resumed_store
+        assert clean.site_marks == _slice_marks(store, run_id)
+        assert store.load_log(run_id).site_marks == clean.site_marks
 
 
 def _slice_marks(store, run_id):
@@ -199,7 +202,8 @@ def _slice_marks(store, run_id):
 
 
 class TestSiteMarks:
-    """Every producer's ``site_marks`` equal its stored run's slices."""
+    """Every stored run loads back with ``site_marks`` equal to its
+    slices and to a plain in-memory crawl's marks."""
 
     SITES = 24
 
@@ -214,10 +218,10 @@ class TestSiteMarks:
         fresh = stored_crawl(sharded, universe, vantage, "openwpm:porn",
                              domains)
         run_id = self._run_id(sharded, universe, vantage, domains)
+        assert fresh == run_id
         marks = _slice_marks(sharded, run_id)
         assert [mark[0] for mark in marks] == list(domains)
-        assert fresh.site_marks == marks
-        assert sharded.load_log(run_id).site_marks == marks
+        assert sharded.load_log(fresh).site_marks == marks
         # A crawl without a store marks the same bounds.
         plain = OpenWPMCrawler(universe, vantage).crawl(domains)
         assert plain.site_marks == marks
@@ -231,13 +235,18 @@ class TestSiteMarks:
         with CrawlStore(str(tmp_path / "e0"), shards=SHARDS) as base, \
                 CrawlStore(str(tmp_path / "e1"), shards=SHARDS) as store:
             stored_crawl(base, universe, vantage, "openwpm:porn", domains)
-            log = stored_crawl(
+            run = stored_crawl(
                 store, evolved, vantage, "openwpm:porn", domains,
                 baseline=base,
                 progress=lambda event, **fields: events.append(event))
             run_id = self._run_id(store, evolved, vantage, domains)
+            assert run == run_id
             assert "site_spliced" in events
-            assert log.site_marks == _slice_marks(store, run_id)
+            spliced = store.load_log(run)
+            assert spliced.site_marks == _slice_marks(store, run_id)
+        plain = OpenWPMCrawler(evolved, vantage).crawl(domains)
+        assert spliced == plain
+        assert spliced.site_marks == plain.site_marks
 
     def test_fork_executor(self, tmp_path, universe, vantage_points,
                            crawlable_porn):
@@ -255,7 +264,11 @@ class TestSiteMarks:
             for outcome in outcomes:
                 vantage = vantage_points.point(outcome.country)
                 run_id = self._run_id(store, universe, vantage, domains)
-                assert outcome.log.site_marks == _slice_marks(store, run_id)
+                assert outcome.log is None and outcome.run == run_id
+                marks = _slice_marks(store, run_id)
+                assert store.load_log(outcome.run).site_marks == marks
+                plain = OpenWPMCrawler(universe, vantage).crawl(domains)
+                assert plain.site_marks == marks
 
 
 class TestStoreOnlyStudy:
@@ -294,9 +307,10 @@ class TestCursorEdgeCases:
                   if shard_of_domain(d, SHARDS) == 0]
         assert subset and len(subset) < len(crawlable_porn)
         vantage = vantage_points.point("ES")
-        log = stored_crawl(sharded, universe, vantage, "openwpm:porn",
-                           subset)
-        run_id = sharded.run_manifests()[0].run_id
+        run_id = stored_crawl(sharded, universe, vantage, "openwpm:porn",
+                              subset)
+        assert run_id == sharded.run_manifests()[0].run_id
+        log = OpenWPMCrawler(universe, vantage).crawl(subset)
         for index in range(1, SHARDS):
             conn = sharded._conn(index)
             assert conn.execute("SELECT COUNT(*) FROM visits").fetchone() \
