@@ -31,10 +31,11 @@ serve-check:
 delta-check:
 	$(PYTHON) benchmarks/delta_check.py
 
-## Incremental-analysis gate (used by CI): warm the map/merge aggregate
-## cache on the seed epoch, delta-crawl one evolved epoch (~5% churn),
-## then render every section incrementally and monolithically and require
-## byte-identical output, a hit-dominated epoch pass, and a >= 3x
-## speedup.  Tune the scale with REPRO_INCREMENTAL_CHECK_SCALE.
+## Incremental-analysis gate (used by CI): crawl the seed epoch, delta-
+## crawl one evolved epoch (~5% churn; sites splice their partials with
+## their rows), then render every section from the partials at rest and
+## by mapping every site from its rows, and require byte-identical
+## output, an epoch pass that maps nothing, and a >= 3x speedup.  Tune
+## the scale with REPRO_INCREMENTAL_CHECK_SCALE.
 incremental-check:
 	$(PYTHON) benchmarks/incremental_check.py

@@ -7,8 +7,8 @@ twice in streaming mode — once as a delta crawl splicing
 provably-unchanged sites out of the baseline, once as a full re-crawl.
 FAILS if any of:
 
-* the two epoch-1 stores are not **byte-identical** (every event row of
-  every run, positions included);
+* the two epoch-1 stores are not **byte-identical** (every event row
+  and every stored partial of every run, positions included);
 * any rendered section diverges between a store-only study over the
   delta store and one over the full store — every table/figure the
   stores can support is rendered from each, in this process, and diffed
@@ -61,11 +61,13 @@ def _scale() -> float:
 
 
 def _store_digest(store) -> str:
-    """SHA-256 over every stored event row of every run, in manifest order.
+    """SHA-256 over every stored event row and partial of every run, in
+    manifest order.
 
     Positions are included (they are part of the row tuples), so two
-    stores digest equal only if they hold byte-identical event tables —
-    the probe's parity check against the full re-crawl.
+    stores digest equal only if they hold byte-identical event and
+    partials tables — the probe's parity check against the full
+    re-crawl.
     """
     digest = hashlib.sha256()
     manifests = sorted(store.run_manifests(),
@@ -79,6 +81,8 @@ def _store_digest(store) -> str:
             for row in store.event_rows_in_range(manifest.run_id, table,
                                                  0, 1 << 60):
                 digest.update(repr(row).encode())
+        for row in store.partial_rows(manifest.run_id):
+            digest.update(repr(row).encode())
     return digest.hexdigest()
 
 

@@ -1,26 +1,29 @@
-"""``make incremental-check``: correctness + speedup gate for the
-incremental map/merge analysis engine.
+"""``make incremental-check``: correctness + speedup gate for partials at
+rest, the incremental map/merge analysis.
 
 Runs the incremental probe (:func:`run_incremental_probe`) in a fresh
-process: crawl the seed epoch, render every supported section through
-the aggregate cache (the cold pass persists one partial per site per
-analysis), delta-crawl one evolved epoch (5% content churn), then
-render the epoch-1 sections twice — incremental **first**, so the
-monolithic pass that follows inherits any warm OS caches and the
+process: crawl the seed epoch (each checkpoint writes the site's
+partials beside its rows), delta-crawl one evolved epoch (5% content
+churn: unchanged sites splice their rows and partials, churned sites
+are crawled and mapped), then render the epoch-1 sections twice — from
+the partials at rest **first**, then from a copy of the store without
+them, which maps every site's partials from its stored rows, so the
 reported speedup is conservative.  FAILS if any of:
 
-* any rendered section differs between the incremental and monolithic
-  studies — the cache must be byte-invisible, in-probe *and* re-rendered
+* any rendered section differs between the at-rest and mapped renders
+  — partials at rest must be byte-invisible, in-probe *and* re-rendered
   here from the stores the probe left behind (an independent process,
   so a stale in-memory structure can't mask a divergence);
-* the epoch-1 pass has **zero cache hits** (unchanged sites must merge
-  from epoch-0 partials) or zero misses (churned sites must re-map);
-* the incremental-vs-monolithic **speedup** is below the 3.0x floor (at
-  5% churn, ~95% of per-site maps are skipped);
-* the epoch-1 Selenium inspection pass, run through the cache after an
-  epoch-0 pass warmed it, differs from an uncached pass over the same
-  corpus in any site, or re-inspects no site or every site.  The number
-  of re-inspected sites is printed.
+* the at-rest render reads **no** partial, or maps **any** (every
+  site's partials, spliced and freshly crawled alike, must be at rest),
+  or the delta crawl spliced no site or crawled none (churned sites
+  must be mapped at crawl time);
+* the at-rest-vs-mapped **speedup** is below the 3.0x floor (at 5%
+  churn, ~95% of per-site maps were spliced rather than run);
+* the epoch-1 Selenium inspection pass, run through the aggregate cache
+  after an epoch-0 pass warmed it, differs from an uncached pass over
+  the same corpus in any site, or re-inspects no site or every site.
+  The number of re-inspected sites is printed.
 
 The section set covers everything a single-vantage porn + regular crawl
 feeds (Tables 2-6, Figures 3-4, the malware rollup); Tables 1/7/8 need
@@ -39,6 +42,7 @@ import json
 import os
 import pathlib
 import shutil
+import sqlite3
 import subprocess
 import sys
 import tempfile
@@ -64,24 +68,54 @@ def _scale() -> float:
                                 str(DEFAULT_SCALE)))
 
 
-def run_incremental_probe(scale: float, store_dir: str) -> dict:
-    """Cached map/merge analysis of an evolved epoch vs. monolithic.
+def _without_partials(path: str, target: str) -> str:
+    """A copy of the store at ``path`` whose partials are deleted: a
+    render over it maps every site's partials from the stored rows."""
+    from repro.datastore import CrawlStore
 
-    Crawls the seed epoch, renders every supported section through the
-    aggregate cache (the cold pass maps each site once and persists the
-    partials), delta-crawls one evolved epoch, then renders the epoch-1
-    sections both ways — **incremental first**, so the monolithic
-    reference that follows inherits any warm OS page caches and the
-    reported speedup is conservative — and byte-compares every section.
-    Each side is timed as min-of-2 (the epoch pass is repeatable because
-    the cache rows it adds are rolled back between runs),
-    with the standing heap frozen before every timed render; both keep
-    scheduler and collector noise from deciding the ratio.  Only churned
-    sites should miss on the epoch-1 pass; everything else is merged
-    from epoch-0 partials.
+    shutil.copytree(path, target)
+    with CrawlStore(target) as store:
+        shards = store.shard_count
+    for index in range(shards):
+        connection = sqlite3.connect(
+            os.path.join(target, f"shard-{index:04d}.sqlite"))
+        with connection:
+            connection.execute("DELETE FROM partials")
+        connection.close()
+    return target
+
+
+def _render(store_path: str):
+    """Every supported section from a store-only study, and how many
+    partials it read at rest and mapped."""
+    from repro import Study
+    from repro.datastore import CrawlStore
+    from repro.reporting import render_section
+    from repro.webgen.builder import build_universe
+
+    store = CrawlStore(store_path)
+    config = store.stored_config()
+    study = Study(build_universe(config), store=store, store_only=True)
+    try:
+        sections = {name: render_section(study, config.scale, name)
+                    for name in SECTIONS}
+        return sections, study.partial_counts()
+    finally:
+        store.close()
+
+
+def run_incremental_probe(scale: float, store_dir: str) -> dict:
+    """The at-rest render of an evolved epoch vs. mapping every site.
+
+    Crawls the seed epoch, delta-crawls one evolved epoch, then renders
+    the epoch-1 sections from its partials at rest **first** and from a
+    copy without them second, and byte-compares every section.  Each
+    side is timed as min-of-2, with the standing heap frozen before
+    every timed render; both keep scheduler and collector noise from
+    deciding the ratio.
     """
     from repro import Study, UniverseConfig
-    from repro.datastore import CrawlStore, aggregates_path, stored_crawl
+    from repro.datastore import CrawlStore, stored_crawl
     from repro.reporting import render_section
     from repro.webgen.builder import build_universe
 
@@ -99,23 +133,6 @@ def run_incremental_probe(scale: float, store_dir: str) -> dict:
         # as after ``repro study --store``.
         Study(universe, parallelism=1, store=store).corpus_domains()
 
-    def render_all(study, config):
-        return {name: render_section(study, config.scale, name)
-                for name in SECTIONS}
-
-    base_config = UniverseConfig(scale=scale, churn=CHURN)
-    base_universe = build_universe(base_config)
-    base_study = Study(base_universe, parallelism=1)
-    domains = base_study.corpus_domains()
-    regular = base_universe.reference_regular_corpus()
-    vantage = base_study.vantage_points.point(base_study.home_country)
-
-    # Epoch 0: crawl, then warm the aggregate cache (the cold pass).
-    base_path = os.path.join(store_dir, "epoch0")
-    base_store = CrawlStore(base_path)
-    crawl_both(base_store, base_universe, domains, regular, vantage)
-    record_corpus(base_store, base_universe)
-
     def settle_heap():
         # Each timed pass allocates against whatever standing heap the
         # earlier phases left behind, and a full collection scans all of
@@ -128,17 +145,33 @@ def run_incremental_probe(scale: float, store_dir: str) -> dict:
         gc.collect()
         gc.freeze()
 
-    warm_study = Study(build_universe(base_config),
-                      store=base_store, store_only=True,
-                      aggregate_cache=True)
-    settle_heap()
-    start = clock()
-    render_all(warm_study, base_config)
-    warm_seconds = clock() - start
-    cold_stats = warm_study.aggregate_cache.stats.as_dict()
+    def timed_render(path, config):
+        best = None
+        for _ in range(2):
+            study = Study(build_universe(config), store=path,
+                          store_only=True)
+            settle_heap()
+            start = clock()
+            sections = {name: render_section(study, config.scale, name)
+                        for name in SECTIONS}
+            elapsed = clock() - start
+            counts = study.partial_counts()
+            study.close()
+            best = elapsed if best is None else min(best, elapsed)
+        return sections, counts, best
 
-    # Epoch 1: delta crawl.  The ``-e1`` suffix routes the epoch store
-    # to the *base* store's cache file, exactly as epoch jobs do.
+    base_config = UniverseConfig(scale=scale, churn=CHURN)
+    base_universe = build_universe(base_config)
+    base_study = Study(base_universe, parallelism=1)
+    domains = base_study.corpus_domains()
+    regular = base_universe.reference_regular_corpus()
+    vantage = base_study.vantage_points.point(base_study.home_country)
+
+    base_path = os.path.join(store_dir, "epoch0")
+    base_store = CrawlStore(base_path)
+    crawl_both(base_store, base_universe, domains, regular, vantage)
+    record_corpus(base_store, base_universe)
+
     evolved_config = UniverseConfig(scale=scale, churn=CHURN, epoch=1)
     epoch_path = base_path + "-e1"
     epoch_store = CrawlStore(epoch_path)
@@ -146,78 +179,33 @@ def run_incremental_probe(scale: float, store_dir: str) -> dict:
     crawl_both(epoch_store, evolved_universe, domains, regular, vantage,
                baseline=base_store)
     record_corpus(epoch_store, evolved_universe)
-    assert aggregates_path(epoch_path) == aggregates_path(base_path)
+    spliced = crawled = 0
+    for manifest in epoch_store.run_manifests():
+        stats = (manifest.stats or {}).get("delta") or {}
+        spliced += stats.get("spliced", 0)
+        crawled += stats.get("crawled", 0)
+    epoch_store.close()
 
-    # The epoch pass mutates the cache (it persists the churned sites'
-    # fresh partials under brand-new content hashes — pure inserts), so
-    # it can be repeated exactly by deleting the rows it added: record
-    # the pre-pass rowid high-water mark, render, roll back past it,
-    # render again.  min-of-2 defends both sides of the ratio against
-    # scheduler noise equally.
-    import sqlite3 as _sqlite3
+    at_rest_sections, at_rest, at_rest_seconds = timed_render(
+        epoch_path, evolved_config)
+    mapped_path = _without_partials(epoch_path, epoch_path + "-mapped")
+    mapped_sections, _counts, mapped_seconds = timed_render(
+        mapped_path, evolved_config)
 
-    cache_path = aggregates_path(epoch_path)
-
-    def _cache_high_water() -> int:
-        with _sqlite3.connect(cache_path) as conn:
-            row = conn.execute(
-                "SELECT COALESCE(MAX(rowid), 0) FROM analysis_aggregates"
-            ).fetchone()
-        return row[0]
-
-    def _cache_rollback(high_water: int) -> None:
-        with _sqlite3.connect(cache_path) as conn:
-            conn.execute(
-                "DELETE FROM analysis_aggregates WHERE rowid > ?",
-                (high_water,),
-            )
-
-    high_water = _cache_high_water()
-    incremental_study = Study(build_universe(evolved_config),
-                              store=epoch_store, store_only=True,
-                              aggregate_cache=True)
-    settle_heap()
-    start = clock()
-    incremental_sections = render_all(incremental_study, evolved_config)
-    incremental_seconds = clock() - start
-    epoch_stats = incremental_study.aggregate_cache.stats.as_dict()
-
-    incremental_study.aggregate_cache.close()
-    _cache_rollback(high_water)
-    repeat_study = Study(build_universe(evolved_config),
-                         store=epoch_store, store_only=True,
-                         aggregate_cache=True)
-    settle_heap()
-    start = clock()
-    repeat_sections = render_all(repeat_study, evolved_config)
-    incremental_seconds = min(incremental_seconds, clock() - start)
-    assert repeat_sections == incremental_sections
-    assert repeat_study.aggregate_cache.stats.as_dict() == epoch_stats
-
-    full_seconds = None
-    for _ in range(2):
-        full_study = Study(build_universe(evolved_config),
-                           store=epoch_store, store_only=True)
-        settle_heap()
-        start = clock()
-        full_sections = render_all(full_study, evolved_config)
-        elapsed = clock() - start
-        full_seconds = elapsed if full_seconds is None \
-            else min(full_seconds, elapsed)
-
-    cache = repeat_study.aggregate_cache
+    with CrawlStore(epoch_path) as store:
+        stats = store.partial_stats()
     return {
-        "cold": cold_stats,
-        "hits": epoch_stats["hits"],
-        "misses": epoch_stats["misses"],
-        "cached_rows": cache.row_count(),
-        "cached_bytes": cache.total_bytes(),
-        "warm_seconds": round(warm_seconds, 4),
-        "incremental_seconds": round(incremental_seconds, 4),
-        "full_seconds": round(full_seconds, 4),
-        "speedup": round(full_seconds / incremental_seconds, 2)
-        if incremental_seconds else None,
-        "tables_identical": incremental_sections == full_sections,
+        "spliced": spliced,
+        "crawled": crawled,
+        "read": at_rest["read"],
+        "mapped": at_rest["mapped"],
+        "partial_rows": sum(rows for rows, _ in stats.values()),
+        "partial_bytes": sum(size for _, size in stats.values()),
+        "at_rest_seconds": round(at_rest_seconds, 4),
+        "mapped_seconds": round(mapped_seconds, 4),
+        "speedup": round(mapped_seconds / at_rest_seconds, 2)
+        if at_rest_seconds else None,
+        "tables_identical": at_rest_sections == mapped_sections,
     }
 
 
@@ -228,23 +216,6 @@ def _run_probe(store_dir: str) -> dict:
     if result.returncode != 0:
         raise RuntimeError(f"incremental probe failed:\n{result.stderr}")
     return json.loads(result.stdout)
-
-
-def _render_sections(store_path: str, *, incremental: bool) -> dict:
-    """Every supported section from a store-only study, either path."""
-    from repro import Study
-    from repro.datastore import CrawlStore
-    from repro.reporting import render_section
-    from repro.webgen.builder import build_universe
-
-    store = CrawlStore(store_path)
-    config = store.stored_config()
-    study = Study(build_universe(config), store=store,
-                  store_only=True, aggregate_cache=incremental or None)
-    sections = {name: render_section(study, config.scale, name)
-                for name in SECTIONS}
-    stats = study.aggregate_cache.stats.as_dict() if incremental else None
-    return sections, stats
 
 
 def _check_inspections(store_dir: str):
@@ -281,52 +252,49 @@ def main() -> int:
         print(f"incremental-check: scale {_scale()}, churn {CHURN}, "
               f"speedup floor {SPEEDUP_FLOOR}x")
         probe = _run_probe(store_dir)
-        print(f"  cold pass: {probe['cold']['misses']} partials mapped, "
-              f"{probe['cached_rows']} rows "
-              f"({probe['cached_bytes'] / 1024:.0f} KiB) cached "
-              f"in {probe['warm_seconds']:.2f}s")
-        print(f"  epoch pass: {probe['hits']} hits / {probe['misses']} "
-              f"misses; monolithic {probe['full_seconds']:.2f}s vs "
-              f"incremental {probe['incremental_seconds']:.2f}s "
-              f"-> {probe['speedup']}x")
+        print(f"  delta crawl: {probe['spliced']} sites spliced, "
+              f"{probe['crawled']} crawled; {probe['partial_rows']} "
+              f"partials at rest ({probe['partial_bytes'] / 1024:.0f} KiB)")
+        print(f"  epoch pass: {probe['read']} partials read at rest, "
+              f"{probe['mapped']} mapped; mapping every site "
+              f"{probe['mapped_seconds']:.2f}s vs at rest "
+              f"{probe['at_rest_seconds']:.2f}s -> {probe['speedup']}x")
 
         failed = False
         if not probe["tables_identical"]:
-            print("FAIL: incremental sections diverge from the "
-                  "monolithic reference in-probe", file=sys.stderr)
+            print("FAIL: at-rest sections diverge from the mapped "
+                  "reference in-probe", file=sys.stderr)
             failed = True
-        if probe["hits"] == 0:
-            print("FAIL: epoch pass hit nothing — unchanged sites must "
-                  "merge from cached partials", file=sys.stderr)
+        if probe["read"] == 0 or probe["mapped"] != 0:
+            print(f"FAIL: the at-rest render read {probe['read']} and "
+                  f"mapped {probe['mapped']} partials — every partial "
+                  "must be at rest", file=sys.stderr)
             failed = True
-        if probe["misses"] == 0:
-            print("FAIL: epoch pass missed nothing — churned sites must "
-                  "be re-mapped", file=sys.stderr)
+        if probe["spliced"] == 0 or probe["crawled"] == 0:
+            print("FAIL: the delta crawl must splice unchanged sites and "
+                  "crawl (and map) the churned ones", file=sys.stderr)
             failed = True
         if probe["speedup"] is None or probe["speedup"] < SPEEDUP_FLOOR:
-            print(f"FAIL: incremental speedup {probe['speedup']}x is "
+            print(f"FAIL: at-rest speedup {probe['speedup']}x is "
                   f"below the {SPEEDUP_FLOOR}x floor", file=sys.stderr)
             failed = True
 
         # Independent re-render: a fresh process over the stores the
-        # probe left behind, through the now-warm cache vs. monolithic.
+        # probe left behind, at rest vs. mapping every site.
         epoch_store = os.path.join(store_dir, "epoch0-e1")
-        incremental_sections, stats = _render_sections(epoch_store,
-                                                       incremental=True)
-        monolithic_sections, _ = _render_sections(epoch_store,
-                                                  incremental=False)
-        if stats["misses"] != 0:
-            print(f"FAIL: warm re-render missed {stats['misses']} "
-                  "partials — every epoch-1 partial should be cached by "
-                  "now", file=sys.stderr)
+        at_rest_sections, counts = _render(epoch_store)
+        mapped_sections, _ = _render(epoch_store + "-mapped")
+        if counts["mapped"] != 0:
+            print(f"FAIL: the re-render mapped {counts['mapped']} "
+                  "partials — every epoch-1 partial is at rest",
+                  file=sys.stderr)
             failed = True
         for name in SECTIONS:
-            if incremental_sections[name] == monolithic_sections[name]:
+            if at_rest_sections[name] == mapped_sections[name]:
                 print(f"  {name}: identical")
             else:
-                print(f"FAIL: section {name} diverges between the "
-                      "incremental and monolithic renders",
-                      file=sys.stderr)
+                print(f"FAIL: section {name} diverges between the at-rest "
+                      "and mapped renders", file=sys.stderr)
                 failed = True
 
         identical, reinspected, sites = _check_inspections(store_dir)

@@ -76,10 +76,11 @@ def _add_store(parser: argparse.ArgumentParser) -> None:
                              "re-rendering (results byte-identical to a "
                              "full crawl; any other store: a full crawl)")
     parser.add_argument("--incremental", action="store_true",
-                        help="cache per-site analysis partials next to the "
-                             "store and reuse them across epochs: only "
-                             "churned sites are re-analyzed, tables stay "
-                             "byte-identical to a full recompute")
+                        help="cache the per-site sanitize verdicts and "
+                             "Selenium inspections next to the store and "
+                             "reuse them across epochs: only churned "
+                             "sites are re-visited, output stays "
+                             "byte-identical")
 
 
 def _config(args: argparse.Namespace) -> UniverseConfig:
@@ -90,12 +91,13 @@ def _config(args: argparse.Namespace) -> UniverseConfig:
 
 def _open_store(path: str, shards=None):
     """Open (or create) a crawl store; a path that is not one — such as
-    a legacy single-file store — exits 1 with the reason."""
-    from .datastore import CrawlStore
+    a legacy single-file store, or one of an older schema — exits 1
+    with the reason."""
+    from .datastore import CrawlStore, SchemaError
 
     try:
         return CrawlStore(path, shards=shards)
-    except ValueError as exc:
+    except (ValueError, SchemaError) as exc:
         raise SystemExit(f"error: {exc}")
 
 
@@ -108,7 +110,7 @@ def _build_study(args: argparse.Namespace) -> Study:
     incremental = bool(getattr(args, "incremental", False))
     if incremental and store is None:
         raise SystemExit("error: --incremental requires --store "
-                         "(the partial cache lives next to the store)")
+                         "(the cache lives next to the store)")
     return Study(build_universe(config),
                  store=store and _open_store(
                      store, getattr(args, "store_shards", None)),
@@ -251,13 +253,10 @@ def cmd_report(args: argparse.Namespace) -> int:
               "`repro study --store` first", file=sys.stderr)
         return 1
     # The synthetic universe is rebuilt (cheap, deterministic) for the
-    # analyses' lookup tables; crawl data streams from the store and no
-    # browser session is ever started.  Each run is mapped in one pass
-    # (forked workers when there are cores for them) before the sections
-    # merge the partials.
-    study = Study(build_universe(config), store=store,
-                  store_only=True,
-                  aggregate_cache=args.incremental or None)
+    # analyses' lookup tables; no browser session is ever started.  Each
+    # run's partials, written by the crawl beside its rows, are read in
+    # one pass before the sections merge them.
+    study = Study(build_universe(config), store=store, store_only=True)
     try:
         study.prefetch_partials(geo=args.geo)
         _render_study(study, config.scale, args.geo)
@@ -268,16 +267,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
-    from .datastore import AggregateStore, MissingRunError, aggregates_path
+    from .datastore import MissingRunError
     from .reporting import trend_report
     from .webgen.builder import build_universe
 
-    # One shared partial cache for the whole series: every epoch store of
-    # a longitudinal run resolves to the same base cache file (the -eN
-    # suffix is stripped), so spliced sites analyzed at epoch N are cache
-    # hits at every later epoch.
-    cache = (AggregateStore(aggregates_path(args.stores[0]))
-             if args.incremental else None)
     studies = []
     stores = []
     for path in args.stores:
@@ -291,7 +284,7 @@ def cmd_trend(args: argparse.Namespace) -> int:
         studies.append(
             (config.epoch,
              Study(build_universe(config), store=store,
-                   store_only=True, aggregate_cache=cache))
+                   store_only=True))
         )
     epochs = [epoch for epoch, _ in studies]
     if len(set(epochs)) != len(epochs):
@@ -311,12 +304,8 @@ def cmd_trend(args: argparse.Namespace) -> int:
         for path, epoch, store in sorted(stores, key=lambda item: item[1]):
             counts = store.io_stats
             print(f"epoch {epoch} ({path}): {counts['opens']} connection "
-                  f"opens, {counts['scans']} event scans")
-        if cache is not None:
-            stats = cache.stats
-            print(f"aggregate cache: {stats.hits} hits / "
-                  f"{stats.misses} misses over {len(stores)} epochs "
-                  f"({cache.row_count()} rows)")
+                  f"opens, {counts['partial_scans']} partial scans, "
+                  f"{counts['scans']} event scans")
     return 0
 
 
@@ -370,6 +359,7 @@ def cmd_store_info(args: argparse.Namespace) -> int:
     if args.verbose:
         if config is not None:
             _print_artifact_info(store, config)
+        _print_partial_info(store)
         _print_aggregate_info(store)
     return 0
 
@@ -393,8 +383,18 @@ def _print_artifact_info(store, config) -> None:
               "the missing artifacts; `repro report` needs both")
 
 
+def _print_partial_info(store) -> None:
+    """The partials-at-rest block of ``repro store info -v``."""
+    stats = store.partial_stats()
+    print(f"\npartials: {sum(n for n, _ in stats.values())} rows "
+          f"({sum(size for _, size in stats.values())} payload bytes)")
+    for name, (count, size) in stats.items():
+        print(f"    {name}: {count} rows, {size} bytes")
+
+
 def _print_aggregate_info(store) -> None:
-    """The aggregate-cache block of ``repro store info -v``."""
+    """The aggregate-cache block of ``repro store info -v``: the cached
+    sanitize verdicts and inspections."""
     import os
 
     from .datastore import AggregateStore, aggregates_path
@@ -404,13 +404,8 @@ def _print_aggregate_info(store) -> None:
         return
     cache = AggregateStore(path)
     try:
-        rows = cache.row_count()
-        per_analysis = cache.per_analysis_rows()
-        listing = ", ".join(f"{name}: {count}"
-                            for name, count in sorted(per_analysis.items()))
         print(f"\naggregate cache: {path}")
-        print(f"    {rows} partials ({cache.total_bytes()} payload bytes)"
-              + (f" — {listing}" if listing else ""))
+        print(f"    {cache.row_count()} sanitize/inspection rows")
         last = cache.last_study_stats()
         if last:
             lookups = last["hits"] + last["misses"]
@@ -435,6 +430,7 @@ def cmd_store_reshard(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from .datastore import SchemaError
     from .service import ReproServer
 
     try:
@@ -443,7 +439,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers, store_shards=args.store_shards,
             verbose=args.verbose,
         )
-    except ValueError as exc:  # not a store this version opens
+    except (ValueError, SchemaError) as exc:  # not a store this opens
         raise SystemExit(f"error: {exc}")
     # Flushed before blocking so wrapper scripts can scrape the bound
     # port (--port 0 binds an ephemeral one).
@@ -527,10 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="crawl datastore written by study/crawl --store")
     report.add_argument("--geo", action="store_true",
                         help="include the six-country Table 7")
-    report.add_argument("--incremental", action="store_true",
-                        help="serve per-site partials from the aggregate "
-                             "cache next to the store (byte-identical "
-                             "tables; only churned sites re-analyzed)")
     report.set_defaults(func=cmd_report)
 
     trend = subparsers.add_parser(
@@ -539,13 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     trend.add_argument("stores", metavar="STORE", nargs="+",
                        help="one crawl store per epoch (any order); each "
                             "written by `repro study --store --epoch N`")
-    trend.add_argument("--incremental", action="store_true",
-                       help="share one aggregate cache across the series: "
-                            "1 full analysis pass + (K-1) churn-sized "
-                            "passes instead of K full passes")
     trend.add_argument("--stats", action="store_true",
-                       help="print per-epoch store open/scan counts (and "
-                            "cache hit rates under --incremental)")
+                       help="print per-epoch store open/scan counts")
     trend.set_defaults(func=cmd_trend)
 
     store = subparsers.add_parser("store", help="inspect a crawl datastore")
@@ -553,8 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
     info = store_sub.add_parser("info", help="print run manifests")
     info.add_argument("path", help="path to the datastore")
     info.add_argument("--verbose", "-v", action="store_true",
-                      help="include run keys, cache hit/miss counters "
-                           "and the report's stored artifacts")
+                      help="include run keys, cache hit/miss counters, "
+                           "the stored partials per analysis and the "
+                           "report's stored artifacts")
     info.add_argument("--shards", action="store_true",
                       help="list per-shard file sizes and row counts")
     info.set_defaults(func=cmd_store_info)

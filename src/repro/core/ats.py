@@ -51,6 +51,10 @@ class ATSClassifier:
         return cls(FilterList.from_text(easylist_text),
                    FilterList.from_text(easyprivacy_text))
 
+    def without_memo(self) -> "ATSClassifier":
+        """The same rules with an empty match memo."""
+        return ATSClassifier(self.easylist, self.easyprivacy)
+
     def matches_url(self, url: str, *, first_party_host: str = "",
                     resource_type: str = "script") -> bool:
         """Full-URL match against both lists (the strict method)."""

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 from ...browser.events import CrawlLog
 from ...cache import BoundedCache, content_key
 from ...html.dom import Element
-from ...html.parser import parse_html_cached
+from ...html.parser import parse_html
 from ...html.query import find_all
 from ...text.langs import COOKIE_BANNER_KEYWORDS, all_keywords
 
@@ -113,10 +113,11 @@ def _detect(html: str) -> Optional[tuple]:
     lowered_html = html.lower()
     if not any(word in lowered_html for word in _COOKIE_WORDS):
         return None
-    # Read-only DOM walk, so the shared content-hash parse cache is
-    # safe — identical markup served to several vantage points parses
-    # once per process.
-    observation = _walk_for_banner(parse_html_cached(html), "")
+    # Identical markup served to several vantage points is detected
+    # once per process (``_DETECTION_CACHE``), so the DOM is not kept:
+    # a crawl maps every landing page once and would only fill the
+    # shared parse cache with pages nobody parses again.
+    observation = _walk_for_banner(parse_html(html), "")
     if observation is None:
         return None
     return (observation.banner_type, observation.text)

@@ -91,12 +91,13 @@ def _url_tokens(url: str) -> List[str]:
 def detect_cookie_sync(log: CrawlLog) -> SyncReport:
     """Scan a crawl log for cookie values reappearing in request URLs.
 
-    The merge of :func:`~repro.core.mapmerge.map_sync` over the log's
-    per-site row groups (:meth:`~repro.browser.events.CrawlLog.site_groups`):
-    the merge replays every site's cookie and request events in global
-    ``seq`` order, so values travel across sites as in one scan.
+    The merge of :func:`~repro.core.mapmerge.map_sync` over the whole
+    log as one group: its events' offsets are their global ``seq``
+    order, so values travel across sites as in one scan whatever order
+    the log keeps its sites' rows in.  A crawl's per-site partials merge
+    to the same report, since each site draws the ``seq`` range after
+    the previous site's.
     """
     from .mapmerge import map_sync, merge_sync
 
-    return merge_sync([map_sync(site.cookies, site.requests)
-                       for site in log.site_groups()])
+    return merge_sync([map_sync(log.cookies, log.requests)])

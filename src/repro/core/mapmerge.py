@@ -2,12 +2,13 @@
 
 Each analysis of a crawl run is ``merge(map(one site's rows) for each
 site, in run order)``.  The study feeds the pairs through
-:class:`~repro.datastore.incremental.IncrementalRunAnalyzer` (rows from
-an in-memory log or the store, partials optionally from the aggregate
-cache); the whole-log entry points (``label_parties``,
-``ATSClassifier.classify_log``, ``analyze_cookies``, ``analyze_https``,
-``analyze_banners``, ``detect_cookie_sync``) are the same merges over
-:meth:`~repro.browser.events.CrawlLog.site_groups`.  Fingerprinting and
+:class:`~repro.datastore.incremental.IncrementalRunAnalyzer` (partials
+mapped from an in-memory log, or read from the store, where each crawled
+site's partials are written with its rows); the whole-log entry points
+(``label_parties``, ``ATSClassifier.classify_log``, ``analyze_cookies``,
+``analyze_https``, ``analyze_banners``) are the same merges over
+:meth:`~repro.browser.events.CrawlLog.site_groups`, and
+``detect_cookie_sync`` merges the whole log as one group.  Fingerprinting and
 malware merge into their shared whole-log analyzers
 (``analyze_fingerprinting``, ``malware_report``) instead; malware needs
 only the ``visits`` partial, which carries the site's miner calls.  The
@@ -27,10 +28,12 @@ ordinals for interleavings), and every merge replays those operations
 in run order, which gives the merged containers the insertion history
 of one scan over the whole run.
 
-Partials are plain tuples/dicts of primitives: picklable, versioned via
-:data:`ANALYSIS_VERSIONS` (bump a version whenever a map function's
-output or semantics change — the aggregate cache keys on it), and small
-(no HTML, no raw rows).
+Partials are plain tuples/dicts of primitives: marshal-encodable,
+versioned via :data:`ANALYSIS_VERSIONS` (bump a version whenever a map
+function's output or semantics change — a stored partial of another
+version is mapped again from its rows), and small (no HTML, no raw
+rows).  Every dict in a partial is built in one scan order, so equal
+partials encode to equal bytes.
 """
 
 from __future__ import annotations
@@ -90,16 +93,17 @@ __all__ = [
     "map_owners",
 ]
 
-#: Version of each map function's partial format *and* semantics.  Part
-#: of the aggregate-cache key: bumping one orphans every cached partial
-#: of that analysis, forcing a clean recompute.
+#: Version of each map function's partial format *and* semantics,
+#: stored beside every partial at rest (and part of the aggregate-cache
+#: key for ``sanitize`` and ``inspect``): bumping one makes every stored
+#: partial of that analysis stale, forcing a clean recompute.
 ANALYSIS_VERSIONS: Dict[str, int] = {
     "labels": 1,
     "ats": 1,
     "cookies": 1,
     "https": 1,
     "banners": 1,
-    "sync": 1,
+    "sync": 2,
     "jsapi": 1,
     "visits": 4,
     "owners": 1,
@@ -601,11 +605,14 @@ def map_sync(cookies, requests) -> dict:
     up in another site's request URL), so the partial is not a verdict —
     it is the site's *contribution to the global event stream*: every
     long-enough cookie value and every token-bearing request URL, each
-    with its global ``seq``.  URL tokenization (the expensive part) runs
-    here; token-less requests are no-ops in the detector and are dropped.
+    with its offset in the site's ``seq`` range, which a delta crawl's
+    splice does not shift.  URL tokenization (the expensive part) runs
+    here; token-less requests are no-ops in the detector and dropped.
     """
+    base = min([cookie.seq for cookie in cookies]
+               + [record.seq for record in requests], default=0)
     cookie_events = tuple(
-        (cookie.seq, cookie.value, registrable_domain(cookie.domain),
+        (cookie.seq - base, cookie.value, registrable_domain(cookie.domain),
          cookie.name)
         for cookie in cookies
         if len(cookie.value) >= MIN_VALUE_LENGTH
@@ -615,7 +622,7 @@ def map_sync(cookies, requests) -> dict:
         tokens = _url_tokens(record.url)
         if tokens:
             request_events.append(
-                (record.seq, registrable_domain(record.fqdn),
+                (record.seq - base, registrable_domain(record.fqdn),
                  record.page_domain, tuple(tokens))
             )
     return {"cookies": cookie_events, "requests": tuple(request_events)}
@@ -624,35 +631,36 @@ def map_sync(cookies, requests) -> dict:
 def merge_sync(partials: Sequence[dict]) -> SyncReport:
     """Replay the global seq-ordered scan over every site's events.
 
-    Sequence numbers are unique across cookies and requests (each event
-    draws one from the crawl-wide counter), so sorting the concatenated
-    per-site events by ``seq`` reconstructs the crawl's event order: a
-    cookie value is owned by the first domain that set it, and a request
-    carrying it to another domain — on any later site — is a sync.
+    Each event of a site draws one ``seq`` from the crawl-wide counter,
+    and a site's events draw a contiguous range after the previous
+    site's, so ordering the events by (run position, offset within the
+    site) reconstructs the crawl's event order: a cookie value is owned
+    by the first domain that set it, and a request carrying it to
+    another domain — on any later site — is a sync.
     """
-    events: List[Tuple[int, int, tuple]] = []
-    for partial in partials:
-        for seq, value, origin, name in partial["cookies"]:
-            events.append((seq, 0, (value, origin, name)))
-    for partial in partials:
-        for seq, destination, page, tokens in partial["requests"]:
-            events.append((seq, 1, (destination, page, tokens)))
+    events: List[Tuple[Tuple[int, int], int, tuple]] = []
+    for position, partial in enumerate(partials):
+        for offset, value, origin, name in partial["cookies"]:
+            events.append(((position, offset), 0, (value, origin, name)))
+        for offset, destination, page, tokens in partial["requests"]:
+            events.append(((position, offset), 1,
+                           (destination, page, tokens)))
     events.sort(key=lambda item: item[0])
 
     report = SyncReport()
-    value_owner: Dict[str, Tuple[str, str, int]] = {}
-    for seq, kind, payload in events:
+    value_owner: Dict[str, Tuple[str, str]] = {}
+    for _order, kind, payload in events:
         if kind == 0:
             value, origin, name = payload
             if value not in value_owner:
-                value_owner[value] = (origin, name, seq)
+                value_owner[value] = (origin, name)
             continue
         destination, page, tokens = payload
         for token in tokens:
             owner = value_owner.get(token)
             if owner is None:
                 continue
-            origin_domain, cookie_name, _ = owner
+            origin_domain, cookie_name = owner
             if origin_domain == destination:
                 continue
             report.events.append(SyncEvent(
@@ -680,13 +688,14 @@ def map_jsapi(js_calls) -> dict:
     script's row groups calls from *all* its sites, so the per-site
     partial cannot pre-judge — it carries the raw call facts and the
     merge rebuilds the global stream.  Calls are small (api name + a
-    scalar args dict, shared with the call record rather than copied:
-    partials are read-only); HTML and network rows never enter the
-    partial.
+    scalar args dict); HTML and network rows never enter the partial.
+    Args are copied in key order, as the store writes them, so a
+    partial encodes alike mapped from a live log or stored rows.
     """
     return {
         "calls": tuple(
-            (call.script_url, call.document_host, call.api, call.args)
+            (call.script_url, call.document_host, call.api,
+             dict(sorted(call.args.items())))
             for call in js_calls
         ),
     }

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..html.parser import parse_html_cached
+from ..html.parser import parse_html
 from ..html.query import head, meta_tags
 from ..net.tls import Certificate
 
@@ -82,8 +82,10 @@ def extract_head_organization(html: str) -> Optional[str]:
     head_end = html.find("</head>")
     if head_end != -1:
         html = html[: head_end + len("</head>")]
-    # Read-only queries only, so the shared parse cache is safe.
-    document = parse_html_cached(html)
+    # Not through the shared parse cache: each site's head is mapped
+    # once (when its crawl checkpoints it), so a cached DOM would only
+    # hold memory.
+    document = parse_html(html)
     head_element = head(document)
     if head_element is None:
         return None

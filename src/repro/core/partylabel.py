@@ -92,12 +92,17 @@ class PartyLabels:
         return self.third_party_direct.get(page_domain, set())
 
     def sites_embedding(self, registrable: str) -> Set[str]:
-        """All pages whose direct third parties include the given domain."""
-        pages = set()
-        for page, fqdns in self.third_party_direct.items():
-            if any(registrable_domain(fqdn) == registrable for fqdn in fqdns):
-                pages.add(page)
-        return pages
+        """All pages whose direct third parties include the given domain,
+        from an index the first call builds: ask once the labels are
+        complete (:func:`label_parties` returns them whole)."""
+        index = self.__dict__.get("_embedding_index")
+        if index is None:
+            index = {}
+            for page, fqdns in self.third_party_direct.items():
+                for base in {registrable_domain(fqdn) for fqdn in fqdns}:
+                    index.setdefault(base, []).append(page)
+            self._embedding_index = index
+        return set(index.get(registrable, ()))
 
 
 def _is_first_party(

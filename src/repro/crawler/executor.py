@@ -346,6 +346,12 @@ class CrawlExecutor:
     ) -> List[Union[CrawlOutcome, _WorkerFailure]]:
         global _FORK_CONTEXT
         mp_context = multiprocessing.get_context("fork")
+        if context.store_path is not None:
+            # Every stored site is mapped in its worker: build the
+            # universe's mapper (its filter-list index) once, here, for
+            # the workers to inherit.
+            from ..datastore import SiteMapper
+            SiteMapper.for_universe(context.universe)
         # Per-site progress callbacks would fire inside the children;
         # strip the callable but keep counting, so the parent can replay
         # per-crawl event totals (documented on _WorkerContext).

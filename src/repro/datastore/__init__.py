@@ -3,7 +3,8 @@
 The paper's crawler writes every request, cookie, and JS call to SQLite
 and runs analyses over the stored measurement data; this package gives
 the reproduction the same shape.  :class:`CrawlStore` is the store,
-:func:`stored_crawl` the load-resume-or-crawl entry point, and
+:func:`stored_crawl` the load-resume-or-crawl entry point (each crawled
+site's map/merge partials are written beside its rows), and
 :func:`run_key` the content-hash run identity.
 """
 
@@ -12,9 +13,11 @@ from .delta import delta_crawl
 from .incremental import (
     IncrementalRunAnalyzer,
     LogRows,
+    SiteMapper,
     StoredRows,
     cached_inspections,
     cached_sanitize,
+    run_analyses,
 )
 from .schema import SCHEMA_VERSION, SchemaError
 from .serialize import config_from_json, config_to_json, domains_hash, run_key
@@ -49,6 +52,7 @@ __all__ = [
     "RunState",
     "RunWriter",
     "ShardInfo",
+    "SiteMapper",
     "SiteSlice",
     "StoredRows",
     "delta_crawl",
@@ -56,6 +60,7 @@ __all__ = [
     "config_to_json",
     "domains_hash",
     "reshard_store",
+    "run_analyses",
     "run_key",
     "shard_of_domain",
     "stored_crawl",

@@ -1,48 +1,49 @@
-"""Persistent per-site analysis partials: the map/merge aggregate cache.
+"""Persistent per-site results computed before any crawl: the
+aggregate cache.
 
-The incremental analysis engine (:mod:`repro.datastore.incremental`)
-expresses each cacheable analysis as ``map(site rows) -> partial`` +
-``merge(partials) -> table``.  Partials are tiny compared to the event
-rows they summarize, and — keyed on the site's *analysis* content hash
-(:class:`repro.webgen.evolve.AnalysisHashIndex`) — they stay valid for
-as long as the site's served content and every attribution fact an
-analysis can read stay unchanged.  Across epochs that is the ~95% of
-sites a delta crawl splices, so analyzing epoch N+1 only maps the churn.
+The §3 sanitize verdicts and the Selenium inspection pass are pure
+functions of a site's served content and the vantage, and both run
+before the crawl, so they have no stored rows to sit beside (a crawled
+site's map/merge partials are written with its rows, see
+:mod:`repro.datastore.incremental`).  Keyed on the site's *analysis*
+content hash (:class:`repro.webgen.evolve.AnalysisHashIndex`) they stay
+valid for as long as the site's served content stays unchanged; across
+epochs that is most of the corpus, so an evolved epoch re-sanitizes and
+re-inspects only the churn.
 
 This module is the persistence layer: one small SQLite database holding
 an ``analysis_aggregates`` table next to the shard files.  The primary
-key is the ISSUE's five-tuple ``(analysis_key, analysis_version,
-site_domain, content_hash, run_ref)``:
+key is ``(analysis_key, analysis_version, site_domain, content_hash,
+run_ref)``:
 
-* ``analysis_key`` folds the analysis name together with the run kind,
-  a vantage-point digest, and the ``keep_html`` flag — everything that
-  selects *which* observed rows a site contributes (content hashes are
-  vantage-independent by design, partials are not);
-* ``analysis_version`` is the code version of the map function
+* ``analysis_key`` folds the result's name together with a vantage-point
+  digest (content hashes are vantage-independent by design, what a site
+  shows a vantage is not);
+* ``analysis_version`` is the code version of the producer
   (:data:`repro.core.mapmerge.ANALYSIS_VERSIONS`); bumping it orphans
-  every cached partial of that analysis;
+  every cached row of that result;
 * ``content_hash`` is the self-invalidating part: a churned site hashes
-  differently, so its stale partials are simply never looked up again;
-* ``run_ref`` records provenance (which stored run produced the rows)
-  — lookups deliberately ignore it, because two runs that agree on all
-  other key parts are byte-identical by the store's purity contract.
+  differently, so its stale rows are simply never looked up again;
+* ``run_ref`` records provenance (which candidate or corpus list
+  produced the row) — lookups deliberately ignore it.
 
-Corrupt or unreadable rows are treated as misses (the engine falls back
-to mapping the site), never as answers: a wrong table is the one failure
-mode this cache must not have.
+Payloads are :func:`~repro.datastore.serialize.pack_value` bytes.
+Corrupt or unreadable rows are treated as misses (the caller recomputes
+the site), never as answers: a wrong table is the one failure mode this
+cache must not have.
 """
 
 from __future__ import annotations
 
-import gc
-import marshal
 import os
 import re
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, Optional, Tuple
+
+from .serialize import pack_value, unpack_value
 
 __all__ = ["AggregateStore", "AggregateCacheStats", "aggregates_path"]
 
@@ -72,29 +73,6 @@ CREATE TABLE IF NOT EXISTS aggregate_meta (
 """
 
 
-def _encode(value: object) -> bytes:
-    """Serialize one partial with marshal, behind a one-byte ``M`` tag.
-
-    Partials are plain tuples/dicts of primitives by the map/merge
-    contract, and ``marshal`` decodes those several times faster than
-    pickle — a warm study decodes every partial of the corpus, so the
-    codec is on the hot path.  Marshal also cannot run code on load,
-    which pickle can: the cache file is as exposed as the store it sits
-    in.  A value marshal cannot take raises ``ValueError``.
-    """
-    return b"M" + marshal.dumps(value, 4)
-
-
-def _decode(payload: bytes) -> object:
-    """Inverse of :func:`_encode`; raises on any malformed payload —
-    including the ``P`` (pickle) tag older caches wrote, which is never
-    loaded."""
-    tag, body = payload[:1], payload[1:]
-    if tag == b"M":
-        return marshal.loads(body)
-    raise ValueError(f"unknown aggregate payload tag {tag!r}")
-
-
 def aggregates_path(store_path: str) -> str:
     """Where a store's aggregate cache lives: ``aggregates.sqlite``
     inside the store directory, beside the shard files (as
@@ -113,14 +91,6 @@ class AggregateCacheStats:
     hits: int = 0
     misses: int = 0
     corrupt: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "corrupt": self.corrupt}
 
 
 class AggregateStore:
@@ -158,49 +128,17 @@ class AggregateStore:
 
     # -- the cache proper ----------------------------------------------
 
-    def get(self, analysis_key: str, analysis_version: int,
-            site_domain: str, content_hash: str) -> Optional[object]:
-        """The cached partial for one (analysis, site, content) triple.
-
-        ``run_ref`` is not part of the lookup: any run that agrees on
-        the other four key parts produced identical rows (store purity),
-        so the newest row wins.  Returns ``None`` — and counts a miss —
-        when absent or unreadable.
-        """
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT payload FROM analysis_aggregates"
-                " WHERE analysis_key=? AND analysis_version=?"
-                " AND site_domain=? AND content_hash=?"
-                " ORDER BY created_at DESC LIMIT 1",
-                (analysis_key, analysis_version, site_domain, content_hash),
-            ).fetchone()
-        if row is None:
-            self.stats.misses += 1
-            return None
-        try:
-            value = _decode(row[0])
-        except Exception:
-            # A torn write or bit rot must degrade to a recompute, never
-            # to a wrong table.
-            self.stats.misses += 1
-            self.stats.corrupt += 1
-            return None
-        self.stats.hits += 1
-        return value
-
     def get_many(self, analysis_key: str, analysis_version: int,
                  wanted: Dict[str, str], *,
                  convert: Optional[Callable[[object], object]] = None,
                  ) -> Dict[str, object]:
-        """Batch lookup: ``{site_domain: partial}`` for every hit.
+        """Batch lookup: ``{site_domain: value}`` for every hit.
 
         ``wanted`` maps each site to the content hash it must match.
-        One scan of the analysis's rows replaces one query per site —
-        an incremental study looks every corpus site up on every pass,
-        and the per-call round-trips dominate a fully warm pass.  Hit,
-        miss, and corrupt accounting matches :meth:`get` row for row;
-        like there, the newest row wins when several match.
+        One scan of the result's rows replaces one query per site.  A
+        match counts a hit, a site with none a miss, and a match that
+        fails to decode a miss and a corrupt row; the newest row wins
+        when several match.
         ``convert`` turns each decoded row into the caller's value; a
         row it rejects (raises on) counts as corrupt, like a payload
         that fails to decode.
@@ -220,46 +158,27 @@ class AggregateStore:
             if wanted.get(domain) == content_hash:
                 matched[domain] = payload
         results: Dict[str, object] = {}
-        # Decoding a whole corpus of partials allocates hundreds of
-        # thousands of small tuples in one burst; with a large live heap
-        # (a built universe) the allocation-count trigger would run
-        # several full collections *inside* the burst, each scanning the
-        # whole heap.  None of the new objects are garbage — they all go
-        # into ``results`` — so pause collection for the burst.
-        gc_enabled = gc.isenabled()
-        if gc_enabled:
-            gc.disable()
-        try:
-            for domain, payload in matched.items():
-                try:
-                    value = _decode(payload)
-                    results[domain] = value if convert is None \
-                        else convert(value)
-                    self.stats.hits += 1
-                except Exception:
-                    self.stats.misses += 1
-                    self.stats.corrupt += 1
-        finally:
-            if gc_enabled:
-                gc.enable()
+        for domain, payload in matched.items():
+            try:
+                value = unpack_value(payload)
+                results[domain] = value if convert is None \
+                    else convert(value)
+                self.stats.hits += 1
+            except Exception:
+                self.stats.misses += 1
+                self.stats.corrupt += 1
         self.stats.misses += len(wanted) - len(matched)
         return results
-
-    def put(self, analysis_key: str, analysis_version: int,
-            site_domain: str, content_hash: str, run_ref: str,
-            value: object) -> None:
-        self.put_many([(analysis_key, analysis_version, site_domain,
-                        content_hash, run_ref, value)])
 
     def put_many(
         self,
         rows: Iterable[Tuple[str, int, str, str, str, object]],
     ) -> None:
-        """Insert many partials in one transaction (idempotent)."""
+        """Insert many rows in one transaction (idempotent)."""
         now = time.time()
         encoded = [
             (key, version, domain, content_hash, run_ref,
-             _encode(value), now)
+             pack_value(value), now)
             for key, version, domain, content_hash, run_ref, value in rows
         ]
         if not encoded:
@@ -287,33 +206,11 @@ class AggregateStore:
                 "SELECT COUNT(*) FROM analysis_aggregates"
             ).fetchone()[0]
 
-    def total_bytes(self) -> int:
-        """Total payload bytes cached (not file size — the useful part)."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT COALESCE(SUM(LENGTH(payload)), 0)"
-                " FROM analysis_aggregates"
-            ).fetchone()
-        return row[0]
-
-    def per_analysis_rows(self) -> Dict[str, int]:
-        """Row counts grouped by the analysis name prefix of the key."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT analysis_key, COUNT(*) FROM analysis_aggregates"
-                " GROUP BY analysis_key"
-            ).fetchall()
-        counts: Dict[str, int] = {}
-        for key, count in rows:
-            name = key.split(":", 1)[0]
-            counts[name] = counts.get(name, 0) + count
-        return counts
-
     def persist_stats(self) -> None:
         """Record this process's counters as the cache's last-study stats."""
         import json
 
-        payload = json.dumps(self.stats.as_dict(), sort_keys=True)
+        payload = json.dumps(asdict(self.stats), sort_keys=True)
         with self._lock:
             self._conn.execute("BEGIN IMMEDIATE")
             try:

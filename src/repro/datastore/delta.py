@@ -33,7 +33,8 @@ IMMEDIATE``, so the baseline is never write-locked), and each site is
 one ``INSERT INTO main.<table> SELECT ... FROM <baseline>.<table>`` per
 event table, with ``run_id`` replaced, ``position`` shifted onto the
 shared :class:`~repro.datastore.store.RunWriter` counters and the
-request/cookie ``seq`` values shifted onto the new log's counter.
+request/cookie ``seq`` values shifted onto the new log's counter, plus
+one for the site's partials, which carry no ``seq``.
 Every copy's row count is checked against the baseline's prefix-summed
 slice index: a site whose rows disagree is rolled back and visited for
 real.  Before anything is attached, the index is checked against the
@@ -150,7 +151,7 @@ def delta_crawl(
                    client_ip=vantage.client_ip)
     log._seq = state.seq
     browser = crawler.browser_for(log)
-    writer = store.run_writer(state.run_id)
+    writer = store.run_writer(state.run_id, universe)
     remaining = state.remaining
     total = len(remaining)
     spliced = crawled = 0

@@ -1,41 +1,31 @@
-"""The incremental analysis engine: map churned sites, merge the rest.
+"""The incremental analysis engine: per-site partials, mapped once.
 
-Every per-site analysis of a crawl run goes through here — it is the one
-path from crawl rows to labels, ATS, cookie, HTTPS, banner, sync,
-fingerprinting, malware, blocked-visit and owner-evidence results.  A
-run is an ordered list of per-site row groups (:class:`LogRows` over an
-in-memory log's :meth:`~repro.browser.events.CrawlLog.site_groups` when
-there is no store, :class:`StoredRows` reading a stored run back one
-site at a time when there is one);
-each site is mapped through the pairs of :mod:`repro.core.mapmerge`,
-and the merge replays the partials in run position order.
+Every per-site analysis of a crawl run goes through here: each site's
+rows are mapped through the pairs of :mod:`repro.core.mapmerge`, and
+the merge replays the partials in run position order.
 
-Delta crawls make *crawling* an evolved epoch scale with churn by
-splicing the sites the evolution lineage left unchanged; an optional
-:class:`~repro.datastore.aggregates.AggregateStore` does the same for
-*analysis*.  Each site's partial is persisted keyed on
-``(analysis_key, analysis_version, site_domain, content_hash,
-run_ref)``.  Analyzing epoch N+1 then looks every site up by its *new*
-content hash: unchanged sites hit (their hash — and hence their stored
-rows, by the purity contract — is unchanged), churned sites miss and
-are mapped from their event rows.  The merged tables are
-byte-identical whichever mix of cached and fresh partials fed them.
+**Partials at rest.**  A stored crawl maps each site when it is crawled:
+:meth:`~repro.datastore.store.RunWriter.checkpoint` maps the site's
+events for the analyses its run feeds (:func:`run_analyses`) and writes
+the encoded partials in the same transaction as the site's rows; a
+delta crawl splices them with the rows.  Store studies read a run's
+partials with one range scan per shard (:class:`StoredRows`); one that
+is missing, stale (another ``ANALYSIS_VERSIONS`` entry) or unreadable
+is mapped from the site's stored rows and not written back, so ``repro
+report`` stays read-only.  In-memory studies map their logs
+(:class:`LogRows`).  A partial is a pure function of the site's rows,
+and :func:`~repro.datastore.serialize.pack_value` encodes equal values
+as equal bytes, whichever way a partial was produced.
 
-The hash is :class:`~repro.webgen.evolve.AnalysisHashIndex`, the one
-per-site hash of the package.  It covers what a visit can observe and
-also the attribution-only service fields (organization / cert_org /
-in_disconnect) that party labeling reads but serving never does — a
-consolidation epoch rewrites certificate organizations without changing
-a byte on the wire, and cached label partials must not survive it.
-
-The engine deliberately lives in :mod:`repro.datastore` next to
-:mod:`~repro.datastore.delta`: both are consumers of the slice index
-and the store's purity contract; the pure per-site math stays in
-:mod:`repro.core.mapmerge`.
+The §3 sanitize verdicts and the Selenium inspection pass run before
+any crawl, so :func:`cached_sanitize` and :func:`cached_inspections`
+key them on the site's analysis hash in the aggregate cache instead.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import hashlib
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -60,16 +50,18 @@ from .serialize import (
     cookie_from_row,
     domains_hash,
     jscall_from_row,
+    pack_value,
     request_from_row,
-    run_key,
+    unpack_value,
     vantage_to_json,
     visit_from_row,
 )
 from .store import CrawlStore, RunRef, SiteSlice, _slice_index
 
-__all__ = ["IncrementalRunAnalyzer", "LogRows", "PORN_ANALYSES",
-           "REGULAR_ANALYSES", "StoredRows", "cached_inspections",
-           "cached_sanitize"]
+__all__ = ["BANNER_COUNTRIES", "HOME_COUNTRY", "IncrementalRunAnalyzer",
+           "LogRows", "PORN_ANALYSES",
+           "REGULAR_ANALYSES", "SiteMapper", "SitePartials", "StoredRows",
+           "cached_inspections", "cached_sanitize", "run_analyses"]
 
 #: Which per-site analyses each run kind can feed.  The order matters
 #: operationally (labels are mapped first so the HTTPS mapper can reuse
@@ -79,6 +71,30 @@ PORN_ANALYSES: Tuple[str, ...] = ("labels", "ats", "cookies", "https",
                                   "banners", "sync", "jsapi", "visits",
                                   "owners")
 REGULAR_ANALYSES: Tuple[str, ...] = ("labels", "ats", "visits")
+
+#: The study's physical vantage point, whose runs feed every analysis of
+#: their kind.
+HOME_COUNTRY = "ES"
+#: Table 8 sets the home jurisdiction's banners against the US ones.
+BANNER_COUNTRIES: Tuple[str, ...] = (HOME_COUNTRY, "US")
+
+
+def run_analyses(country: str, kind: str) -> Tuple[str, ...]:
+    """The analyses a run feeds, in map order: every one of its kind
+    from :data:`HOME_COUNTRY`, else Table 7's labels, ATS and visits,
+    and from the other :data:`BANNER_COUNTRIES` Table 8's banners too.
+    A pure function of the run, so a crawl knows what to map before any
+    study asks; the study plans its reads from it."""
+    if kind.endswith(":regular"):
+        return REGULAR_ANALYSES
+    if not kind.endswith(":porn"):
+        return ()
+    if country == HOME_COUNTRY:
+        return PORN_ANALYSES
+    if country in BANNER_COUNTRIES:
+        return ("labels", "ats", "banners", "visits")
+    return ("labels", "ats", "visits")
+
 
 #: The event tables each analysis's map function reads on a porn run.
 _TABLES: Dict[str, Tuple[str, ...]] = {
@@ -111,13 +127,136 @@ _DECODE = {
     "js_calls": jscall_from_row,
 }
 
+#: ``CrawlLog`` event lists, in the order of a checkpoint's marks.
+_MARKED = ("visits", "requests", "cookies", "js_calls")
 
-def _vantage_digest(vantage) -> str:
-    """Short digest of a vantage point for cache keys: content hashes
-    are vantage-independent, what a site shows a vantage is not."""
-    return hashlib.sha256(
-        vantage_to_json(vantage).encode("utf-8")
-    ).hexdigest()[:16]
+
+# --------------------------------------------------------------------------
+# Mapping one site
+# --------------------------------------------------------------------------
+
+class SiteMapper:
+    """Maps one site's rows to its partials, with what the map functions
+    read besides rows: the ATS classifier, the certificate lookup and a
+    ``(page, fqdn)`` first-party decision memo (see
+    :func:`~repro.core.mapmerge.map_labels`).
+
+    A universe has one (:meth:`for_universe`), whose memos every run a
+    study maps shares; a crawl maps each checkpointed site with
+    :meth:`for_site`'s fresh memos, so none of them outlives the site.
+    """
+
+    def __init__(self, classifier, certificate_for) -> None:
+        self.classifier = classifier
+        self.certificate_for = certificate_for
+        self.cert_lookup = functools.lru_cache(maxsize=1 << 16)(
+            certificate_for)
+        self.first_party: Dict[Tuple[str, str], bool] = {}
+
+    @classmethod
+    def for_universe(cls, universe) -> "SiteMapper":
+        """The universe's mapper, built once (the filter-list index is
+        the costly part) and kept on the universe, which it dies with."""
+        from ..core.ats import ATSClassifier
+
+        with _MAPPER_LOCK:
+            mapper = getattr(universe, "_site_mapper", None)
+            if mapper is None:
+                mapper = cls(
+                    ATSClassifier.from_texts(universe.easylist_text,
+                                             universe.easyprivacy_text),
+                    universe.certificate_for,
+                )
+                universe._site_mapper = mapper
+        return mapper
+
+    def for_site(self) -> "SiteMapper":
+        """This mapper's rules with empty memos, for one site."""
+        return SiteMapper(self.classifier.without_memo(),
+                          self.certificate_for)
+
+    def map_site(self, rows: Dict[str, list], names: Sequence[str],
+                 client_ip: str) -> Dict[str, object]:
+        """Map one site's rows for ``names`` (in run-kind order)."""
+        visits = rows.get("visits")
+        requests = rows.get("requests")
+        cookies = rows.get("cookies")
+        mapped: Dict[str, object] = {}
+        for name in names:
+            if name == "labels":
+                mapped[name] = map_labels(requests,
+                                          cert_lookup=self.cert_lookup,
+                                          decided=self.first_party)
+            elif name == "ats":
+                mapped[name] = map_ats(requests, self.classifier)
+            elif name == "cookies":
+                mapped[name] = map_cookies(visits, cookies,
+                                           client_ip=client_ip)
+            elif name == "https":
+                labels_partial = mapped.get("labels") or map_labels(
+                    requests, cert_lookup=self.cert_lookup,
+                    decided=self.first_party)
+                mapped[name] = map_https(
+                    visits, requests, cookies,
+                    client_ip=client_ip,
+                    third_party_direct=merge_labels(
+                        [labels_partial]).third_party_direct,
+                )
+            elif name == "banners":
+                mapped[name] = map_banners(visits)
+            elif name == "sync":
+                mapped[name] = map_sync(cookies, requests)
+            elif name == "jsapi":
+                mapped[name] = map_jsapi(rows["js_calls"])
+            elif name == "visits":
+                mapped[name] = map_visits(visits, rows.get("js_calls", ()))
+            elif name == "owners":
+                mapped[name] = map_owners(visits)
+            else:  # pragma: no cover - guarded by the callers
+                raise ValueError(f"unknown analysis {name!r}")
+        return mapped
+
+
+_MAPPER_LOCK = threading.Lock()
+
+
+class SitePartials:
+    """The encoded partials of each site of a stored run, for
+    :class:`~repro.datastore.store.RunWriter` to write beside its rows:
+    the analyses the run feeds (:func:`run_analyses`), each site mapped
+    with fresh memos (:meth:`SiteMapper.for_site`)."""
+
+    def __init__(self, universe, country: str, kind: str,
+                 client_ip: str) -> None:
+        self.names = run_analyses(country, kind)
+        #: Analysis -> the version its partial is written at.
+        self.versions = {name: ANALYSIS_VERSIONS[name]
+                         for name in self.names}
+        self.tables = _run_tables(kind, self.names)
+        self.client_ip = client_ip
+        self._mapper = SiteMapper.for_universe(universe)
+
+    def encode(self, rows: Dict[str, list], names: Sequence[str]
+               ) -> List[Tuple[str, int, bytes]]:
+        """``(analysis, version, payload)`` for ``names`` (in run order)
+        of the site whose rows, by event table, are ``rows``."""
+        mapped = self._mapper.for_site().map_site(rows, names,
+                                                  self.client_ip)
+        return [(name, self.versions[name], pack_value(mapped[name]))
+                for name in names]
+
+    def from_log(self, log: CrawlLog, marks: Tuple[int, int, int, int]
+                 ) -> List[Tuple[str, int, bytes]]:
+        """Every partial of the site at ``marks`` of ``log``."""
+        return self.encode({table: getattr(log, table)[start:]
+                            for table, start in zip(_MARKED, marks)
+                            if table in self.tables}, self.names)
+
+    def from_stored(self, rows: Dict[str, List[tuple]],
+                    names: Sequence[str]) -> List[Tuple[str, int, bytes]]:
+        """:meth:`encode` from one site's rows as the store holds them."""
+        return self.encode({table: [_DECODE[table](row) for row in found]
+                            for table, found in rows.items()}, names)
 
 
 # --------------------------------------------------------------------------
@@ -132,6 +271,10 @@ class LogRows:
         self.client_ip = log.client_ip
         self._groups = {group.domain: group for group in log.site_groups()}
 
+    def at_rest(self, names: Sequence[str]) -> Dict[str, Dict]:
+        """A log has no stored partials."""
+        return {name: {} for name in names}
+
     def site_rows(self, domain: str,
                   tables: Sequence[str]) -> Dict[str, list]:
         group = self._groups.get(domain)
@@ -141,26 +284,28 @@ class LogRows:
 
 
 class StoredRows:
-    """A complete stored run read back a site at a time, so memory stays
-    bounded by one site: :meth:`site_rows` is one range scan per table
-    in the site's shard.
-
-    It holds a live store handle, so it never crosses a fork: a forked
-    worker of ``Study.prefetch_partials`` builds its own over its own
-    :class:`~repro.datastore.CrawlStore`.  One pass of
-    :meth:`IncrementalRunAnalyzer.partials` over every analysis a render
-    needs reads each site once per table; calling it per analysis reads
-    the site again each time.
-    """
+    """A complete stored run: its partials at rest, and its rows read
+    back a site at a time (one range scan per table in the site's
+    shard) for the partials that are not."""
 
     def __init__(self, store: CrawlStore, run: RunRef) -> None:
         self.client_ip = store._run_header(run)[1]
         self._store = store
         self._run = run
-        self._slices: Dict[str, SiteSlice] = _slice_index(store, run)
+        self._slices: Optional[Dict[str, SiteSlice]] = None
+
+    def at_rest(self, names: Sequence[str]) -> Dict[str, Dict]:
+        """Analysis -> position -> ``(version, payload)``."""
+        found: Dict[str, Dict] = {name: {} for name in names}
+        for position, name, version, payload in \
+                self._store.partial_rows(self._run, names):
+            found[name][position] = (version, payload)
+        return found
 
     def site_rows(self, domain: str,
                   tables: Sequence[str]) -> Dict[str, list]:
+        if self._slices is None:
+            self._slices = _slice_index(self._store, self._run)
         slice_ = self._slices[domain]
         rows: Dict[str, list] = {}
         for table, (lo, hi, count) in slice_.bounds().items():
@@ -178,197 +323,134 @@ class StoredRows:
 
 
 class IncrementalRunAnalyzer:
-    """Per-site partials for one crawl run, optionally cached across epochs.
+    """Per-site partials for one crawl run.
 
     :meth:`partials` returns, for each requested analysis, the list of
-    per-site partials in run position order.  Without a cache every
-    site is mapped from its rows for the requested analyses only, and
-    nothing is kept: callers merge the partials and memoize the result.
-    A caller that knows every analysis it will need asks for them in
-    one call, which reads each site once for all of them; ``repro
-    report`` and ``repro study --store`` do
-    (``Study.prefetch_partials``), one call per run, in
-    forked workers when it has the cores.  ``first_party`` is a
-    ``(page, fqdn)`` first-party decision memo shared with the study's
-    other runs (see :func:`~repro.core.mapmerge.map_labels`).
-    With an :class:`~repro.datastore.aggregates.AggregateStore`, a
-    partial is served from the cache when the site's analysis content
-    hash hits and mapped from the rows when it misses; whenever a
-    site's rows have to be read at all, *every* analysis of the run kind
-    is mapped and cached in the same pass (the row read dominates, and
-    it warms the cache for the sibling analyses), so a full study
-    performs at most one row read per churned site.
+    per-site partials in run position order: read at rest where the
+    run's source holds them, mapped from the site's rows where it does
+    not.  Callers merge the partials and memoize the result; the engine
+    keeps only what :meth:`hold` read.  :attr:`stats` counts partials
+    ``read`` at rest and ``mapped`` here.
     """
 
-    def __init__(
-        self,
-        universe,
-        cache: Optional[AggregateStore],
-        *,
-        vantage,
-        kind: str,
-        domains: Sequence[str],
-        keep_html: bool = True,
-        classifier=None,
-        cert_lookup=None,
-        first_party: Optional[Dict[Tuple[str, str], bool]] = None,
-    ) -> None:
-        self.cache = cache
+    def __init__(self, mapper: SiteMapper, *, kind: str,
+                 domains: Sequence[str]) -> None:
+        self.mapper = mapper
         self.kind = kind
         self.domains = list(domains)
-        self._classifier = classifier
-        self._cert_lookup = cert_lookup
-        self._first_party = first_party
         self.analyses = PORN_ANALYSES if kind.endswith(":porn") \
             else REGULAR_ANALYSES
-        self._key_suffix = \
-            f"{kind}:{_vantage_digest(vantage)}:{int(keep_html)}"
-        self.run_ref = (
-            run_key(universe.config, vantage, kind, keep_html=keep_html)
-            + ":" + domains_hash(domains)
-        )
-        self._universe = universe
-        self._lock = threading.Lock()
-        self._done: Dict[str, List[object]] = {}
+        self.stats = {"read": 0, "mapped": 0}
+        #: :meth:`hold`'s partials: analysis -> position -> ``(version,
+        #: payload)``.
+        self._held: Dict[str, Dict[int, Tuple[int, bytes]]] = {}
 
-    def analysis_key(self, name: str) -> str:
-        """Cache key prefix: analysis name + everything that selects
-        which rows a site contributes (kind, vantage, HTML retention).
-        Content hashes are vantage-independent; partials are not."""
-        return f"{name}:{self._key_suffix}"
+    def _ordered(self, names: Sequence[str]) -> List[str]:
+        for name in set(names) - set(self.analyses):
+            raise ValueError(
+                f"analysis {name!r} not available for kind {self.kind!r}")
+        return [name for name in self.analyses if name in names]
 
-    # -- the engine ------------------------------------------------------
+    def _map(self, position: int, names: List[str], rows) -> Dict[str, object]:
+        self.stats["mapped"] += len(names)
+        return self.mapper.map_site(
+            rows.site_rows(self.domains[position],
+                           _run_tables(self.kind, names)),
+            names, rows.client_ip)
+
+    def hold(self, names: Sequence[str], rows) -> None:
+        """Read the run's partials of ``names`` once, for :meth:`partials`
+        to decode on each call (decoded, they are several times larger
+        and share no strings); map the missing or stale ones now."""
+        names = self._ordered(names)
+        stored = rows.at_rest(names)
+        for position in range(len(self.domains)):
+            missing = [name for name in names
+                       if stored[name].get(position, (None,))[0]
+                       != ANALYSIS_VERSIONS[name]]
+            if missing:
+                for name, partial in self._map(position, missing,
+                                               rows).items():
+                    stored[name][position] = (ANALYSIS_VERSIONS[name],
+                                              pack_value(partial))
+        self._held.update(stored)
 
     def partials(self, names: Sequence[str],
                  rows) -> Dict[str, List[object]]:
-        """Per-site partials for ``names``, each in run position order.
-
-        ``rows`` (a :class:`LogRows` or :class:`StoredRows` over the
-        complete run) supplies the rows of every site that has to be
-        mapped.
-        """
-        for name in names:
-            if name not in self.analyses:
-                raise ValueError(
-                    f"analysis {name!r} not available for kind {self.kind!r}"
-                )
-        names = [name for name in self.analyses if name in names]
-        if self.cache is None:
-            # Map just what was asked and keep nothing (callers memoize
-            # the merged result): a run read back from the store stays
-            # bounded by one site's rows.
-            return self._map_all(names, rows)
-        with self._lock:
-            todo = [name for name in names if name not in self._done]
-            if todo:
-                self._compute_cached(todo, rows)
-                self.cache.persist_stats()
-            return {name: self._done[name] for name in names}
-
-    def _map_all(self, names: List[str], rows) -> Dict[str, List[object]]:
-        """No cache: map just ``names`` for every site."""
-        tables = _run_tables(self.kind, names)
+        """Per-site partials for ``names``, each in run position order;
+        ``rows`` (a :class:`LogRows` or :class:`StoredRows`) supplies
+        the stored partials :meth:`hold` did not read, and the rows of
+        every site that has to be mapped."""
+        names = self._ordered(names)
+        stored = self._held if all(name in self._held for name in names) \
+            else rows.at_rest(names)
         results: Dict[str, List[object]] = {name: [] for name in names}
-        for domain in self.domains:
-            mapped = self._map_site(rows.site_rows(domain, tables), names,
-                                    rows.client_ip)
-            for name in names:
-                results[name].append(mapped[name])
+        # Decoding a run's partials allocates many small containers in
+        # one burst, none of them garbage; with a large live heap (a
+        # built universe) the allocation-count trigger would run full
+        # collections inside the burst, so pause it.
+        gc_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for position in range(len(self.domains)):
+                found: Dict[str, object] = {}
+                for name in names:
+                    entry = stored[name].get(position)
+                    if entry is not None \
+                            and entry[0] == ANALYSIS_VERSIONS[name]:
+                        try:
+                            found[name] = unpack_value(entry[1])
+                            self.stats["read"] += 1
+                        except Exception:
+                            pass  # unreadable: mapped below
+                missing = [name for name in names if name not in found]
+                if missing:
+                    found.update(self._map(position, missing, rows))
+                for name in names:
+                    results[name].append(found[name])
+        finally:
+            if gc_enabled:
+                gc.enable()
         return results
 
-    def _compute_cached(self, names: List[str], rows) -> None:
-        hashes = analysis_hash_index(self._universe)
-        site_hashes = {domain: hashes.hash_of(domain)
-                       for domain in self.domains}
-        wanted = {domain: content_hash
-                  for domain, content_hash in site_hashes.items()
-                  if content_hash is not None}
-        cached = {
-            name: self.cache.get_many(self.analysis_key(name),
-                                      ANALYSIS_VERSIONS[name], wanted)
-            for name in names
-        }
-        tables = _run_tables(self.kind, self.analyses)
-        results: Dict[str, List[object]] = {name: [] for name in names}
-        to_put: List[Tuple[str, int, str, str, str, object]] = []
-        for domain in self.domains:
-            content_hash = site_hashes[domain]
-            found = {name: cached[name][domain] for name in names
-                     if domain in cached[name]}
-            if len(found) < len(names):
-                # Rows must be read anyway — map every analysis of the
-                # run kind in this one pass and cache them all.
-                mapped = self._map_site(rows.site_rows(domain, tables),
-                                        self.analyses, rows.client_ip)
-                if content_hash is not None:
-                    to_put.extend(
-                        (self.analysis_key(name), ANALYSIS_VERSIONS[name],
-                         domain, content_hash, self.run_ref, partial)
-                        for name, partial in mapped.items()
-                        if name not in found
-                    )
-                found.update(
-                    (name, mapped[name]) for name in names
-                    if name not in found
-                )
-            for name in names:
-                results[name].append(found[name])
-        if to_put:
-            self.cache.put_many(to_put)
-        self._done.update(results)
-
-    # -- mapping ---------------------------------------------------------
-
-    def _map_site(self, rows: Dict[str, list], names: Sequence[str],
-                  client_ip: str) -> Dict[str, object]:
-        """Map one site's rows for ``names`` (in :attr:`analyses` order)."""
-        visits = rows.get("visits")
-        requests = rows.get("requests")
-        cookies = rows.get("cookies")
-        mapped: Dict[str, object] = {}
-        for name in names:
-            if name == "labels":
-                mapped[name] = map_labels(requests,
-                                          cert_lookup=self._cert_lookup,
-                                          decided=self._first_party)
-            elif name == "ats":
-                if self._classifier is None:
-                    raise ValueError(
-                        "IncrementalRunAnalyzer needs a classifier to map "
-                        "the 'ats' analysis"
-                    )
-                mapped[name] = map_ats(requests, self._classifier)
-            elif name == "cookies":
-                mapped[name] = map_cookies(visits, cookies,
-                                           client_ip=client_ip)
-            elif name == "https":
-                labels_partial = mapped.get("labels") or map_labels(
-                    requests, cert_lookup=self._cert_lookup,
-                    decided=self._first_party)
-                mapped[name] = map_https(
-                    visits, requests, cookies,
-                    client_ip=client_ip,
-                    third_party_direct=merge_labels(
-                        [labels_partial]).third_party_direct,
-                )
-            elif name == "banners":
-                mapped[name] = map_banners(visits)
-            elif name == "sync":
-                mapped[name] = map_sync(cookies, requests)
-            elif name == "jsapi":
-                mapped[name] = map_jsapi(rows["js_calls"])
-            elif name == "visits":
-                mapped[name] = map_visits(visits, rows.get("js_calls", ()))
-            elif name == "owners":
-                mapped[name] = map_owners(visits)
-            else:  # pragma: no cover - guarded by partials()
-                raise ValueError(f"unknown analysis {name!r}")
-        return mapped
-
 
 # --------------------------------------------------------------------------
-# Corpus sanitization through the same cache.
+# Sanitize verdicts and inspections through the aggregate cache.
 # --------------------------------------------------------------------------
+
+def _through_cache(cache: Optional[AggregateStore], name: str, universe,
+                   vantage, domains: Sequence[str], site_hash, compute, *,
+                   encode=None, decode=None) -> list:
+    """``compute(domain)`` for each of ``domains``, in order, read from
+    ``cache`` where it holds the row of the domain's
+    ``site_hash(hashes, domain)`` (``hashes`` the universe's
+    :class:`~repro.webgen.evolve.AnalysisHashIndex`) and written back
+    where it does not.  ``encode``/``decode`` convert a value to and
+    from its cached row; a row ``decode`` rejects is recomputed."""
+    if cache is None:
+        return [compute(domain) for domain in domains]
+    # Content hashes are vantage-independent; what a site shows is not.
+    digest = hashlib.sha256(vantage_to_json(vantage).encode()).hexdigest()
+    key = f"{name}:{digest[:16]}"
+    version = ANALYSIS_VERSIONS[name]
+    run_ref = f"{name}:{domains_hash(domains)}"
+    hashes = analysis_hash_index(universe)
+    site_hashes = {domain: site_hash(hashes, domain) for domain in domains}
+    found = cache.get_many(key, version, site_hashes, convert=decode)
+    values = []
+    to_put: List[Tuple[str, int, str, str, str, object]] = []
+    for domain in domains:
+        if domain in found:
+            values.append(found[domain])
+            continue
+        value = compute(domain)
+        to_put.append((key, version, domain, site_hashes[domain], run_ref,
+                       value if encode is None else encode(value)))
+        values.append(value)
+    cache.put_many(to_put)
+    cache.persist_stats()
+    return values
+
 
 def cached_sanitize(universe, candidates: Sequence[str], vantage,
                     cache: Optional[AggregateStore] = None):
@@ -377,9 +459,8 @@ def cached_sanitize(universe, candidates: Sequence[str], vantage,
     The sanitize verdict for one candidate
     (:func:`~repro.core.corpus.sanitize_verdict`) is a pure function of
     the candidate's served content (the landing page and its closure)
-    and the vantage, so it caches under exactly the keying the
-    map/merge partials use: the candidate's analysis content hash plus
-    a vantage-digest key.  Candidates with no spec at all (keyword false
+    and the vantage, so it caches under the candidate's analysis
+    content hash.  Candidates with no spec at all (keyword false
     positives pointing at nothing) hash to the ``absent`` sentinel —
     they stay unresponsive until an epoch mints a spec for them, which
     changes the hash.  Across epochs only churned candidates are
@@ -391,36 +472,25 @@ def cached_sanitize(universe, candidates: Sequence[str], vantage,
     from ..core.corpus import SanitizedCorpus, sanitize_verdict
     from ..crawler.vpn import client_for
 
-    verdicts: Dict[str, object] = {}
-    if cache is not None:
-        key = f"sanitize:{_vantage_digest(vantage)}"
-        version = ANALYSIS_VERSIONS["sanitize"]
-        hashes = analysis_hash_index(universe)
-        run_ref = "sanitize:" + domains_hash(candidates)
-        site_hashes = {domain: hashes.hash_of(domain) or "absent"
-                       for domain in candidates}
-        verdicts = cache.get_many(key, version, site_hashes)
     buckets: Dict[str, List[str]] = {
         "corpus": [], "unresponsive": [], "non_adult": [],
     }
-    to_put: List[Tuple[str, int, str, str, str, object]] = []
     client = client_for(vantage, epoch="sanitization")
-    for domain in candidates:
-        verdict = verdicts.get(domain)
+
+    def bucket(verdict):
         if verdict not in buckets:
-            verdict = sanitize_verdict(universe, client, domain)
-            if cache is not None:
-                to_put.append((key, version, domain, site_hashes[domain],
-                               run_ref, verdict))
+            raise ValueError(f"not a sanitize verdict: {verdict!r}")
+        return verdict
+
+    verdicts = _through_cache(
+        cache, "sanitize", universe, vantage, candidates,
+        lambda hashes, domain: hashes.hash_of(domain) or "absent",
+        lambda domain: sanitize_verdict(universe, client, domain),
+        decode=bucket)
+    for domain, verdict in zip(candidates, verdicts):
         buckets[verdict].append(domain)
-    if to_put:
-        cache.put_many(to_put)
     return SanitizedCorpus(**buckets)
 
-
-# --------------------------------------------------------------------------
-# The Selenium inspection pass through the same cache.
-# --------------------------------------------------------------------------
 
 def _inspection_hash(universe, hashes, domain: str) -> str:
     """A site's analysis hash folded with its policy plan's digest.
@@ -445,37 +515,24 @@ def cached_inspections(universe, domains: Sequence[str], vantage,
     Each :class:`~repro.crawler.selenium.SiteInspection` is a pure
     function of one site's served pages (landing page, age-gate
     click-through, policy page) and the vantage, so it caches under the
-    sanitize keying plus the site's policy plan (:func:`_inspection_hash`).
-    Only sites that miss — churned, new, or corrupt rows — are
-    inspected; results come back in ``domains`` order either way, so
-    the list equals a fresh :class:`~repro.crawler.selenium.
-    SeleniumCrawler` pass.  With no ``cache`` every site is inspected.
+    site's analysis hash folded with its policy plan
+    (:func:`_inspection_hash`).  Only sites that miss — churned, new,
+    or corrupt rows — are inspected; results come back in ``domains``
+    order either way, so the list equals a fresh :class:`~repro.crawler.
+    selenium.SeleniumCrawler` pass.  With no ``cache`` every site is
+    inspected.
     """
     from ..crawler.selenium import SeleniumCrawler, SiteInspection
 
-    found: Dict[str, object] = {}
-    if cache is not None:
-        key = f"inspect:{_vantage_digest(vantage)}"
-        version = ANALYSIS_VERSIONS["inspect"]
-        run_ref = "inspect:" + domains_hash(domains)
-        hashes = analysis_hash_index(universe)
-        site_hashes = {domain: _inspection_hash(universe, hashes, domain)
-                       for domain in domains}
-        found = cache.get_many(key, version, site_hashes,
-                               convert=SiteInspection.from_row)
-    results = []
-    to_put: List[Tuple[str, int, str, str, str, object]] = []
-    crawler = None
-    for domain in domains:
-        inspection = found.get(domain)
-        if inspection is None:
-            if crawler is None:
-                crawler = SeleniumCrawler(universe, vantage)
-            inspection = crawler.inspect(domain)
-            if cache is not None:
-                to_put.append((key, version, domain, site_hashes[domain],
-                               run_ref, inspection.to_row()))
-        results.append(inspection)
-    if to_put:
-        cache.put_many(to_put)
-    return results
+    crawler: List[SeleniumCrawler] = []
+
+    def inspect(domain: str):
+        if not crawler:
+            crawler.append(SeleniumCrawler(universe, vantage))
+        return crawler[0].inspect(domain)
+
+    return _through_cache(
+        cache, "inspect", universe, vantage, domains,
+        lambda hashes, domain: _inspection_hash(universe, hashes, domain),
+        inspect, encode=SiteInspection.to_row,
+        decode=SiteInspection.from_row)

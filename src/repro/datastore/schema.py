@@ -5,6 +5,7 @@ observed event (request, cookie, JS call), grouped under a *run* — one
 crawler session from one vantage point over one ordered site list.  The
 ``runs`` table is the run manifest; ``run_sites`` records per-site
 completion, which is the unit of checkpoint/resume granularity.
+``partials`` holds each completed site's map/merge partials.
 
 Schema changes bump :data:`SCHEMA_VERSION`; :func:`ensure_schema`
 creates a fresh schema or verifies the stored version, refusing to open
@@ -25,8 +26,8 @@ __all__ = [
     "stamp_shard",
 ]
 
-#: Bump on any table/column change.
-SCHEMA_VERSION = 1
+#: Bump on any table/column change.  2: the ``partials`` table.
+SCHEMA_VERSION = 2
 
 _DDL = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -126,6 +127,16 @@ CREATE TABLE IF NOT EXISTS js_calls (
     PRIMARY KEY (run_id, position)
 );
 
+-- ``pack_value`` bytes of each site's partial, at its run position.
+CREATE TABLE IF NOT EXISTS partials (
+    run_id           INTEGER NOT NULL REFERENCES runs(id),
+    position         INTEGER NOT NULL,
+    analysis         TEXT    NOT NULL,
+    analysis_version INTEGER NOT NULL,
+    payload          BLOB    NOT NULL,
+    PRIMARY KEY (run_id, position, analysis)
+) WITHOUT ROWID;
+
 -- Auxiliary payloads (e.g. the marshal-encoded Selenium inspection pass)
 -- keyed like runs, for crawl products that are not CrawlLog-shaped.
 CREATE TABLE IF NOT EXISTS artifacts (
@@ -151,7 +162,9 @@ def _verify_version(connection: sqlite3.Connection) -> None:
     if stored is None or int(stored[0]) != SCHEMA_VERSION:
         found = "missing" if stored is None else stored[0]
         raise SchemaError(
-            f"store schema version {found} != supported {SCHEMA_VERSION}"
+            f"store schema version {found} is not the supported "
+            f"{SCHEMA_VERSION}; rebuild the store (its rows re-create from "
+            "the universe) with `repro study --store` into a new path"
         )
 
 

@@ -13,6 +13,7 @@ Routing matches the live write path (``sha256(site_domain) % N`` of the
 *visited* site):
 
 * ``visits`` carry their site domain and route directly;
+* ``partials`` sit at their site's run position, and route with it;
 * ``requests``/``cookies``/``js_calls`` carry no reliable site column
   (a JS call's ``document_host`` may be an iframe's), so they route by
   *slice*: ``run_sites`` records each completed site's per-table counts,
@@ -193,6 +194,16 @@ def _copy_run(src: sqlite3.Connection, dst: Sequence[sqlite3.Connection],
                 f"INSERT INTO {table} VALUES ({placeholders})",
                 (local_ids[index],) + tuple(row),
             )
+
+    # Partials sit at their site's run position; route by its domain.
+    domain_at = {position: domain for position, domain, *_ in sites}
+    for row in _batched(src.execute(
+        "SELECT position, analysis, analysis_version, payload FROM partials"
+        " WHERE run_id=?", (src_id,),
+    )):
+        index = route[domain_at[row[0]]]
+        dst[index].execute("INSERT INTO partials VALUES (?, ?, ?, ?, ?)",
+                           (local_ids[index],) + tuple(row))
 
 
 def _copy_artifacts(src: sqlite3.Connection,

@@ -49,7 +49,9 @@ diffing an aborted-and-resumed crawl against an uninterrupted one.
 The same property lets a stored crawl keep nothing: the crawler drops
 its in-memory event lists once each site is on disk (positions continue
 from persistent counters), so crawl RSS is bounded by one site's events
-regardless of corpus size.
+regardless of corpus size.  Before it does, the checkpoint writes the
+site's map/merge partials in the same transaction
+(:mod:`repro.datastore.incremental`).
 
 It is also the purity contract behind **delta crawls**
 (:mod:`repro.datastore.delta`): since a site's event slice is a pure
@@ -61,10 +63,10 @@ leaves SQLite: :meth:`RunWriter.attach` attaches the baseline's shard
 files read-only to this store's shard connections, and
 :meth:`RunWriter.splice_many` runs one ``INSERT ... SELECT`` per event
 table and site, checking each row count against the baseline's slice
-index.  The splice path shares its position counters and timer with
-the live-checkpoint path, so a run that mixes spliced and freshly
-crawled sites lays out rows exactly as an uninterrupted full crawl
-would.
+index, and one more for the site's partials.  The splice path shares
+its position counters and timer with the live-checkpoint path, so a
+run that mixes spliced and freshly crawled sites lays out rows exactly
+as an uninterrupted full crawl would.
 
 Concurrency: worker processes and threads each open their own
 :class:`CrawlStore` on the same path; WAL plus a busy timeout serializes
@@ -353,11 +355,11 @@ class CrawlStore:
         #: Lifetime I/O counters for this handle: ``opens`` counts SQLite
         #: connections established (shared facade + per-cursor read
         #: connections), ``scans`` counts event range scans (one per
-        #: cursor, one per :meth:`site_event_rows` call).  The trend CLI
-        #: prints these per epoch under ``--stats`` to prove each store
-        #: is opened once and read per analysis, not per rendered
-        #: section.
-        self.io_stats: Dict[str, int] = {"opens": 0, "scans": 0}
+        #: cursor, one per :meth:`site_event_rows` call), and
+        #: ``partial_scans`` the shard scans of :meth:`partial_rows`.  The
+        #: trend CLI prints these per epoch under ``--stats``.
+        self.io_stats: Dict[str, int] = {"opens": 0, "scans": 0,
+                                         "partial_scans": 0}
         #: :meth:`_resolve` results for runs present in every shard.
         #: Runs are never deleted and a run row, once inserted, keeps its
         #: id, so a complete resolution cannot go stale.
@@ -631,20 +633,22 @@ class CrawlStore:
             return None
         return self._run_state(key, dh, domains)
 
-    def run_writer(self, run: RunRef) -> "RunWriter":
-        """The per-site writer for one run (checkpoints and splices)."""
-        return RunWriter(self, run)
+    def run_writer(self, run: RunRef, universe) -> "RunWriter":
+        """The per-site writer for one run of ``universe`` (checkpoints
+        and splices)."""
+        return RunWriter(self, run, universe)
 
-    def checkpointer(self, run: RunRef) -> Callable:
+    def checkpointer(self, run: RunRef, universe) -> Callable:
         """A per-site checkpoint callback for ``OpenWPMCrawler.crawl``.
 
-        Each invocation appends one visited site's event rows and marks
-        the site complete in a single transaction *on that site's shard*
-        — the atomic unit a kill can never tear.  Event positions come
-        from persistent counters seeded with the rows already stored, so
-        the crawler can drop its event lists after every site.
+        Each invocation appends one visited site's event rows and
+        partials and marks the site complete in a single transaction
+        *on that site's shard* — the atomic unit a kill can never tear.
+        Event positions come from persistent counters seeded with the
+        rows already stored, so the crawler can drop its event lists
+        after every site.
         """
-        return self.run_writer(run).checkpoint
+        return self.run_writer(run, universe).checkpoint
 
     def run_site_counts(
         self, run: RunRef
@@ -725,6 +729,38 @@ class CrawlStore:
                         ends[table] = max(ends[table], highest + 1)
         return ends
 
+    def partial_rows(self, run: RunRef,
+                     names: Optional[Sequence[str]] = None
+                     ) -> List[Tuple[int, str, int, bytes]]:
+        """``(position, analysis, analysis_version, payload)`` of the
+        run's stored partials (of ``names`` only, if given), in
+        (position, analysis) order: one range scan per shard."""
+        select = ("SELECT position, analysis, analysis_version, payload"
+                  " FROM partials WHERE run_id=?")
+        if names is not None:
+            select += f" AND analysis IN ({', '.join('?' * len(names))})"
+        rows: List[Tuple[int, str, int, bytes]] = []
+        with self._lock:
+            for index, local_id in self._resolve(run):
+                self.io_stats["partial_scans"] += 1
+                rows.extend(self._conn(index).execute(
+                    select, (local_id, *(names or ()))))
+        rows.sort(key=lambda row: row[:2])
+        return rows
+
+    def partial_stats(self) -> Dict[str, Tuple[int, int]]:
+        """Analysis -> ``(rows, payload bytes)`` over every shard."""
+        totals: Dict[str, List[int]] = {}
+        with self._lock:
+            for index in range(self.shard_count):
+                for name, *counts in self._conn(index).execute(
+                        "SELECT analysis, COUNT(*), SUM(LENGTH(payload))"
+                        " FROM partials GROUP BY analysis"):
+                    total = totals.setdefault(name, [0, 0])
+                    total[0] += counts[0]
+                    total[1] += counts[1]
+        return {name: tuple(totals[name]) for name in sorted(totals)}
+
     def finish_run(self, run: RunRef,
                    stats: Optional[Dict] = None) -> None:
         """Stamp a run finished; refuses while sites are still pending."""
@@ -752,20 +788,21 @@ class CrawlStore:
 
     # -- reading --------------------------------------------------------
 
-    def _run_header(self, run: RunRef) -> Tuple[str, str, int]:
-        """``(country_code, client_ip, seq)`` with seq fanned in as max."""
+    def _run_header(self, run: RunRef) -> Tuple[str, str, int, str]:
+        """``(country_code, client_ip, seq, kind)`` with seq fanned in as
+        max."""
         handles = self._resolve(run)
-        country = client_ip = ""
+        country = client_ip = kind = ""
         seq = 0
         with self._lock:
             for index, local_id in handles:
                 row = self._conn(index).execute(
-                    "SELECT country_code, client_ip, seq FROM runs WHERE id=?",
-                    (local_id,),
+                    "SELECT country_code, client_ip, seq, kind FROM runs"
+                    " WHERE id=?", (local_id,),
                 ).fetchone()
-                country, client_ip = row[0], row[1]
+                country, client_ip, kind = row[0], row[1], row[3]
                 seq = max(seq, row[2])
-        return country, client_ip, seq
+        return country, client_ip, seq, kind
 
     def _count_rows(self, handles: List[Tuple[int, int]],
                     table: str) -> int:
@@ -851,7 +888,7 @@ class CrawlStore:
         that must stay bounded read the run one site at a time instead
         (:class:`~repro.datastore.incremental.StoredRows`).
         """
-        country, client_ip, seq = self._run_header(run)
+        country, client_ip, seq, _ = self._run_header(run)
         log = CrawlLog(country_code=country, client_ip=client_ip)
         log.visits = list(self.iter_visits(run))
         log.requests = list(self.iter_requests(run))
@@ -966,8 +1003,16 @@ class RunWriter:
     (:func:`repro.datastore.delta.delta_crawl`).
     """
 
-    def __init__(self, store: CrawlStore, run: RunRef) -> None:
+    def __init__(self, store: CrawlStore, run: RunRef, universe) -> None:
+        """Each site's partials are mapped with ``universe``'s mapper
+        for the analyses the run feeds (see :class:`~repro.datastore.
+        incremental.SitePartials`)."""
+        from .incremental import SitePartials
+
         self._store = store
+        self._run = run
+        country, client_ip, _, kind = store._run_header(run)
+        self._partials = SitePartials(universe, country, kind, client_ip)
         handles = store._resolve(run)
         self._site_shard: Dict[str, Tuple[int, int, int]] = {}
         with store._lock:
@@ -987,8 +1032,9 @@ class RunWriter:
 
     def checkpoint(self, domain: str, log: CrawlLog,
                    marks: Tuple[int, int, int, int]) -> None:
-        """Persist one freshly visited site's event rows (see
-        :meth:`CrawlStore.checkpointer`)."""
+        """Persist one freshly visited site's event rows and partials
+        (see :meth:`CrawlStore.checkpointer`)."""
+        partials = self._partials.from_log(log, marks)
         now = time.perf_counter()
         site_elapsed, self._last = now - self._last, now
         v0, r0, c0, j0 = marks
@@ -1018,6 +1064,10 @@ class RunWriter:
                 "INSERT INTO js_calls VALUES (?, ?, ?, ?, ?, ?)",
                 [(local_id, jp + i) + jscall_to_row(c)
                  for i, c in enumerate(log.js_calls[j0:])],
+            )
+            conn.executemany(
+                "INSERT INTO partials VALUES (?, ?, ?, ?, ?)",
+                [(local_id, position) + row for row in partials],
             )
             conn.execute(
                 "UPDATE run_sites SET completed=1, elapsed=?, requests=?,"
@@ -1058,6 +1108,15 @@ class RunWriter:
             (table, alias): _copy_statement(table, alias)
             for table in _EVENT_COLUMNS for alias in self._aliases
         }
+        # Partials only at their current version; NULL matches nothing.
+        current = ", ".join(f"('{name}', {version})" for name, version
+                            in self._partials.versions.items())
+        for alias in self._aliases:
+            self._copy_sql["partials", alias] = (
+                "INSERT INTO main.partials SELECT :run, :position, analysis,"
+                f" analysis_version, payload FROM {alias}.partials"
+                " WHERE run_id=:base AND position=:source AND (analysis,"
+                f" analysis_version) IN (VALUES {current or '(NULL, NULL)'})")
         try:
             with self._store._lock:
                 for index in range(self._store.shard_count):
@@ -1086,7 +1145,9 @@ class RunWriter:
 
         False as soon as a table's row count disagrees with the slice;
         the caller then rolls the site back.  The counters only advance
-        once every table matched.
+        once every table matched.  Partials are copied only at their
+        current ``ANALYSIS_VERSIONS``; a stale or missing one is mapped
+        from the rows just copied and written in the same transaction.
         """
         slice_, seq_delta = item
         _, local_id, position = self._site_shard[slice_.domain]
@@ -1102,6 +1163,23 @@ class RunWriter:
             copied = conn.execute(self._copy_sql[table, alias], params)
             if copied.rowcount != expected:
                 return False
+        names = self._partials.names
+        copied = conn.execute(
+            self._copy_sql["partials", alias],
+            dict(params, position=position, source=slice_.position))
+        if copied.rowcount < len(names):
+            held = {name for (name,) in conn.execute(
+                "SELECT analysis FROM main.partials"
+                " WHERE run_id=? AND position=?", (local_id, position))}
+            rows = {table: self._store.site_event_rows(
+                self._run, slice_.domain, table, self._counters[table],
+                self._counters[table] + bounds[table][1] - bounds[table][0])
+                for table in self._partials.tables}
+            conn.executemany(
+                "INSERT INTO main.partials VALUES (?, ?, ?, ?, ?)",
+                [(local_id, position) + row for row in
+                 self._partials.from_stored(
+                     rows, [name for name in names if name not in held])])
         conn.execute(
             "UPDATE run_sites SET completed=1, elapsed=?, requests=?,"
             " cookies=?, js_calls=? WHERE run_id=? AND position=?",
@@ -1140,10 +1218,12 @@ class RunWriter:
 
         Each site is one ``INSERT ... SELECT`` per event table: ``run_id``
         replaced, positions shifted onto this run's counters, and the
-        request and cookie ``seq`` values shifted by ``seq_delta``.  A
-        row count that disagrees with the slice (a baseline torn or
-        edited behind its manifest) rolls that site back and ends the
-        batch there; the caller visits the site for real.
+        request and cookie ``seq`` values shifted by ``seq_delta``; and
+        one for its current partials, moved to the site's position in
+        this run (see :meth:`_copy_site` for stale ones).  A row count
+        that disagrees with the slice (a baseline torn or edited behind
+        its manifest) rolls that site back and ends the batch there; the
+        caller visits the site for real.
 
         On a one-shard store the batch commits in one transaction, with
         a savepoint per site — per-site commit overhead is the dominant
@@ -1261,7 +1341,8 @@ def stored_crawl(
     checkpointed and then dropped from memory, so peak memory is bounded
     by one site's events; readers go through the store
     (:class:`~repro.datastore.StoredRows`, or :meth:`CrawlStore.load_log`
-    for a whole log).
+    for a whole log).  Each checkpoint writes the site's partials with
+    its rows (:class:`RunWriter`).
 
     ``baseline`` turns the crawl into a **delta crawl**: when the
     baseline store holds the matching run for an *earlier epoch of the
@@ -1321,7 +1402,8 @@ def stored_crawl(
             crawler = OpenWPMCrawler(universe, vantage, epoch=epoch,
                                      keep_html=keep_html)
             crawler.crawl(remaining, log=log,
-                          checkpoint=store.checkpointer(state.run_id),
+                          checkpoint=store.checkpointer(state.run_id,
+                                                        universe),
                           progress=progress)
         stats = {
             "fetch_cache": _cache_delta(universe.fetch_cache.stats,

@@ -302,10 +302,12 @@ def execute_job(job: Job, store_path: str, *,
             publish("delta_baseline_missing", {"path": candidate})
     # Every epoch job shares the base store's aggregate cache
     # (aggregate_cache=True resolves next to the store, and the -eN
-    # epoch suffix is stripped): full-epoch jobs warm it, delta-epoch
-    # jobs re-analyze only the churn.  Tables stay byte-identical
-    # whichever partials are served from the cache, so the service's
-    # served-vs-CLI identity checks keep holding.
+    # epoch suffix is stripped): full-epoch jobs warm its sanitize
+    # verdicts and inspections, delta-epoch jobs re-visit only the
+    # churn.  Their crawls write each site's partials beside its rows
+    # (a delta splices them), so the analyses map nothing again.  Output
+    # stays byte-identical either way, so the service's served-vs-CLI
+    # identity checks keep holding.
     study = Study(build_universe(config), store=target_path,
                   store_shards=store_shards, parallelism=1,
                   baseline_store=baseline, aggregate_cache=True,

@@ -15,10 +15,8 @@ Typical use::
 
 from __future__ import annotations
 
-import functools
-import multiprocessing
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -73,6 +71,8 @@ from .crawler.executor import (
 from .crawler.openwpm import OpenWPMCrawler
 from .crawler.selenium import SiteInspection
 from .crawler.vpn import VantagePointManager
+from .datastore.incremental import BANNER_COUNTRIES, HOME_COUNTRY
+from .datastore.incremental import run_analyses
 from .net.url import registrable_domain
 from .webgen.builder import build_universe
 from .webgen.config import UniverseConfig
@@ -80,39 +80,22 @@ from .webgen.universe import Universe
 
 __all__ = ["Study"]
 
-#: ``(country, run kind, analyses)``: one planned pass over a stored run.
+#: ``(country, run kind, analyses)``: one planned read of a stored run.
 RunPass = Tuple[str, str, Tuple[str, ...]]
-
-#: The study a planned-pass pool maps for, set by the parent just before
-#: the pool forks so workers inherit it by copy-on-write (the pattern of
-#: :class:`~repro.crawler.executor.CrawlExecutor`); nothing large is
-#: pickled on the way in.
-_PASS_STUDY: Optional["Study"] = None
-
-
-def _forked_pass(entry: RunPass) -> Dict[str, List[object]]:
-    """One planned pass inside a forked worker.
-
-    SQLite connections must not cross a fork, so the worker reads the
-    run the parent resolved through a store handle of its own; its
-    partial lists travel back pickled, and an exception re-raises in the
-    parent.
-    """
-    from .datastore import CrawlStore
-
-    with CrawlStore(_PASS_STUDY.store.path) as store:
-        return _PASS_STUDY._map_run(*entry, store=store)
 
 
 class Study:
     """The full measurement study over one synthetic universe."""
+
+    #: The physical vantage point; which analyses each run feeds is
+    #: :func:`~repro.datastore.run_analyses`'s to say.
+    home_country = HOME_COUNTRY
 
     def __init__(
         self,
         universe: Universe,
         *,
         vantage_points: Optional[VantagePointManager] = None,
-        home_country: str = "ES",
         parallelism: Optional[int] = None,
         store: Optional[object] = None,
         store_only: bool = False,
@@ -131,18 +114,18 @@ class Study:
         ``store`` (a :class:`~repro.datastore.CrawlStore` or a path)
         persists every crawl and skips already-stored ones, making an
         interrupted study resumable at per-site granularity.  With a
-        store the analyses read every run back from it one site's rows
-        at a time (see :meth:`_run_rows`); no log is held in memory
-        unless :meth:`porn_log` or :meth:`regular_log` (the §10
-        extensions) asks for one.  ``store_shards`` (with a path) is the
-        shard count of a store created here (default 1); an existing
-        store keeps its own.  ``store_only=True`` is the ``repro
+        store each crawl writes every site's partials beside its rows,
+        the analyses read them back (see :meth:`_run_rows`), and no log
+        is held in memory unless :meth:`porn_log` or :meth:`regular_log`
+        (the §10 extensions) asks for one.  ``store_shards`` (with a
+        path) is the shard count of a store created here (default 1); an
+        existing store keeps its own.  ``store_only=True`` is the ``repro
         report`` contract: every table is a merge of stored partials and
         stored artifacts, the §3 corpus and the inspection pass come
         from their store artifacts, and a missing crawl or artifact
         raises :class:`~repro.datastore.MissingRunError` instead of
-        touching a browser.  :meth:`prefetch_partials` maps every run a
-        render reads in one pass each, fanned out over forked workers.
+        touching a browser.  :meth:`prefetch_partials` reads every run
+        a render reads in one pass each.
 
         ``baseline_store`` (a :class:`~repro.datastore.CrawlStore` or a
         path) enables delta crawls against a prior epoch's store: sites
@@ -166,13 +149,10 @@ class Study:
 
         ``aggregate_cache`` (an
         :class:`~repro.datastore.AggregateStore`, a path, or ``True``
-        for ``aggregates.sqlite`` inside the store directory) turns on
-        incremental map/merge analysis: per-site partials are served
-        from the cache when the site's analysis content hash is
-        unchanged and recomputed from the stored rows when it churned,
-        producing byte-identical tables either way (see
-        :mod:`repro.datastore.incremental`).  Without a ``store`` it is
-        rejected.
+        for ``aggregates.sqlite`` inside the store directory) caches the
+        §3 sanitize verdicts and the Selenium inspections, so an evolved
+        epoch re-visits only the sites that churned (see
+        :func:`~repro.datastore.cached_sanitize`).  It needs a store.
         """
         if store_only and store is None:
             raise ValueError("store_only=True requires a store")
@@ -180,7 +160,6 @@ class Study:
             raise ValueError("aggregate_cache requires a store")
         self.universe = universe
         self.vantage_points = vantage_points or VantagePointManager()
-        self.home_country = home_country
         self.parallelism = max(1, int(parallelism or default_parallelism()))
         #: Handles this study opened from paths; :meth:`close` closes
         #: them (handles passed in belong to the caller).
@@ -210,9 +189,6 @@ class Study:
         self._cache: Dict[str, object] = {}
         self._cache_lock = threading.Lock()
         self._key_locks: Dict[str, threading.Lock] = {}
-        #: ``(country, kind)`` -> analysis -> per-site partials, filled by
-        #: :meth:`prefetch_partials` and served by :meth:`_partials`.
-        self._planned: Dict[Tuple[str, str], Dict[str, List[object]]] = {}
 
     def close(self) -> None:
         """Close the stores and the aggregate cache this study opened.
@@ -502,10 +478,6 @@ class Study:
 
     # -- parallel analysis fan-out --------------------------------------
 
-    #: Table 8 renders the home-jurisdiction banner report against the
-    #: US one, so both crawls/analyses are part of the full-study set.
-    _BANNER_COUNTRIES = ("ES", "US")
-
     def _analysis_tasks(
         self, *, geo: bool = False,
         countries: Optional[Sequence[str]] = None,
@@ -539,97 +511,47 @@ class Study:
             tasks.append(
                 ("geography", lambda: self.geography(geo_countries))
             )
-        for country in self._BANNER_COUNTRIES:
+        for country in BANNER_COUNTRIES:
             tasks.append(
                 (f"banners:{country}",
                  lambda c=country: self.banners(c))
             )
         return tasks
 
-    def _run_plan(self, *, geo: bool = False) -> List[RunPass]:
-        """The per-site analyses each run feeds in :meth:`_analysis_tasks`.
-
-        The home porn run feeds every porn analysis and the regular run
-        every regular one; with ``geo`` each Table 7 country's run feeds
-        labels, ATS and visits (blocked counts, malware); each banner
-        country's run feeds banners.  Change this list with the task
-        list: an analysis missing here still renders, from a second read
-        of its run.
-        """
-        from .datastore.incremental import PORN_ANALYSES, REGULAR_ANALYSES
-
-        plan: Dict[Tuple[str, str], List[str]] = {
-            (self.home_country, self._PORN_KIND): list(PORN_ANALYSES),
-            (self.home_country, self._REGULAR_KIND): list(REGULAR_ANALYSES),
-        }
-
-        def feed(country: str, names: Sequence[str]) -> None:
-            planned = plan.setdefault((country, self._PORN_KIND), [])
-            planned.extend(name for name in names if name not in planned)
-
-        if geo:
-            for country in self.vantage_points.country_codes:
-                feed(country, ("labels", "ats", "visits"))
-        for country in self._BANNER_COUNTRIES:
-            feed(country, ("banners",))
-        return [(country, kind, tuple(names))
-                for (country, kind), names in plan.items()]
+    def _run_plan(self, countries: Sequence[str]) -> List[RunPass]:
+        """The home runs and the porn runs from ``countries`` (the Table 7
+        or the Table 8 ones), each with the analyses it feeds."""
+        runs = [(self.home_country, self._PORN_KIND),
+                (self.home_country, self._REGULAR_KIND)]
+        runs.extend((country, self._PORN_KIND) for country in countries
+                    if country != self.home_country)
+        return [(country, kind, run_analyses(country, kind))
+                for country, kind in runs]
 
     def prefetch_partials(self, *, geo: bool = False) -> None:
-        """Map each stored run a full render reads in one pass.
+        """Crawl each run a full render reads (:meth:`prefetch_crawls`)
+        and, with a store, read it in one pass.
 
-        For a study with a store and without an aggregate cache (``repro
-        study --store`` and ``repro report``): each planned run
-        (:meth:`_run_plan`) is one
-        :meth:`~repro.datastore.IncrementalRunAnalyzer.partials` call
-        over :class:`~repro.datastore.StoredRows`, so each site is read
-        once per event table however many sections use the run.  A
-        crawling study first completes every planned run in the store
-        (through :meth:`prefetch_crawls` when ``parallelism > 1``), so
-        the passes only read.  With ``parallelism > 1`` and ``fork`` the
-        passes fan out over a pool of ``min(parallelism, runs)`` forked
-        workers; otherwise they run here in plan order.
-        :meth:`_partials` serves the held partial lists, and sections
-        merge them lazily as before.
-
-        Other studies keep mapping on demand: a cached engine already
-        reads a missed site once for all analyses, an in-memory log has
-        no read to save, and a long-lived (service) study would hold
-        every partial for its lifetime.  For them this is a no-op.
+        Each planned run (:meth:`_run_plan`) is one
+        :meth:`~repro.datastore.IncrementalRunAnalyzer.hold` call: one
+        range scan of its partials per shard, which the sections decode
+        as they merge them.
         """
-        global _PASS_STUDY
-        if self.store is None or self.aggregate_cache is not None:
-            return
-        plan = [entry for entry in self._run_plan(geo=geo)
-                if entry[:2] not in self._planned]
+        plan = self._run_plan(self.vantage_points.country_codes if geo
+                              else BANNER_COUNTRIES)
         self.prefetch_crawls([country for country, kind, _ in plan
                               if kind == self._PORN_KIND])
-        for country, kind, _ in plan:
-            # Resolved (crawled, or found) and built here, inherited by
-            # the workers.
-            self._stored_run(country, kind)
-            self._engine(country, kind)
-        workers = min(self.parallelism, len(plan))
-        if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-            _PASS_STUDY = self
-            try:
-                with ProcessPoolExecutor(
-                        max_workers=workers,
-                        mp_context=multiprocessing.get_context("fork"),
-                ) as pool:
-                    results = list(pool.map(_forked_pass, plan))
-            finally:
-                _PASS_STUDY = None
-        else:
-            results = [self._map_run(*entry) for entry in plan]
-        for (country, kind, _), partials in zip(plan, results):
-            self._planned[(country, kind)] = partials
+        if self.store is None:
+            return
+        for country, kind, names in plan:
+            self._engine(country, kind).hold(names,
+                                             self._run_rows(country, kind))
 
     def prefetch_analyses(self, *, geo: bool = False) -> None:
         """Fan the independent analyses across a thread pool.
 
-        Crawls fan out first through :meth:`prefetch_crawls` (process
-        pool), stored runs are mapped by :meth:`prefetch_partials`; the
+        Crawls fan out first (process pool) and stored runs are read, both
+        through :meth:`prefetch_partials`; the
         remaining analyses — per-country banner reports,
         per-log labels/ATS, and the table builders — are pure functions
         of memoized inputs and fan out ``parallelism`` threads wide.
@@ -645,9 +567,6 @@ class Study:
         """
         if self.parallelism <= 1:
             return
-        self.prefetch_crawls([country for country, kind, _
-                              in self._run_plan(geo=geo)
-                              if kind == self._PORN_KIND])
         self.prefetch_partials(geo=geo)
         tasks = self._analysis_tasks(geo=geo)
         with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
@@ -658,7 +577,7 @@ class Study:
     def run_all(self, *, geo: bool = False) -> None:
         """Evaluate everything the full study output needs.
 
-        ``parallelism=1`` maps the stored runs (:meth:`prefetch_partials`)
+        ``parallelism=1`` reads the stored runs (:meth:`prefetch_partials`)
         and then runs each analysis serially in exactly the order the
         lazy renderer would pull it; ``parallelism>1`` fans crawls
         across the process pool and analyses across a thread pool.
@@ -710,35 +629,27 @@ class Study:
         """The run's map/merge engine (memoized per run)."""
         from .datastore import IncrementalRunAnalyzer
 
-        def build():
-            return IncrementalRunAnalyzer(
-                self.universe, self.aggregate_cache,
-                vantage=self.vantage_points.point(country),
-                kind=kind, domains=self._run_domains(kind),
-                keep_html=kind == self._PORN_KIND,
-                classifier=self.ats_classifier(),
-                cert_lookup=self._cert_lookup(),
-                first_party=self._first_party_decisions(),
-            )
-
-        return self._memo(f"engine:{kind}:{country}", build)
-
-    def _cert_lookup(self):
-        """``universe.certificate_for`` behind one memo for the whole
-        study: every run labels the same pages and third parties, and a
-        lazy universe derives a certificate anew on each call."""
         return self._memo(
-            "cert_lookup",
-            lambda: functools.lru_cache(maxsize=1 << 16)(
-                self.universe.certificate_for),
+            f"engine:{kind}:{country}",
+            lambda: IncrementalRunAnalyzer(self._mapper(), kind=kind,
+                                           domains=self._run_domains(kind)),
         )
 
-    def _first_party_decisions(self) -> Dict[Tuple[str, str], bool]:
-        """The ``(page, fqdn)`` first-party decisions of every run's
-        labeling, made once per study: each porn run labels the same
-        pages (see :func:`~repro.core.mapmerge.map_labels`).  Scoped to
-        the study, so a long-lived process frees it with the study."""
-        return self._memo("first_party", dict)
+    def partial_counts(self) -> Dict[str, int]:
+        """How many per-site partials this study's analyses ``read`` at
+        rest and how many they ``mapped`` from rows, over every run."""
+        with self._cache_lock:
+            engines = [value for key, value in self._cache.items()
+                       if key.startswith("engine:")]
+        return {name: sum(engine.stats[name] for engine in engines)
+                for name in ("read", "mapped")}
+
+    def _mapper(self):
+        """The universe's :class:`~repro.datastore.SiteMapper`, whose
+        classifier and memos every run of the study shares."""
+        from .datastore import SiteMapper
+
+        return SiteMapper.for_universe(self.universe)
 
     def _run_domains(self, kind: str) -> Sequence[str]:
         if kind == self._PORN_KIND:
@@ -748,45 +659,25 @@ class Study:
     def _run_rows(self, country: str, kind: str):
         """The run as per-site row groups.
 
-        With a store the run is read back from it one site at a time
+        With a store it is read back from it
         (:class:`~repro.datastore.StoredRows`), after the study crawled
-        it there (unless ``store_only``): no run is held in memory
-        whole, and the cached engine reads a site's rows only on a cache
-        miss, once for all analyses, so the sites that hit never pass
-        through memory.  Without a store it is the crawl memo's log.
+        it there (unless ``store_only``); no run is held in memory whole.
+        Without a store it is the crawl memo's log.
         """
-        from .datastore import LogRows
+        from .datastore import LogRows, StoredRows
 
         if self.store is None:
             return LogRows(self.porn_log(country) if kind == self._PORN_KIND
                            else self.regular_log())
-        return self._memo(f"stored_rows:{kind}:{country}",
-                          lambda: self._stored_rows(country, kind))
-
-    def _stored_rows(self, country: str, kind: str, store=None):
-        """The stored run (read through ``store``, default the study's)."""
-        from .datastore import StoredRows
-
-        return StoredRows(store or self.store,
-                          self._stored_run(country, kind))
-
-    def _map_run(self, country: str, kind: str, names: Sequence[str], *,
-                 store=None) -> Dict[str, List[object]]:
-        """Map ``names`` over one run.  ``store`` is a forked worker's
-        own handle on the study's store."""
-        rows = (self._run_rows(country, kind) if store is None
-                else self._stored_rows(country, kind, store))
-        return self._engine(country, kind).partials(names, rows)
+        return self._memo(
+            f"stored_rows:{kind}:{country}",
+            lambda: StoredRows(self.store, self._stored_run(country, kind)))
 
     def _partials(self, country: str, kind: str,
                   names: Sequence[str]) -> Dict[str, List[object]]:
-        """Per-site partials of one run, in run position order: from
-        :meth:`prefetch_partials` when its pass covered ``names``,
-        otherwise mapped now."""
-        planned = self._planned.get((country, kind))
-        if planned is not None and all(name in planned for name in names):
-            return {name: planned[name] for name in names}
-        return self._map_run(country, kind, names)
+        """Per-site partials of one run, in run position order."""
+        return self._engine(country, kind).partials(
+            names, self._run_rows(country, kind))
 
     def visited_sites(self, country: Optional[str] = None) -> List[str]:
         """Successfully visited sites of a porn crawl, in visit order."""
@@ -820,11 +711,7 @@ class Study:
         )
 
     def ats_classifier(self) -> ATSClassifier:
-        return self._memo(
-            "ats_classifier",
-            lambda: ATSClassifier.from_texts(self.universe.easylist_text,
-                                             self.universe.easyprivacy_text),
-        )
+        return self._mapper().classifier
 
     def porn_ats(self, country: Optional[str] = None) -> ATSResult:
         country = country or self.home_country
@@ -854,7 +741,7 @@ class Study:
             lambda: attribute_organizations(
                 self.porn_labels().all_third_party_fqdns,
                 disconnect=self.universe.disconnect,
-                cert_lookup=self._cert_lookup(),
+                cert_lookup=self._mapper().cert_lookup,
                 whois_lookup=self.universe.whois_organization,
             ),
         )
@@ -865,7 +752,7 @@ class Study:
             lambda: attribute_organizations(
                 self.regular_labels().all_third_party_fqdns,
                 disconnect=self.universe.disconnect,
-                cert_lookup=self._cert_lookup(),
+                cert_lookup=self._mapper().cert_lookup,
                 whois_lookup=self.universe.whois_organization,
             ),
         )
@@ -1086,7 +973,7 @@ class Study:
                     for partial in partials["owners"]
                     for site, organization in partial["heads"]
                 },
-                cert_lookup=self._cert_lookup(),
+                cert_lookup=self._mapper().cert_lookup,
             )
 
         return self._memo("owners", build)

@@ -38,10 +38,9 @@ the packed site spec, the site's CDN assignment, and the transitive
 service closure (embedded services, their sync partners, the RTB
 bidders reachable through any ad frame), with every behavioral field
 of each service *and* its attribution fields, which party labeling
-reads.  It keys the aggregate cache, the sanitize verdicts and the
-inspection pass (:mod:`repro.datastore.incremental`); a hash match
-means a cached result still holds, a mismatch merely forces a
-recompute.
+reads.  It keys the aggregate cache of sanitize verdicts and
+inspections (:mod:`repro.datastore.incremental`); a hash match means a
+cached result still holds, a mismatch merely forces a recompute.
 """
 
 from __future__ import annotations
@@ -184,11 +183,10 @@ class AnalysisHashIndex:
     (``ATTRIBUTION_ONLY_FIELDS``) that serving never reads but party
     labeling does (``share_organization`` inside ``_is_first_party``):
     a consolidation epoch rewrites certificate organizations without
-    changing a served byte, and a cached label partial must not
-    survive it.
+    changing a served byte.
 
-    An incremental study hashes *every* site of the corpus on every
-    pass (the lookup key), so each service's transitive sync-partner
+    A cached sanitize or inspection pass hashes *every* site it looks
+    up (the lookup key), so each service's transitive sync-partner
     closure and its 32-byte digest are memoized once, and a site's hash
     folds the *sorted union* of its root services' closures.  Order
     insensitivity is sound: the site's own packed row already pins the

@@ -108,6 +108,22 @@ class TestPartyLabelIntegration:
         }
         assert found & cdn_bases
 
+    def test_sites_embedding_matches_a_scan(self, study):
+        """The memoized reverse index answers as a scan of every page
+        does, and hands out a fresh set per call."""
+        labels = study.porn_labels()
+        bases = {registrable_domain(fqdn)
+                 for fqdn in labels.all_third_party_fqdns} | {"absent.test"}
+        for base in sorted(bases):
+            scanned = {page for page, fqdns
+                       in labels.third_party_direct.items()
+                       if any(registrable_domain(fqdn) == base
+                              for fqdn in fqdns)}
+            assert labels.sites_embedding(base) == scanned, base
+        some = next(iter(sorted(bases)))
+        labels.sites_embedding(some).add("mutated.test")
+        assert "mutated.test" not in labels.sites_embedding(some)
+
 
 class TestATS:
     @pytest.fixture(scope="class")

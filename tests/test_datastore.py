@@ -16,6 +16,7 @@ from repro.datastore import (
     CrawlStore,
     MissingRunError,
     SCHEMA_VERSION,
+    SchemaError,
     config_from_json,
     config_to_json,
     run_key,
@@ -135,7 +136,8 @@ class TestResume:
             crawler = OpenWPMCrawler(universe, vantage)
             with pytest.raises(_Abort):
                 crawler.crawl(domains, checkpoint=_abort_after(
-                    store.checkpointer(state.run_id), self.ABORT_AFTER))
+                    store.checkpointer(state.run_id, universe),
+                    self.ABORT_AFTER))
 
     def test_aborted_then_resumed_log_is_bit_identical(
             self, tmp_path, universe, vantage_points, crawlable_porn):
@@ -297,6 +299,28 @@ class TestCLI:
         assert "6/6" in info
         assert "fetch_cache:" in info
         assert "run key:" in info
+
+    def test_older_schema_is_refused_with_the_rebuild_hint(self, tmp_path,
+                                                             capsys):
+        """A store of an older schema version (here: one without the
+        partials table) opens nowhere; every command exits 1 naming
+        ``repro study --store``."""
+        import sqlite3
+
+        db = str(tmp_path / "old.db")
+        CrawlStore(db).close()
+        connection = sqlite3.connect(os.path.join(db, "shard-0000.sqlite"))
+        with connection:
+            connection.execute("DROP TABLE partials")
+            connection.execute(
+                "UPDATE meta SET value=? WHERE key='schema_version'",
+                (str(SCHEMA_VERSION - 1),))
+        connection.close()
+        with pytest.raises(SchemaError, match="repro study --store"):
+            CrawlStore(db)
+        for argv in (["report", "--store", db], ["store", "info", db]):
+            with pytest.raises(SystemExit, match="repro study --store"):
+                main(argv)
 
     def test_report_on_empty_store_errors(self, tmp_path, capsys):
         db = str(tmp_path / "void.db")

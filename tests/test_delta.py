@@ -16,10 +16,14 @@ Pins the contracts the longitudinal pipeline rests on:
   from another ``churn`` or from a later epoch) the delta layer degrades
   to a normal crawl without writing anything first;
 * the splice copies rows inside SQLite and checks each site's row
-  counts: a baseline site with a deleted row is visited for real while
-  the rest still splice, a baseline whose per-site counts disagree with
-  its rows is not spliced from at all, both land on a full crawl's rows,
-  and the baseline's shard files are never written;
+  counts: a baseline site with a deleted row or partial is visited for
+  real while the rest still splice, a baseline whose per-site counts
+  disagree with its rows is not spliced from at all, both land on a
+  full crawl's rows and partials, and the baseline's shard files are
+  never written;
+* at low and high churn, on one shard and three, a delta-crawled epoch
+  renders every section a full crawl renders, and its partial rows —
+  spliced and freshly mapped alike — are a full crawl's bytes;
 * service-layer plumbing: ``JobSpec`` epoch/delta validation and the
   ``-eN`` sibling-store naming;
 * ``repro trend`` renders the longitudinal sections from per-epoch
@@ -33,16 +37,19 @@ from pathlib import Path
 
 import pytest
 
-from repro import Study
+from repro import Study, UniverseConfig
 from repro.__main__ import main
+from repro.core.mapmerge import ANALYSIS_VERSIONS
 from repro.crawler import OpenWPMCrawler
 from repro.datastore import CrawlStore, shard_of_domain, stored_crawl
 from repro.datastore.store import _slice_index
 from repro.reporting import trend_report
+from repro.reporting.sections import report_sections
 from repro.service.jobs import JobSpec, epoch_store_path
 from repro.webgen.builder import build_universe
 from repro.webgen.evolve import analysis_hash_index, evolve_universe
 
+from .conftest import SEED
 from .reference import ContentHashIndex
 
 
@@ -81,8 +88,8 @@ def _all_domains(universe):
 
 
 def store_digest(path) -> str:
-    """sha256 over every event row of every run (positions included),
-    runs in (kind, country) order."""
+    """sha256 over every event row and every partial of every run
+    (positions included), runs in (kind, country) order."""
     digest = hashlib.sha256()
     with CrawlStore(str(path)) as store:
         for manifest in sorted(store.run_manifests(),
@@ -93,7 +100,22 @@ def store_digest(path) -> str:
                 for row in store.event_rows_in_range(manifest.run_id, table,
                                                      0, 1 << 60):
                     digest.update(repr(row).encode())
+            for row in store.partial_rows(manifest.run_id):
+                digest.update(repr(row).encode())
     return digest.hexdigest()
+
+
+def partial_rows(path):
+    """(kind, country, position, analysis) -> (version, payload) of
+    every stored partial."""
+    rows = {}
+    with CrawlStore(str(path)) as store:
+        for manifest in store.run_manifests():
+            for position, analysis, version, payload in \
+                    store.partial_rows(manifest.run_id):
+                rows[manifest.kind, manifest.country_code, position,
+                     analysis] = (version, payload)
+    return rows
 
 
 def shard_file_digests(path):
@@ -379,6 +401,26 @@ class TestSpliceCountCheck:
             self._full(tmp_path, evolved, vantage, domains, shards))
         assert shard_file_digests(baseline) == before
 
+    def test_site_with_a_missing_partial_maps_it(
+            self, tmp_path, universe, evolved, vantage_points, domains):
+        """A spliced site short of a partial still splices: the partial
+        is mapped from the rows just copied, in the site's transaction,
+        and the store holds a full crawl's partials."""
+        vantage = vantage_points.point("ES")
+        baseline = self._baseline(tmp_path, universe, vantage, domains, 1)
+        victim, changed = self._victim(baseline, evolved, domains)
+        self._edit_shard(baseline, victim.domain,
+                         "DELETE FROM partials WHERE run_id=?"
+                         " AND position=? AND analysis='sync'",
+                         victim.position)
+
+        path, delta, events = self._delta(tmp_path, evolved, vantage,
+                                          domains, baseline, 1)
+        assert ("site_spliced", victim.domain) in events
+        assert delta["crawled"] == changed
+        assert store_digest(path) == store_digest(
+            self._full(tmp_path, evolved, vantage, domains, 1))
+
     @pytest.mark.parametrize("shards", [1, 3])
     def test_wrong_site_count_is_not_spliced_from(
             self, tmp_path, universe, evolved, vantage_points, domains,
@@ -402,6 +444,105 @@ class TestSpliceCountCheck:
         assert store_digest(path) == store_digest(
             self._full(tmp_path, evolved, vantage, domains, shards))
         assert shard_file_digests(baseline) == before
+
+
+class TestDeltaPartials:
+    """A delta-crawled epoch against a full crawl of the same epoch,
+    both through a study with a store: the sections it renders and the
+    partial rows it stores."""
+
+    SCALE = 0.02
+
+    def _config(self, epoch, churn):
+        return UniverseConfig(seed=SEED, scale=self.SCALE, epoch=epoch,
+                              churn=churn)
+
+    def _study(self, path, epoch, churn, shards=1, baseline=None):
+        """Crawl and render one epoch into ``path``: its sections."""
+        study = Study(build_universe(self._config(epoch, churn)),
+                      store=str(path), store_shards=shards,
+                      baseline_store=baseline, parallelism=1)
+        try:
+            study.run_all()
+            return dict(report_sections(study, self.SCALE))
+        finally:
+            study.close()
+
+    @pytest.fixture(scope="class")
+    def epochs_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("delta-partials")
+
+    @pytest.fixture(scope="class")
+    def baseline(self, epochs_dir):
+        """Epoch 0 (which reads no ``churn``), one shard."""
+        path = epochs_dir / "e0"
+        self._study(path, 0, 0.05)
+        return str(path)
+
+    @pytest.fixture(scope="class")
+    def full(self, epochs_dir):
+        """Per churn: a full crawl of epoch 1, its sections and its
+        partial rows."""
+        crawled = {}
+
+        def get(churn):
+            if churn not in crawled:
+                path = epochs_dir / f"full-{churn}"
+                sections = self._study(path, 1, churn)
+                crawled[churn] = sections, partial_rows(path)
+            return crawled[churn]
+
+        return get
+
+    @pytest.mark.parametrize("churn", [0.05, 0.5])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_delta_epoch_matches_full_crawl(self, tmp_path, baseline, full,
+                                            churn, shards):
+        path = tmp_path / "delta"
+        sections = self._study(path, 1, churn, shards, baseline=baseline)
+        expected_sections, expected_rows = full(churn)
+        assert list(sections) == list(expected_sections)
+        differ = [name for name in sections
+                  if sections[name] != expected_sections[name]]
+        assert not differ, f"sections differ from a full crawl: {differ}"
+        rows = partial_rows(path)
+        assert rows.keys() == expected_rows.keys()
+        differ = sorted(key for key in rows if rows[key] != expected_rows[key])
+        assert not differ, f"partials differ from a full crawl: {differ[:5]}"
+        with CrawlStore(str(path)) as store:
+            stats = [manifest.stats["delta"]
+                     for manifest in store.run_manifests()]
+        assert sum(delta["spliced"] for delta in stats) > 0
+        assert sum(delta["crawled"] for delta in stats) > 0
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_stale_partials_are_mapped_at_splice(
+            self, tmp_path, baseline, full, monkeypatch, shards):
+        """After an ``ANALYSIS_VERSIONS`` bump the baseline's partials of
+        the bumped analyses are stale: the splice maps them from the
+        rows it copied instead of copying them, so the epoch's render
+        reads every partial at rest and maps none."""
+        expected = full(0.05)[0]  # before the bump: the class caches it
+        for name in ("visits", "sync"):
+            monkeypatch.setitem(ANALYSIS_VERSIONS, name,
+                                ANALYSIS_VERSIONS[name] + 1)
+        path = tmp_path / "delta"
+        self._study(path, 1, 0.05, shards, baseline=baseline)
+        rows = partial_rows(path)
+        assert {version for (_, _, _, name), (version, _) in rows.items()
+                if name in ("visits", "sync")} == {
+            ANALYSIS_VERSIONS["visits"], ANALYSIS_VERSIONS["sync"]}
+
+        study = Study(build_universe(self._config(1, 0.05)),
+                      store=str(path), store_only=True, parallelism=1)
+        try:
+            study.prefetch_partials()
+            sections = dict(report_sections(study, self.SCALE))
+            counts = study.partial_counts()
+        finally:
+            study.close()
+        assert sections == expected
+        assert counts["mapped"] == 0 and counts["read"] > 0
 
 
 class TestServicePlumbing:

@@ -13,22 +13,20 @@ study can take from a universe to the report must land on those bytes:
   at a time, never as whole logs; and a store-only study over each of
   the last two stores;
 * ``repro report``'s store-only study over a 2-shard store, through the
-  planned passes ``repro report`` runs first
-  (:meth:`~repro.Study.prefetch_partials`), in process and in forked
-  workers; and the ``repro report --geo`` command itself on a copy of
-  the store;
-* the same with the aggregate cache (``repro report --incremental``),
-  on a copy of the store, since the cache is written inside it;
-  both store-only routes run with ``Browser.visit`` and
-  ``CrawlStore.load_log`` made to raise (forked workers inherit the
-  patches): a report reads stored partials and artifacts and nothing
-  else;
+  planned read ``repro report`` runs first
+  (:meth:`~repro.Study.prefetch_partials`): one scan of each run's
+  partials per shard, and no event row; and the ``repro report --geo``
+  command itself on a copy of the store;
+* the same with the aggregate cache on, on a copy of the store, since
+  the cache is written inside it; both store-only routes run with
+  ``Browser.visit`` and ``CrawlStore.load_log`` made to raise: a report
+  reads stored partials and artifacts and nothing else;
 * a store whose ``sanitize:verdicts`` artifact is damaged, which a
   store-only study must refuse and a crawl-allowed one must recompute
   and rewrite;
 * an epoch-1 delta study (``baseline_store`` + ``aggregate_cache``),
-  pinned to its own digests, which leaves the baseline's shard files
-  byte-identical.
+  pinned to its own digests, which splices the baseline's partials with
+  its rows and leaves the baseline's shard files byte-identical.
 
 The shared epoch-0 store is read-only: a test that writes works on a
 copy, and the fixture fails at teardown if an aggregate cache appeared
@@ -68,6 +66,7 @@ from repro.core import (
 from repro.browser.browser import Browser
 from repro.core.compliance.banners import analyze_banners
 from repro.datastore import (
+    AggregateStore,
     CrawlStore,
     MissingRunError,
     aggregates_path,
@@ -84,7 +83,6 @@ from repro.webgen.builder import build_universe
 
 from .golden.regen import analysis_digests, study_analyses, universe_digests
 from .test_delta import shard_file_digests
-from .test_incremental import planned_scans
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "sections.json").read_text()
@@ -274,18 +272,19 @@ def test_stored_study(shards, parallelism, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_store_only_report(parallelism, golden_store, monkeypatch):
-    """In process the planned passes scan each (run, site, planned
-    table) once; forked workers read through handles of their own, so
-    the study's scans nothing.  Rendering afterwards scans nothing."""
+    """At any parallelism the planned read scans each run's partials
+    once per shard and no event row: every partial the report merges
+    was written at crawl time.  Rendering afterwards reads nothing."""
     _forbid_browsing_and_hydration(monkeypatch)
     study = Study(build_universe(_config()), store=golden_store,
                   store_only=True, parallelism=parallelism)
     study.prefetch_partials(geo=True)
-    scans = study.store.io_stats["scans"]
-    assert scans == (planned_scans(study, geo=True) if parallelism == 1
-                     else 0)
+    counts = dict(study.store.io_stats)
+    runs = len(study._run_plan(study.vantage_points.country_codes))
+    assert counts["partial_scans"] == runs * study.store.shard_count
+    assert counts["scans"] == 0
     _assert_golden(study, GOLDEN["epoch0"])
-    assert study.store.io_stats["scans"] == scans
+    assert study.store.io_stats == counts
 
 
 def test_report_command(golden_store, tmp_path):
@@ -309,13 +308,17 @@ def test_report_command(golden_store, tmp_path):
 
 
 def test_aggregate_cache_report(golden_store, monkeypatch, tmp_path):
-    """The cache lands inside the store it reads, so this reads a copy."""
+    """The cache lands inside the store it reads, so this reads a copy.
+    A report reads its partials at rest and its sanitize verdicts and
+    inspections from the store's artifacts, so it caches nothing."""
     path = str(tmp_path / "store")
     shutil.copytree(golden_store, path)
     _forbid_browsing_and_hydration(monkeypatch)
     study = Study(build_universe(_config()), store=path,
                   store_only=True, aggregate_cache=True)
     _assert_golden(study, GOLDEN["epoch0"])
+    with AggregateStore(aggregates_path(path)) as cache:
+        assert cache.row_count() == 0
 
 
 def _verdicts_key(study):
@@ -376,39 +379,3 @@ def test_epoch1_delta_study(golden_store, monkeypatch):
     study.run_all(geo=True)
     _assert_golden(study, GOLDEN["epoch1_delta"])
     assert shard_file_digests(golden_store) == baseline_shards
-
-
-def test_aggregate_cache_from_another_universe(golden_store, tmp_path):
-    """A cache another universe's study warmed holds partials under the
-    same analysis keys and some of the same site names, but under other
-    content hashes.  A report through it must render the golden bytes
-    and count exactly what a report through an empty cache counts: a
-    miss for every site's first lookup, and hits only on partials this
-    report wrote itself."""
-    other_path = str(tmp_path / "other")
-    other = Study(build_universe(UniverseConfig(seed=GOLDEN["seed"] + 1,
-                                                scale=0.02)),
-                  store=other_path, aggregate_cache=True)
-    try:
-        other.run_all()
-        assert other.aggregate_cache.row_count() > 0
-    finally:
-        other.close()
-
-    def report_stats(name, cache_file):
-        path = str(tmp_path / name)
-        shutil.copytree(golden_store, path)
-        if cache_file:
-            shutil.copyfile(cache_file, aggregates_path(path))
-        study = Study(build_universe(_config()), store=path,
-                      store_only=True, aggregate_cache=True)
-        stats = study.aggregate_cache.stats
-        sites = sum(manifest.total_sites
-                    for manifest in study.store.run_manifests())
-        _assert_golden(study, GOLDEN["epoch0"])
-        return stats.as_dict(), sites
-
-    planted, sites = report_stats("planted", aggregates_path(other_path))
-    empty, _ = report_stats("empty", None)
-    assert planted == empty
-    assert planted["misses"] >= sites

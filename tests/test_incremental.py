@@ -1,28 +1,31 @@
-"""Incremental map/merge analysis: caching and invalidation.
+"""Incremental map/merge analysis: partials at rest, and the cache.
 
-Pins the contracts the aggregate cache rests on (the merged results
+Pins the contracts the at-rest partials rest on (the merged results
 themselves are pinned by ``tests/golden/analyses.json``, see
 ``test_golden.py``):
 
-* a cold cached study renders the same bytes as the uncached one;
-* a second study over the same store serves every partial from the
-  cache (zero misses) and still renders identical bytes;
-* across an evolved epoch, exactly the sites whose analysis content
-  hash changed are re-mapped — spliced sites are cache hits;
-* bumping an ``ANALYSIS_VERSIONS`` entry orphans that analysis's
-  cached partials (full recompute, same bytes);
-* a corrupted aggregate row degrades to a recompute — never a wrong
-  table;
-* ``repro report``'s planned passes read each site of a run once per
-  event table, and cover every section the report renders;
-* satellites: per-analysis wall timings under the prefetch pool, store
-  open/scan counters, CLI ``--incremental`` / ``--stats`` / ``store
-  info -v`` surfaces.
+* a store whose partials are gone renders the same bytes as an
+  in-memory study, mapping every partial from the stored rows;
+* a store as crawled maps nothing: every partial is read at rest, and
+  renders identical bytes;
+* across an evolved epoch the delta crawl splices each unchanged site's
+  partials with its rows, byte for byte, and the epoch renders without
+  mapping anything;
+* bumping an ``ANALYSIS_VERSIONS`` entry makes that analysis's stored
+  partials stale (mapped again, same bytes, nothing written back);
+* a corrupted partial degrades to a recompute — never a wrong table;
+* a partial mapped from a live log, one mapped from stored rows and one
+  written at crawl time encode to identical bytes;
+* ``repro report``'s planned read scans a run's partials once per
+  shard, and without them each site's rows once per table;
+* satellites: store open/scan counters, CLI ``trend --stats`` and
+  ``store info -v`` surfaces, and the sanitize and inspection caches.
 """
 
 import marshal
 import os
 import pickle
+import shutil
 import sqlite3
 
 import pytest
@@ -42,10 +45,17 @@ from repro.datastore import (
     cached_inspections,
     cached_sanitize,
 )
-from repro.datastore.incremental import _inspection_hash, _run_tables
+from repro.datastore.incremental import (
+    BANNER_COUNTRIES,
+    PORN_ANALYSES,
+    REGULAR_ANALYSES,
+    _inspection_hash,
+    _run_tables,
+)
 from repro.datastore.serialize import (
     inspections_from_payload,
     inspections_to_payload,
+    pack_value,
 )
 from repro.reporting.sections import render_section, report_sections
 from repro.webgen.builder import build_universe
@@ -82,15 +92,14 @@ def epoch1_store(inc_dir, evolved, epoch0_store):
     study = Study(evolved, store=path, baseline_store=epoch0_store)
     study.porn_log()
     study.regular_log()
+    study.inspections()
     return path
 
 
 @pytest.fixture(scope="module")
-def reference_sections(universe, epoch0_store):
-    """Monolithic store-only render: the byte-identity baseline."""
-    study = Study(_rebuild(universe), store=epoch0_store, store_only=True)
-    return {name: render_section(study, universe.config.scale, name)
-            for name in SECTIONS}
+def reference_sections(universe, study):
+    """The in-memory study's render: the byte-identity baseline."""
+    return _render_all(study, universe.config.scale)
 
 
 def _rebuild(universe):
@@ -98,126 +107,142 @@ def _rebuild(universe):
     return build_universe(universe.config)
 
 
-def _incremental_study(universe, store_path, cache=None):
-    return Study(_rebuild(universe), store=store_path, store_only=True,
-                 aggregate_cache=cache
-                 if cache is not None else aggregates_path(store_path))
+def _copy(path, target, edit=None):
+    """A copy of the store at ``path``, with ``edit`` run on each shard."""
+    shutil.copytree(path, target)
+    if edit is not None:
+        with CrawlStore(str(target)) as store:
+            shards = store.shard_count
+        for index in range(shards):
+            connection = sqlite3.connect(
+                os.path.join(target, f"shard-{index:04d}.sqlite"))
+            with connection:
+                edit(connection)
+            connection.close()
+    return str(target)
+
+
+@pytest.fixture(scope="module")
+def cold_store(inc_dir, epoch0_store):
+    """The epoch-0 store without its partials."""
+    return _copy(epoch0_store, inc_dir / "cold",
+                 lambda connection: connection.execute(
+                     "DELETE FROM partials"))
+
+
+def _store_study(universe, path):
+    return Study(_rebuild(universe), store=path, store_only=True)
 
 
 def _render_all(study, scale):
     return {name: render_section(study, scale, name) for name in SECTIONS}
 
 
+def _partial_payloads(path, kind, country):
+    """Position -> analysis -> payload of one run's stored partials."""
+    with CrawlStore(path) as store:
+        manifest = next(m for m in store.run_manifests()
+                        if m.kind == kind and m.country_code == country)
+        rows = store.partial_rows(manifest.run_id)
+    payloads = {}
+    for position, analysis, _version, payload in rows:
+        payloads.setdefault(position, {})[analysis] = payload
+    return payloads
+
+
 class TestAggregateCache:
-    def test_cold_run_renders_identical_bytes(self, universe, epoch0_store,
-                                              reference_sections, inc_dir):
-        cache = AggregateStore(str(inc_dir / "cold.sqlite"))
-        study = _incremental_study(universe, epoch0_store, cache)
+    """Partials at rest hold what the content-hash aggregate cache used
+    to: every store study reads them, and whatever is missing, stale or
+    unreadable is mapped again from the stored rows."""
+
+    def test_cold_run_renders_identical_bytes(self, universe, cold_store,
+                                              reference_sections):
+        study = _store_study(universe, cold_store)
         assert _render_all(study, universe.config.scale) == \
             reference_sections
-        assert cache.stats.misses > 0          # nothing was cached yet
-        assert cache.row_count() > 0
+        stats = study.partial_counts()
+        assert stats["read"] == 0 and stats["mapped"] > 0
+        study.close()
 
-    def test_warm_run_is_all_hits(self, universe, epoch0_store,
-                                  reference_sections):
-        warm = _incremental_study(universe, epoch0_store)
-        first = warm.aggregate_cache.stats
-        _render_all(warm, universe.config.scale)
-        if first.misses:                       # first module use: warm it
-            again = _incremental_study(universe, epoch0_store)
-            _render_all(again, universe.config.scale)
-            stats = again.aggregate_cache.stats
-        else:
-            stats = first
-        assert stats.misses == 0
-        assert stats.hits > 0
+    def test_warm_run_is_all_hits(self, universe, epoch0_store):
+        study = _store_study(universe, epoch0_store)
+        _render_all(study, universe.config.scale)
+        stats = study.partial_counts()
+        assert stats["mapped"] == 0 and stats["read"] > 0
+        assert study.store.io_stats["scans"] == 0
+        study.close()
 
     def test_warm_tables_identical(self, universe, epoch0_store,
                                    reference_sections):
-        study = _incremental_study(universe, epoch0_store)
+        study = _store_study(universe, epoch0_store)
         assert _render_all(study, universe.config.scale) == \
             reference_sections
+        study.close()
 
     def test_epoch_churn_misses_only_changed_sites(self, universe, evolved,
                                                    epoch0_store,
                                                    epoch1_store):
-        # Warm the cache from epoch 0 through the shared cache file.
-        cache_path = aggregates_path(epoch1_store)
-        assert cache_path == aggregates_path(epoch0_store)
-        warm = _incremental_study(universe, epoch0_store)
-        _render_all(warm, universe.config.scale)
+        """Each unchanged site's partials are the baseline's bytes; the
+        epoch renders what an in-memory study of it renders, reading
+        every partial at rest."""
+        changed = evolved.changed_domains_since(universe.config)
+        assert changed, "an evolved epoch should churn some sites"
+        for kind, domains in (
+                (Study._PORN_KIND, Study(evolved).corpus_domains()),
+                (Study._REGULAR_KIND, evolved.reference_regular_corpus())):
+            before = _partial_payloads(epoch0_store, kind, "ES")
+            after = _partial_payloads(epoch1_store, kind, "ES")
+            assert sorted(after) == list(range(len(domains)))
+            differ = {domains[position] for position in after
+                      if after[position] != before[position]}
+            assert differ <= changed, differ - changed
 
-        e1 = _rebuild(evolved)
-        study = Study(e1, store=epoch1_store, store_only=True,
-                      aggregate_cache=cache_path)
-        missed = set()
-        cache = study.aggregate_cache
-        original_get_many = cache.get_many
-
-        def recording_get_many(key, version, wanted):
-            found = original_get_many(key, version, wanted)
-            missed.update(set(wanted) - set(found))
-            return found
-
-        cache.get_many = recording_get_many
+        study = _store_study(evolved, epoch1_store)
         sections = _render_all(study, evolved.config.scale)
-
-        reference = Study(_rebuild(evolved), store=epoch1_store,
-                          store_only=True)
-        assert sections == _render_all(reference, evolved.config.scale)
-
-        h0 = analysis_hash_index(_rebuild(universe))
-        h1 = analysis_hash_index(_rebuild(evolved))
-        # Restrict to sites with a spec in at least one epoch: sanitize
-        # also caches spec-less keyword candidates under the "absent"
-        # sentinel, which the hash indexes cannot compare.
-        specced = {d for d in missed
-                   if h0.hash_of(d) is not None
-                   or h1.hash_of(d) is not None}
-        assert missed, "an evolved epoch should churn some sites"
-        # Every specced missed site must have actually changed content —
-        # spliced (hash-stable) sites are cache hits by construction.
-        stale = {d for d in specced if h0.hash_of(d) == h1.hash_of(d)}
-        assert not stale, f"spliced sites must be cache hits: {stale}"
-        # And the vast majority of lookups were hits.
-        stats = cache.stats
-        assert stats.misses < stats.lookups / 2
+        stats = study.partial_counts()
+        assert stats["mapped"] == 0 and stats["read"] > 0
+        study.close()
+        assert sections == _render_all(Study(_rebuild(evolved)),
+                                       evolved.config.scale)
 
     def test_version_bump_forces_full_recompute(self, universe,
                                                 epoch0_store,
                                                 reference_sections):
-        warm = _incremental_study(universe, epoch0_store)
-        _render_all(warm, universe.config.scale)
-
+        with CrawlStore(epoch0_store) as store:
+            before = store.partial_stats()
         mapmerge.ANALYSIS_VERSIONS["labels"] += 1
         try:
-            study = _incremental_study(universe, epoch0_store)
+            study = _store_study(universe, epoch0_store)
             sections = _render_all(study, universe.config.scale)
-            assert sections == reference_sections
-            stats = study.aggregate_cache.stats
-            assert stats.misses > 0            # labels partials orphaned
+            stats = study.partial_counts()
+            study.close()
         finally:
             mapmerge.ANALYSIS_VERSIONS["labels"] -= 1
+        assert sections == reference_sections
+        # Every site of the two runs' labels, and nothing else.
+        sites = len(Study(universe).corpus_domains()) \
+            + len(universe.reference_regular_corpus())
+        assert stats["mapped"] == sites
+        with CrawlStore(epoch0_store) as store:
+            assert store.partial_stats() == before  # nothing written back
 
     def test_corrupt_row_degrades_to_recompute(self, universe, epoch0_store,
-                                               reference_sections):
-        warm = _incremental_study(universe, epoch0_store)
-        _render_all(warm, universe.config.scale)
+                                               inc_dir, reference_sections):
+        def corrupt(connection):
+            (run_id,) = connection.execute(
+                "SELECT id FROM runs WHERE kind=? AND country_code='ES'",
+                (Study._PORN_KIND,)).fetchone()
+            connection.execute(
+                "UPDATE partials SET payload=X'00DEAD' WHERE run_id=?"
+                " AND position < 7 AND analysis='cookies'", (run_id,))
 
-        cache_path = aggregates_path(epoch0_store)
-        with sqlite3.connect(cache_path) as conn:
-            count = conn.execute(
-                "UPDATE analysis_aggregates SET payload=X'00DEAD' WHERE "
-                "rowid IN (SELECT rowid FROM analysis_aggregates LIMIT 7)"
-            ).rowcount
-        assert count == 7
-
-        study = _incremental_study(universe, epoch0_store)
+        path = _copy(epoch0_store, inc_dir / "corrupt", corrupt)
+        study = _store_study(universe, path)
         sections = _render_all(study, universe.config.scale)
+        stats = study.partial_counts()
+        study.close()
         assert sections == reference_sections  # never a wrong table
-        stats = study.aggregate_cache.stats
-        assert stats.corrupt > 0
-        assert stats.misses >= stats.corrupt
+        assert stats["mapped"] == 7
 
     def test_aggregates_path_layouts(self, tmp_path):
         # Inside the store directory, beside the shard files — whether
@@ -232,14 +257,10 @@ class TestAggregateCache:
         assert aggregates_path(str(store)) == \
             str(store / "aggregates.sqlite")
 
-    def test_engine_rejects_unknown_analysis(self, universe, vantage_points,
-                                             study):
+    def test_engine_rejects_unknown_analysis(self, universe, study):
         engine = IncrementalRunAnalyzer(
-            _rebuild(universe), None,
-            vantage=vantage_points.point("ES"), kind="openwpm:regular",
-            domains=universe.reference_regular_corpus(), keep_html=False,
-            classifier=study.ats_classifier(),
-            cert_lookup=universe.certificate_for,
+            study._mapper(), kind="openwpm:regular",
+            domains=universe.reference_regular_corpus(),
         )
         with pytest.raises(ValueError):
             engine.partials(("nonsense",), LogRows(study.regular_log()))
@@ -247,13 +268,44 @@ class TestAggregateCache:
             engine.partials(("banners",), LogRows(study.regular_log()))
 
 
-def planned_scans(study, geo=False):
+class TestCanonicalBytes:
+    @pytest.mark.parametrize("kind,names", [
+        (Study._PORN_KIND, PORN_ANALYSES),
+        (Study._REGULAR_KIND, REGULAR_ANALYSES),
+    ])
+    def test_log_and_stored_partials_encode_alike(self, universe, study,
+                                                  epoch0_store, cold_store,
+                                                  kind, names):
+        """Mapped from the live log, mapped from the stored rows, and
+        as written at crawl time: the same bytes, site by site."""
+        mapped = {}
+        mapped["log"] = IncrementalRunAnalyzer(
+            study._mapper(), kind=kind, domains=study._run_domains(kind),
+        ).partials(names, study._run_rows("ES", kind))
+        reader = _store_study(universe, cold_store)
+        mapped["rows"] = reader._partials("ES", kind, names)
+        assert reader.partial_counts()["read"] == 0
+        reader.close()
+        log, rows = ({name: [pack_value(partial) for partial in partials]
+                      for name, partials in mapped[route].items()}
+                     for route in ("log", "rows"))
+        assert log == rows
+        at_rest = _partial_payloads(epoch0_store, kind, "ES")
+        for name in names:
+            assert [at_rest[position][name]
+                    for position in range(len(at_rest))] == log[name], name
+
+
+def planned_scans(study, countries):
     """One range scan per (run, site, planned table) of the study's
     plan, where the site's slice holds rows of that table."""
+    from repro.datastore.store import _slice_index
+
     total = 0
-    for country, kind, names in study._run_plan(geo=geo):
+    for country, kind, names in study._run_plan(countries):
         tables = _run_tables(kind, names)
-        for slice_ in study._stored_rows(country, kind)._slices.values():
+        run = study._stored_run(country, kind)
+        for slice_ in _slice_index(study.store, run).values():
             total += sum(1 for table, (_lo, _hi, count)
                          in slice_.bounds().items()
                          if table in tables and count)
@@ -262,25 +314,24 @@ def planned_scans(study, geo=False):
 
 class TestPlannedPass:
     def test_one_scan_per_site_and_table_then_none(self, universe,
-                                                   epoch0_store):
-        """At parallelism 1 the planned passes scan each (run, site,
-        planned table) exactly once, and the sections rendered
+                                                   cold_store):
+        """Without partials at rest the planned read scans each (run,
+        site, planned table) exactly once, and the sections rendered
         afterwards scan nothing: the plan covers them all."""
-        store = CrawlStore(epoch0_store)
+        store = CrawlStore(cold_store)
         study = Study(_rebuild(universe), store=store, store_only=True,
                       parallelism=1)
         try:
             study.prefetch_partials()
-            assert store.io_stats["scans"] == planned_scans(study)
-            assert list(study._planned) == \
-                [(country, kind) for country, kind, _ in study._run_plan()]
+            scans = planned_scans(study, BANNER_COUNTRIES)
+            assert store.io_stats["scans"] == scans
             report_sections(study, universe.config.scale)
-            assert store.io_stats["scans"] == planned_scans(study)
+            assert store.io_stats["scans"] == scans
         finally:
             store.close()
 
     def test_scans_skip_empty_tables_and_regular_js_calls(
-            self, universe, epoch0_store, monkeypatch):
+            self, universe, cold_store, monkeypatch):
         """A site's table with no rows costs no scan, and the regular
         run's ``visits`` map reads no JS calls (nothing reads its
         miners); the porn run's does."""
@@ -293,7 +344,7 @@ class TestPlannedPass:
             return original(self, run, domain, table, lo, hi)
 
         monkeypatch.setattr(CrawlStore, "site_event_rows", spy)
-        study = Study(_rebuild(universe), store=epoch0_store,
+        study = Study(_rebuild(universe), store=cold_store,
                       store_only=True, parallelism=1)
         try:
             study._partials(study.home_country, study._REGULAR_KIND,
@@ -308,9 +359,9 @@ class TestPlannedPass:
 
     def test_forked_missing_run_exits_1(self, epoch0_store, capsys,
                                         monkeypatch):
-        """A worker's MissingRunError re-raises in the parent: ``repro
-        report --geo`` on a store without the geo runs still exits 1
-        with the re-run hint."""
+        """A planned read's MissingRunError ends the command: ``repro
+        report --geo`` on a store without the geo runs exits 1 with the
+        re-run hint, at any parallelism."""
         monkeypatch.setattr("repro.study.default_parallelism", lambda: 2)
         capsys.readouterr()
         assert main(["report", "--geo", "--store", epoch0_store]) == 1
@@ -323,56 +374,56 @@ class TestPlannedPass:
     def test_planned_passes_skip_cached_and_live_studies(self, universe,
                                                           epoch0_store,
                                                           tmp_path):
+        """A live study has no read to plan; a store study whose
+        partials are at rest — with an aggregate cache or without —
+        scans their rows and no event row."""
         live = Study(universe, parallelism=1)
         live.prefetch_partials()
-        assert live._planned == {}
-        cached = Study(_rebuild(universe), store=epoch0_store,
-                       store_only=True,
-                       aggregate_cache=str(tmp_path / "aggregates.sqlite"))
+        assert not any(key.startswith("engine:") for key in live._cache)
+        path = _copy(epoch0_store, tmp_path / "store")
+        cached = Study(_rebuild(universe), store=path, store_only=True,
+                       aggregate_cache=True)
         try:
             cached.prefetch_partials()
-            assert cached._planned == {}
+            assert cached.store.io_stats["scans"] == 0
+            runs = cached._run_plan(BANNER_COUNTRIES)
+            assert cached.store.io_stats["partial_scans"] == \
+                len(runs) * cached.store.shard_count
         finally:
             cached.close()
 
 
 class TestSatellites:
-    def test_store_io_stats_counters(self, universe, epoch0_store):
-        store = CrawlStore(epoch0_store)
+    def test_store_io_stats_counters(self, universe, cold_store):
+        store = CrawlStore(cold_store)
         assert store.io_stats["scans"] == 0
         study = Study(_rebuild(universe), store=store, store_only=True)
         study.table2()
         assert store.io_stats["scans"] > 0
         assert store.io_stats["opens"] > 0
 
-    def test_cli_trend_stats_and_incremental(self, epoch0_store,
-                                             epoch1_store, capsys):
-        code = main(["trend", epoch0_store, epoch1_store,
-                     "--incremental", "--stats"])
+    def test_cli_trend_stats(self, epoch0_store, epoch1_store, capsys):
+        code = main(["trend", epoch0_store, epoch1_store, "--stats"])
         out = capsys.readouterr().out
         assert code == 0
         assert "== trend: tracker prevalence ==" in out
         assert "connection opens" in out
-        assert "event scans" in out
-        assert "aggregate cache:" in out
-
-    def test_cli_report_incremental_matches_plain(self, epoch0_store,
-                                                  capsys):
-        assert main(["report", "--store", epoch0_store]) == 0
-        plain = capsys.readouterr().out
-        assert main(["report", "--store", epoch0_store,
-                     "--incremental"]) == 0
-        incremental = capsys.readouterr().out
-        assert incremental == plain
+        assert "partial scans, 0 event scans" in out
 
     def test_cli_store_info_verbose_prints_cache(self, epoch0_store,
-                                                 capsys):
-        # The CLI tests above populated the cache next to the store.
-        assert os.path.exists(aggregates_path(epoch0_store))
-        assert main(["store", "info", epoch0_store, "-v"]) == 0
+                                                 tmp_path, capsys):
+        path = _copy(epoch0_store, tmp_path / "store")
+        with AggregateStore(aggregates_path(path)) as cache:
+            cache.persist_stats()
+        assert main(["store", "info", path, "-v"]) == 0
         out = capsys.readouterr().out
+        with CrawlStore(path) as store:
+            stats = store.partial_stats()
+        assert set(stats) == set(PORN_ANALYSES)
+        assert f"partials: {sum(n for n, _ in stats.values())} rows" in out
+        rows, size = stats["labels"]
+        assert f"    labels: {rows} rows, {size} bytes" in out
         assert "aggregate cache:" in out
-        assert "partials" in out
         assert "last study:" in out
 
 

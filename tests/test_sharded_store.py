@@ -160,7 +160,8 @@ class TestKilledAndResumed:
             with pytest.raises(_Abort):
                 OpenWPMCrawler(universe, vantage).crawl(
                     crawlable_porn,
-                    checkpoint=_abort_after(store.checkpointer(state.run_id),
+                    checkpoint=_abort_after(store.checkpointer(state.run_id,
+                                                             universe),
                                             self.ABORT_AFTER))
         store = CrawlStore(path)
         state = store.find_run(universe.config, vantage, "openwpm:porn",
@@ -385,6 +386,8 @@ class TestReshard:
                 sharded_log = sharded.load_log(after.run_id)
                 assert sharded_log == flat_log
                 assert sharded_log._seq == flat_log._seq
+                assert sharded.partial_rows(after.run_id) == \
+                    flat.partial_rows(before.run_id)
 
     def test_reshard_refuses_bad_inputs(self, tmp_path, universe,
                                         vantage_points, crawlable_porn):
