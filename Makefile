@@ -8,7 +8,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 ## Memory-flatness gate: run the streaming probe (lazy universe, sharded
-## store, trim-mode crawl, cursor analyses) at two scales and fail if the
+## store, streamed crawl, cursor analyses) at two scales and fail if the
 ## crawl-path peak RSS ratio exceeds 1.3x or the tables diverge from an
 ## unsharded in-memory reference.  Tune the scales with
 ## REPRO_SCALE_CHECK_SCALES.

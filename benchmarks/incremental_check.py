@@ -51,6 +51,8 @@ import time
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.reporting.sections import sections_reading  # noqa: E402
+
 DEFAULT_SCALE = 0.2
 
 #: Per-epoch content churn: ~5% of sites change between the epochs.
@@ -59,8 +61,7 @@ CHURN = 0.05
 SPEEDUP_FLOOR = 3.0
 
 #: Sections renderable from the probe's porn(ES) + regular runs alone.
-SECTIONS = ("corpus", "table2", "table3", "figure3", "table4", "figure4",
-            "table5", "table6", "malware")
+SECTIONS = sections_reading(("home", "regular"))
 
 
 def _scale() -> float:

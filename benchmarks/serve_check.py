@@ -35,14 +35,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 SCALE = 0.02
 SEED = 20191021
 
-#: Figure sections are served headerless under ``/figures/``; the report
-#: prints them with these headers (see ``repro.reporting.sections``).
-FIGURE_HEADERS = {
-    "figure3": "== Figure 3: organizations ==\n",
-    "figure4": "== Figure 4: cookie syncing ==\n",
-}
-
-
 def _get(url: str) -> bytes:
     with urllib.request.urlopen(url) as resp:
         return resp.read()
@@ -68,7 +60,7 @@ def _fail(message: str) -> int:
 
 
 def main() -> int:
-    from repro.reporting import FIGURE_SECTIONS, section_names
+    from repro.reporting.sections import FIGURE_SECTIONS, rendered
     from repro.service import ReproServer
     from repro.service.sse import parse_stream
 
@@ -122,12 +114,15 @@ def main() -> int:
                 return _fail("GET /report differs from `repro report`")
 
             parts = []
-            for name in section_names(geo=False):
+            for section in rendered(geo=False):
+                name = section.name
                 if name in FIGURE_SECTIONS:
+                    # Figures are served headerless; the report prints
+                    # them under the section's title.
                     ascii_art = _get(
                         server.url + f"/jobs/{job['id']}/figures/{name}"
                     ).decode()
-                    parts.append(FIGURE_HEADERS[name] + ascii_art[:-1])
+                    parts.append(section.headed(ascii_art[:-1]))
                 else:
                     text = _get(
                         server.url + f"/jobs/{job['id']}/tables/{name}"

@@ -229,10 +229,10 @@ def _print_similarity_stats() -> None:
 def cmd_study(args: argparse.Namespace) -> int:
     study = _build_study(args)
     # Evaluate every analysis up front: with --parallelism > 1 crawls
-    # fan out across the process pool and analyses across threads;
-    # with 1 this reproduces the lazy serial order.  Rendering below is
-    # pure cache reads either way, so the printed report is
-    # byte-identical across parallelism settings.
+    # fan out across forked workers, and the analyses run in the
+    # section table's order either way.  Rendering below is pure cache
+    # reads, so the printed report is byte-identical across parallelism
+    # settings.
     study.run_all(geo=args.geo)
     _render_study(study, args.scale, args.geo)
     if args.stats:

@@ -61,7 +61,8 @@ from .store import CrawlStore, RunRef, SiteSlice, _slice_index
 __all__ = ["BANNER_COUNTRIES", "HOME_COUNTRY", "IncrementalRunAnalyzer",
            "LogRows", "PORN_ANALYSES",
            "REGULAR_ANALYSES", "SiteMapper", "SitePartials", "StoredRows",
-           "cached_inspections", "cached_sanitize", "run_analyses"]
+           "cached_inspections", "cached_sanitize", "run_analyses",
+           "run_roles"]
 
 #: Which per-site analyses each run kind can feed.  The order matters
 #: operationally (labels are mapped first so the HTTPS mapper can reuse
@@ -72,28 +73,32 @@ PORN_ANALYSES: Tuple[str, ...] = ("labels", "ats", "cookies", "https",
                                   "owners")
 REGULAR_ANALYSES: Tuple[str, ...] = ("labels", "ats", "visits")
 
-#: The study's physical vantage point, whose runs feed every analysis of
-#: their kind.
+#: The study's physical vantage point (its porn run is ``home``).
 HOME_COUNTRY = "ES"
 #: Table 8 sets the home jurisdiction's banners against the US ones.
 BANNER_COUNTRIES: Tuple[str, ...] = (HOME_COUNTRY, "US")
 
 
-def run_analyses(country: str, kind: str) -> Tuple[str, ...]:
-    """The analyses a run feeds, in map order: every one of its kind
-    from :data:`HOME_COUNTRY`, else Table 7's labels, ATS and visits,
-    and from the other :data:`BANNER_COUNTRIES` Table 8's banners too.
-    A pure function of the run, so a crawl knows what to map before any
-    study asks; the study plans its reads from it."""
+def run_roles(country: str, kind: str) -> Tuple[str, ...]:
+    """The roles a run plays for the report's sections
+    (:data:`~repro.reporting.sections.SECTIONS`): ``regular``, or a porn
+    run's ``geo`` (any country may be one of Table 7's), ``home`` and
+    ``banner``."""
     if kind.endswith(":regular"):
-        return REGULAR_ANALYSES
+        return ("regular",)
     if not kind.endswith(":porn"):
         return ()
-    if country == HOME_COUNTRY:
-        return PORN_ANALYSES
-    if country in BANNER_COUNTRIES:
-        return ("labels", "ats", "banners", "visits")
-    return ("labels", "ats", "visits")
+    return (("geo",) + (("home",) if country == HOME_COUNTRY else ())
+            + (("banner",) if country in BANNER_COUNTRIES else ()))
+
+
+def run_analyses(country: str, kind: str) -> Tuple[str, ...]:
+    """The analyses a run feeds, in map order: what any section reads
+    from it.  A pure function of the run, so a crawl knows what to map
+    before any study asks."""
+    from ..reporting.sections import SECTIONS, run_reads
+
+    return run_reads(SECTIONS, country, kind)
 
 
 #: The event tables each analysis's map function reads on a porn run.

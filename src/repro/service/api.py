@@ -231,9 +231,9 @@ class ServiceAPI:
             if family == "figures":
                 if name is None:
                     return _json_response(200, {
-                        "figures": ["figure1", "figure3", "figure4"]
+                        "figures": list(reporting.FIGURE_NAMES)
                     })
-                if name not in ("figure1", "figure3", "figure4"):
+                if name not in reporting.FIGURE_NAMES:
                     raise ApiError(404, f"no figure {name}")
                 return _text_response(
                     200, reporting.render_figure(study, scale, name) + "\n")

@@ -19,9 +19,9 @@ resumes from the checkpointed sites.
 
 Execution rides entirely on existing machinery: each job builds a lazy
 universe, wraps it in a ``Study`` bound to the shared store with
-``parallelism=1`` (the deterministic serial order, and the configuration
-under which crawl progress hooks fire inline), and evaluates the
-study's analysis task list.  Concurrency across jobs is safe because
+``parallelism=1`` (the configuration under which crawl progress hooks
+fire inline), and evaluates the results of the report's sections in
+their table's order.  Concurrency across jobs is safe because
 ``stored_crawl`` serializes same-run crawls in-process and WAL
 serializes cross-connection writes.
 """
@@ -38,6 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..reporting.sections import study_results
 from .events import EventLog
 
 __all__ = [
@@ -64,26 +65,9 @@ class JobState:
     TERMINAL = (DONE, FAILED, CANCELLED)
 
 
-#: Analysis names a job may select (the full-study task list of
-#: :meth:`repro.study.Study._analysis_tasks` plus the geo task).  Kept
-#: in sync by ``tests/test_service.py::test_analysis_names_match_study``.
-ANALYSIS_NAMES = (
-    "popularity",
-    "owners",
-    "table2",
-    "table3",
-    "crawled_popularity",
-    "porn_attribution",
-    "regular_attribution",
-    "cookie_stats",
-    "cookie_sync",
-    "fingerprinting",
-    "https",
-    "malware",
-    "geography",
-    "banners:ES",
-    "banners:US",
-)
+#: Analysis names a job may select: every report section's results, in
+#: evaluation order (:func:`~repro.reporting.sections.study_results`).
+ANALYSIS_NAMES = tuple(name for name, _ in study_results(geo=True))
 
 
 class JobCancelled(Exception):
@@ -313,17 +297,13 @@ def execute_job(job: Job, store_path: str, *,
                   baseline_store=baseline, aggregate_cache=True,
                   progress=progress)
     try:
-        tasks = study._analysis_tasks(geo=spec.geo,
-                                      countries=spec.countries or None)
-        if spec.analyses:
-            wanted = set(spec.analyses)
-            tasks = [(name, thunk) for name, thunk in tasks
-                     if name in wanted]
-        for name, thunk in tasks:
+        for name, result in study_results(geo=spec.geo):
+            if spec.analyses and name not in spec.analyses:
+                continue
             if job.cancel_requested.is_set():
                 raise JobCancelled(job.id)
             publish("analysis_started", {"name": name})
-            thunk()
+            result(study, spec.countries or None)
             publish("analysis_finished", {"name": name})
     finally:
         study.close()

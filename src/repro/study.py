@@ -16,7 +16,6 @@ Typical use::
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -72,8 +71,8 @@ from .crawler.openwpm import OpenWPMCrawler
 from .crawler.selenium import SiteInspection
 from .crawler.vpn import VantagePointManager
 from .datastore.incremental import BANNER_COUNTRIES, HOME_COUNTRY
-from .datastore.incremental import run_analyses
 from .net.url import registrable_domain
+from .reporting.sections import rendered, run_reads, study_results
 from .webgen.builder import build_universe
 from .webgen.config import UniverseConfig
 from .webgen.universe import Universe
@@ -88,7 +87,7 @@ class Study:
     """The full measurement study over one synthetic universe."""
 
     #: The physical vantage point; which analyses each run feeds is
-    #: :func:`~repro.datastore.run_analyses`'s to say.
+    #: the report's section table's to say.
     home_country = HOME_COUNTRY
 
     def __init__(
@@ -105,11 +104,10 @@ class Study:
         progress: Optional[Callable[..., None]] = None,
     ) -> None:
         """``parallelism`` bounds how many independent crawls run at once
-        (default: the CPUs this process may use).  ``parallelism=1``
-        reproduces the historical strictly-sequential evaluation order
-        exactly; any value produces bit-identical results, because only
-        whole crawls (each owning its cookie jar) and pure per-log
-        analyses fan out.
+        in forked workers (default: the CPUs this process may use).  Any
+        value produces bit-identical results, because only whole crawls
+        (each owning its cookie jar) fan out; the analyses run in one
+        order in this process (:meth:`run_all`).
 
         ``store`` (a :class:`~repro.datastore.CrawlStore` or a path)
         persists every crawl and skips already-stored ones, making an
@@ -187,8 +185,7 @@ class Study:
         self.aggregate_cache = aggregate_cache or None
         self.progress = progress
         self._cache: Dict[str, object] = {}
-        self._cache_lock = threading.Lock()
-        self._key_locks: Dict[str, threading.Lock] = {}
+        self._cache_lock = threading.RLock()
 
     def close(self) -> None:
         """Close the stores and the aggregate cache this study opened.
@@ -215,28 +212,15 @@ class Study:
     def _memo(self, key: str, factory):
         """Thread-safe memoization: one factory run per key, ever.
 
-        Concurrent table calls may race on the cache now that crawls fan
-        out; a per-key lock serializes the factory while leaving
-        unrelated keys free to compute in parallel.
+        The service's result study renders sections from several HTTP
+        handler threads; one lock, held while a factory runs, makes
+        every other thread wait for the value.  It is re-entrant because
+        factories call other memos.
         """
         with self._cache_lock:
-            if key in self._cache:
-                return self._cache[key]
-            key_lock = self._key_locks.setdefault(key, threading.Lock())
-        with key_lock:
-            with self._cache_lock:
-                if key in self._cache:
-                    return self._cache[key]
-            value = factory()
-            with self._cache_lock:
-                self._cache[key] = value
-                self._key_locks.pop(key, None)
-            return value
-
-    def _memo_seed(self, key: str, value) -> None:
-        """Store a precomputed value unless the key is already cached."""
-        with self._cache_lock:
-            self._cache.setdefault(key, value)
+            if key not in self._cache:
+                self._cache[key] = factory()
+            return self._cache[key]
 
     def _memoized(self, key: str) -> bool:
         with self._cache_lock:
@@ -443,8 +427,10 @@ class Study:
         stored run with a store, its log without one."""
         kind = (self._REGULAR_KIND if outcome.key == self._REGULAR_KEY
                 else self._PORN_KIND)
-        self._memo_seed(self._crawl_key(outcome.country, kind),
-                        outcome.log if self.store is None else outcome.run)
+        with self._cache_lock:
+            self._cache.setdefault(self._crawl_key(outcome.country, kind),
+                                   outcome.log if self.store is None
+                                   else outcome.run)
 
     def prefetch_crawls(self, countries: Sequence[str]) -> None:
         """Run the porn crawls from ``countries`` and the regular crawl,
@@ -476,69 +462,32 @@ class Study:
         for outcome in self._executor().run(specs):
             self._seed_outcome(outcome)
 
-    # -- parallel analysis fan-out --------------------------------------
+    # -- the report's schedule -------------------------------------------
 
-    def _analysis_tasks(
-        self, *, geo: bool = False,
-        countries: Optional[Sequence[str]] = None,
-    ) -> List[Tuple[str, Callable[[], object]]]:
-        """``(name, thunk)`` for every analysis the full study renders.
-
-        The list is ordered exactly as the lazy renderer
-        (``repro study``) pulls results, so evaluating it front-to-back
-        with ``parallelism=1`` reproduces today's serial evaluation
-        order; each thunk is also independently safe to run from a
-        worker thread because every shared intermediate sits behind a
-        :meth:`_memo` key lock.
-        """
-        tasks: List[Tuple[str, Callable[[], object]]] = [
-            ("popularity", self.popularity),
-            ("owners", self.owners),
-            ("table2", self.table2),
-            ("table3", self.table3),
-            ("crawled_popularity", self.crawled_popularity),
-            ("porn_attribution", self.porn_attribution),
-            ("regular_attribution", self.regular_attribution),
-            ("cookie_stats", self.cookie_stats),
-            ("cookie_sync", self.cookie_sync),
-            ("fingerprinting", self.fingerprinting),
-            ("https", self.https_report),
-            ("malware", self.malware),
-        ]
-        if geo:
-            geo_countries = tuple(countries
-                                  or self.vantage_points.country_codes)
-            tasks.append(
-                ("geography", lambda: self.geography(geo_countries))
-            )
-        for country in BANNER_COUNTRIES:
-            tasks.append(
-                (f"banners:{country}",
-                 lambda c=country: self.banners(c))
-            )
-        return tasks
-
-    def _run_plan(self, countries: Sequence[str]) -> List[RunPass]:
-        """The home runs and the porn runs from ``countries`` (the Table 7
-        or the Table 8 ones), each with the analyses it feeds."""
+    def _run_plan(self, geo: bool = False) -> List[RunPass]:
+        """Each run a render reads: the home runs, Table 8's porn runs
+        and with ``geo`` Table 7's, each with the analyses its sections
+        read from it."""
+        countries = self.vantage_points.country_codes if geo else ()
         runs = [(self.home_country, self._PORN_KIND),
                 (self.home_country, self._REGULAR_KIND)]
-        runs.extend((country, self._PORN_KIND) for country in countries
+        runs.extend((country, self._PORN_KIND)
+                    for country in dict.fromkeys((*countries,
+                                                  *BANNER_COUNTRIES))
                     if country != self.home_country)
-        return [(country, kind, run_analyses(country, kind))
+        return [(country, kind, run_reads(rendered(geo), country, kind))
                 for country, kind in runs]
 
     def prefetch_partials(self, *, geo: bool = False) -> None:
-        """Crawl each run a full render reads (:meth:`prefetch_crawls`)
-        and, with a store, read it in one pass.
+        """Crawl each run a render reads (:meth:`prefetch_crawls`) and,
+        with a store, read it in one pass.
 
         Each planned run (:meth:`_run_plan`) is one
         :meth:`~repro.datastore.IncrementalRunAnalyzer.hold` call: one
         range scan of its partials per shard, which the sections decode
         as they merge them.
         """
-        plan = self._run_plan(self.vantage_points.country_codes if geo
-                              else BANNER_COUNTRIES)
+        plan = self._run_plan(geo)
         self.prefetch_crawls([country for country, kind, _ in plan
                               if kind == self._PORN_KIND])
         if self.store is None:
@@ -547,49 +496,16 @@ class Study:
             self._engine(country, kind).hold(names,
                                              self._run_rows(country, kind))
 
-    def prefetch_analyses(self, *, geo: bool = False) -> None:
-        """Fan the independent analyses across a thread pool.
-
-        Crawls fan out first (process pool) and stored runs are read, both
-        through :meth:`prefetch_partials`; the
-        remaining analyses — per-country banner reports,
-        per-log labels/ATS, and the table builders — are pure functions
-        of memoized inputs and fan out ``parallelism`` threads wide.
-        Shared intermediates (a log, the ATS classifier, the Selenium
-        inspection pass) are computed exactly once regardless of
-        scheduling: every dependency is resolved through
-        :meth:`_memo`, whose per-key locks serialize the first
-        computation and hand every other thread the same object.
-        Results are bit-identical to the sequential path because each
-        memo value is a pure function of the universe and the crawl
-        logs — scheduling changes who computes a value first, never the
-        value.  With ``parallelism=1`` this is a no-op.
-        """
-        if self.parallelism <= 1:
-            return
-        self.prefetch_partials(geo=geo)
-        tasks = self._analysis_tasks(geo=geo)
-        with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-            futures = [pool.submit(thunk) for _, thunk in tasks]
-            for future in futures:
-                future.result()  # re-raise the first failure in task order
-
     def run_all(self, *, geo: bool = False) -> None:
-        """Evaluate everything the full study output needs.
-
-        ``parallelism=1`` reads the stored runs (:meth:`prefetch_partials`)
-        and then runs each analysis serially in exactly the order the
-        lazy renderer would pull it; ``parallelism>1`` fans crawls
-        across the process pool and analyses across a thread pool.
-        Either way the results land in the memo, so rendering afterwards
-        is pure cache reads — byte-identical across parallelism settings.
+        """Evaluate everything the report needs: the runs it reads
+        (:meth:`prefetch_partials`, whose crawls fork
+        ``parallelism``-wide), then the results of its sections, in
+        their table's order.  Rendering afterwards is pure cache reads,
+        byte-identical at any parallelism.
         """
-        if self.parallelism > 1:
-            self.prefetch_analyses(geo=geo)
-            return
         self.prefetch_partials(geo=geo)
-        for _, thunk in self._analysis_tasks(geo=geo):
-            thunk()
+        for _, result in study_results(geo):
+            result(self, None)
 
     def inspections(self) -> List[SiteInspection]:
         """Interaction-crawler pass over the whole corpus (home country).

@@ -1,11 +1,13 @@
-"""Parallel analysis scheduler: ``run_all`` with threads must reproduce
-the serial evaluation exactly, and the banner fast path must agree with
-the unfiltered DOM walk on every crawled page."""
+"""The study's schedule: ``run_all`` with forked crawls must reproduce
+the serial evaluation exactly, the results it evaluates come from the
+section table, and the banner fast path must agree with the unfiltered
+DOM walk on every crawled page."""
 
 from __future__ import annotations
 
 from repro import Study
 from repro.core.compliance.banners import detect_banner
+from repro.reporting.sections import study_results
 from repro.reporting.tables import (
     render_table1,
     render_table2,
@@ -19,38 +21,33 @@ from .reference import detect_banner_unfiltered
 class TestSchedulerDeterminism:
     def test_run_all_parallel_equals_serial(self, universe):
         serial = Study(universe, parallelism=1)
-        threaded = Study(universe, parallelism=3)
+        forked = Study(universe, parallelism=3)
         serial.run_all()
-        threaded.run_all()
+        forked.run_all()
         assert render_table1(serial.owners(), serial.best_rank) == \
-            render_table1(threaded.owners(), threaded.best_rank)
+            render_table1(forked.owners(), forked.best_rank)
         assert render_table2(serial.table2()) == \
-            render_table2(threaded.table2())
+            render_table2(forked.table2())
         assert render_table4(serial.cookie_stats()) == \
-            render_table4(threaded.cookie_stats())
+            render_table4(forked.cookie_stats())
         assert render_table8(serial.banners("ES"), serial.banners("US")) == \
-            render_table8(threaded.banners("ES"), threaded.banners("US"))
+            render_table8(forked.banners("ES"), forked.banners("US"))
         serial_policies = serial.policies()
-        threaded_policies = threaded.policies()
-        assert serial_policies.collected == threaded_policies.collected
-        assert serial_policies.pair_count == threaded_policies.pair_count
+        forked_policies = forked.policies()
+        assert serial_policies.collected == forked_policies.collected
+        assert serial_policies.pair_count == forked_policies.pair_count
         assert serial_policies.similar_pair_fraction == \
-            threaded_policies.similar_pair_fraction
+            forked_policies.similar_pair_fraction
 
-    def test_task_list_is_ordered_and_complete(self, universe):
-        study = Study(universe, parallelism=1)
-        names = [name for name, _ in study._analysis_tasks()]
+    def test_task_list_is_ordered_and_complete(self):
+        names = [name for name, _ in study_results()]
         assert names == sorted(set(names), key=names.index)  # no duplicates
         assert "owners" in names and "table2" in names
         assert [n for n in names if n.startswith("banners:")] == \
             ["banners:ES", "banners:US"]
-        geo_names = [name for name, _ in study._analysis_tasks(geo=True)]
-        assert "geography" in geo_names
-
-    def test_prefetch_is_noop_when_serial(self, universe):
-        study = Study(universe, parallelism=1)
-        study.prefetch_analyses()
-        assert study._cache == {}
+        assert "geography" not in names
+        geo_names = [name for name, _ in study_results(geo=True)]
+        assert geo_names == names[:-2] + ["geography"] + names[-2:]
 
 
 class TestBannerPrefilterParity:

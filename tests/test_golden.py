@@ -50,6 +50,8 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -78,7 +80,11 @@ from repro.datastore.serialize import (
     sanitize_to_payload,
 )
 from repro.net.url import registrable_domain
-from repro.reporting.sections import report_sections
+from repro.reporting.sections import (
+    render_figure,
+    render_section,
+    report_sections,
+)
 from repro.webgen.builder import build_universe
 
 from .golden.regen import analysis_digests, study_analyses, universe_digests
@@ -280,11 +286,59 @@ def test_store_only_report(parallelism, golden_store, monkeypatch):
                   store_only=True, parallelism=parallelism)
     study.prefetch_partials(geo=True)
     counts = dict(study.store.io_stats)
-    runs = len(study._run_plan(study.vantage_points.country_codes))
+    runs = len(study._run_plan(geo=True))
     assert counts["partial_scans"] == runs * study.store.shard_count
     assert counts["scans"] == 0
     _assert_golden(study, GOLDEN["epoch0"])
     assert study.store.io_stats == counts
+
+
+def test_shared_result_study(golden_store, monkeypatch):
+    """``repro serve`` renders every result from one store-only study
+    its HTTP handler threads share: four threads rendering from one
+    cold study at once land on the golden bytes, and each memo's
+    factory runs once (they decode the partials a serial render does)."""
+    _forbid_browsing_and_hydration(monkeypatch)
+    scale = GOLDEN["scale"]
+    names = ("table2", "table5", "table7", "figure3")
+
+    def render(study, name):
+        if name == "figure3":
+            text = ("== Figure 3: organizations ==\n"
+                    + render_figure(study, scale, name))
+        else:
+            text = render_section(study, scale, name)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def store_only():
+        return Study(build_universe(_config()), store=golden_store,
+                     store_only=True)
+
+    serial = store_only()
+    try:
+        for name in names:
+            render(serial, name)
+        expected = serial.partial_counts()
+    finally:
+        serial.close()
+    shared = store_only()
+    start = threading.Barrier(len(names))
+
+    def run(name):
+        start.wait(timeout=60)
+        return render(shared, name)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(names)) as pool:
+            got = dict(zip(names, pool.map(run, names, timeout=300)))
+        counts = shared.partial_counts()
+    finally:
+        sys.setswitchinterval(interval)
+        shared.close()
+    assert got == {name: GOLDEN["epoch0"][name] for name in names}
+    assert counts == expected
 
 
 def test_report_command(golden_store, tmp_path):

@@ -46,23 +46,27 @@ from repro.datastore import (
     cached_sanitize,
 )
 from repro.datastore.incremental import (
-    BANNER_COUNTRIES,
     PORN_ANALYSES,
     REGULAR_ANALYSES,
     _inspection_hash,
     _run_tables,
+    run_analyses,
 )
 from repro.datastore.serialize import (
     inspections_from_payload,
     inspections_to_payload,
     pack_value,
 )
-from repro.reporting.sections import render_section, report_sections
+from repro.reporting.sections import (
+    render_section,
+    report_sections,
+    sections_reading,
+)
 from repro.webgen.builder import build_universe
 from repro.webgen.evolve import analysis_hash_index, evolve_universe
 
-SECTIONS = ("corpus", "table2", "table3", "figure3", "table4", "figure4",
-            "table5", "table6", "malware")
+#: The sections renderable from the home porn and regular runs alone.
+SECTIONS = sections_reading(("home", "regular"))
 
 
 @pytest.fixture(scope="module")
@@ -296,13 +300,46 @@ class TestCanonicalBytes:
                     for position in range(len(at_rest))] == log[name], name
 
 
-def planned_scans(study, countries):
+class TestSectionTable:
+    """What a crawl maps and stores (and so the store's bytes) and what
+    a render reads both follow from the report's section table."""
+
+    @pytest.mark.parametrize("country,kind,names", [
+        ("ES", "openwpm:porn", ("labels", "ats", "cookies", "https",
+                                "banners", "sync", "jsapi", "visits",
+                                "owners")),
+        ("ES", "openwpm:regular", ("labels", "ats", "visits")),
+        ("US", "openwpm:porn", ("labels", "ats", "banners", "visits")),
+        ("RU", "openwpm:porn", ("labels", "ats", "visits")),
+        ("ES", "selenium:inspections", ()),
+    ])
+    def test_what_a_crawl_stores(self, country, kind, names):
+        assert run_analyses(country, kind) == names
+
+    def test_home_run_sections(self):
+        assert SECTIONS == ("corpus", "table2", "table3", "figure3",
+                            "table4", "figure4", "table5", "table6",
+                            "malware")
+
+    def test_run_plan_reads_what_the_sections_read(self, universe):
+        study = Study(universe, parallelism=1)
+        porn, regular = study._PORN_KIND, study._REGULAR_KIND
+        home = [("ES", porn, PORN_ANALYSES), ("ES", regular, REGULAR_ANALYSES)]
+        assert study._run_plan() == home + [("US", porn, ("banners",))]
+        assert study._run_plan(geo=True) == home + [
+            (country, porn, ("labels", "ats", "banners", "visits")
+             if country == "US" else ("labels", "ats", "visits"))
+            for country in study.vantage_points.country_codes
+            if country != "ES"]
+
+
+def planned_scans(study):
     """One range scan per (run, site, planned table) of the study's
     plan, where the site's slice holds rows of that table."""
     from repro.datastore.store import _slice_index
 
     total = 0
-    for country, kind, names in study._run_plan(countries):
+    for country, kind, names in study._run_plan():
         tables = _run_tables(kind, names)
         run = study._stored_run(country, kind)
         for slice_ in _slice_index(study.store, run).values():
@@ -323,7 +360,7 @@ class TestPlannedPass:
                       parallelism=1)
         try:
             study.prefetch_partials()
-            scans = planned_scans(study, BANNER_COUNTRIES)
+            scans = planned_scans(study)
             assert store.io_stats["scans"] == scans
             report_sections(study, universe.config.scale)
             assert store.io_stats["scans"] == scans
@@ -386,7 +423,7 @@ class TestPlannedPass:
         try:
             cached.prefetch_partials()
             assert cached.store.io_stats["scans"] == 0
-            runs = cached._run_plan(BANNER_COUNTRIES)
+            runs = cached._run_plan()
             assert cached.store.io_stats["partial_scans"] == \
                 len(runs) * cached.store.shard_count
         finally:

@@ -144,13 +144,15 @@ class TestJobSpec:
         JobSpec(scale=1e-3, churn=1.0)
 
     def test_analysis_names_match_study(self):
-        """ANALYSIS_NAMES mirrors Study._analysis_tasks exactly."""
-        from repro import Study, UniverseConfig
-        from repro.webgen import build_universe
-
-        study = Study(build_universe(UniverseConfig(seed=SEED, scale=SCALE)))
-        tasks = study._analysis_tasks(geo=True, countries=("ES",))
-        assert tuple(name for name, _ in tasks) == ANALYSIS_NAMES
+        """ANALYSIS_NAMES, derived from the section table, is the job
+        API: journals persist the names and a restarted server rejects
+        unknown ones."""
+        assert ANALYSIS_NAMES == (
+            "popularity", "owners", "table2", "table3",
+            "crawled_popularity", "porn_attribution", "regular_attribution",
+            "cookie_stats", "cookie_sync", "fingerprinting", "https",
+            "malware", "geography", "banners:ES", "banners:US",
+        )
 
 
 class TestJournal:
@@ -553,9 +555,11 @@ class TestServerEndToEnd:
         assert report == expected
 
     def test_served_figures_match_report_chunks(self, server, done_job):
+        from repro.reporting import FIGURE_SECTIONS
+
         job, _ = done_job
         report = _get(server.url + f"/jobs/{job['id']}/report").decode()
-        for name in ("figure3", "figure4"):
+        for name in sorted(FIGURE_SECTIONS):
             ascii_art = _get(
                 server.url + f"/jobs/{job['id']}/figures/{name}").decode()
             assert ascii_art.rstrip("\n") in report
