@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test scale-check serve-check delta-check incremental-check
+.PHONY: test scale-check delta-check incremental-check
 
 ## Run the tier-1 test suite.
 test:
@@ -14,14 +14,6 @@ test:
 ## REPRO_SCALE_CHECK_SCALES.
 scale-check:
 	$(PYTHON) benchmarks/scale_check.py
-
-## Measurement-service gate (used by CI): boot `repro serve` on an
-## ephemeral port, submit a scale-0.02 study over HTTP, stream its events
-## to completion from two concurrent subscribers, and require the served
-## report — whole and reassembled from the per-section endpoints — to be
-## byte-identical to `repro report` against the same store.
-serve-check:
-	$(PYTHON) benchmarks/serve_check.py
 
 ## Delta-crawl gate (used by CI): evolve the universe one epoch (~5% of
 ## sites change content), crawl epoch 1 as a delta against the epoch-0

@@ -149,7 +149,7 @@ def _print_cache_stats(universe) -> None:
 def cmd_crawl(args: argparse.Namespace) -> int:
     from collections import Counter
 
-    from .crawler import OpenWPMCrawler
+    from .crawler import CrawlExecutor, CrawlSpec
 
     study = _build_study(args)
     domains = study.corpus_domains()[: args.sites]
@@ -158,28 +158,19 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     progress_counts: Counter = Counter()
 
     def progress(event: str, **fields) -> None:
-        # The fork executor backend replays worker tallies as one
-        # event with count=N; inline events carry no count field.
-        progress_counts[event] += fields.get("count", 1)
+        progress_counts[event] += 1
 
-    hook = progress if args.stats else None
     started = time.perf_counter()
-    if args.store:
-        from .datastore import stored_crawl
-
-        # The crawl streams into the store; the summary below reads the
-        # stored run back whole.
-        log = study.store.load_log(stored_crawl(
-            study.store, study.universe,
-            study.vantage_points.point(args.country),
-            Study._PORN_KIND, domains, progress=hook,
-            baseline=study.baseline_store,
-        ))
-    else:
-        crawler = OpenWPMCrawler(
-            study.universe, study.vantage_points.point(args.country)
-        )
-        log = crawler.crawl(domains, progress=hook)
+    (outcome,) = CrawlExecutor(
+        study.universe, study.vantage_points, store=study.store,
+        baseline=study.baseline_store,
+        progress=progress if args.stats else None,
+    ).run([CrawlSpec(key=args.country, country=args.country,
+                     domains=tuple(domains), store_kind=Study._PORN_KIND)])
+    # With a store the crawl streams into it; the summary below reads
+    # the stored run back whole.
+    log = (outcome.log if outcome.run is None
+           else study.store.load_log(outcome.run))
     elapsed = time.perf_counter() - started
     ok = sum(1 for visit in log.visits if visit.success)
     print(f"crawled {ok}/{len(domains)} sites from {args.country}: "
@@ -209,8 +200,9 @@ def _render_study(study: Study, scale: float, geo: bool) -> None:
     The text comes verbatim from :func:`repro.reporting.full_report`,
     the same section renderer the measurement service serves results
     through — which is what makes a served table byte-identical to this
-    output (CI's ``make serve-check`` reassembles the report from the
-    service's sections and diffs it against this command).
+    output (``tests/test_service.py`` reassembles the report from the
+    served sections and compares it with this command's output and with
+    the golden digests).
     """
     print(full_report(study, scale, geo=geo), end="")
 
@@ -508,9 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--geo", action="store_true",
                        help="include the six-country Table 7 (slow)")
     study.add_argument("--parallelism", type=int, default=None,
-                       help="worker count for crawl/analysis fan-out "
-                            "(default: usable CPUs; 1 = historical serial "
-                            "order; output is byte-identical either way)")
+                       help="how many crawls run at once in forked "
+                            "workers (default: usable CPUs; 1 = every "
+                            "crawl inline, in plan order; analyses always "
+                            "run serially; output is byte-identical "
+                            "either way)")
     study.add_argument("--stats", action="store_true",
                        help="print similarity-engine counters and "
                             "fetch/parse cache hit rates after the report")

@@ -1,5 +1,5 @@
 """Crawlers: OpenWPM-style measurement, Selenium-style interaction, VPNs,
-and the parallel multi-vantage crawl executor."""
+and the crawl executor every crawl runs through."""
 
 from .executor import (
     CrawlExecutionError,

@@ -8,7 +8,7 @@ country prefix; the synthetic servers geo-discriminate on it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..net.geo import DEFAULT_VANTAGE_POINTS, VantagePoint
 from ..webgen.universe import ClientContext
@@ -23,7 +23,7 @@ def client_for(point: VantagePoint, *, epoch: str = "crawl") -> ClientContext:
 
 
 class VantagePointManager:
-    """Iterates the study's vantage points.
+    """The study's vantage points, by country code.
 
     The Spanish vantage point is the physical machine (no VPN); the rest
     tunnel through commercial VPN exits.
@@ -35,9 +35,6 @@ class VantagePointManager:
         if len(by_country) != len(self.points):
             raise ValueError("duplicate vantage-point country codes")
         self._by_country: Dict[str, VantagePoint] = by_country
-
-    def __iter__(self) -> Iterator[VantagePoint]:
-        return iter(self.points)
 
     def __len__(self) -> int:
         return len(self.points)

@@ -5,9 +5,10 @@ One source of truth for everything the full report prints: the CLI
 familiar stdout report, and the measurement service serves each section
 individually (``GET /jobs/<id>/tables/<name>``).  Because both consumers
 render through this module, a served section is byte-identical to the
-corresponding chunk of ``repro report`` *by construction* — the CI
-``make serve-check`` gate reassembles the full report from the served
-sections and diffs it against the CLI output to keep it that way.
+corresponding chunk of ``repro report`` *by construction* —
+``tests/test_service.py`` reassembles the full report from the served
+sections and compares it with the CLI output and the golden digests to
+keep it that way.
 
 Each :class:`Section` of :data:`SECTIONS` declares, once, the study
 results it merges, the partials those read from each run, and its

@@ -11,8 +11,8 @@ Result endpoints render from the shared store through a cached
 store-only :class:`~repro.study.Study` — the exact object ``repro
 report`` builds — via :mod:`repro.reporting.sections`, so a served
 table is byte-identical to the corresponding chunk of the CLI report by
-construction (``make serve-check`` reassembles and diffs the whole
-report to enforce it).  The cache is sound because results are a pure
+construction (``tests/test_service.py`` reassembles and compares the
+whole report to enforce it).  The cache is sound because results are a pure
 function of the store's pinned universe config: new jobs can only *add*
 runs for the same config, never change a rendered section.
 """

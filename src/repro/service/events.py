@@ -7,8 +7,8 @@ whole history from any sequence number and then tails live events until
 a terminal event (``job_done`` / ``job_failed`` / ``job_cancelled``)
 arrives.  Because every subscriber reads the same list, two clients
 streaming the same job necessarily observe *identical* event sequences
-— the property ``tests/test_service.py`` and ``make serve-check``
-assert — regardless of when each connected.
+— the property ``tests/test_service.py`` asserts — regardless of when
+each connected.
 
 The event vocabulary is the union of what the crawl progress hooks emit
 (``run_started``, ``site_started``, ``site_finished``, ``run_finished``

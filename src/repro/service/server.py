@@ -9,8 +9,7 @@ tables; the GIL is a non-issue because streaming is I/O-bound and the
 measurement work happens on the worker pool.
 
 ``port=0`` binds an ephemeral port (``server.port`` reports the real
-one) — the CI serve-check and the benchmarks use that to avoid
-collisions.  The server and the workers share one
+one) — the tests and the benchmarks use that to avoid collisions.  The server and the workers share one
 :class:`~repro.datastore.CrawlStore` path; workers write through their
 own connections, result reads go through the store's cursor layer, and
 WAL keeps readers unblocked while a job is checkpointing.

@@ -39,8 +39,8 @@ def parse_stream(chunks: Iterator[bytes]
                  ) -> Iterator[Tuple[Optional[int], str, Dict]]:
     """Decode an SSE byte stream into ``(seq, kind, payload)`` tuples.
 
-    The inverse of :func:`format_event`, used by the test suite, the CI
-    serve-check client, and the benchmark subscribers.  Comment frames
+    The inverse of :func:`format_event`, used by the test suite and the
+    benchmark subscribers.  Comment frames
     are dropped; incomplete trailing data is ignored (a closed stream
     ends mid-frame only when the peer died).
     """

@@ -67,7 +67,6 @@ from .crawler.executor import (
     CrawlSpec,
     default_parallelism,
 )
-from .crawler.openwpm import OpenWPMCrawler
 from .crawler.selenium import SiteInspection
 from .crawler.vpn import VantagePointManager
 from .datastore.incremental import BANNER_COUNTRIES, HOME_COUNTRY
@@ -137,10 +136,9 @@ class Study:
         runs (``run_started``/``site_started``/``site_finished``/
         ``run_finished`` — the hook the CLI ``--stats`` line and the
         measurement service's event streams are built on).  Per-site
-        events fire inline for sequential crawls and on the thread
-        backend; the fork backend tallies them in each worker and
-        replays the merged counts after the run as
-        ``progress(event, count=N, key=..., country=...)`` (see
+        events fire live for crawls run inline; forked crawls tally
+        them in each worker and replay the merged counts after the run
+        as ``progress(event, count=N, key=..., country=...)`` (see
         :class:`~repro.crawler.executor.CrawlExecutor`), so counting
         consumers like ``--stats`` work at any parallelism while
         streaming consumers should run with ``parallelism=1``.
@@ -312,87 +310,10 @@ class Study:
     # Crawls
     # ------------------------------------------------------------------
 
-    #: Datastore run kinds shared by the sequential accessors and the
-    #: executor specs, so both paths land on the same manifest rows.
+    #: Datastore run kinds: the porn crawl from each vantage point and
+    #: the regular-web control crawl from home.
     _PORN_KIND = "openwpm:porn"
     _REGULAR_KIND = "openwpm:regular"
-
-    def _crawl_key(self, country: str, kind: str) -> str:
-        """The memo key of one crawl: its stored run with a store, its
-        log without one."""
-        if self.store is not None:
-            return f"run:{kind}:{country}"
-        return (f"porn_log:{country}" if kind == self._PORN_KIND
-                else "regular_log")
-
-    def _stored_run(self, country: str, kind: str):
-        """The run's :class:`~repro.datastore.RunRef`, crawled (resumed,
-        or delta-crawled) into the store first unless ``store_only``."""
-        from .datastore import MissingRunError, stored_crawl
-
-        def find():
-            vantage = self.vantage_points.point(country)
-            domains = self._run_domains(kind)
-            keep_html = kind == self._PORN_KIND
-            if not self.store_only:
-                return stored_crawl(
-                    self.store, self.universe, vantage, kind, domains,
-                    keep_html=keep_html, baseline=self.baseline_store,
-                    progress=self.progress,
-                )
-            state = self.store.find_run(self.universe.config, vantage, kind,
-                                        domains, keep_html=keep_html)
-            if state is None or not state.complete:
-                held = len(state.completed) if state is not None else 0
-                raise MissingRunError(
-                    f"store {self.store.path} holds {held}/{len(domains)} "
-                    f"sites for {kind} from {country}; re-run with --store "
-                    "to complete it"
-                )
-            return state.run_id
-
-        return self._memo(self._crawl_key(country, kind), find)
-
-    def porn_log(self, country: Optional[str] = None) -> CrawlLog:
-        """The porn crawl from ``country`` as one log; with a store it is
-        loaded whole from the stored run."""
-        country = country or self.home_country
-
-        def crawl() -> CrawlLog:
-            # HTML is kept for every country so one crawl serves both the
-            # geography analyses and the banner detector (§6 + §7.1 share
-            # the crawl instead of re-crawling with a throwaway session).
-            if self.store is not None:
-                return self.store.load_log(
-                    self._stored_run(country, self._PORN_KIND))
-            crawler = OpenWPMCrawler(
-                self.universe, self.vantage_points.point(country),
-                keep_html=True,
-            )
-            return crawler.crawl(self.corpus_domains(),
-                                 progress=self.progress)
-
-        return self._memo(f"porn_log:{country}", crawl)
-
-    def regular_log(self) -> CrawlLog:
-        """The regular-web control crawl as one log (see
-        :meth:`porn_log`)."""
-        def crawl() -> CrawlLog:
-            if self.store is not None:
-                return self.store.load_log(
-                    self._stored_run(self.home_country, self._REGULAR_KIND))
-            crawler = OpenWPMCrawler(
-                self.universe, self.vantage_points.point(self.home_country),
-                keep_html=False,
-            )
-            return crawler.crawl(self.universe.reference_regular_corpus(),
-                                 progress=self.progress)
-
-        return self._memo("regular_log", crawl)
-
-    # -- parallel crawl fan-out -----------------------------------------
-
-    _REGULAR_KEY = "regular"
 
     def _executor(self) -> CrawlExecutor:
         return CrawlExecutor(
@@ -404,63 +325,83 @@ class Study:
             progress=self.progress,
         )
 
-    def _porn_spec(self, country: str) -> CrawlSpec:
+    def _spec(self, country: str, kind: str) -> CrawlSpec:
+        """What the run of ``kind`` from ``country`` crawls.  Its key,
+        ``<kind>:<country>``, names the crawl memo (``crawl:<key>``)."""
         return CrawlSpec(
-            key=f"porn:{country}",
+            key=f"{kind}:{country}",
             country=country,
-            domains=tuple(self.corpus_domains()),
-            keep_html=True,
-            store_kind=self._PORN_KIND,
+            domains=tuple(self._run_domains(kind)),
+            # HTML is kept for every country so one crawl serves both
+            # the geography analyses and the banner detector (§6 + §7.1
+            # share the crawl instead of re-crawling).
+            keep_html=kind == self._PORN_KIND,
+            store_kind=kind,
         )
 
-    def _regular_spec(self) -> CrawlSpec:
-        return CrawlSpec(
-            key=self._REGULAR_KEY,
-            country=self.home_country,
-            domains=tuple(self.universe.reference_regular_corpus()),
-            keep_html=False,
-            store_kind=self._REGULAR_KIND,
-        )
+    def _crawl(self, country: str, kind: str) -> CrawlOutcome:
+        """The run's crawl (memoized): its log without a store, its
+        stored run with one, crawled (resumed, or delta-crawled) into
+        the store first unless ``store_only``."""
 
-    def _seed_outcome(self, outcome: CrawlOutcome) -> None:
-        """Adopt a worker's crawl into the memo (first write wins): its
-        stored run with a store, its log without one."""
-        kind = (self._REGULAR_KIND if outcome.key == self._REGULAR_KEY
-                else self._PORN_KIND)
-        with self._cache_lock:
-            self._cache.setdefault(self._crawl_key(outcome.country, kind),
-                                   outcome.log if self.store is None
-                                   else outcome.run)
+        def crawl() -> CrawlOutcome:
+            spec = self._spec(country, kind)
+            if not self.store_only:
+                return self._executor().run([spec])[0]
+            from .datastore import MissingRunError
+
+            state = self.store.find_run(
+                self.universe.config, self.vantage_points.point(country),
+                kind, spec.domains, keep_html=spec.keep_html)
+            if state is None or not state.complete:
+                held = len(state.completed) if state is not None else 0
+                raise MissingRunError(
+                    f"store {self.store.path} holds {held}/"
+                    f"{len(spec.domains)} sites for {kind} from {country}; "
+                    "re-run with --store to complete it"
+                )
+            return CrawlOutcome(spec.key, country, run=state.run_id)
+
+        return self._memo(f"crawl:{kind}:{country}", crawl)
+
+    def _log(self, country: str, kind: str) -> CrawlLog:
+        outcome = self._crawl(country, kind)
+        if self.store is None:
+            return outcome.log
+        return self._memo(f"log:{kind}:{country}",
+                          lambda: self.store.load_log(outcome.run))
+
+    def porn_log(self, country: Optional[str] = None) -> CrawlLog:
+        """The porn crawl from ``country`` as one log; with a store it is
+        loaded whole from the stored run."""
+        return self._log(country or self.home_country, self._PORN_KIND)
+
+    def regular_log(self) -> CrawlLog:
+        """The regular-web control crawl as one log (see
+        :meth:`porn_log`)."""
+        return self._log(self.home_country, self._REGULAR_KIND)
 
     def prefetch_crawls(self, countries: Sequence[str]) -> None:
         """Run the porn crawls from ``countries`` and the regular crawl,
-        those not yet cached, ``parallelism``-wide.
+        those not yet memoized, ``parallelism``-wide.
 
-        Results land in the memo exactly as if the corresponding
-        sequential accessors had produced them (they are bit-identical:
-        each crawl is internally sequential and owns its cookie jar).
-        With ``parallelism=1`` this is a no-op and the lazy sequential
-        path runs untouched.
+        Each outcome lands in the crawl memo :meth:`_crawl` fills (they
+        are bit-identical: each crawl is internally sequential and owns
+        its cookie jar).  With ``parallelism=1``, a ``store_only`` study
+        (nothing to crawl) or fewer than two crawls left this is a no-op
+        and the lazy accessors crawl in the order they are asked.
         """
-        if self.parallelism <= 1:
+        if self.parallelism <= 1 or self.store_only:
             return
-        if self.store_only:
-            # Nothing to crawl; the accessors find the stored runs (and
-            # raise MissingRunError with a useful message when a crawl
-            # is absent).
-            return
-        specs: List[CrawlSpec] = []
-        for country in countries:
-            if not self._memoized(self._crawl_key(country,
-                                                  self._PORN_KIND)):
-                specs.append(self._porn_spec(country))
-        if not self._memoized(self._crawl_key(self.home_country,
-                                              self._REGULAR_KIND)):
-            specs.append(self._regular_spec())
+        runs = [(country, self._PORN_KIND) for country in countries]
+        runs.append((self.home_country, self._REGULAR_KIND))
+        specs = [self._spec(country, kind) for country, kind in runs
+                 if not self._memoized(f"crawl:{kind}:{country}")]
         if len(specs) < 2:
             return
         for outcome in self._executor().run(specs):
-            self._seed_outcome(outcome)
+            with self._cache_lock:
+                self._cache.setdefault(f"crawl:{outcome.key}", outcome)
 
     # -- the report's schedule -------------------------------------------
 
@@ -583,11 +524,10 @@ class Study:
         from .datastore import LogRows, StoredRows
 
         if self.store is None:
-            return LogRows(self.porn_log(country) if kind == self._PORN_KIND
-                           else self.regular_log())
+            return LogRows(self._crawl(country, kind).log)
         return self._memo(
             f"stored_rows:{kind}:{country}",
-            lambda: StoredRows(self.store, self._stored_run(country, kind)))
+            lambda: StoredRows(self.store, self._crawl(country, kind).run))
 
     def _partials(self, country: str, kind: str,
                   names: Sequence[str]) -> Dict[str, List[object]]:

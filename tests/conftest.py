@@ -7,7 +7,9 @@ non-empty.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +58,32 @@ def regular_log(study):
 
 @pytest.fixture
 def no_fork(monkeypatch):
-    """A platform without ``fork``: the crawl executor runs threads."""
+    """A platform without ``fork``: the crawl executor runs inline."""
     monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                         lambda: ["spawn"])
+
+
+@pytest.fixture(scope="session")
+def golden_store(tmp_path_factory):
+    """A 2-shard epoch-0 store of the golden study (``tests/golden/``),
+    holding every run the geo report reads.
+
+    Read-only for the tests that share it: a test that writes (an
+    aggregate cache, a damaged artifact, a served job) works on a copy,
+    so no test's outcome depends on which ran first.
+    """
+    from .golden import regen
+
+    expected = json.loads(regen.GOLDEN.read_text())["epoch0"]
+    path = str(tmp_path_factory.mktemp("golden") / "e0")
+    study = Study(build_universe(regen.config()), parallelism=1,
+                  store=path, store_shards=2)
+    try:
+        study.run_all(geo=True)
+        # The study that filled the store renders the golden sections too.
+        assert list(regen.digests(study).items()) == list(expected.items())
+    finally:
+        study.close()
+    yield path
+    assert not list(Path(path).glob("aggregates.sqlite*")), \
+        "a test wrote an aggregate cache into the shared golden store"

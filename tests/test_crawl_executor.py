@@ -83,17 +83,47 @@ class TestExecutorFailures:
         assert excinfo.value.country == "BR"
         assert "KeyError" in str(excinfo.value)
 
-    def test_thread_backend_crash_propagates(self, universe, vantage_points,
-                                             crawlable_porn, no_fork):
+    def test_inline_crash_propagates_as_raised(self, universe,
+                                               vantage_points,
+                                               crawlable_porn, no_fork):
+        """Without fork the batch runs inline, where a crawl's own
+        exception (here the unknown vantage point's ``KeyError``)
+        propagates with its own type, not as ``CrawlExecutionError``."""
         executor = CrawlExecutor(universe, vantage_points, parallelism=2)
-        assert executor._resolve_backend(spec_count=2) == "thread"
+        assert executor._resolve_backend(spec_count=2) == "inline"
         specs = [
-            CrawlSpec(key="bad", country="XX", domains=()),
             CrawlSpec(key="good", country="ES",
                       domains=tuple(crawlable_porn[:2])),
+            CrawlSpec(key="bad", country="XX", domains=()),
         ]
-        with pytest.raises(CrawlExecutionError):
+        with pytest.raises(KeyError):
             executor.run(specs)
+
+    def test_inline_progress_exception_propagates(self, universe,
+                                                  vantage_points,
+                                                  crawlable_porn):
+        """A progress hook's exception (a service job's ``JobCancelled``)
+        stops an inline crawl and reaches the caller unchanged."""
+        class Stop(Exception):
+            pass
+
+        def progress(event, **fields):
+            if event == "site_finished":
+                raise Stop
+
+        executor = CrawlExecutor(universe, vantage_points, parallelism=1,
+                                 progress=progress)
+        with pytest.raises(Stop):
+            executor.run([CrawlSpec(key="porn:ES", country="ES",
+                                    domains=tuple(crawlable_porn[:3]))])
+
+    def test_stored_crawl_needs_a_kind(self, tmp_path, universe,
+                                       vantage_points):
+        executor = CrawlExecutor(universe, vantage_points, parallelism=1,
+                                 store=str(tmp_path / "store"))
+        with pytest.raises(ValueError):
+            executor.run([CrawlSpec(key="porn:ES", country="ES",
+                                    domains=())])
 
     def test_duplicate_keys_rejected(self, universe, vantage_points):
         executor = CrawlExecutor(universe, vantage_points, parallelism=2)
@@ -106,7 +136,7 @@ class TestForkProgressTallies:
     def test_fork_backend_replays_event_counts(self, universe,
                                                vantage_points,
                                                crawlable_porn):
-        """The process backend can't stream per-site callbacks out of its
+        """The fork backend can't stream per-site callbacks out of its
         children; it must count them locally and replay the merged
         tallies as ``progress(event, count=N, ...)`` — previously the
         events were silently dropped and ``--stats`` read all zeros."""
@@ -153,31 +183,57 @@ class TestSerialFallback:
     def test_parallelism_one_uses_serial_backend(self, universe,
                                                  vantage_points):
         executor = CrawlExecutor(universe, vantage_points, parallelism=1)
-        assert executor._resolve_backend(spec_count=6) == "serial"
+        assert executor._resolve_backend(spec_count=6) == "inline"
 
     def test_single_spec_uses_serial_backend(self, universe, vantage_points):
         executor = CrawlExecutor(universe, vantage_points, parallelism=8)
-        assert executor._resolve_backend(spec_count=1) == "serial"
+        assert executor._resolve_backend(spec_count=1) == "inline"
 
     def test_serial_run_matches_parallel_run(self, universe, vantage_points,
-                                             crawlable_porn, no_fork):
+                                             crawlable_porn):
+        """An inline crawl and the same crawl in a forked worker log the
+        same events."""
         domains = tuple(crawlable_porn[:8])
         spec = [CrawlSpec(key="porn:UK", country="UK", domains=domains)]
-        serial = CrawlExecutor(universe, vantage_points, parallelism=1)
-        threaded = CrawlExecutor(universe, vantage_points, parallelism=2)
-        one = serial.run(list(spec))[0]
+        inline = CrawlExecutor(universe, vantage_points, parallelism=1)
+        forked = CrawlExecutor(universe, vantage_points, parallelism=2)
+        assert forked._resolve_backend(spec_count=2) == "fork"
+        one = inline.run(list(spec))[0]
         # Force the pooled path with a second (dummy) spec.
-        two = threaded.run(list(spec) + [
+        two = forked.run(list(spec) + [
             CrawlSpec(key="porn:IN", country="IN", domains=domains)
         ])[0]
         assert _log_fingerprint(one.log) == _log_fingerprint(two.log)
         assert one.log.site_marks == two.log.site_marks
 
+    def test_inline_runs_on_the_callers_store(self, tmp_path, universe,
+                                              vantage_points,
+                                              crawlable_porn, monkeypatch):
+        """Inline, the crawl writes through the caller's store handle
+        and opens no store of its own."""
+        from repro.datastore import CrawlStore
+
+        domains = tuple(crawlable_porn[:3])
+        with CrawlStore(str(tmp_path / "store")) as store:
+            def no_second_store(self, *args, **kwargs):
+                raise AssertionError("the inline crawl opened a store")
+
+            monkeypatch.setattr(CrawlStore, "__init__", no_second_store)
+            (outcome,) = CrawlExecutor(
+                universe, vantage_points, parallelism=1, store=store,
+            ).run([CrawlSpec(key="porn:ES", country="ES", domains=domains,
+                             store_kind="openwpm:porn")])
+            state = store.find_run(universe.config,
+                                   vantage_points.point("ES"),
+                                   "openwpm:porn", domains)
+        assert outcome.log is None
+        assert state.complete and outcome.run == state.run_id
+
     def test_prefetch_noop_when_sequential(self, universe):
         study = Study(universe, parallelism=1)
         study.prefetch_crawls(["ES", "US"])
-        assert not study._memoized("porn_log:ES")
-        assert not study._memoized("porn_log:US")
+        assert not study._memoized("crawl:openwpm:porn:ES")
+        assert not study._memoized("crawl:openwpm:porn:US")
 
     def test_empty_run(self, universe, vantage_points):
         executor = CrawlExecutor(universe, vantage_points, parallelism=4)

@@ -28,9 +28,10 @@ study can take from a universe to the report must land on those bytes:
   pinned to its own digests, which splices the baseline's partials with
   its rows and leaves the baseline's shard files byte-identical.
 
-The shared epoch-0 store is read-only: a test that writes works on a
-copy, and the fixture fails at teardown if an aggregate cache appeared
-in it.
+The shared epoch-0 store (the ``golden_store`` fixture in
+``tests/conftest.py``, which ``tests/test_service.py`` serves a job
+over too) is read-only: a test that writes works on a copy, and the
+fixture fails at teardown if an aggregate cache appeared in it.
 
 ``tests/golden/universe.json`` pins the seed universe every route
 crawls: site specs, policy texts, certificates, WHOIS and DNS.
@@ -131,29 +132,6 @@ def test_universe():
     assert list(got) == list(expected)
     changed = [name for name in expected if got[name] != expected[name]]
     assert not changed, f"universe differs from the golden digests: {changed}"
-
-
-@pytest.fixture(scope="module")
-def golden_store(tmp_path_factory):
-    """A 2-shard epoch-0 store holding every run the geo report reads.
-
-    Read-only for the tests that share it: a test that writes (an
-    aggregate cache, a damaged artifact) works on a copy, so no test's
-    outcome depends on which ran first.
-    """
-    path = str(tmp_path_factory.mktemp("golden") / "e0")
-    study = Study(build_universe(_config()), parallelism=1,
-                  store=path, store_shards=2)
-    try:
-        study.run_all(geo=True)
-    except BaseException:
-        study.close()
-        raise
-    # The study that filled the store renders the golden sections too.
-    _assert_golden(study, GOLDEN["epoch0"])
-    yield path
-    assert not list(Path(path).glob("aggregates.sqlite*")), \
-        "a test wrote an aggregate cache into the shared golden store"
 
 
 @pytest.fixture(scope="module")

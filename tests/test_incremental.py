@@ -341,7 +341,7 @@ def planned_scans(study):
     total = 0
     for country, kind, names in study._run_plan():
         tables = _run_tables(kind, names)
-        run = study._stored_run(country, kind)
+        run = study._crawl(country, kind).run
         for slice_ in _slice_index(study.store, run).values():
             total += sum(1 for table, (_lo, _hi, count)
                          in slice_.bounds().items()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -468,6 +469,62 @@ def _post_json(url, document):
         return json.loads(resp.read())
 
 
+def _served_sections(server, job, *, geo):
+    """Each section of the job's report as the service serves it, with
+    the title line the report prints over a figure reattached."""
+    from repro.reporting.sections import FIGURE_SECTIONS, rendered
+
+    texts = {}
+    for section in rendered(geo):
+        family = ("figures" if section.name in FIGURE_SECTIONS
+                  else "tables")
+        text = _get(server.url + f"/jobs/{job['id']}/{family}/"
+                    f"{section.name}").decode("utf-8")
+        assert text.endswith("\n")
+        # Figures are served headerless.
+        texts[section.name] = (section.headed(text[:-1])
+                               if family == "figures" else text[:-1])
+    return texts
+
+
+def test_served_geo_job_matches_golden_digests(golden_store, tmp_path,
+                                               monkeypatch):
+    """A geo job served over a copy of the golden store (the job writes
+    its aggregate cache there) finds every run stored, browses nothing,
+    and serves every section on the golden digests: each table and
+    figure endpoint, and the whole report."""
+    import hashlib
+    import shutil
+
+    from repro.browser.browser import Browser
+
+    from .golden import regen
+
+    def no_browsing(*args, **kwargs):
+        raise AssertionError("the served job browsed")
+
+    monkeypatch.setattr(Browser, "visit", no_browsing)
+    path = str(tmp_path / "store")
+    shutil.copytree(golden_store, path)
+    server = ReproServer(path, port=0, workers=1, heartbeat=60.0)
+    server.start()
+    try:
+        job = _post_json(server.url + "/jobs", {
+            "seed": regen.SEED, "scale": regen.SCALE, "geo": True})
+        events = list(parse_stream(
+            [_get(server.url + f"/jobs/{job['id']}/events")]))
+        assert events[-1][1] == "job_done", events[-1]
+        texts = _served_sections(server, job, geo=True)
+        report = _get(server.url + f"/jobs/{job['id']}/report").decode()
+    finally:
+        server.stop()
+    expected = json.loads(regen.GOLDEN.read_text())["epoch0"]
+    assert {name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for name, text in texts.items()} == expected
+    assert list(texts) == list(expected)
+    assert report == "\n\n".join(texts.values()) + "\n"
+
+
 @pytest.fixture(scope="class")
 def server(tmp_path_factory):
     store = tmp_path_factory.mktemp("serve") / "store"
@@ -480,22 +537,30 @@ def server(tmp_path_factory):
 
 @pytest.fixture(scope="class")
 def done_job(server):
-    """One full default job run to completion (shared by the class)."""
+    """One full default job run to completion (shared by the class).
+
+    One subscriber streams its events from the start; a second joins
+    once the crawl is underway and replays from ``?from=0``."""
     job = _post_json(server.url + "/jobs",
                      {"seed": SEED, "scale": SCALE})
+    url = server.url + f"/jobs/{job['id']}/events"
     streams = [[], []]
 
-    def stream(index):
-        with urllib.request.urlopen(
-                server.url + f"/jobs/{job['id']}/events") as resp:
+    def stream(index, query=""):
+        with urllib.request.urlopen(url + query) as resp:
             for chunk in resp:
                 streams[index].append(chunk)
 
-    threads = [threading.Thread(target=stream, args=(i,)) for i in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=600)
+    first = threading.Thread(target=stream, args=(0,))
+    first.start()
+    live = server.manager.get(job["id"]).events
+    deadline = time.monotonic() + 600
+    while (len(live) < 10 and not live.finished
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    stream(1, "?from=0")
+    first.join(timeout=600)
+    assert not first.is_alive(), "the first subscriber's stream never closed"
     return job, streams
 
 
@@ -531,26 +596,16 @@ class TestServerEndToEnd:
 
     def test_served_sections_byte_identical_to_cli_report(
             self, server, done_job, capsys):
+        """``GET /report`` is the CLI report byte for byte, and so is
+        the report reassembled from the per-section endpoints."""
         from repro.__main__ import main
-        from repro.reporting import FIGURE_SECTIONS, section_names
 
         job, _ = done_job
         assert main(["report", "--store", server.store.path]) == 0
         expected = capsys.readouterr().out
 
-        parts = []
-        for name in section_names(geo=False):
-            family = "figures" if name in FIGURE_SECTIONS else "tables"
-            url = server.url + f"/jobs/{job['id']}/{family}/{name}"
-            text = _get(url).decode("utf-8")
-            assert text.endswith("\n")
-            if name in FIGURE_SECTIONS:
-                # Figures are served headerless; reattach the header the
-                # report prints (exercised separately below).
-                continue
-            parts.append(text[:-1])
-        for part in parts:
-            assert part in expected
+        texts = _served_sections(server, job, geo=False)
+        assert "\n\n".join(texts.values()) + "\n" == expected
         report = _get(server.url + f"/jobs/{job['id']}/report").decode()
         assert report == expected
 

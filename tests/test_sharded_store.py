@@ -289,8 +289,8 @@ class TestStoreOnlyStudy:
         for name in ("table2", "table4", "table6"):
             assert render_section(reader, scale, name) == \
                 render_section(study, scale, name), name
-        assert not reader._memoized("regular_log")
-        assert not reader._memoized("porn_log:ES")
+        assert not reader._memoized("log:openwpm:regular:ES")
+        assert not reader._memoized("log:openwpm:porn:ES")
         reader.close()
 
 
