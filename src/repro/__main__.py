@@ -9,8 +9,6 @@ Commands
 ``trend``         — longitudinal report across per-epoch stores: tracker
                     prevalence, HTTPS adoption, and organization churn.
 ``store info``    — print a store's run manifests (timings, counts, caches).
-``store reshard`` — convert a legacy single-file store into a store
-                    directory (one-time migration).
 ``serve``         — run the measurement service: a job queue, SSE progress
                     streams, and result endpoints over one shared store.
 
@@ -91,8 +89,8 @@ def _config(args: argparse.Namespace) -> UniverseConfig:
 
 def _open_store(path: str, shards=None):
     """Open (or create) a crawl store; a path that is not one — such as
-    a legacy single-file store, or one of an older schema — exits 1
-    with the reason."""
+    a regular file, or a store of an older schema — exits 1 with the
+    reason."""
     from .datastore import CrawlStore, SchemaError
 
     try:
@@ -409,18 +407,6 @@ def _print_aggregate_info(store) -> None:
         cache.close()
 
 
-def cmd_store_reshard(args: argparse.Namespace) -> int:
-    from .datastore import reshard_store
-
-    try:
-        paths = reshard_store(args.src, args.dst, shards=args.shards)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"resharded {args.src} into {len(paths)} shards at {args.dst}")
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     from .datastore import SchemaError
     from .service import ReproServer
@@ -540,15 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("--shards", action="store_true",
                       help="list per-shard file sizes and row counts")
     info.set_defaults(func=cmd_store_info)
-    reshard = store_sub.add_parser(
-        "reshard", help="convert a legacy single-file store into a store "
-                        "directory (one-time migration)"
-    )
-    reshard.add_argument("src", help="existing single-file (v1) store")
-    reshard.add_argument("dst", help="store directory to create")
-    reshard.add_argument("--shards", type=int, required=True,
-                         help="number of shard files (>= 1)")
-    reshard.set_defaults(func=cmd_store_reshard)
 
     serve = subparsers.add_parser(
         "serve", help="run the long-lived measurement service"

@@ -2,7 +2,6 @@
 
 from .browser import Browser, MAX_REDIRECTS
 from .events import CookieRecord, CrawlLog, PageVisit, RequestRecord
-from .storage import dump_lines, load_log, parse_lines, save_log
 
 __all__ = [
     "Browser",
@@ -11,8 +10,4 @@ __all__ = [
     "CrawlLog",
     "PageVisit",
     "RequestRecord",
-    "dump_lines",
-    "load_log",
-    "parse_lines",
-    "save_log",
 ]

@@ -140,12 +140,11 @@ class CrawlLog:
     def site_groups(self) -> List[SiteRows]:
         """The log's rows as per-site groups, in site order.
 
-        With :attr:`site_marks` (every crawl, stored run and merge sets
-        them) the log is cut at the marks.  Without them — a log built
-        by hand or read from a JSONL file that predates the marks — rows
-        are grouped by site in first-appearance order: visits by
-        ``site_domain``, requests and cookies by ``page_domain``, JS
-        calls by ``document_host``.  Both agree on any log that keeps
+        With :attr:`site_marks` (every crawl and stored run sets them)
+        the log is cut at the marks.  Without them — a log built by
+        hand — rows are grouped by site in first-appearance order:
+        visits by ``site_domain``, requests and cookies by
+        ``page_domain``, JS calls by ``document_host``.  Both agree on any log that keeps
         each site's rows together, which every crawl does; rows of a
         site interleaved with another's are grouped, not kept in place.
         """
@@ -171,46 +170,3 @@ class CrawlLog:
     def successful_visits(self) -> List[PageVisit]:
         return [visit for visit in self.visits if visit.success]
 
-    def visits_by_domain(self) -> Dict[str, PageVisit]:
-        return {visit.site_domain: visit for visit in self.visits}
-
-    def requests_for(self, page_domain: str) -> List[RequestRecord]:
-        return [r for r in self.requests if r.page_domain == page_domain]
-
-    def merge(self, other: "CrawlLog") -> "CrawlLog":
-        """Concatenate two logs (e.g. porn + regular corpus crawls).
-
-        The second log's sequence numbers are shifted past the first's so
-        the merged event order stays consistent, and its site marks past
-        the first's rows.  If either log has rows but no marks, the
-        merged log has none either and :meth:`site_groups` groups it.
-        """
-        merged = CrawlLog(self.country_code, self.client_ip)
-        offset = self._seq
-        shift = (len(self.visits), len(self.requests), len(self.cookies),
-                 len(self.js_calls))
-        if all(log.site_marks or not (log.visits or log.requests
-                                      or log.cookies or log.js_calls)
-               for log in (self, other)):
-            merged.site_marks = self.site_marks + [
-                (domain,) + tuple(mark + by for mark, by in zip(marks, shift))
-                for domain, *marks in other.site_marks
-            ]
-        merged.visits = self.visits + other.visits
-        merged.requests = list(self.requests)
-        merged.cookies = list(self.cookies)
-        merged.js_calls = self.js_calls + other.js_calls
-        for record in other.requests:
-            shifted = RequestRecord(**{
-                f: getattr(record, f) for f in record.__dataclass_fields__
-            })
-            shifted.seq = record.seq + offset
-            merged.requests.append(shifted)
-        for cookie in other.cookies:
-            shifted_cookie = CookieRecord(**{
-                f: getattr(cookie, f) for f in cookie.__dataclass_fields__
-            })
-            shifted_cookie.seq = cookie.seq + offset
-            merged.cookies.append(shifted_cookie)
-        merged._seq = offset + other._seq
-        return merged

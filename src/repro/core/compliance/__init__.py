@@ -20,7 +20,6 @@ from .policies import (
     DisclosureSummary,
     PolicyReport,
     analyze_policies,
-    collect_policies,
     extract_disclosures,
     pairwise_similarity_fractions,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "DisclosureSummary",
     "PolicyReport",
     "analyze_policies",
-    "collect_policies",
     "extract_disclosures",
     "pairwise_similarity_fractions",
 ]

@@ -1,11 +1,12 @@
 """Section 7.3 — privacy policies versus observed behavior.
 
-Pipeline: collect policies via the interaction crawler; discard the
-HTTP-error false positives (abnormally short texts behind broken links);
-measure GDPR mentions and length statistics; compute all-pairs TF-IDF
-similarity (the paper's 1.2M-pair computation — here vectorized with
-numpy); and cross-check disclosed practices (a Polisis-style summary)
-against the tracking observed on each site.
+Pipeline: take the policies the interaction crawler collected
+(``Study.policies``); discard the HTTP-error false positives
+(abnormally short texts behind broken links); measure GDPR mentions
+and length statistics; compute all-pairs TF-IDF similarity (the
+paper's 1.2M-pair computation — here vectorized with numpy); and
+cross-check disclosed practices (a Polisis-style summary) against the
+tracking observed on each site.
 """
 
 from __future__ import annotations
@@ -16,15 +17,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ...crawler.selenium import PolicyObservation, SeleniumCrawler
-from ...crawler.vpn import VantagePointManager
-from ...webgen.universe import Universe
-
 __all__ = [
     "CollectedPolicy",
     "DisclosureSummary",
     "PolicyReport",
-    "collect_policies",
     "analyze_policies",
     "pairwise_similarity_fractions",
     "extract_disclosures",
@@ -91,28 +87,6 @@ def extract_disclosures(
         ),
         mentioned_domains=mentioned,
     )
-
-
-def collect_policies(
-    universe: Universe,
-    corpus: Sequence[str],
-    *,
-    country: str = "ES",
-    vantage_points: Optional[VantagePointManager] = None,
-) -> List[CollectedPolicy]:
-    """Fetch each site's privacy policy with the interaction crawler."""
-    manager = vantage_points or VantagePointManager()
-    crawler = SeleniumCrawler(universe, manager.point(country))
-    collected = []
-    for domain in corpus:
-        inspection = crawler.inspect(domain)
-        observation: PolicyObservation = inspection.policy
-        if not inspection.reachable or not observation.link_found:
-            continue
-        collected.append(
-            CollectedPolicy(domain, observation.text, observation.status)
-        )
-    return collected
 
 
 def pairwise_similarity_fractions(

@@ -26,12 +26,11 @@ class OpenWPMCrawler:
         universe: Universe,
         vantage: VantagePoint,
         *,
-        epoch: str = "crawl",
         keep_html: bool = True,
     ) -> None:
         self.universe = universe
         self.vantage = vantage
-        self.client: ClientContext = client_for(vantage, epoch=epoch)
+        self.client: ClientContext = client_for(vantage)
         self.keep_html = keep_html
 
     def browser_for(self, log: Optional[CrawlLog] = None) -> Browser:

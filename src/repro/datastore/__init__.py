@@ -21,7 +21,6 @@ from .incremental import (
 )
 from .schema import SCHEMA_VERSION, SchemaError
 from .serialize import config_from_json, config_to_json, domains_hash, run_key
-from .shards import reshard_store
 from .store import (
     CrawlStore,
     MissingRunError,
@@ -59,7 +58,6 @@ __all__ = [
     "config_from_json",
     "config_to_json",
     "domains_hash",
-    "reshard_store",
     "run_analyses",
     "run_key",
     "shard_of_domain",

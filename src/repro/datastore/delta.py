@@ -102,7 +102,6 @@ def delta_crawl(
     state: RunState,
     baseline: CrawlStore,
     *,
-    epoch: str = "crawl",
     keep_html: bool = True,
     progress=None,
 ) -> Optional[Tuple[None, Dict]]:
@@ -137,7 +136,7 @@ def delta_crawl(
     if changed is None:
         return None
     base_state = baseline.find_run(base_config, vantage, kind, domains,
-                                   epoch=epoch, keep_html=keep_html)
+                                   keep_html=keep_html)
     if base_state is None:
         return None
     slices = _slice_index(baseline, base_state.run_id)
@@ -145,8 +144,7 @@ def delta_crawl(
                                          slices):
         return None
 
-    crawler = OpenWPMCrawler(universe, vantage, epoch=epoch,
-                             keep_html=keep_html)
+    crawler = OpenWPMCrawler(universe, vantage, keep_html=keep_html)
     log = CrawlLog(country_code=vantage.country_code,
                    client_ip=vantage.client_ip)
     log._seq = state.seq

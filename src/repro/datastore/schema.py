@@ -224,8 +224,8 @@ def stamp_shard(connection: sqlite3.Connection, index: int, count: int) -> None:
 
 
 def shard_stamp(connection: sqlite3.Connection):
-    """The ``(index, count)`` stamp of a shard file, or ``None`` for an
-    unstamped (single-file, v1) store."""
+    """The ``(index, count)`` stamp of a shard file, or ``None`` when the
+    file carries none (it is not a shard of a store)."""
     rows = dict(connection.execute(
         "SELECT key, value FROM meta"
         " WHERE key IN ('shard_index', 'shard_count')"

@@ -63,8 +63,8 @@ __all__ = [
 ]
 
 #: Event-table column lists, in ``*_to_row`` order.  Shared by the
-#: store's insert statements, the cursor SELECTs, and the reshard tool
-#: so the three can never drift apart.
+#: store's insert statements and the cursor SELECTs so the two can never
+#: drift apart.
 VISIT_COLUMNS = (
     "site_domain", "url", "success", "status", "failure_reason",
     "html", "https",
@@ -126,22 +126,21 @@ def run_key(
     vantage: VantagePoint,
     kind: str,
     *,
-    epoch: str = "crawl",
     keep_html: bool = True,
 ) -> str:
     """Content hash identifying one logical crawl.
 
     ``kind`` names the crawler and corpus role (``openwpm:porn``,
-    ``openwpm:regular``, ``selenium:inspections`` ...); ``epoch`` and
-    ``keep_html`` are folded in because both change what a session
-    records (the universe serves per-epoch tokens, and HTML retention
-    changes the stored visits).
+    ``openwpm:regular``, ``selenium:inspections`` ...); ``keep_html`` is
+    folded in because HTML retention changes the stored visits.  Every
+    stored crawl is a ``"crawl"``-session crawl; the payload keeps that
+    constant so run keys stay those of existing stores.
     """
     payload = _canonical({
         "config": json.loads(config_to_json(config)),
         "vantage": json.loads(vantage_to_json(vantage)),
         "kind": kind,
-        "epoch": epoch,
+        "epoch": "crawl",
         "keep_html": keep_html,
     })
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

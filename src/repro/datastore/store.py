@@ -26,9 +26,9 @@ A fresh store is built in a temporary sibling directory — every shard
 file already in WAL mode, schema'd and stamped — and renamed into place
 in one step, so concurrent openers of a fresh path never see a
 half-built store: the loser of the rename opens the winner's directory.
-The older single-file (v1) layout is refused at open;
-``repro store reshard OLD NEW --shards N`` converts it once (see
-:mod:`repro.datastore.shards`).
+A path that is a regular file is refused at open: it is not a store
+(the single-file layout of early versions included), and its rows
+re-create from the universe with ``repro study --store NEW_DIR``.
 
 Why resume is bit-identical
 ---------------------------
@@ -370,9 +370,9 @@ class CrawlStore:
                           timeout)
         if not os.path.isdir(self.path):
             raise ValueError(
-                f"{self.path} is a file, not a store directory; a "
-                "single-file (v1) store is no longer read: convert it once "
-                f"with 'repro store reshard {self.path} NEW_DIR --shards 1'"
+                f"{self.path} is a file, not a store directory of shard "
+                "files; rebuild the store (its rows re-create from the "
+                "universe) with `repro study --store NEW_DIR`"
             )
         existing = sorted(
             name for name in os.listdir(self.path)
@@ -540,7 +540,6 @@ class CrawlStore:
         kind: str,
         domains: Sequence[str],
         *,
-        epoch: str = "crawl",
         keep_html: bool = True,
     ) -> RunState:
         """Find or create the manifest row(s) for one logical crawl.
@@ -550,7 +549,7 @@ class CrawlStore:
         domains at their global positions.
         """
         config_json = self._check_config(config)
-        key = run_key(config, vantage, kind, epoch=epoch, keep_html=keep_html)
+        key = run_key(config, vantage, kind, keep_html=keep_html)
         dh = domains_hash(domains)
         by_shard: Dict[int, List[Tuple[int, str]]] = {
             index: [] for index in range(self.shard_count)
@@ -618,11 +617,10 @@ class CrawlStore:
         kind: str,
         domains: Sequence[str],
         *,
-        epoch: str = "crawl",
         keep_html: bool = True,
     ) -> Optional[RunState]:
         """The run's state if it exists, without creating anything."""
-        key = run_key(config, vantage, kind, epoch=epoch, keep_html=keep_html)
+        key = run_key(config, vantage, kind, keep_html=keep_html)
         dh = domains_hash(domains)
         with self._lock:
             row = self._conn(0).execute(
@@ -1327,7 +1325,6 @@ def stored_crawl(
     kind: str,
     domains: Sequence[str],
     *,
-    epoch: str = "crawl",
     keep_html: bool = True,
     baseline: Optional["CrawlStore"] = None,
     progress=None,
@@ -1365,11 +1362,10 @@ def stored_crawl(
     from ..html.parser import parse_cache_stats
 
     domains = list(domains)
-    key = run_key(universe.config, vantage, kind, epoch=epoch,
-                  keep_html=keep_html)
+    key = run_key(universe.config, vantage, kind, keep_html=keep_html)
     with _run_lock(store.path, key, domains_hash(domains)):
         state = store.open_run(universe.config, vantage, kind, domains,
-                               epoch=epoch, keep_html=keep_html)
+                               keep_html=keep_html)
         remaining = state.remaining
         if progress is not None:
             progress("run_started", kind=kind,
@@ -1389,7 +1385,7 @@ def stored_crawl(
             from .delta import delta_crawl
             outcome = delta_crawl(
                 store, universe, vantage, kind, domains, state, baseline,
-                epoch=epoch, keep_html=keep_html, progress=progress,
+                keep_html=keep_html, progress=progress,
             )
             if outcome is not None:
                 delta_stats = outcome[1]
@@ -1399,8 +1395,7 @@ def stored_crawl(
             log = CrawlLog(country_code=vantage.country_code,
                            client_ip=vantage.client_ip)
             log._seq = state.seq
-            crawler = OpenWPMCrawler(universe, vantage, epoch=epoch,
-                                     keep_html=keep_html)
+            crawler = OpenWPMCrawler(universe, vantage, keep_html=keep_html)
             crawler.crawl(remaining, log=log,
                           checkpoint=store.checkpointer(state.run_id,
                                                         universe),

@@ -59,7 +59,6 @@ __all__ = [
     "SimilarityEngine",
     "EngineStats",
     "engine_stats",
-    "reset_engine_stats",
     "cached_term_counts",
 ]
 
@@ -114,12 +113,6 @@ _STATS_LOCK = threading.Lock()
 def engine_stats() -> EngineStats:
     """Process-wide counters across every :class:`SimilarityEngine`."""
     return _STATS
-
-
-def reset_engine_stats() -> None:
-    with _STATS_LOCK:
-        for name in EngineStats.__slots__:
-            setattr(_STATS, name, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from .builder import build_universe
 from .config import CalibrationTargets, TIER_NAMES, UniverseConfig
 from .rank import RankModel, RankTrajectory, TOP_LIST_SIZE, tier_of_rank
 from .sites import AgeGateSpec, BannerSpec, PornSiteSpec, RegularSiteSpec
-from .thirdparty import NAMED_SERVICES, ThirdPartyService, named_service_map
+from .thirdparty import NAMED_SERVICES, ThirdPartyService
 from .universe import (
     ClientContext,
     FetchError,
@@ -28,7 +28,6 @@ __all__ = [
     "RegularSiteSpec",
     "NAMED_SERVICES",
     "ThirdPartyService",
-    "named_service_map",
     "ClientContext",
     "FetchError",
     "SiteTimeoutError",

@@ -16,14 +16,13 @@ and Tables 2-5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from ..js.runtime import CanvasBehavior, FontProbeBehavior
 
 __all__ = [
     "ThirdPartyService",
     "NAMED_SERVICES",
-    "named_service_map",
     "CATEGORY_ADS",
     "CATEGORY_ANALYTICS",
     "CATEGORY_CDN",
@@ -420,8 +419,3 @@ NAMED_SERVICES: List[ThirdPartyService] = [
          miner_pool="wss://ws.crypto-webminer.com/ws", scanner_hits=8,
          sets_cookies=False),
 ]
-
-
-def named_service_map() -> Dict[str, ThirdPartyService]:
-    """The named catalog indexed by registrable domain."""
-    return {service.domain: service for service in NAMED_SERVICES}

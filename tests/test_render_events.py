@@ -161,28 +161,6 @@ class TestCrawlLogModel:
         log = self.make_log()
         assert [v.site_domain for v in log.successful_visits()] == ["a.com"]
 
-    def test_visits_by_domain(self):
-        log = self.make_log()
-        assert log.visits_by_domain()["b.com"].failure_reason == \
-            "SiteTimeoutError"
-
-    def test_requests_for(self):
-        log = self.make_log()
-        assert len(log.requests_for("a.com")) == 1
-        assert log.requests_for("b.com") == []
-
-    def test_merge_offsets_sequences(self):
-        first = self.make_log()
-        second = self.make_log("US")
-        merged = first.merge(second)
-        assert len(merged.requests) == 2
-        assert len(merged.cookies) == 2
-        sequences = [r.seq for r in merged.requests] + \
-            [c.seq for c in merged.cookies]
-        assert len(sequences) == len(set(sequences))
-        # Second log's events come strictly after the first's.
-        assert merged.requests[1].seq > merged.cookies[0].seq
-
     def make_marked_log(self, *sites):
         """A crawl-shaped log: each site's marks, then its rows."""
         log = CrawlLog(client_ip="31.0.0.1")
@@ -195,24 +173,6 @@ class TestCrawlLogModel:
                 referrer=f"https://{site}/", seq=log.next_seq(), status=200,
             ))
         return log
-
-    def test_merge_carries_site_marks(self):
-        first = self.make_marked_log("a.com", "b.com")
-        second = self.make_marked_log("c.com")
-        merged = first.merge(second)
-        assert merged.site_marks == [
-            ("a.com", 0, 0, 0, 0), ("b.com", 1, 1, 0, 0),
-            ("c.com", 2, 2, 0, 0),
-        ]
-        assert [group.domain for group in merged.site_groups()] == \
-            ["a.com", "b.com", "c.com"]
-        assert merged.site_groups()[2].requests == [merged.requests[2]]
-
-    def test_merge_with_unmarked_log_drops_marks(self):
-        merged = self.make_marked_log("a.com").merge(self.make_log())
-        assert merged.site_marks == []
-        assert [group.domain for group in merged.site_groups()] == \
-            ["a.com", "b.com"]
 
     def test_site_groups_cut_at_marks(self):
         log = self.make_marked_log("a.com", "b.com")
@@ -239,13 +199,6 @@ class TestCrawlLogModel:
         assert groups[0].requests == [log.requests[0], log.requests[2]]
         assert groups[0].cookies == log.cookies
         assert groups[1].requests == [log.requests[1]]
-
-    def test_merge_does_not_mutate_inputs(self):
-        first = self.make_log()
-        second = self.make_log()
-        original_seq = second.requests[0].seq
-        first.merge(second)
-        assert second.requests[0].seq == original_seq
 
     def test_request_ok_semantics(self):
         record = RequestRecord(url="https://x.com/", fqdn="x.com",

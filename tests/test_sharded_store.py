@@ -1,4 +1,4 @@
-"""Sharded datastore: routing, resume, cursors, reshard, CLI totals.
+"""Sharded datastore: routing, resume, cursors, CLI totals.
 
 A store is a directory of N SQLite shard files keyed
 ``sha256(site_domain) % N`` behind one ``CrawlStore`` facade.  These
@@ -15,9 +15,9 @@ tests pin the invariants the streaming pipeline depends on:
   store's slice index and a plain in-memory crawl put them, and a
   ``store_only`` study renders the per-site tables from the store
   without loading whole runs;
-* a legacy single-file (v1) store is refused with the ``repro store
-  reshard`` hint by every command that opens a store, and resharding it
-  to 1 or 3 shards renders the report it rendered before;
+* a regular file where a store directory belongs (such as an early
+  single-file store) is refused by every command that opens a store,
+  with a one-line ``repro study --store`` hint and exit status 1;
 * ``repro store info --shards`` totals are correct.
 """
 
@@ -35,7 +35,6 @@ from repro.crawler.executor import CrawlExecutor, CrawlSpec
 from repro.crawler.openwpm import OpenWPMCrawler
 from repro.datastore import (
     CrawlStore,
-    reshard_store,
     shard_of_domain,
     stored_crawl,
 )
@@ -47,18 +46,19 @@ from repro.webgen.evolve import evolve_universe
 SHARDS = 3
 
 
-def _legacy_v1(store_dir, path):
-    """A single-file (v1) store holding a 1-shard store's rows: its shard
-    file, copied out, without the shard stamp."""
+#: The refusal a regular file passed as a store gets.
+FILE_REFUSAL = "is a file, not a store directory"
+
+
+def _single_file(store_dir, path):
+    """One SQLite file where a store directory belongs, as early versions
+    wrote a store: a 1-shard store's shard file, copied out."""
     with CrawlStore(store_dir) as store:
         assert store.shard_count == 1
     source = sqlite3.connect(os.path.join(store_dir, "shard-0000.sqlite"))
     target = sqlite3.connect(path)
     try:
         source.backup(target)
-        with target:
-            target.execute("DELETE FROM meta WHERE key IN"
-                           " ('shard_index', 'shard_count')")
     finally:
         source.close()
         target.close()
@@ -106,10 +106,12 @@ class TestSharding:
             CrawlStore(str(tmp_path / "shards"), shards=SHARDS + 1)
 
     def test_sharding_existing_v1_file_is_rejected(self, tmp_path):
-        path = _legacy_v1(str(tmp_path / "store"), str(tmp_path / "v1.db"))
+        path = _single_file(str(tmp_path / "store"), str(tmp_path / "v1.db"))
         for shards in (None, 1, 4):
-            with pytest.raises(ValueError, match="repro store reshard"):
+            with pytest.raises(ValueError, match=FILE_REFUSAL) as refused:
                 CrawlStore(path, shards=shards)
+            assert "`repro study --store NEW_DIR`" in str(refused.value)
+            assert "\n" not in str(refused.value)
 
     def test_rows_land_in_their_site_shard(self, sharded, universe,
                                            vantage_points, crawlable_porn):
@@ -296,8 +298,7 @@ class TestStoreOnlyStudy:
 
 class TestCursorEdgeCases:
     """Heap-merge paths that are only hit incidentally elsewhere: runs
-    that leave whole shards empty, shard files lost on disk, and
-    resharding a store that holds no runs at all."""
+    that leave whole shards empty, and shard files lost on disk."""
 
     def test_empty_shards_merge_cleanly(self, sharded, universe,
                                         vantage_points, crawlable_porn):
@@ -339,73 +340,6 @@ class TestCursorEdgeCases:
         with pytest.raises(ValueError, match="stamped"):
             CrawlStore(path)
 
-    def test_reshard_empty_v1_store(self, tmp_path):
-        src = _legacy_v1(str(tmp_path / "empty"), str(tmp_path / "empty.db"))
-        dst = str(tmp_path / "empty-sharded")
-        created = reshard_store(src, dst, shards=SHARDS)
-        assert len(created) == SHARDS
-        with CrawlStore(dst) as store:
-            assert store.shard_count == SHARDS
-            assert store.run_manifests() == []
-            assert store.stored_config() is None
-
-
-class TestReshard:
-    def _seeded_v1(self, tmp_path, universe, vantage_points, crawlable_porn):
-        """A v1 file of two crawls; returns it and the store it came from."""
-        origin = str(tmp_path / "origin")
-        with CrawlStore(origin) as store:
-            vantage = vantage_points.point("ES")
-            stored_crawl(store, universe, vantage, "openwpm:porn",
-                         crawlable_porn)
-            stored_crawl(store, universe, vantage, "openwpm:regular",
-                         universe.reference_regular_corpus(),
-                         keep_html=False)
-        return _legacy_v1(origin, str(tmp_path / "flat.db")), origin
-
-    def test_reshard_is_lossless(self, tmp_path, universe, vantage_points,
-                                 crawlable_porn):
-        src, origin = self._seeded_v1(tmp_path, universe, vantage_points,
-                                      crawlable_porn)
-        dst = str(tmp_path / "resharded")
-        created = reshard_store(src, dst, shards=4)
-        assert len(created) == 4
-
-        with CrawlStore(origin) as flat, CrawlStore(dst) as sharded:
-            assert sharded.shard_count == 4
-            flat_manifests = flat.run_manifests()
-            sharded_manifests = sharded.run_manifests()
-            assert len(flat_manifests) == len(sharded_manifests) == 2
-            for before, after in zip(flat_manifests, sharded_manifests):
-                assert before.run_key == after.run_key
-                assert before.visits == after.visits
-                assert before.requests == after.requests
-                assert before.cookies == after.cookies
-                assert before.stats == after.stats
-                flat_log = flat.load_log(before.run_id)
-                sharded_log = sharded.load_log(after.run_id)
-                assert sharded_log == flat_log
-                assert sharded_log._seq == flat_log._seq
-                assert sharded.partial_rows(after.run_id) == \
-                    flat.partial_rows(before.run_id)
-
-    def test_reshard_refuses_bad_inputs(self, tmp_path, universe,
-                                        vantage_points, crawlable_porn):
-        src, origin = self._seeded_v1(tmp_path, universe, vantage_points,
-                                      crawlable_porn)
-        with pytest.raises(ValueError):
-            reshard_store(src, str(tmp_path / "x"), shards=0)
-        assert not os.path.exists(tmp_path / "x")
-        with pytest.raises(ValueError):
-            reshard_store(origin, str(tmp_path / "z"), shards=2)  # a store
-        dst = str(tmp_path / "taken")
-        reshard_store(src, dst, shards=2)
-        with pytest.raises(ValueError):
-            reshard_store(src, dst, shards=2)  # destination exists
-        with pytest.raises(ValueError):
-            reshard_store(dst + "/shard-0000.sqlite",
-                          str(tmp_path / "y"), shards=2)  # src is a shard
-
 
 class TestCLITotals:
     SCALE, CLI_SEED = "0.02", "3"
@@ -415,23 +349,19 @@ class TestCLITotals:
                      "--sites", "6", "--store", db, *extra]) == 0
 
     def test_store_info_shards_on_v1(self, tmp_path, capsys):
-        """A v1 file is refused until resharded; the default store is one
+        """A single-file store is refused; the default store is one
         shard."""
         store = str(tmp_path / "store")
         self._crawl(store)
-        flat = _legacy_v1(store, str(tmp_path / "flat.db"))
+        flat = _single_file(store, str(tmp_path / "flat.db"))
         capsys.readouterr()
-        with pytest.raises(SystemExit, match="repro store reshard"):
+        with pytest.raises(SystemExit, match=FILE_REFUSAL):
             main(["store", "info", flat, "--shards"])
-        migrated = str(tmp_path / "migrated")
-        assert main(["store", "reshard", flat, migrated, "--shards", "1"]) == 0
-        capsys.readouterr()
-        for path in (store, migrated):
-            assert main(["store", "info", path, "--shards"]) == 0
-            out = capsys.readouterr().out
-            assert "(schema v" in out and "1 shard)" in out
-            assert "1 shard(s)" in out
-            assert "6" in out  # visit total
+        assert main(["store", "info", store, "--shards"]) == 0
+        out = capsys.readouterr().out
+        assert "(schema v" in out and "1 shard)" in out
+        assert "1 shard(s)" in out
+        assert "6" in out  # visit total
 
     def test_store_info_shards_on_v2_totals(self, tmp_path, capsys):
         db = str(tmp_path / "sharded")
@@ -453,8 +383,9 @@ class TestCLITotals:
             assert str(info.visits) in out
 
 
-class TestLegacyUpgrade:
-    """The one-time upgrade of a single-file (v1) store."""
+class TestSingleFileStore:
+    """A single-file store fails every command that opens a store with
+    one clear line, not a traceback."""
 
     SCALE, CLI_SEED = "0.02", "3"
 
@@ -469,15 +400,11 @@ class TestLegacyUpgrade:
                               timeout=300)
         return done.returncode, done.stderr
 
-    def test_v1_is_refused_then_resharded_to_the_same_report(self, tmp_path,
-                                                              capsys):
+    def test_refused_by_every_command(self, tmp_path):
         store = str(tmp_path / "store")
-        assert main(["study", "--scale", self.SCALE, "--seed", self.CLI_SEED,
-                     "--store", store]) == 0
-        capsys.readouterr()
-        assert main(["report", "--store", store]) == 0
-        before = capsys.readouterr().out
-        old = _legacy_v1(store, str(tmp_path / "old.db"))
+        assert main(["crawl", "--scale", self.SCALE, "--seed", self.CLI_SEED,
+                     "--sites", "6", "--store", store]) == 0
+        old = _single_file(store, str(tmp_path / "old.db"))
 
         for argv in (["report", "--store", old],
                      ["study", "--scale", self.SCALE, "--seed", self.CLI_SEED,
@@ -486,15 +413,6 @@ class TestLegacyUpgrade:
                      ["store", "info", old]):
             status, err = self._cli(*argv)
             assert status == 1, (argv, err)
-            assert "repro store reshard" in err, argv
             assert "Traceback" not in err, argv
-
-        for shards in ("1", "3"):
-            new = str(tmp_path / f"new{shards}")
-            assert main(["store", "reshard", old, new,
-                         "--shards", shards]) == 0
-            capsys.readouterr()
-            assert main(["report", "--store", new]) == 0
-            assert capsys.readouterr().out == before, shards
-            with CrawlStore(new) as migrated:
-                assert migrated.shard_count == int(shards)
+            assert err.count("\n") == 1 and FILE_REFUSAL in err, (argv, err)
+            assert "`repro study --store NEW_DIR`" in err, argv
