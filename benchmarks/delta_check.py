@@ -1,7 +1,8 @@
 """``make delta-check``: correctness + speedup gate for delta crawls.
 
 Runs the delta probe (:func:`run_delta_probe`) in a fresh process: crawl
-the seed epoch into a baseline store, evolve the universe one epoch (5%
+the seed epoch into a baseline store (every probe store has
+:data:`SHARDS` shards), evolve the universe one epoch (5%
 content churn, so well under 10% of sites change), then crawl epoch 1
 twice in streaming mode — once as a delta crawl splicing
 provably-unchanged sites out of the baseline, once as a full re-crawl.
@@ -51,6 +52,11 @@ DEFAULT_SCALE = 0.2
 CHURN = 0.05
 
 SPEEDUP_FLOOR = 3.0
+
+#: Shards of each probe store: the layout ``repro serve`` jobs and the
+#: benchmark's ``epoch-serve`` write, where a splice group is one
+#: transaction per shard.
+SHARDS = 2
 
 #: Sections renderable from the probe's porn(ES) + regular runs alone.
 SECTIONS = sections_reading(("home", "regular"))
@@ -123,20 +129,23 @@ def run_delta_probe(scale: float, store_dir: str) -> dict:
     regular = base_universe.reference_regular_corpus()
     vantage = base_study.vantage_points.point(base_study.home_country)
 
-    base_store = CrawlStore(os.path.join(store_dir, "epoch0"))
+    base_store = CrawlStore(os.path.join(store_dir, "epoch0"),
+                            shards=SHARDS)
     crawl_both(base_store, base_universe, domains, regular, vantage)
 
     evolved_config = UniverseConfig(scale=scale, churn=CHURN, epoch=1)
 
     delta_universe = build_universe(evolved_config)
-    delta_store = CrawlStore(os.path.join(store_dir, "epoch1-delta"))
+    delta_store = CrawlStore(os.path.join(store_dir, "epoch1-delta"),
+                             shards=SHARDS)
     start = clock()
     crawl_both(delta_store, delta_universe, domains, regular, vantage,
                baseline=base_store)
     delta_seconds = clock() - start
 
     full_universe = build_universe(evolved_config)
-    full_store = CrawlStore(os.path.join(store_dir, "epoch1-full"))
+    full_store = CrawlStore(os.path.join(store_dir, "epoch1-full"),
+                            shards=SHARDS)
     start = clock()
     crawl_both(full_store, full_universe, domains, regular, vantage)
     full_seconds = clock() - start

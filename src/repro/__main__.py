@@ -261,7 +261,6 @@ def cmd_trend(args: argparse.Namespace) -> int:
     from .reporting import trend_report
     from .webgen.builder import build_universe
 
-    studies = []
     stores = []
     for path in args.stores:
         store = _open_store(path)
@@ -270,18 +269,22 @@ def cmd_trend(args: argparse.Namespace) -> int:
             print(f"error: {path} holds no runs; populate it with "
                   "`repro study --store` first", file=sys.stderr)
             return 1
-        stores.append((path, config.epoch, store))
-        studies.append(
-            (config.epoch,
-             Study(build_universe(config), store=store,
-                   store_only=True))
-        )
-    epochs = [epoch for epoch, _ in studies]
+        stores.append((path, config, store))
+    epochs = [config.epoch for _, config, _ in stores]
     if len(set(epochs)) != len(epochs):
         print(f"error: duplicate epochs in {args.stores} "
               f"(epochs {sorted(epochs)}); pass one store per epoch",
               file=sys.stderr)
         return 1
+    # In epoch order, each universe evolves from the previous one when
+    # that is an earlier epoch of its chain (one build from scratch).
+    stores.sort(key=lambda item: item[1].epoch)
+    studies = []
+    universe = None
+    for _, config, store in stores:
+        universe = build_universe(config, ancestor=universe)
+        studies.append((config.epoch,
+                        Study(universe, store=store, store_only=True)))
     try:
         print(trend_report(studies), end="")
     except MissingRunError as exc:
@@ -291,11 +294,11 @@ def cmd_trend(args: argparse.Namespace) -> int:
         # Each epoch store is opened once and read per *analysis*
         # (never per rendered section); the counters prove it.
         print()
-        for path, epoch, store in sorted(stores, key=lambda item: item[1]):
+        for path, config, store in stores:
             counts = store.io_stats
-            print(f"epoch {epoch} ({path}): {counts['opens']} connection "
-                  f"opens, {counts['partial_scans']} partial scans, "
-                  f"{counts['scans']} event scans")
+            print(f"epoch {config.epoch} ({path}): {counts['opens']} "
+                  f"connection opens, {counts['partial_scans']} partial "
+                  f"scans, {counts['scans']} event scans")
     return 0
 
 

@@ -29,23 +29,31 @@ run is crawled normally.
 The copy never leaves SQLite.  The baseline's shard files are attached
 read-only to the target shards' connections (:meth:`RunWriter.attach`;
 a read-only attachment takes only a read transaction under ``BEGIN
-IMMEDIATE``, so the baseline is never write-locked), and each site is
+IMMEDIATE``, so the baseline is never write-locked).  Each contiguous
+group of spliceable sites is cut into spans — sites contiguous in both
+runs, each baseline shard mapping to one target shard (always, when
+the stores have equal shard counts) — and each span and shard pair is
 one ``INSERT INTO main.<table> SELECT ... FROM <baseline>.<table>`` per
-event table, with ``run_id`` replaced, ``position`` shifted onto the
-shared :class:`~repro.datastore.store.RunWriter` counters and the
+event table over the span's row range, with ``run_id`` replaced,
+``position`` shifted onto the shared
+:class:`~repro.datastore.store.RunWriter` counters and the
 request/cookie ``seq`` values shifted onto the new log's counter, plus
-one for the site's partials, which carry no ``seq``.
+one for the span's partials, which carry no ``seq``, and one
+``executemany`` of completion flags.
 Every copy's row count is checked against the baseline's prefix-summed
-slice index: a site whose rows disagree is rolled back and visited for
-real.  Before anything is attached, the index is checked against the
-baseline's row layout (each event table's highest position must close
-the prefix sums), because a wrong per-site count shifts every later
-slice by the same amount and a shifted slice would still count right;
-such a baseline is not spliced from at all.  Transactions: one per
-contiguous group of spliced sites on a one-shard store, one per site on
-more shards (:meth:`RunWriter.splice_many`).  The baseline is detached
-in a ``finally``, since a cancelled service job raises out of the
-``progress`` hook.
+slice index: a span whose rows disagree is rolled back and redone site
+by site, and the site that disagrees is visited for real.  Before
+anything is attached, the index is checked against the baseline's row
+layout (each event table's highest position must close the prefix
+sums), because a wrong per-site count shifts every later slice by the
+same amount and a shifted slice would still count right; such a
+baseline is not spliced from at all.  Transactions: one per group and
+touched shard, begun in ascending shard order, with a savepoint per
+span (:meth:`RunWriter.splice_many`).  A kill between two shards'
+commits leaves a torn run, which :meth:`CrawlStore.open_run` cuts back
+to its completed prefix when the crawl resumes.  The baseline is
+detached in a ``finally``, since a cancelled service job raises out of
+the ``progress`` hook.
 
 No spliced row passes through Python, and a visited site's events are
 dropped once checkpointed, as in every stored crawl.
@@ -122,8 +130,8 @@ def delta_crawl(
     that needed a real visit (``None`` when everything spliced).
 
     Progress events for spliced sites (``site_started``,
-    ``site_spliced``, ``site_finished``) fire after the transaction that
-    holds them has committed.
+    ``site_spliced``, ``site_finished``) fire after the transactions
+    that hold them have committed.
     """
     from ..crawler.openwpm import OpenWPMCrawler
 

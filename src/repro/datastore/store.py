@@ -62,17 +62,19 @@ site is unchanged — only ``run_id``, the row positions and the global
 leaves SQLite: :meth:`RunWriter.attach` attaches the baseline's shard
 files read-only to this store's shard connections, and
 :meth:`RunWriter.splice_many` runs one ``INSERT ... SELECT`` per event
-table and site, checking each row count against the baseline's slice
-index, and one more for the site's partials.  The splice path shares
+table over each span of contiguous sites and shard, checking each row
+count against the baseline's slice index, and one more for the span's
+partials, in one transaction per touched shard.  The splice path shares
 its position counters and timer with the live-checkpoint path, so a
 run that mixes spliced and freshly crawled sites lays out rows exactly
 as an uninterrupted full crawl would.
 
 Concurrency: worker processes and threads each open their own
 :class:`CrawlStore` on the same path; WAL plus a busy timeout serializes
-writers, and every checkpoint is one short transaction.  Cursor reads
-(:meth:`CrawlStore.iter_visits` et al.) open their own read connections,
-so long scans never block a writer.
+writers, every checkpoint is one short transaction, and a write that
+spans shards locks them in ascending order (:meth:`CrawlStore._txns`).
+Cursor reads (:meth:`CrawlStore.iter_visits` et al.) open their own read
+connections, so long scans never block a writer.
 """
 
 from __future__ import annotations
@@ -458,17 +460,38 @@ class CrawlStore:
         self.close()
 
     @contextmanager
+    def _txns(self, indexes: Sequence[int]):
+        """One write transaction on each shard of ``indexes``; yields
+        their connections in ascending shard order.
+
+        The write locks are taken in ascending order, so two writers on
+        one store never wait on each other in a cycle (``BEGIN
+        IMMEDIATE`` waits out a busy shard for the busy timeout), and
+        the commits run in the same order.  Each shard commits on its
+        own: a kill between two commits tears a multi-shard write, which
+        :meth:`open_run` repairs.
+        """
+        with self._lock:
+            connections: List[sqlite3.Connection] = []
+            try:
+                for index in sorted(indexes):
+                    connection = self._conn(index)
+                    connection.execute("BEGIN IMMEDIATE")
+                    connections.append(connection)
+                yield connections
+                for connection in connections:
+                    connection.execute("COMMIT")
+            except BaseException:
+                for connection in connections:
+                    if connection.in_transaction:
+                        connection.execute("ROLLBACK")
+                raise
+
+    @contextmanager
     def _txn(self, index: int = 0):
         """One serialized write transaction on one shard."""
-        with self._lock:
-            connection = self._conn(index)
-            connection.execute("BEGIN IMMEDIATE")
-            try:
-                yield connection
-            except BaseException:
-                connection.execute("ROLLBACK")
-                raise
-            connection.execute("COMMIT")
+        with self._txns((index,)) as (connection,):
+            yield connection
 
     # -- store-level metadata -------------------------------------------
 
@@ -582,7 +605,47 @@ class CrawlStore:
                     [(local_id, position, domain)
                      for position, domain in by_shard[index]],
                 )
+        self._truncate_torn(RunRef(key, dh))
         return self._run_state(key, dh, domains)
+
+    def _truncate_torn(self, run: RunRef) -> None:
+        """Cut a torn run back to its completed position prefix.
+
+        A splice group commits one transaction per shard
+        (:meth:`RunWriter.splice_many`), so a kill between two of those
+        commits can leave sites completed after one that is not.  Rows
+        sit at global positions that assume every earlier site is
+        stored, so such a run cannot resume as it is: every row at or
+        past each table's prefix end and every partial at or past the
+        first gap is deleted, those sites' completion flags and counts
+        are reset, and ``runs.seq`` drops to the prefix's counter.  Each
+        shard is cut in its own transaction; a kill in between leaves a
+        run this repairs again.
+        """
+        counts = self.run_site_counts(run)
+        gap = next((at for at, row in enumerate(counts) if not row[2]),
+                   len(counts))
+        if not any(row[2] for row in counts[gap:]):
+            return
+        prefix = counts[:gap]
+        ends = {"visits": len(prefix),
+                "requests": sum(row[3] for row in prefix),
+                "cookies": sum(row[4] for row in prefix),
+                "js_calls": sum(row[5] for row in prefix)}
+        position = counts[gap][0]
+        for index, local_id in self._resolve(run):
+            with self._txn(index) as conn:
+                for table, end in ends.items():
+                    conn.execute(f"DELETE FROM {table} WHERE run_id=?"
+                                 " AND position>=?", (local_id, end))
+                conn.execute("DELETE FROM partials WHERE run_id=?"
+                             " AND position>=?", (local_id, position))
+                conn.execute(
+                    "UPDATE run_sites SET completed=0, elapsed=NULL,"
+                    " requests=NULL, cookies=NULL, js_calls=NULL"
+                    " WHERE run_id=? AND position>=?", (local_id, position))
+                conn.execute("UPDATE runs SET seq=MIN(seq, ?) WHERE id=?",
+                             (ends["requests"] + ends["cookies"], local_id))
 
     def _run_state(self, key: str, dh: str,
                    domains: Sequence[str]) -> RunState:
@@ -1111,10 +1174,11 @@ class RunWriter:
                             in self._partials.versions.items())
         for alias in self._aliases:
             self._copy_sql["partials", alias] = (
-                "INSERT INTO main.partials SELECT :run, :position, analysis,"
-                f" analysis_version, payload FROM {alias}.partials"
-                " WHERE run_id=:base AND position=:source AND (analysis,"
-                f" analysis_version) IN (VALUES {current or '(NULL, NULL)'})")
+                "INSERT INTO main.partials SELECT :run, position + :moved,"
+                f" analysis, analysis_version, payload FROM {alias}.partials"
+                " WHERE run_id=:base AND position>=:first"
+                " AND position<:end AND (analysis, analysis_version)"
+                f" IN (VALUES {current or '(NULL, NULL)'})")
         try:
             with self._store._lock:
                 for index in range(self._store.shard_count):
@@ -1137,140 +1201,213 @@ class RunWriter:
                 index, alias = self._attached.pop()
                 self._store._conn(index).execute(f"DETACH DATABASE {alias}")
 
-    def _copy_site(self, conn: sqlite3.Connection,
-                   item: Tuple[SiteSlice, int], site_elapsed: float) -> bool:
-        """Copy one site's baseline rows inside an open transaction.
+    def _spans(self, items: Sequence[Tuple[SiteSlice, int]]
+               ) -> List[List[Tuple[SiteSlice, int]]]:
+        """Cut consecutive ``(slice, seq_delta)`` sites into spans.
 
-        False as soon as a table's row count disagrees with the slice;
-        the caller then rolls the site back.  The counters only advance
-        once every table matched.  Partials are copied only at their
-        current ``ANALYSIS_VERSIONS``; a stale or missing one is mapped
-        from the rows just copied and written in the same transaction.
+        A span's sites are contiguous in both the baseline and this run
+        and share one ``seq_delta``, and each of its baseline shards
+        maps to one shard of this store, so every table's rows of a
+        (baseline shard, shard) pair are one position range moved by one
+        constant.  Stores with equal shard counts map shard to shard, so
+        a group of spliceable sites is then one span.
         """
-        slice_, seq_delta = item
-        _, local_id, position = self._site_shard[slice_.domain]
-        shard = shard_of_domain(slice_.domain, len(self._aliases))
-        base_id = self._base_ids[shard]
-        if base_id is None:
-            return False
-        alias = self._aliases[shard]
-        bounds = slice_.bounds()
-        params = {"run": local_id, "base": base_id, "seq": seq_delta}
-        for table, (lo, hi, expected) in bounds.items():
-            params.update(shift=self._counters[table] - lo, lo=lo, hi=hi)
-            copied = conn.execute(self._copy_sql[table, alias], params)
-            if copied.rowcount != expected:
-                return False
+        spans: List[List[Tuple[SiteSlice, int]]] = []
+        targets: Dict[int, int] = {}
+        last: Optional[Tuple[SiteSlice, int, int]] = None
+        for item in items:
+            slice_, seq_delta = item
+            index, _, position = self._site_shard[slice_.domain]
+            base = shard_of_domain(slice_.domain, len(self._aliases))
+            if last is None or (slice_.position, position, seq_delta) != (
+                    last[0].position + 1, last[2] + 1, last[1]) \
+                    or targets.get(base, index) != index:
+                spans.append([])
+                targets = {}
+            spans[-1].append(item)
+            targets[base] = index
+            last = (slice_, seq_delta, position)
+        return spans
+
+    def _copy_span(self, span: Sequence[Tuple[SiteSlice, int]],
+                   site_elapsed: float) -> bool:
+        """Copy one span's baseline rows inside the open transactions.
+
+        Per (baseline shard, shard) pair: one ``INSERT ... SELECT`` per
+        event table over the span's row range, checked against the
+        slices' counts; one for the partials over the span's positions;
+        and one ``executemany`` flagging the sites complete.  False as
+        soon as a count disagrees; the caller then rolls the span back.
+        The counters only advance once every copy matched.  Partials are
+        copied only at their current ``ANALYSIS_VERSIONS``; a site short
+        of one has it mapped from the rows just copied, in the same
+        transaction.
+        """
+        first, seq_delta = span[0]
+        last = span[-1][0]
+        moved = self._site_shard[first.domain][2] - first.position
+        ranges = {table: (lo, last.bounds()[table][1])
+                  for table, (lo, _, _) in first.bounds().items()}
+        pairs: Dict[Tuple[int, int], List[SiteSlice]] = {}
+        for slice_, _ in span:
+            pairs.setdefault(
+                (shard_of_domain(slice_.domain, len(self._aliases)),
+                 self._site_shard[slice_.domain][0]), []).append(slice_)
         names = self._partials.names
-        copied = conn.execute(
-            self._copy_sql["partials", alias],
-            dict(params, position=position, source=slice_.position))
-        if copied.rowcount < len(names):
-            held = {name for (name,) in conn.execute(
-                "SELECT analysis FROM main.partials"
-                " WHERE run_id=? AND position=?", (local_id, position))}
-            rows = {table: self._store.site_event_rows(
-                self._run, slice_.domain, table, self._counters[table],
-                self._counters[table] + bounds[table][1] - bounds[table][0])
-                for table in self._partials.tables}
+        for (base, index), slices in pairs.items():
+            base_id = self._base_ids[base]
+            if base_id is None:
+                return False
+            alias = self._aliases[base]
+            local_id = self._site_shard[slices[0].domain][1]
+            conn = self._store._conn(index)
+            params = {"run": local_id, "base": base_id, "seq": seq_delta}
+            for table, (lo, hi) in ranges.items():
+                params.update(shift=self._counters[table] - lo, lo=lo, hi=hi)
+                expected = sum(slice_.bounds()[table][2] for slice_ in slices)
+                if conn.execute(self._copy_sql[table, alias],
+                                params).rowcount != expected:
+                    return False
+            copied = conn.execute(
+                self._copy_sql["partials", alias],
+                dict(params, moved=moved, first=first.position,
+                     end=last.position + 1)).rowcount
+            if copied < len(names) * len(slices):
+                self._map_missing_partials(conn, local_id, slices, ranges,
+                                           moved)
             conn.executemany(
-                "INSERT INTO main.partials VALUES (?, ?, ?, ?, ?)",
-                [(local_id, position) + row for row in
-                 self._partials.from_stored(
-                     rows, [name for name in names if name not in held])])
-        conn.execute(
-            "UPDATE run_sites SET completed=1, elapsed=?, requests=?,"
-            " cookies=?, js_calls=? WHERE run_id=? AND position=?",
-            (site_elapsed, slice_.requests, slice_.cookies, slice_.js_calls,
-             local_id, position),
-        )
-        for table, (lo, hi, _) in bounds.items():
+                "UPDATE run_sites SET completed=1, elapsed=?, requests=?,"
+                " cookies=?, js_calls=? WHERE run_id=? AND position=?",
+                [(site_elapsed, slice_.requests, slice_.cookies,
+                  slice_.js_calls, local_id, slice_.position + moved)
+                 for slice_ in slices])
+        for table, (lo, hi) in ranges.items():
             self._counters[table] += hi - lo
         return True
 
-    def splice(self, item: Tuple[SiteSlice, int]) -> bool:
-        """Splice one ``(slice, seq_delta)`` site in its own transaction
-        on its shard; False, with nothing written, when its baseline rows
-        disagree with the slice (see :meth:`splice_many`)."""
-        slice_, seq_delta = item
-        index, local_id, _ = self._site_shard[slice_.domain]
-        now = time.perf_counter()
-        site_elapsed = now - self._last
-        try:
-            with self._store._txn(index) as conn:
-                if not self._copy_site(conn, item, site_elapsed):
-                    raise _SliceMismatch
-                conn.execute(
-                    "UPDATE runs SET seq=?, elapsed=elapsed+? WHERE id=?",
-                    (slice_.seq_start + slice_.seq_span + seq_delta,
-                     site_elapsed, local_id),
-                )
-        except _SliceMismatch:
-            return False
-        self._last = now
-        return True
+    def _map_missing_partials(self, conn: sqlite3.Connection, local_id: int,
+                              slices: Sequence[SiteSlice],
+                              ranges: Dict[str, Tuple[int, int]],
+                              moved: int) -> None:
+        """Map the partials the copy left out (stale or missing in the
+        baseline) from the span's rows just copied into this store."""
+        names = self._partials.names
+        held: Dict[int, set] = {}
+        for position, name in conn.execute(
+                "SELECT position, analysis FROM main.partials"
+                " WHERE run_id=? AND position>=? AND position<?",
+                (local_id, slices[0].position + moved,
+                 slices[-1].position + moved + 1)):
+            held.setdefault(position, set()).add(name)
+        for slice_ in slices:
+            position = slice_.position + moved
+            missing = [name for name in names
+                       if name not in held.get(position, ())]
+            if not missing:
+                continue
+            bounds = slice_.bounds()
+            rows = {}
+            for table in self._partials.tables:
+                lo = self._counters[table] + bounds[table][0] \
+                    - ranges[table][0]
+                rows[table] = self._store.site_event_rows(
+                    self._run, slice_.domain, table, lo,
+                    lo + bounds[table][2])
+            conn.executemany(
+                "INSERT INTO main.partials VALUES (?, ?, ?, ?, ?)",
+                [(local_id, position) + row
+                 for row in self._partials.from_stored(rows, missing)])
+
+    def _in_savepoint(self, indexes: Sequence[int], copy: Callable[[], bool]
+                      ) -> bool:
+        """Run ``copy`` in a savepoint on each shard of ``indexes``,
+        rolled back on every one of them when it returns False."""
+        connections = [self._store._conn(index) for index in indexes]
+        for connection in connections:
+            connection.execute("SAVEPOINT splice_span")
+        landed = copy()
+        for connection in connections:
+            if not landed:
+                connection.execute("ROLLBACK TO splice_span")
+            connection.execute("RELEASE splice_span")
+        return landed
+
+    def splice(self, item: Tuple[SiteSlice, int],
+               site_elapsed: float) -> bool:
+        """Splice one ``(slice, seq_delta)`` site inside the transactions
+        :meth:`splice_many` holds open, in its own savepoint; False, with
+        nothing written, when its baseline rows disagree with the slice.
+        """
+        index = self._site_shard[item[0].domain][0]
+        return self._in_savepoint(
+            (index,), lambda: self._copy_span((item,), site_elapsed))
 
     def splice_many(self, items: Sequence[Tuple[SiteSlice, int]]) -> int:
         """Splice consecutive ``(slice, seq_delta)`` sites from the
         attached baseline; returns how many of them (a prefix) landed.
 
-        Each site is one ``INSERT ... SELECT`` per event table: ``run_id``
-        replaced, positions shifted onto this run's counters, and the
-        request and cookie ``seq`` values shifted by ``seq_delta``; and
-        one for its current partials, moved to the site's position in
-        this run (see :meth:`_copy_site` for stale ones).  A row count
-        that disagrees with the slice (a baseline torn or edited behind
-        its manifest) rolls that site back and ends the batch there; the
-        caller visits the site for real.
+        The sites are cut into spans (:meth:`_spans`; one span per call
+        when both stores have the same shard count), and each span is
+        copied per shard pair with one ``INSERT ... SELECT`` per event
+        table over its row range (``run_id`` replaced, positions and the
+        request and cookie ``seq`` values shifted by constants), one for
+        its current partials over its positions, and one ``executemany``
+        for its completions (:meth:`_copy_span`).
 
-        On a one-shard store the batch commits in one transaction, with
-        a savepoint per site — per-site commit overhead is the dominant
-        splice cost, and coarsening crash granularity is safe because
-        spliced sites are nearly free to redo on resume.  With more
-        shards each site commits alone (:meth:`splice`): a site's rows
-        and completion flag must land atomically in its own shard, and
-        committing shards independently could tear the completed
-        *prefix* that global row positions rely on.
+        The call is one transaction per shard it touches, begun in
+        ascending shard order (:meth:`CrawlStore._txns`), with a
+        savepoint per span.  A row count that disagrees with the slices
+        (a baseline torn or edited behind its manifest) rolls that span
+        back, and it is redone site by site (:meth:`splice`) up to the
+        site that disagrees: the sites before it land, the call ends
+        there and the caller visits that site for real.  Per-site commit
+        overhead was the dominant splice cost; coarsening crash
+        granularity is safe because spliced sites are nearly free to
+        redo, and a kill between two shards' commits leaves a torn run
+        that :meth:`CrawlStore.open_run` cuts back to its completed
+        prefix on resume.  Each shard's ``runs.seq`` is the counter
+        after its own last landed site, as after a checkpoint.
         """
         if not items:
             return 0
-        if self._store.shard_count > 1:
-            for done, item in enumerate(items):
-                if not self.splice(item):
-                    return done
-            return len(items)
         now = time.perf_counter()
-        batch_elapsed = now - self._last
-        site_elapsed = batch_elapsed / len(items)
+        site_elapsed = (now - self._last) / len(items)
+        shards = sorted({self._site_shard[slice_.domain][0]
+                         for slice_, _ in items})
         done = 0
-        with self._store._txn(0) as conn:
-            for item in items:
-                conn.execute("SAVEPOINT splice_site")
-                if not self._copy_site(conn, item, site_elapsed):
-                    conn.execute("ROLLBACK TO splice_site")
-                    conn.execute("RELEASE splice_site")
+        # shard -> (local run id, seq after its last landed site, sites)
+        landed: Dict[int, Tuple[int, int, int]] = {}
+        with self._store._txns(shards):
+            for span in self._spans(items):
+                if self._in_savepoint(
+                        shards, lambda: self._copy_span(span, site_elapsed)):
+                    count = len(span)
+                else:
+                    count = 0
+                    while count < len(span) \
+                            and self.splice(span[count], site_elapsed):
+                        count += 1
+                for slice_, seq_delta in span[:count]:
+                    index, local_id, _ = self._site_shard[slice_.domain]
+                    sites = landed.get(index, (0, 0, 0))[2]
+                    landed[index] = (
+                        local_id, slice_.seq_start + slice_.seq_span
+                        + seq_delta, sites + 1)
+                done += count
+                if count < len(span):
                     break
-                conn.execute("RELEASE splice_site")
-                done += 1
-            if done:
-                slice_, seq_delta = items[done - 1]
-                conn.execute(
+            for index, (local_id, seq, sites) in landed.items():
+                self._store._conn(index).execute(
                     "UPDATE runs SET seq=?, elapsed=elapsed+? WHERE id=?",
-                    (slice_.seq_start + slice_.seq_span + seq_delta,
-                     batch_elapsed, self._site_shard[slice_.domain][1]),
-                )
+                    (seq, site_elapsed * sites, local_id))
         if done:
             self._last = now
         return done
 
 
-class _SliceMismatch(Exception):
-    """Rolls back a site whose baseline rows disagree with its slice."""
-
-
 def _copy_statement(table: str, alias: str) -> str:
-    """``INSERT ... SELECT`` copying one site's ``table`` rows from the
-    attached ``alias`` (named parameters: see ``RunWriter._copy_site``)."""
+    """``INSERT ... SELECT`` copying one row range of ``table`` from the
+    attached ``alias`` (named parameters: see ``RunWriter._copy_span``)."""
     columns = _EVENT_COLUMNS[table]
     selected = ", ".join("seq + :seq" if column == "seq" else column
                          for column in columns)

@@ -200,10 +200,9 @@ class ServiceAPI:
                     "job and wait for it to finish"
                 ))
             from ..study import Study
-            from ..webgen.builder import build_universe
 
             self._result_study = Study(
-                build_universe(config),
+                self.manager.lineage.for_reading(config),
                 store=self.store, store_only=True,
             )
             return self._result_study

@@ -17,8 +17,10 @@ the site's rows are durably on disk) and between analyses, so a
 cancelled job never tears a transaction and a resubmitted identical job
 resumes from the checkpointed sites.
 
-Execution rides entirely on existing machinery: each job builds a lazy
-universe, wraps it in a ``Study`` bound to the shared store with
+Execution rides entirely on existing machinery: each job takes a lazy
+universe from the manager's :class:`UniverseLineage` (evolved from the
+one the service holds when that is an earlier epoch of the same chain),
+wraps it in a ``Study`` bound to the shared store with
 ``parallelism=1`` (the configuration under which crawl progress hooks
 fire inline), and evaluates the results of the report's sections in
 their table's order.  Concurrency across jobs is safe because
@@ -48,6 +50,7 @@ __all__ = [
     "JobManager",
     "JobSpec",
     "JobState",
+    "UniverseLineage",
     "epoch_store_path",
 ]
 
@@ -251,16 +254,72 @@ class JobJournal:
         ]
 
 
+class UniverseLineage:
+    """The one universe a service holds, and the parent of the next.
+
+    Every universe a job crawls or the result study reads is built here
+    through ``build_universe(config, ancestor=held)``, so an epoch job
+    evolves only the steps between the held universe and its own epoch
+    instead of building epoch 0 again.  Two rules keep that sound:
+
+    * no two crawls share a universe object: a crawl takes the held
+      universe only as an evolve parent of a *later* epoch, and always
+      gets a fresh object;
+    * the held universe is never one a job is crawling on: a job's
+      universe is held only once :meth:`release` hands it back, after
+      the job's crawls and analyses, with its response memo emptied.
+
+    So the held universe is only ever read (as an evolve parent, or as
+    the result study's universe), and readers of the lazy spec maps are
+    thread-safe.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._held = None
+
+    def _build(self, config, *, reuse: bool):
+        from ..webgen.builder import build_universe
+
+        with self._lock:
+            held = self._held
+        if held is not None and not reuse \
+                and held.config.epoch >= config.epoch:
+            held = None
+        return build_universe(config, ancestor=held)
+
+    def for_crawl(self, config):
+        """A universe of ``config`` that no one else holds, for one
+        job; hand it back with :meth:`release`."""
+        return self._build(config, reuse=False)
+
+    def for_reading(self, config):
+        """A universe of ``config`` that nothing crawls on (the held one
+        itself when it matches), which becomes the held one."""
+        universe = self._build(config, reuse=True)
+        with self._lock:
+            self._held = universe
+        return universe
+
+    def release(self, universe) -> None:
+        """A job is done with ``universe``: hold it as the next parent."""
+        universe.fetch_cache.clear()
+        with self._lock:
+            self._held = universe
+
+
 def execute_job(job: Job, store_path: str, *,
-                store_shards: Optional[int] = None) -> None:
+                store_shards: Optional[int] = None,
+                lineage: Optional[UniverseLineage] = None) -> None:
     """Run one job's study against the shared store, publishing events.
 
-    Raises :class:`JobCancelled` when the job's cancel flag is seen at a
+    The job's universe comes from ``lineage`` (a fresh one when absent)
+    and goes back to it once the job ends.  Raises
+    :class:`JobCancelled` when the job's cancel flag is seen at a
     checkpoint boundary (the just-finished site is already durable) or
     between analyses; any other exception marks the job failed.
     """
     from ..study import Study
-    from ..webgen.builder import build_universe
     from ..webgen.config import UniverseConfig
 
     spec = job.spec
@@ -292,7 +351,9 @@ def execute_job(job: Job, store_path: str, *,
     # (a delta splices them), so the analyses map nothing again.  Output
     # stays byte-identical either way, so the service's served-vs-CLI
     # identity checks keep holding.
-    study = Study(build_universe(config), store=target_path,
+    lineage = lineage or UniverseLineage()
+    universe = lineage.for_crawl(config)
+    study = Study(universe, store=target_path,
                   store_shards=store_shards, parallelism=1,
                   baseline_store=baseline, aggregate_cache=True,
                   progress=progress)
@@ -307,6 +368,7 @@ def execute_job(job: Job, store_path: str, *,
             publish("analysis_finished", {"name": name})
     finally:
         study.close()
+        lineage.release(universe)
 
 
 class JobManager:
@@ -326,8 +388,11 @@ class JobManager:
         self.store_path = str(store_path)
         self.store_shards = store_shards
         self.workers = max(1, int(workers))
+        #: The universe every job and the result study build from.
+        self.lineage = UniverseLineage()
         self._runner = runner or (lambda job: execute_job(
-            job, self.store_path, store_shards=self.store_shards))
+            job, self.store_path, store_shards=self.store_shards,
+            lineage=self.lineage))
         # The journal lives inside the store directory: create the store
         # first when it is new.
         CrawlStore(self.store_path, shards=store_shards).close()
@@ -451,8 +516,8 @@ class JobManager:
                 # A cancel flag that landed after the last checkpoint is
                 # moot: the work completed and is durable, so "done" wins.
                 self._finish(job, JobState.DONE)
-            # A finished job's study, universe and logs sit in reference
-            # cycles; collect them now — after the terminal event, off
-            # the client's path — so the next job never runs beside
-            # them.
+            # A finished job's study and logs sit in reference cycles
+            # (its universe is the lineage's now); collect them now —
+            # after the terminal event, off the client's path — so the
+            # next job never runs beside them.
             gc.collect()

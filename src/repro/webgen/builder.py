@@ -1214,6 +1214,7 @@ def build_universe(
     config: Optional[UniverseConfig] = None,
     *,
     fetch_cache_size: Optional[int] = None,
+    ancestor: Optional[Universe] = None,
 ) -> Universe:
     """Build the complete synthetic web from a configuration.
 
@@ -1228,18 +1229,27 @@ def build_universe(
     (:func:`repro.webgen.evolve.evolve_universe`), so any epoch is
     reachable from the configuration alone — which is what lets a stored
     epoch's universe be reconstructed for delta-crawl hash comparison.
+
+    ``ancestor`` shortens that chain: when it is an epoch of the same
+    chain no later than ``config`` (its config with ``config.epoch``
+    swapped in equals ``config``), only the missing steps are applied to
+    it, and an ancestor already at ``config.epoch`` is returned as is.
+    Evolution is pure, so the result serves what a build from scratch
+    serves.  Any other ``ancestor`` is ignored.
     """
     from .evolve import evolve_universe
 
     config = config or UniverseConfig()
-    epoch = config.epoch
-    if epoch:
-        config = dataclasses.replace(config, epoch=0)
-    builder = _Builder(config)
-    builder.build_porn_sites()
-    builder.build_services()
-    builder.build_regular_sites()
-    universe = builder.finalize(fetch_cache_size=fetch_cache_size)
-    for _ in range(epoch):
+    if ancestor is not None and ancestor.config.epoch <= config.epoch \
+            and dataclasses.replace(ancestor.config,
+                                    epoch=config.epoch) == config:
+        universe = ancestor
+    else:
+        builder = _Builder(dataclasses.replace(config, epoch=0))
+        builder.build_porn_sites()
+        builder.build_services()
+        builder.build_regular_sites()
+        universe = builder.finalize(fetch_cache_size=fetch_cache_size)
+    while universe.config.epoch < config.epoch:
         universe = evolve_universe(universe, fetch_cache_size=fetch_cache_size)
     return universe

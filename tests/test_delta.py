@@ -5,7 +5,8 @@ Pins the contracts the longitudinal pipeline rests on:
 * :func:`evolve_universe` is a pure function of ``(seed, epoch)`` —
   evolving twice yields identical content hashes — and
   ``build_universe(epoch=N)`` reaches the same universe by chaining
-  evolution steps, so the lineage fast path works cross-process;
+  evolution steps, so the lineage fast path works cross-process, and
+  ``build_universe(..., ancestor=)`` chains only the missing steps;
 * the recorded lineage is *conservative*: every site it omits provably
   hashes identically across the epochs (a splice is never wrong), and
   it answers only for an ancestor's config;
@@ -21,18 +22,26 @@ Pins the contracts the longitudinal pipeline rests on:
   disagree with its rows is not spliced from at all, both land on a
   full crawl's rows and partials, and the baseline's shard files are
   never written;
+* unchanged sites splice a span at a time: at most five copies per span
+  and shard and one commit per group and shard, on stores of one, two
+  and three shards alike; a kill between two shards' commits resumes to
+  an uninterrupted delta, and two processes delta-crawl into one store
+  at once;
 * at low and high churn, on one shard and three, a delta-crawled epoch
   renders every section a full crawl renders, and its partial rows —
   spliced and freshly mapped alike — are a full crawl's bytes;
 * service-layer plumbing: ``JobSpec`` epoch/delta validation and the
   ``-eN`` sibling-store naming;
 * ``repro trend`` renders the longitudinal sections from per-epoch
-  stores.
+  stores, building one universe from scratch.
 """
 
 import dataclasses
 import hashlib
+import os
+import signal
 import sqlite3
+import time
 from pathlib import Path
 
 import pytest
@@ -46,6 +55,7 @@ from repro.datastore.store import _slice_index
 from repro.reporting import trend_report
 from repro.reporting.sections import report_sections
 from repro.service.jobs import JobSpec, epoch_store_path
+import repro.webgen.builder as builder
 from repro.webgen.builder import build_universe
 from repro.webgen.evolve import analysis_hash_index, evolve_universe
 
@@ -128,6 +138,20 @@ def _epoch(config, epoch, **changes):
     return dataclasses.replace(config, epoch=epoch, **changes)
 
 
+@pytest.fixture
+def scratch_builds(monkeypatch):
+    """The configs of every universe built from scratch from here on."""
+    builds = []
+    finalize = builder._Builder.finalize
+
+    def counting(self, **kwargs):
+        builds.append(self.config)
+        return finalize(self, **kwargs)
+
+    monkeypatch.setattr(builder._Builder, "finalize", counting)
+    return builds
+
+
 class TestEvolution:
     def test_evolve_is_deterministic(self, universe, evolved):
         again = evolve_universe(universe)
@@ -186,6 +210,37 @@ class TestEvolution:
                       _epoch(config, 3), epoch2.config):
             assert epoch2.changed_domains_since(other) is None, other
         assert universe.changed_domains_since(evolved.config) is None
+
+
+class TestBuildFromAncestor:
+    def test_evolves_only_the_missing_steps(self, universe, evolved,
+                                            scratch_builds):
+        """An earlier epoch of the chain is evolved to the target epoch,
+        and serves what a build from scratch serves; an ancestor at the
+        target epoch is the result itself."""
+        target = _epoch(universe.config, 2)
+        built = build_universe(target, ancestor=evolved)
+        assert scratch_builds == []
+        assert built.config == target
+        assert build_universe(target, ancestor=built) is built
+        scratch = build_universe(target)
+        assert built.content_changed_since == scratch.content_changed_since
+        built_index = analysis_hash_index(built)
+        scratch_index = analysis_hash_index(scratch)
+        for domain in _all_domains(universe):
+            assert built_index.hash_of(domain) == \
+                scratch_index.hash_of(domain)
+
+    def test_ignores_an_ancestor_off_the_chain(self, universe, evolved,
+                                               scratch_builds):
+        """A later epoch, or an epoch of another ``churn``, is no
+        ancestor: the universe is built from scratch."""
+        assert build_universe(universe.config,
+                              ancestor=evolved).config == universe.config
+        other = _epoch(universe.config, 1, churn=0.5)
+        assert build_universe(other, ancestor=universe).config == other
+        assert scratch_builds == [universe.config,
+                                  _epoch(universe.config, 0, churn=0.5)]
 
 
 class TestDeltaCrawl:
@@ -446,6 +501,197 @@ class TestSpliceCountCheck:
         assert shard_file_digests(baseline) == before
 
 
+def _spliced_groups(domains, changed) -> int:
+    """How many maximal runs of unchanged sites ``domains`` has: the
+    splice groups of a fresh delta run against a complete baseline."""
+    groups, inside = 0, False
+    for domain in domains:
+        if domain not in changed and not inside:
+            groups += 1
+        inside = domain not in changed
+    return groups
+
+
+class TestSpanSplice:
+    """Unchanged sites splice a span at a time, one transaction per
+    touched shard and group, and the layout that allows stays safe:
+    stores of any shard count digest equal to a full crawl, a kill
+    between two shards' commits resumes to an uninterrupted delta, and
+    two writers share a store."""
+
+    KIND = "openwpm:porn"
+
+    @pytest.fixture(scope="class")
+    def domains(self, crawlable_porn):
+        return crawlable_porn[:40]
+
+    @pytest.fixture(scope="class")
+    def baselines(self, tmp_path_factory, universe, vantage_points,
+                  domains):
+        """Epoch 0 of ``domains`` from ES on 1, 2 and 3 shards (and from
+        US too on 2)."""
+        root = tmp_path_factory.mktemp("span-baselines")
+        paths = {}
+        for shards in (1, 2, 3):
+            paths[shards] = str(root / f"e0-{shards}")
+            with CrawlStore(paths[shards], shards=shards) as store:
+                for country in ("ES", "US") if shards == 2 else ("ES",):
+                    stored_crawl(store, universe,
+                                 vantage_points.point(country), self.KIND,
+                                 domains)
+        return paths
+
+    @pytest.fixture(scope="class")
+    def full_digest(self, tmp_path_factory, evolved, vantage_points,
+                    domains):
+        """A full crawl of epoch 1 from ES (shard counts do not change
+        a store's digest)."""
+        path = str(tmp_path_factory.mktemp("span-full") / "full")
+        with CrawlStore(path) as store:
+            stored_crawl(store, evolved, vantage_points.point("ES"),
+                         self.KIND, domains)
+        return store_digest(path)
+
+    def _delta(self, path, baseline, evolved, vantage, domains, *,
+               shards=None):
+        with CrawlStore(baseline) as base, \
+                CrawlStore(str(path), shards=shards) as store:
+            stored_crawl(store, evolved, vantage, self.KIND, domains,
+                         baseline=base)
+
+    @pytest.mark.parametrize("base_shards,shards",
+                             [(1, 1), (2, 2), (3, 3), (1, 2)])
+    def test_delta_matches_full_crawl(self, tmp_path, baselines, evolved,
+                                      vantage_points, domains, full_digest,
+                                      base_shards, shards):
+        path = tmp_path / "delta"
+        self._delta(path, baselines[base_shards], evolved,
+                    vantage_points.point("ES"), domains, shards=shards)
+        assert store_digest(path) == full_digest
+        with CrawlStore(str(path)) as store:
+            assert store.run_manifests()[0].stats["delta"]["spliced"] > 0
+
+    def test_statements_per_span_and_shard(self, tmp_path, baselines,
+                                           universe, evolved, vantage_points,
+                                           domains):
+        """On two shards, each splice group is one transaction per shard
+        holding at most five copies (four event tables and the partials)
+        per span; a group is one span when the shard counts match.  A
+        transaction per spliced site fails this."""
+        changed = evolved.changed_domains_since(universe.config)
+        groups = _spliced_groups(domains, changed)
+        statements = {0: [], 1: []}
+        with CrawlStore(baselines[2]) as base, \
+                CrawlStore(str(tmp_path / "delta"), shards=2) as store:
+            for index, seen in statements.items():
+                store._conn(index).set_trace_callback(seen.append)
+            stored_crawl(store, evolved, vantage_points.point("ES"),
+                         self.KIND, domains, baseline=base)
+        for index, seen in statements.items():
+            spliced = sum(1 for domain in domains if domain not in changed
+                          and shard_of_domain(domain, 2) == index)
+            assert spliced > groups  # some group splices 2+ sites here
+            commits = copies = 0
+            in_splice = False
+            for sql in seen:
+                if sql.startswith("INSERT INTO main."):
+                    copies += 1
+                    in_splice = True
+                elif sql == "COMMIT":
+                    commits += in_splice
+                    in_splice = False
+            assert 0 < commits <= groups
+            assert 0 < copies <= 5 * groups
+
+    def _torn(self, path) -> bool:
+        with CrawlStore(str(path)) as store:
+            flags = [row[2] for row in store.run_site_counts(
+                store.run_manifests()[0].run_id)]
+        return 0 in flags and 1 in flags[flags.index(0):]
+
+    def test_kill_between_shard_commits_resumes(self, tmp_path, baselines,
+                                                evolved, vantage_points,
+                                                domains, full_digest):
+        """A process SIGKILLed right after the first shard of a splice
+        group commits leaves a torn run; reopening it cuts the run back
+        to its completed prefix, and the resumed delta writes the store
+        an uninterrupted delta writes."""
+        path = tmp_path / "killed"
+        vantage = vantage_points.point("ES")
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child never returns
+            try:
+                with CrawlStore(baselines[2]) as base, \
+                        CrawlStore(str(path), shards=2) as store:
+                    splicing = []
+
+                    def trace(sql):
+                        if sql.startswith("INSERT INTO main."):
+                            splicing.append(sql)
+                        elif sql == "COMMIT" and splicing:
+                            # Shard 0 has committed this group's part.
+                            os.kill(os.getpid(), signal.SIGKILL)
+
+                    store._conn(1).set_trace_callback(trace)
+                    stored_crawl(store, evolved, vantage, self.KIND, domains,
+                                 baseline=base)
+            finally:
+                os._exit(1)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFSIGNALED(status)
+        assert os.WTERMSIG(status) == signal.SIGKILL
+        assert self._torn(path)
+        self._delta(path, baselines[2], evolved, vantage, domains)
+        assert not self._torn(path)
+        assert store_digest(path) == full_digest
+
+    def test_two_writers_share_a_store(self, tmp_path, baselines, evolved,
+                                       vantage_points, domains):
+        """Two processes delta-crawl different runs into one two-shard
+        store at once: both finish, and the store equals one written
+        serially."""
+        shared = tmp_path / "shared"
+        CrawlStore(str(shared), shards=2).close()
+        ready, go = os.pipe()
+        children = []
+        for country in ("ES", "US"):
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - the child never returns
+                code = 1
+                try:
+                    os.close(go)
+                    os.read(ready, 1)
+                    self._delta(shared, baselines[2], evolved,
+                                vantage_points.point(country), domains)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append(pid)
+        os.close(ready)
+        os.write(go, b"go")
+        os.close(go)
+        deadline = time.monotonic() + 120
+        codes = {}
+        while len(codes) < len(children) and time.monotonic() < deadline:
+            for pid in children:
+                if pid not in codes:
+                    done, status = os.waitpid(pid, os.WNOHANG)
+                    if done:
+                        codes[pid] = os.waitstatus_to_exitcode(status)
+            time.sleep(0.05)
+        for pid in set(children) - set(codes):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert len(codes) == len(children), "the writers deadlocked"
+        assert list(codes.values()) == [0, 0]
+
+        serial = tmp_path / "serial"
+        for country in ("ES", "US"):
+            self._delta(serial, baselines[2], evolved,
+                        vantage_points.point(country), domains, shards=2)
+        assert store_digest(shared) == store_digest(serial)
+
+
 class TestDeltaPartials:
     """A delta-crawled epoch against a full crawl of the same epoch,
     both through a study with a store: the sections it renders and the
@@ -632,3 +878,29 @@ class TestTrend:
 
     def test_cli_trend_rejects_duplicate_epochs(self, epoch0_store, capsys):
         assert main(["trend", epoch0_store, epoch0_store]) != 0
+
+    def test_cli_trend_builds_one_universe_from_scratch(
+            self, tmp_path, universe, evolved, epoch0_store, epoch1_store,
+            capsys, scratch_builds):
+        """Each epoch's universe evolves from the previous one: three
+        epochs, one build from scratch, and the report of universes
+        built apart."""
+        epoch2_store = str(tmp_path / "e2.db")
+        study = Study(evolve_universe(evolved), store=epoch2_store,
+                      baseline_store=epoch1_store)
+        study.porn_log()
+        study.regular_log()
+        paths = [epoch2_store, epoch0_store, epoch1_store]
+        assert main(["trend", *paths]) == 0
+        assert scratch_builds == [universe.config]
+        out = capsys.readouterr().out
+        universes = [universe, evolved, evolve_universe(evolved)]
+        stores = [CrawlStore(path) for path in paths]
+        try:
+            studies = [(store.stored_config().epoch, Study(
+                universes[store.stored_config().epoch], store=store,
+                store_only=True)) for store in stores]
+            assert out == trend_report(studies)
+        finally:
+            for store in stores:
+                store.close()

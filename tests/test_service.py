@@ -453,6 +453,77 @@ class TestJobRelease:
         assert studies[0].store._connections == [None, None]
 
 
+class TestUniverseLineage:
+    def test_jobs_evolve_from_the_held_universe(self, tmp_path,
+                                                monkeypatch):
+        """The result study reads the epoch-0 job's universe, the epoch-1
+        job evolves from it and the epoch-2 job from epoch 1's: one build
+        from scratch in all, and every crawl has a universe of its own."""
+        import repro.webgen.builder as builder
+        import repro.webgen.evolve as evolve
+        from repro.datastore import CrawlStore
+        from repro.service.api import ServiceAPI
+        from repro.service.jobs import UniverseLineage
+
+        builds, evolutions, crawled = [], [], []
+        finalize = builder._Builder.finalize
+        monkeypatch.setattr(
+            builder._Builder, "finalize",
+            lambda self, **kw: builds.append(self.config) or finalize(
+                self, **kw))
+        evolve_universe = evolve.evolve_universe
+
+        def recording_evolve(universe, **kwargs):
+            evolved = evolve_universe(universe, **kwargs)
+            evolutions.append((universe, evolved))
+            return evolved
+
+        monkeypatch.setattr(evolve, "evolve_universe", recording_evolve)
+        for_crawl = UniverseLineage.for_crawl
+        monkeypatch.setattr(
+            UniverseLineage, "for_crawl",
+            lambda self, config: crawled.append(for_crawl(self, config))
+            or crawled[-1])
+
+        manager = JobManager(str(tmp_path / "store"), workers=1)
+        api = ServiceAPI(manager, CrawlStore(manager.store_path))
+        manager.start()
+        try:
+            spec = JobSpec(seed=SEED, scale=SCALE, churn=0.05,
+                           analyses=("https",))
+            jobs = [manager.submit(spec)]
+            _drain(jobs[0])
+            assert api.result_study().universe is crawled[0]
+            for epoch in (1, 2):
+                jobs.append(manager.submit(JobSpec(
+                    seed=SEED, scale=SCALE, churn=0.05, epoch=epoch,
+                    delta=True, analyses=("https",))))
+                _drain(jobs[-1])
+        finally:
+            manager.stop()
+            api.store.close()
+        assert [job.state for job in jobs] == [JobState.DONE] * 3
+        assert [universe.config.epoch for universe in crawled] == [0, 1, 2]
+        assert len(builds) == 1
+        assert evolutions == [(crawled[0], crawled[1]),
+                              (crawled[1], crawled[2])]
+
+    def test_a_crawl_never_takes_the_held_universe(self):
+        """A crawl at the held universe's epoch gets a fresh object; a
+        reader gets the held one."""
+        from repro.service.jobs import UniverseLineage
+        from repro.webgen.config import UniverseConfig
+
+        lineage = UniverseLineage()
+        config = UniverseConfig(seed=SEED, scale=SCALE)
+        held = lineage.for_reading(config)
+        assert lineage.for_reading(config) is held
+        crawl = lineage.for_crawl(config)
+        assert crawl is not held and crawl.config == config
+        lineage.release(crawl)
+        assert lineage.for_reading(config) is crawl
+
+
 # -- the HTTP server end-to-end -----------------------------------------
 
 
