@@ -1,11 +1,19 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test scale-check delta-check incremental-check
+.PHONY: test claims scale-check delta-check incremental-check
 
 ## Run the tier-1 test suite.
 test:
 	$(PYTHON) -m pytest -x -q
+
+## Paper claims at full scale: crawl the paper-sized corpus into a
+## temporary store, evaluate every row of tests/test_paper_claims.py
+## (tier-1 checks the same rows at scale 0.1) and write the paper-vs-
+## measured table to benchmarks/results/claims.txt; fails if a claim
+## does not hold.
+claims:
+	$(PYTHON) tests/test_paper_claims.py --scale 1.0
 
 ## Memory-flatness gate: run the streaming probe (lazy universe, sharded
 ## store, streamed crawl, cursor analyses) at two scales and fail if the

@@ -4,6 +4,7 @@ execution, and the ``repro report`` / ``repro store info`` CLI surface."""
 
 import multiprocessing
 import os
+import signal
 import threading
 
 import pytest
@@ -27,6 +28,8 @@ from repro.reporting.tables import (
     render_table4,
     render_table6,
 )
+
+from .test_delta import store_digest
 
 SEED = 20191021
 
@@ -163,6 +166,55 @@ class TestResume:
         assert resumed._seq == clean._seq
         assert manifest.complete
         assert manifest.stats["resumed_from_site"] == self.ABORT_AFTER
+
+    KILL_AT = 5
+
+    def test_sigkill_inside_a_checkpoint_resumes(
+            self, tmp_path, universe, vantage_points, crawlable_porn):
+        """A crawl SIGKILLed inside its Nth site's checkpoint, after the
+        site's event rows are inserted and before their commit, holds
+        N-1 completed sites; resuming it writes the store an
+        uninterrupted crawl writes."""
+        domains = crawlable_porn[:20]
+        vantage = vantage_points.point("ES")
+        path = str(tmp_path / "killed")
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child never returns
+            try:
+                with CrawlStore(path) as store:
+                    completed, statements = [], []
+
+                    def trace(sql):
+                        if sql == "BEGIN IMMEDIATE":
+                            statements.clear()
+                        statements.append(sql)
+                        if sql.startswith("UPDATE runs SET seq="):
+                            completed.append(sql)
+                        elif (sql.startswith("INSERT INTO partials")
+                              and len(completed) == self.KILL_AT - 1
+                              and any(s.startswith("INSERT INTO visits")
+                                      for s in statements)):
+                            os.kill(os.getpid(), signal.SIGKILL)
+
+                    store._conn(0).set_trace_callback(trace)
+                    stored_crawl(store, universe, vantage, "openwpm:porn",
+                                 domains)
+            finally:
+                os._exit(1)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFSIGNALED(status)
+        assert os.WTERMSIG(status) == signal.SIGKILL
+
+        with CrawlStore(path) as store:
+            state = store.find_run(universe.config, vantage, "openwpm:porn",
+                                   domains)
+            assert len(state.completed) == self.KILL_AT - 1
+            assert not state.finished
+            stored_crawl(store, universe, vantage, "openwpm:porn", domains)
+        clean = str(tmp_path / "clean")
+        with CrawlStore(clean) as store:
+            stored_crawl(store, universe, vantage, "openwpm:porn", domains)
+        assert store_digest(path) == store_digest(clean)
 
     def test_resumed_study_tables_match_clean_study(
             self, tmp_path, universe, vantage_points, crawlable_porn, study):

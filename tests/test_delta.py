@@ -29,7 +29,8 @@ Pins the contracts the longitudinal pipeline rests on:
   at once;
 * at low and high churn, on one shard and three, a delta-crawled epoch
   renders every section a full crawl renders, and its partial rows —
-  spliced and freshly mapped alike — are a full crawl's bytes;
+  spliced and freshly mapped alike — are a full crawl's bytes; so does
+  epoch 2 delta-crawled from a delta-crawled epoch 1;
 * service-layer plumbing: ``JobSpec`` epoch/delta validation and the
   ``-eN`` sibling-store naming;
 * ``repro trend`` renders the longitudinal sections from per-epoch
@@ -727,16 +728,16 @@ class TestDeltaPartials:
 
     @pytest.fixture(scope="class")
     def full(self, epochs_dir):
-        """Per churn: a full crawl of epoch 1, its sections and its
-        partial rows."""
+        """Per churn and epoch (1 by default): a full crawl, its
+        sections and its partial rows."""
         crawled = {}
 
-        def get(churn):
-            if churn not in crawled:
-                path = epochs_dir / f"full-{churn}"
-                sections = self._study(path, 1, churn)
-                crawled[churn] = sections, partial_rows(path)
-            return crawled[churn]
+        def get(churn, epoch=1):
+            if (churn, epoch) not in crawled:
+                path = epochs_dir / f"full-e{epoch}-{churn}"
+                sections = self._study(path, epoch, churn)
+                crawled[churn, epoch] = sections, partial_rows(path)
+            return crawled[churn, epoch]
 
         return get
 
@@ -746,7 +747,25 @@ class TestDeltaPartials:
                                             churn, shards):
         path = tmp_path / "delta"
         sections = self._study(path, 1, churn, shards, baseline=baseline)
-        expected_sections, expected_rows = full(churn)
+        self._assert_full(path, sections, *full(churn))
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_chained_delta_epochs_match_full_crawl(self, tmp_path, baseline,
+                                                   full, shards):
+        """Epoch 2 delta-crawled from a delta-crawled epoch 1, as
+        ``epoch-serve`` chains them: partials spliced once are spliced
+        again, and the epoch renders and stores what a full crawl of
+        epoch 2 does."""
+        epoch1 = tmp_path / "e1"
+        self._study(epoch1, 1, 0.05, shards, baseline=baseline)
+        path = tmp_path / "e2"
+        sections = self._study(path, 2, 0.05, shards, baseline=str(epoch1))
+        self._assert_full(path, sections, *full(0.05, epoch=2))
+
+    @staticmethod
+    def _assert_full(path, sections, expected_sections, expected_rows):
+        """The delta store at ``path`` rendered ``sections`` and holds
+        the partial rows of a full crawl, and it spliced and crawled."""
         assert list(sections) == list(expected_sections)
         differ = [name for name in sections
                   if sections[name] != expected_sections[name]]
