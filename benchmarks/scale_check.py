@@ -20,12 +20,19 @@ carries the analyses' O(unique-domain) aggregates and the universe
 model, both functions of corpus *diversity* rather than page count) is
 printed for context but not gated.
 
+Beside each crawl-path RSS reading the gate prints, ungated, the
+tracemalloc peak of the same crawl path (:func:`run_traced_probe`, one
+more process per scale, so tracing never touches the gated RSS).  RSS
+also counts freed memory the allocator cannot return, so details that
+keep no memory can move it; the traced peak counts live Python
+allocations only.
+
 ``REPRO_SCALE_CHECK_SCALES`` sets the comma-separated scale pair,
 default ``0.2,0.4`` ("scale-2 vs scale-4" smoke sizes; full scales 2/4
 take tens of minutes and belong in a nightly run, not ``make``).
 
 The script re-invokes itself for each probe
-(``scale_check.py --probe memory|reference SCALE``), which prints the
+(``scale_check.py --probe memory|traced|reference SCALE``), which prints the
 probe's result as JSON.  Exit status 0 on pass, 1 on any violation.
 """
 
@@ -91,17 +98,10 @@ def _record_corpus(store, universe) -> list:
     return Study(universe, parallelism=1, store=store).corpus_domains()
 
 
-def run_memory_probe(scale: float, store_dir: str) -> dict:
-    """The bounded-memory pipeline at one scale: sharded + cursors.
-
-    Universe specs are minted from packed rows on access, the crawl
-    streams (each site's events dropped once checkpointed to its
-    shard), and the Table 2/4/6 analyses consume datastore cursors in a
-    store-only study — the configuration whose RSS must stay flat as
-    scale grows.  Returns the peak RSS after the crawl and after the
-    whole run, and the table digest for parity checks against the
-    in-memory reference.
-    """
+def _crawl_path(scale: float, store_dir: str):
+    """The crawl path both memory probes measure: the universe, the
+    corpus, and both crawls streamed into a sharded store.  Returns the
+    store and a store-only study over it."""
     from repro import Study, UniverseConfig
     from repro.datastore import CrawlStore, stored_crawl
     from repro.webgen.builder import build_universe
@@ -118,6 +118,21 @@ def run_memory_probe(scale: float, store_dir: str) -> dict:
     stored_crawl(store, universe, vantage, Study._PORN_KIND, domains)
     stored_crawl(store, universe, vantage, Study._REGULAR_KIND,
                  universe.reference_regular_corpus(), keep_html=False)
+    return store, reader
+
+
+def run_memory_probe(scale: float, store_dir: str) -> dict:
+    """The bounded-memory pipeline at one scale: sharded + cursors.
+
+    Universe specs are minted from packed rows on access, the crawl
+    streams (each site's events dropped once checkpointed to its
+    shard), and the Table 2/4/6 analyses consume datastore cursors in a
+    store-only study — the configuration whose RSS must stay flat as
+    scale grows.  Returns the peak RSS after the crawl and after the
+    whole run, and the table digest for parity checks against the
+    in-memory reference.
+    """
+    store, reader = _crawl_path(scale, store_dir)
     # ru_maxrss is monotone: sampled here, it is the crawl path's peak.
     crawl_rss = _peak_rss_mb()
 
@@ -128,6 +143,16 @@ def run_memory_probe(scale: float, store_dir: str) -> dict:
         "peak_rss_mb": _peak_rss_mb(),
         "tables_sha256": digest,
     }
+
+
+def run_traced_probe(scale: float, store_dir: str) -> dict:
+    """The crawl path's tracemalloc peak at one scale, in MiB."""
+    import tracemalloc
+
+    tracemalloc.start()
+    _crawl_path(scale, store_dir)
+    _, peak = tracemalloc.get_traced_memory()
+    return {"crawl_traced_mb": round(peak / 2 ** 20, 1)}
 
 
 def run_reference_probe(scale: float) -> dict:
@@ -142,9 +167,10 @@ def run_reference_probe(scale: float) -> dict:
 
 def _probe_child(mode: str, scale: float) -> None:
     """Run one probe in this (fresh) process; print its result as JSON."""
-    if mode == "memory":
+    if mode in ("memory", "traced"):
+        probe = run_memory_probe if mode == "memory" else run_traced_probe
         with tempfile.TemporaryDirectory(prefix="repro-mem-probe-") as tmp:
-            result = run_memory_probe(scale, tmp)
+            result = probe(scale, tmp)
     else:
         result = run_reference_probe(scale)
     print(json.dumps(result))
@@ -175,21 +201,21 @@ def main() -> int:
           f"(threshold {RATIO_THRESHOLD}x)")
     probe_small = _run_probe("memory", small)
     probe_large = _run_probe("memory", large)
+    traced_small = _run_probe("traced", small)["crawl_traced_mb"]
+    traced_large = _run_probe("traced", large)["crawl_traced_mb"]
     reference = _run_probe("reference", small)
 
-    crawl_small = probe_small["crawl_rss_mb"]
-    crawl_large = probe_large["crawl_rss_mb"]
-    crawl_ratio = crawl_large / crawl_small
+    crawl_ratio = probe_large["crawl_rss_mb"] / probe_small["crawl_rss_mb"]
     full_ratio = probe_large["peak_rss_mb"] / probe_small["peak_rss_mb"]
 
-    print(f"  scale {small}: crawl-path RSS {crawl_small:.1f} MiB, "
-          f"full-run peak {probe_small['peak_rss_mb']:.1f} MiB, "
-          f"{probe_small['pages']} pages")
-    print(f"  scale {large}: crawl-path RSS {crawl_large:.1f} MiB, "
-          f"full-run peak {probe_large['peak_rss_mb']:.1f} MiB, "
-          f"{probe_large['pages']} pages")
+    for scale, probe, traced in ((small, probe_small, traced_small),
+                                 (large, probe_large, traced_large)):
+        print(f"  scale {scale}: crawl-path RSS {probe['crawl_rss_mb']:.1f} "
+              f"MiB (traced peak, ungated: {traced:.1f} MiB), full-run "
+              f"peak {probe['peak_rss_mb']:.1f} MiB, {probe['pages']} pages")
     print(f"  crawl-path RSS ratio: {crawl_ratio:.3f}x "
-          f"(full-run, ungated: {full_ratio:.3f}x) for "
+          f"(full-run, ungated: {full_ratio:.3f}x; traced peak, ungated: "
+          f"{traced_large / traced_small:.3f}x) for "
           f"{large / small:.1f}x scale")
 
     failed = False

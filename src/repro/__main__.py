@@ -39,6 +39,7 @@ import sys
 import time
 
 from . import Study, UniverseConfig
+from .datastore import DamagedShardError
 from .net.url import registrable_domain
 from .reporting import full_report
 
@@ -566,6 +567,10 @@ def main(argv=None) -> int:
         # long crawl or the serve loop is ^C'd.
         print("interrupted", file=sys.stderr)
         return 130
+    except DamagedShardError as exc:
+        # A shard past the first opens on first touch, deep in a study.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -5,6 +5,8 @@ HTTP when unsupported, as in §5.2), parse it, fetch every referenced
 resource in DOM order, follow redirect chains (cookie syncing lives
 there), execute scripts against the instrumented JS APIs, and recurse one
 level into iframes (where RTB bidders load dynamically).
+:meth:`Browser.load_document` stops after the document, for the passes
+that read nothing else (§3 sanitization, the Selenium crawler).
 
 The browser keeps a single :class:`~repro.net.cookies.CookieJar` for its
 whole lifetime; the paper deliberately reuses one session across the
@@ -200,11 +202,31 @@ class Browser:
     def visit(self, site_domain: str, *, path: str = "/") -> PageVisit:
         """Load a site's landing page with all subresources.
 
-        Tries HTTPS first and downgrades to HTTP when the server does not
-        support TLS (mirroring the paper's §5.2 measurement method).
+        The document comes from :meth:`load_document`; an HTML page that
+        loaded then fetches its subresources, runs its scripts and
+        recurses one level into its iframes.  None of that changes the
+        returned :class:`PageVisit`.
         """
-        response = None
-        final_url: Optional[URL] = None
+        visit, response, page_url = self._load_document(site_domain, path)
+        if visit.success and "text/html" in response.content_type:
+            self._load_page(response, page_url=page_url,
+                            page_domain=site_domain, depth=0)
+        return visit
+
+    def load_document(self, site_domain: str, *, path: str = "/") -> PageVisit:
+        """Load only a site's landing-page document.
+
+        Tries HTTPS first and downgrades to HTTP when the server does not
+        support TLS (mirroring the paper's §5.2 measurement method).  The
+        :class:`PageVisit` equals the one :meth:`visit` returns; only the
+        subresources (and the requests, cookies and script calls they
+        log) are skipped.
+        """
+        return self._load_document(site_domain, path)[0]
+
+    def _load_document(
+        self, site_domain: str, path: str
+    ) -> Tuple[PageVisit, Optional[Response], URL]:
         for scheme in ("https", "http"):
             candidate = parse_url(f"{scheme}://{site_domain}{path}")
             record, response = self._fetch_once(
@@ -215,35 +237,27 @@ class Browser:
                 referrer=None,
             )
             if response is not None:
-                final_url = candidate
                 break
             if record.error != "TLSUnsupportedError":
                 # Dead site / timeout / NXDOMAIN / no route / geo-excluded:
                 # the failure is scheme-independent, downgrading won't help.
                 break
 
-        if response is None or final_url is None:
+        if response is None:
             visit = PageVisit(site_domain, f"https://{site_domain}{path}",
                               success=False,
                               failure_reason=(record.error or "unreachable"))
-            self.log.visits.append(visit)
-            return visit
-
-        visit = PageVisit(
-            site_domain,
-            str(final_url),
-            success=response.ok,
-            status=response.status,
-            https=final_url.is_secure,
-            html=response.body if self.keep_html else "",
-        )
+        else:
+            visit = PageVisit(
+                site_domain,
+                str(candidate),
+                success=response.ok,
+                status=response.status,
+                https=candidate.is_secure,
+                html=response.body if self.keep_html else "",
+            )
         self.log.visits.append(visit)
-        if not response.ok or "text/html" not in response.content_type:
-            return visit
-
-        self._load_page(response, page_url=final_url,
-                        page_domain=site_domain, depth=0)
-        return visit
+        return visit, response, candidate
 
     def _resource_entries(self, response: Response) -> List[Tuple[str, str]]:
         """The ordered ``(resource_type, url)`` fetch list of an HTML response.

@@ -17,8 +17,10 @@ Two cache flavors live here:
 :class:`FetchCache`
     A :class:`BoundedCache` specialization that also memoizes
     *deterministic failures* (the universe's ``FetchError`` hierarchy is
-    a property of the site spec, not of timing), re-raising the cached
-    exception on every hit.
+    a property of the site spec, not of timing).  A failure is kept as a
+    traceback-free copy and replayed as a fresh exception on every hit,
+    so no frame of a failing fetch (nor the browser, log and DOM its
+    callers hold) outlives the handler that catches it.
 
 Thread safety matters because :class:`repro.study.Study` may evaluate
 independent crawls concurrently (see
@@ -28,6 +30,7 @@ own copy-on-write cache, worker *threads* share one.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import threading
 from typing import Any, Callable, Hashable, Optional, Tuple
@@ -153,18 +156,21 @@ class FetchCache(BoundedCache):
     def fetch(self, key: Hashable, thunk: Callable[[], Any]) -> Any:
         """Return the memoized response for ``key``, computing via ``thunk``.
 
-        Exceptions raised by ``thunk`` are cached and re-raised on every
-        subsequent lookup: an unresponsive or geo-blocked site fails
-        identically on every request from the same client.
+        An exception raised by ``thunk`` is cached and replayed on every
+        lookup, the first included: an unresponsive or geo-blocked site
+        fails identically on every request from the same client.  The
+        cache keeps a copy without ``__traceback__`` (or context), and
+        each lookup raises a new copy of it, so the only frames a raised
+        failure carries are those of the lookup that raised it.
         """
 
         def outcome() -> Tuple[bool, Any]:
             try:
                 return (self._OK, thunk())
             except Exception as exc:
-                return (self._ERR, exc)
+                return (self._ERR, copy.copy(exc))
 
         ok, payload = self.get_or_create(key, outcome)
         if ok:
             return payload
-        raise payload
+        raise copy.copy(payload)

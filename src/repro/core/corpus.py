@@ -115,8 +115,12 @@ def classify_adult_content(html: str) -> bool:
 def sanitize_verdict(universe: Universe, client: ClientContext,
                      domain: str) -> str:
     """One candidate's §3 verdict: ``unresponsive``, ``corpus`` (adult
-    content on the landing page) or ``non_adult``."""
-    visit = Browser(universe, client).visit(domain)
+    content on the landing page) or ``non_adult``.
+
+    The verdict reads only the landing page's document, so only the
+    document is loaded (:meth:`~repro.browser.browser.Browser.load_document`).
+    """
+    visit = Browser(universe, client).load_document(domain)
     if not visit.success:
         return "unresponsive"
     if classify_adult_content(visit.html):

@@ -113,6 +113,9 @@ class _WorkerFailure:
     country: str
     message: str
     worker_traceback: str
+    #: A damaged store shard's error, which the parent raises as is:
+    #: the store is at fault, not the crawl.
+    damaged_shard: Optional[Exception] = None
 
 
 class CrawlExecutionError(RuntimeError):
@@ -171,11 +174,14 @@ def _execute_forked(spec: CrawlSpec) -> Union[CrawlOutcome, _WorkerFailure]:
                 spec, _opened(stack, executor.store_path),
                 _opened(stack, executor.baseline_path), progress)
     except Exception as exc:
+        from ..datastore import DamagedShardError
         return _WorkerFailure(
             key=spec.key,
             country=spec.country,
             message=f"{type(exc).__name__}: {exc}",
             worker_traceback=traceback.format_exc(),
+            damaged_shard=(exc if isinstance(exc, DamagedShardError)
+                           else None),
         )
     if counts is not None:
         outcome.event_counts = dict(counts)
@@ -237,7 +243,9 @@ class CrawlExecutor:
         Inline, a crawl's exception propagates as raised.  Forked, the
         whole batch drains first and :class:`CrawlExecutionError` is
         raised for the first (in submission order) spec whose crawl
-        failed — the pool never deadlocks on a poisoned spec.
+        failed — the pool never deadlocks on a poisoned spec — unless
+        that failure is a damaged store shard, whose
+        :class:`~repro.datastore.DamagedShardError` is raised as inline.
         """
         spec_list = list(specs)
         keys = [spec.key for spec in spec_list]
@@ -258,6 +266,8 @@ class CrawlExecutor:
         results = self._run_forked(spec_list)
         for result in results:
             if isinstance(result, _WorkerFailure):
+                if result.damaged_shard is not None:
+                    raise result.damaged_shard
                 raise CrawlExecutionError(result.key, result.country,
                                           result.message,
                                           result.worker_traceback)

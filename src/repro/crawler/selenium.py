@@ -201,9 +201,14 @@ class SeleniumCrawler:
     # ------------------------------------------------------------------
 
     def inspect(self, domain: str) -> SiteInspection:
-        """Full interaction pass over one site's landing page."""
+        """Full interaction pass over one site's landing page.
+
+        Every cue is read from documents (the landing page, the page
+        behind the age gate, the privacy policy), so the browser loads
+        documents only and never a page's subresources.
+        """
         browser = Browser(self.universe, self.client)
-        visit = browser.visit(domain)
+        visit = browser.load_document(domain)
         if not visit.success:
             return SiteInspection(domain, reachable=False)
         document = parse_html(visit.html)
@@ -241,7 +246,7 @@ class SeleniumCrawler:
         )
         # "Click": reload the landing page with the consent token, the way
         # the gate's JavaScript would navigate.
-        after = browser.visit(domain, path="/?verified=1")
+        after = browser.load_document(domain, path="/?verified=1")
         bypassed = False
         if after.success:
             after_doc = parse_html(after.html)

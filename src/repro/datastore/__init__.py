@@ -23,6 +23,7 @@ from .schema import SCHEMA_VERSION, SchemaError
 from .serialize import config_from_json, config_to_json, domains_hash, run_key
 from .store import (
     CrawlStore,
+    DamagedShardError,
     MissingRunError,
     RunManifest,
     RunRef,
@@ -41,6 +42,7 @@ __all__ = [
     "AggregateStore",
     "aggregates_path",
     "CrawlStore",
+    "DamagedShardError",
     "IncrementalRunAnalyzer",
     "LogRows",
     "cached_inspections",

@@ -28,7 +28,9 @@ in one step, so concurrent openers of a fresh path never see a
 half-built store: the loser of the rename opens the winner's directory.
 A path that is a regular file is refused at open: it is not a store
 (the single-file layout of early versions included), and its rows
-re-create from the universe with ``repro study --store NEW_DIR``.
+re-create from the universe with ``repro study --store NEW_DIR``.  So
+is a shard file SQLite cannot read (cut short, or overwritten), with a
+:class:`DamagedShardError` naming it when the shard is first touched.
 
 Why resume is bit-identical
 ---------------------------
@@ -161,6 +163,10 @@ def shard_of_domain(domain: str, shard_count: int) -> int:
 
 class MissingRunError(RuntimeError):
     """A store-only consumer asked for a crawl the store does not hold."""
+
+
+class DamagedShardError(ValueError):
+    """A shard file SQLite cannot read: cut short, or not a database."""
 
 
 @dataclass(frozen=True)
@@ -402,12 +408,22 @@ class CrawlStore:
             connection = self._connections[index]
             if connection is not None:
                 return connection
-            connection = self._open(self._shard_paths[index])
+            path = self._shard_paths[index]
             try:
+                connection = self._open(path)
                 ensure_schema(connection)
                 stamp = shard_stamp(connection)
-            except BaseException:
-                connection.close()
+            except BaseException as exc:
+                if connection is not None:
+                    connection.close()
+                # SQLite's corrupt and not-a-database errors are plain
+                # DatabaseErrors; a busy lock raises a subclass.
+                if type(exc) is sqlite3.DatabaseError:
+                    raise DamagedShardError(
+                        f"{path} is damaged ({exc}); rebuild the store "
+                        "(its rows re-create from the universe) with "
+                        "`repro study --store NEW_DIR`"
+                    ) from None
                 raise
             if stamp != (index, self.shard_count):
                 connection.close()

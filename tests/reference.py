@@ -6,16 +6,22 @@ parse-every-page where it prefilters.  Parity tests assert that both
 give the same answer on the same input; nothing in ``repro`` calls
 these.  :class:`ContentHashIndex` is the hash delta crawls used to
 splice by, now the oracle the evolution lineage is checked against.
+:func:`full_page_loads` runs the sanitize and Selenium passes with the
+full page loads they made before they loaded documents alone.
 """
 
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+import repro.core.corpus
+import repro.crawler.selenium
 from repro.blocklists.easylist import FilterList, FilterRule, MatchContext
+from repro.browser import Browser, PageVisit
 from repro.core.compliance.banners import BannerObservation, _walk_for_banner
 from repro.html.parser import parse_html
 from repro.net.url import URL, parse_url, registrable_domain
@@ -227,3 +233,27 @@ class ContentHashIndex:
             digest.update(b"\x1fbidders\x1f")
             self._walk(digest, list(universe.rtb_bidders), seen)
         return digest.hexdigest()
+
+
+class FullLoadBrowser(Browser):
+    """A browser whose document loads are full page loads, subresources
+    included."""
+
+    def load_document(self, site_domain: str, *, path: str = "/") -> PageVisit:
+        return self.visit(site_domain, path=path)
+
+
+@contextmanager
+def full_page_loads():
+    """Within the block, :func:`~repro.core.corpus.sanitize_verdict` and
+    :class:`~repro.crawler.selenium.SeleniumCrawler` browse with
+    :class:`FullLoadBrowser`."""
+    modules = (repro.core.corpus, repro.crawler.selenium)
+    saved = [module.Browser for module in modules]
+    for module in modules:
+        module.Browser = FullLoadBrowser
+    try:
+        yield
+    finally:
+        for module, browser in zip(modules, saved):
+            module.Browser = browser

@@ -2,6 +2,7 @@
 
 import os
 import re
+import shutil
 import sqlite3
 
 import pytest
@@ -12,6 +13,8 @@ from repro.crawler.selenium import SeleniumCrawler
 from repro.crawler.vpn import VantagePointManager
 from repro.datastore import CrawlStore, run_key
 from repro.datastore.serialize import SANITIZE_KIND
+
+from .golden import regen
 
 
 class TestParser:
@@ -161,6 +164,47 @@ class TestStoredArtifacts:
                     for run in store.run_manifests()] == runs
         assert main(["report", "--store", stored]) == 0
         assert capsys.readouterr().out == expected
+
+
+class TestDamagedShards:
+    """A shard file cut short or overwritten ends every store command in
+    one stderr line that names the file, with exit status 1."""
+
+    @staticmethod
+    def _damage(path, fault):
+        if fault == "truncated":
+            os.truncate(path, os.path.getsize(path) // 2)
+        else:  # garbage over the SQLite header
+            with open(path, "r+b") as handle:
+                handle.write(b"\xde\xad" * 50)
+
+    @pytest.mark.parametrize("shard", [0, 1])
+    @pytest.mark.parametrize("fault", ["truncated", "garbage"])
+    def test_store_commands_exit_1(self, fault, shard, golden_store,
+                                   tmp_path, capsys):
+        path = str(tmp_path / "store")
+        shutil.copytree(golden_store, path)
+        damaged = os.path.join(path, f"shard-000{shard}.sqlite")
+        self._damage(damaged, fault)
+        config = regen.config()
+        study = ["study", "--scale", str(config.scale),
+                 "--seed", str(config.seed), "--store", path]
+        for argv in (["report", "--store", path], ["trend", path],
+                     ["store", "info", path],
+                     study + ["--parallelism", "1"],
+                     study + ["--parallelism", "2"]):
+            capsys.readouterr()
+            try:
+                status = main(argv)
+                err = capsys.readouterr().err
+            except SystemExit as exc:
+                # ``_open_store`` exits with the message, which the
+                # interpreter prints to stderr with status 1.
+                status, err = 1, f"{exc.code}\n"
+            assert status == 1, argv
+            assert err.startswith(f"error: {damaged} is damaged ("), argv
+            assert err.endswith("`repro study --store NEW_DIR`\n"), argv
+            assert err.count("\n") == 1, argv
 
 
 class TestProcessConventions:

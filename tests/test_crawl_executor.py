@@ -1,8 +1,12 @@
 """Tests for the parallel crawl executor and the fetch/parse caches."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import Study
+from repro.browser import Browser
 from repro.cache import BoundedCache, FetchCache, content_key
 from repro.crawler import executor
 from repro.crawler.executor import (
@@ -15,7 +19,7 @@ from repro.html.parser import parse_html, parse_html_cached
 from repro.net.http import Request
 from repro.net.url import parse_url
 from repro.reporting.tables import render_table7
-from repro.webgen.universe import ClientContext
+from repro.webgen.universe import ClientContext, TLSUnsupportedError
 
 COUNTRIES = ("ES", "RU", "US")
 
@@ -307,6 +311,49 @@ class TestFetchCache:
             with pytest.raises(ValueError):
                 cache.fetch("k", boom)
         assert len(calls) == 1
+
+    def test_cached_failures_pin_no_frames(self, universe):
+        """A replayed failure is a fresh exception, so no frame of an
+        earlier failing fetch (and no browser it held) stays reachable."""
+        domain = next(
+            domain for domain, site in sorted(universe.porn_sites.items())
+            if site.responsive and not site.https and not site.crawl_flaky
+            and "ES" not in site.blocked_countries
+        )
+        client = ClientContext("ES", "31.0.0.77")
+        gc.disable()  # only reference counts may free the browsers
+        try:
+            refs = []
+            for _ in range(2):
+                browser = Browser(universe, client)
+                visit = browser.visit(domain)
+                assert visit.success and not visit.https
+                assert browser.log.requests[0].error == "TLSUnsupportedError"
+                refs.append(weakref.ref(browser))
+                del browser, visit
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+        request = Request(parse_url(f"https://{domain}/"))
+        with pytest.raises(TLSUnsupportedError) as first:
+            universe.fetch(request, client)
+        with pytest.raises(TLSUnsupportedError) as second:
+            universe.fetch(request, client)
+        assert second.value is not first.value
+        assert type(second.value) is type(first.value)
+        assert str(second.value) == str(first.value)
+
+        def frames(exc):  # below this test's own frame
+            found, tb = [], exc.__traceback__.tb_next
+            while tb is not None:
+                found.append(tb.tb_frame)
+                tb = tb.tb_next
+            return found
+
+        assert len(frames(second.value)) == len(frames(first.value))
+        assert not any(frame in frames(first.value)
+                       for frame in frames(second.value))
 
 
 class TestBoundedCache:

@@ -2,10 +2,17 @@
 
 import pytest
 
+from repro import UniverseConfig
+from repro.browser import Browser
+from repro.core.corpus import compile_candidates, sanitize_verdict
 from repro.crawler.openwpm import OpenWPMCrawler
 from repro.crawler.selenium import SeleniumCrawler, find_age_gate_button
 from repro.crawler.vpn import VantagePointManager, client_for
 from repro.html.parser import parse_html
+from repro.webgen import build_universe
+
+from .conftest import SEED
+from .reference import full_page_loads
 
 
 class TestVantagePoints:
@@ -172,3 +179,57 @@ class TestSeleniumPolicies:
         )
         crawler = SeleniumCrawler(universe, vantage_points.home)
         assert crawler.inspect(labeled[0]).rta_labeled
+
+
+class TestDocumentLoads:
+    """The sanitize and Selenium passes load documents only; every
+    result must equal the one full page loads give."""
+
+    COUNTRIES = ("ES", "US", "RU")  # RU is served the 451 pages
+
+    @pytest.fixture(scope="class")
+    def small_universe(self):
+        return build_universe(UniverseConfig(seed=SEED, scale=0.02))
+
+    @pytest.mark.parametrize("epoch", ["sanitization", "crawl"])
+    def test_document_load_equals_full_visit(self, small_universe,
+                                             vantage_points, epoch):
+        statuses = set()
+        for country in self.COUNTRIES:
+            client = client_for(vantage_points.point(country), epoch=epoch)
+            for path in ("/", "/?verified=1"):
+                for domain in sorted(small_universe.porn_sites):
+                    document = Browser(small_universe, client).load_document(
+                        domain, path=path)
+                    full = Browser(small_universe, client).visit(
+                        domain, path=path)
+                    assert document == full, (country, domain)
+                    statuses.add(full.status)
+        assert {200, 451, None} <= statuses
+
+    def test_sanitize_verdicts_equal_full_loads(self, small_universe,
+                                                vantage_points):
+        domains = compile_candidates(small_universe).domains
+        for country in self.COUNTRIES:
+            client = client_for(vantage_points.point(country),
+                                epoch="sanitization")
+            verdicts = [sanitize_verdict(small_universe, client, domain)
+                        for domain in domains]
+            with full_page_loads():
+                expected = [sanitize_verdict(small_universe, client, domain)
+                            for domain in domains]
+            assert verdicts == expected, country
+            assert len(set(verdicts)) == 3
+
+    def test_inspections_equal_full_loads(self, small_universe,
+                                          vantage_points):
+        domains = sorted(small_universe.porn_sites)
+        for country in self.COUNTRIES:
+            crawler = SeleniumCrawler(small_universe,
+                                      vantage_points.point(country))
+            rows = [crawler.inspect(domain).to_row() for domain in domains]
+            with full_page_loads():
+                expected = [crawler.inspect(domain).to_row()
+                            for domain in domains]
+            assert rows == expected, country
+            assert any(row[2][0] for row in rows)  # an age gate seen

@@ -799,9 +799,10 @@ def _claims() -> Sequence[Claim]:
         C("ablation-cookie-filter", "preference cookies kept at 1", "-",
           _sweep(_cookie_filter_sweep, 1, 1), ">", 0),
         C("ablation-cookie-filter",
-          "ID cookies at 6 > 0.9 × ID cookies at 6 (holds when any is kept)",
-          "-", _sweep(_cookie_filter_sweep, 6, 0), ">",
-          lambda r: 0.9 * _sweep(_cookie_filter_sweep, 6, 0)(r)),
+          "persistent cookies dropped at 6 == preference kept at 1", "-",
+          lambda r: (_sweep(_cookie_filter_sweep, 1, 0)(r)
+                     - _sweep(_cookie_filter_sweep, 6, 0)(r)), "==",
+          _sweep(_cookie_filter_sweep, 1, 1)),
         C("ablation-cookie-filter", "ID cookies at 24 <= at 6", "-",
           _sweep(_cookie_filter_sweep, 24, 0), "<=",
           _sweep(_cookie_filter_sweep, 6, 0)),
